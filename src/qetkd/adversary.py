@@ -20,9 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import MeasurementBasis, RunContext, run_ensemble, ensemble_for_state
+from .protocol import (
+    MeasurementBasis,
+    RunContext,
+    ensemble_for_state,
+    local_projector,
+    run_ensemble,
+)
 from .rng import stream
-from .spinops import expectation, trace_distance
+from .spinops import expectation, sandwich, trace_distance
 
 DETECTIONS = ("none", "double_message", "verification_mismatch")
 SPLIT_CASES = ("eve_waits", "eve_measures_first_silent", "eve_measures_first_sends")
@@ -85,9 +91,7 @@ def bob_reference_state(ctx: RunContext) -> np.ndarray:
     dim = 2 ** ctx.n_sites
     rho_b = np.zeros((dim, dim), dtype=complex)
     for b in (0, 1):
-        block = ctx.projectors[b] @ ctx.rho_gs @ ctx.projectors[b]
-        u = ctx.rotations[b]
-        rho_b += u @ block @ u.conj().T
+        rho_b += ctx.rotate(b, ctx.project(b, ctx.rho_gs))
     return rho_b
 
 
@@ -115,27 +119,19 @@ def eve_independent(ctx: RunContext, eve_basis: MeasurementBasis | None = None,
     agrees with his only at chance level.
     """
     eve_basis = eve_basis or ctx.alice
-    n = ctx.n_sites
-    dim = 2 ** n
+    dim = 2 ** ctx.n_sites
 
     # Exact statistical state: Eve's measured ensemble, rotated by the
     # announced bit (identity encoding), weighted by the announcement odds.
-    p_eve = [
-        float(np.trace(
-            0.5 * (np.eye(dim) - (-1.0) ** b * eve_basis.observable(n)) @ ctx.rho_gs
-        ).real)
-        for b in (0, 1)
-    ]
-    eve_measured = np.zeros((dim, dim), dtype=complex)
-    for b in (0, 1):
-        p_b = 0.5 * (np.eye(dim) - (-1.0) ** b * eve_basis.observable(n))
-        eve_measured += p_b @ ctx.rho_gs @ p_b
+    eve_blocks = [sandwich(local_projector(eve_basis, b), eve_basis.site, ctx.rho_gs)
+                  for b in (0, 1)]
+    p_eve = [float(np.trace(block).real) for block in eve_blocks]
+    eve_measured = eve_blocks[0] + eve_blocks[1]
     out = run_ensemble(ctx)
     rho_e = np.zeros((dim, dim), dtype=complex)
     for announced in (0, 1):
         q = out.per_outcome[announced][0]
-        u = ctx.rotations[announced]
-        rho_e += q * (u @ eve_measured @ u.conj().T)
+        rho_e += q * ctx.rotate(announced, eve_measured)
     rho_b = bob_reference_state(ctx)
 
     # Seeded round statistics.
@@ -180,9 +176,7 @@ def eve_postselect(ctx: RunContext, rounds: int = 10_000, seed: int = 0) -> Atta
     dim = 2 ** ctx.n_sites
     rho_e = np.zeros((dim, dim), dtype=complex)
     for b in (0, 1):
-        block = ctx.projectors[b] @ ctx.rho_gs @ ctx.projectors[b]
-        u = ctx.rotations[b]
-        rho_e += u @ block @ u.conj().T
+        rho_e += ctx.rotate(b, ctx.project(b, ctx.rho_gs))
     rho_b = bob_reference_state(ctx)
 
     out = run_ensemble(ctx)
@@ -225,8 +219,7 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
     """
     if sub_case not in SPLIT_CASES:
         raise ValueError(f"unknown split sub-case {sub_case!r}")
-    n = ctx.n_sites
-    dim = 2 ** n
+    dim = 2 ** ctx.n_sites
     out = run_ensemble(ctx)
     p0 = out.per_outcome[0][0]
     table = _energy_table(ctx)
@@ -239,16 +232,13 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
 
     if sub_case == "eve_waits":
         # Receiver rotates an unmeasured pair: no projection ever happened.
-        energy_by_bit = np.array([
-            expectation(ctx.rotations[a] @ ctx.rho_gs @ ctx.rotations[a].conj().T,
-                        ctx.h_bob) - ref_b
-            for a in (0, 1)
-        ])
+        rotated = [ctx.rotate(a, ctx.rho_gs) for a in (0, 1)]
+        energy_by_bit = np.array([expectation(r, ctx.h_bob) - ref_b for r in rotated])
         bob_energy = energy_by_bit[announced]
         rho_eb = np.zeros((dim, dim), dtype=complex)
         for a in (0, 1):
             q = float(np.mean(announced == a))
-            rho_eb += q * (ctx.rotations[a] @ ctx.rho_gs @ ctx.rotations[a].conj().T)
+            rho_eb += q * rotated[a]
         b_eve = np.full(rounds, -1, dtype=np.int64)  # never measured
         detection = "verification_mismatch"
     else:
@@ -259,11 +249,10 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
         for be in (0, 1):
             for a in (0, 1):
                 q = float(np.mean((b_eve == be) & (used_bit == a)))
-                block = ctx.projectors[be] @ ctx.rho_gs @ ctx.projectors[be]
+                block = ctx.project(be, ctx.rho_gs)
                 prob = float(np.trace(block).real)
                 if prob > 1e-14 and q > 0:
-                    u = ctx.rotations[a]
-                    rho_eb += q * (u @ block @ u.conj().T) / prob
+                    rho_eb += q * ctx.rotate(a, block) / prob
         detection = ("double_message" if sub_case == "eve_measures_first_sends"
                      else "verification_mismatch")
 

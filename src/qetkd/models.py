@@ -19,13 +19,20 @@ shifts are fixed numerically from the ground state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spinops import PauliTerm, assemble, eigendecompose, expectation, term
-from .tolerances import TOL
+from .spinops import (
+    PauliTerm,
+    assemble,
+    degeneracy_tolerance,
+    eigendecompose,
+    expectation,
+    term,
+)
 
 ALICE = "A"
 BOB = "B"
@@ -47,6 +54,19 @@ class HamiltonianSpec:
 
     def matrix(self) -> np.ndarray:
         return assemble(self.terms, self.n_sites)
+
+    @functools.cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors) of the assembled H, solved once per object.
+
+        The shifts of a model's partition, its ground state and its
+        excited levels all read this one solve.  The arrays are read-only
+        because every caller shares them.
+        """
+        evals, evecs = eigendecompose(self.matrix())
+        evals.flags.writeable = False
+        evecs.flags.writeable = False
+        return evals, evecs
 
     def to_text(self) -> str:
         """One term per line: ``coeff site:axis [site:axis]``."""
@@ -102,8 +122,7 @@ class Partition:
 
 
 def _ground_vector(spec: HamiltonianSpec) -> np.ndarray:
-    evals, evecs = eigendecompose(spec.matrix())
-    return evecs[:, 0]
+    return spec.spectrum[1][:, 0]
 
 
 def _zeroing_shift(terms: tuple[PauliTerm, ...], spec: HamiltonianSpec,
@@ -226,6 +245,6 @@ def chain3(coupling: float) -> tuple[HamiltonianSpec, Partition]:
 
 def energy_gap(spec: HamiltonianSpec) -> float:
     """First excitation energy; exactly 0.0 when the ground level is degenerate."""
-    evals = np.linalg.eigvalsh(spec.matrix())
+    evals, _ = spec.spectrum
     gap = float(evals[1] - evals[0])
-    return 0.0 if gap < TOL.degenerate_gap else gap
+    return 0.0 if gap <= degeneracy_tolerance(evals) else gap

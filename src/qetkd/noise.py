@@ -27,14 +27,17 @@ from .protocol import (
     RunContext,
     ensemble_for_state,
     prepare,
+    projector,
     run_ensemble_random_basis,
 )
 from .spinops import (
+    PAULI,
     commutator,
-    eigendecompose,
+    degeneracy_tolerance,
     frobenius,
-    pauli_on_site,
     require_density_matrix,
+    sandwich,
+    site_operator,
 )
 from .tolerances import TOL
 
@@ -100,12 +103,13 @@ def depolarize_run(ctx: RunContext, p: float) -> QetOutcome:
 
 def _excited_level(ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
     """(uniform mixture over the first excited level, its first eigenvector)."""
-    evals, evecs = eigendecompose(ctx.h_full)
-    if evals[1] - evals[0] <= TOL.degenerate_gap:
+    evals, evecs = ctx.spec.spectrum
+    tol = degeneracy_tolerance(evals)
+    if evals[1] - evals[0] <= tol:
         raise DegenerateGroundError(
             "first excited level is degenerate with the ground level"
         )
-    cluster = np.where(np.abs(evals - evals[1]) < TOL.degenerate_gap)[0]
+    cluster = np.where(np.abs(evals - evals[1]) <= tol)[0]
     mixture = sum(
         np.outer(evecs[:, i], evecs[:, i].conj()) for i in cluster
     ) / len(cluster)
@@ -141,8 +145,7 @@ def pauli_flip_run(ctx: RunContext, axis: str, site: int, p: float) -> QetOutcom
     """Bit-flip (X) or phase-flip (Z) error at one site with probability p."""
     if axis not in ("X", "Z"):
         raise ValueError(f"flip axis must be X or Z, got {axis!r}")
-    op = pauli_on_site(axis, site, ctx.n_sites)
-    sigma = op @ ctx.rho_gs @ op
+    sigma = sandwich(PAULI[axis], site, ctx.rho_gs)
     return ensemble_for_state(ctx, mix_state(ctx.rho_gs, sigma, p))
 
 
@@ -184,28 +187,22 @@ def kraus_state(ctx: RunContext, site: int,
             f"sum K† K deviates from identity by {frobenius(total - np.eye(2)):.3e}"
         )
 
-    dim = 2 ** ctx.n_sites
-    embedded = []
-    for k in ops:
-        full = np.array([[1.0 + 0j]])
-        for s in range(ctx.n_sites):
-            full = np.kron(full, k if s == site else np.eye(2))
-        embedded.append(full)
-
+    # The locality check is a cold path: it builds d x d forms on demand.
+    n = ctx.n_sites
+    projectors = [projector(ctx.alice, b, n) for b in (0, 1)]
     defects: dict[str, float] = {}
     worst = 0.0
-    for i, k_full in enumerate(embedded):
+    for i, k in enumerate(ops):
+        k_full = site_operator(k, site, n)
         d_a = frobenius(commutator(k_full, ctx.h_alice))
         d_b = frobenius(commutator(k_full, ctx.h_bob))
-        d_p = max(frobenius(commutator(k_full, ctx.projectors[b])) for b in (0, 1))
+        d_p = max(frobenius(commutator(k_full, p_b)) for p_b in projectors)
         defects[f"K{i}"] = max(d_a, d_b, d_p)
         worst = max(worst, defects[f"K{i}"])
     check = KrausCheck(commutes=worst <= TOL.commutator, max_defect=worst,
                        defects=defects)
 
-    sigma = np.zeros((dim, dim), dtype=complex)
-    for k_full in embedded:
-        sigma += k_full @ ctx.rho_gs @ k_full.conj().T
+    sigma = sum(sandwich(k, site, ctx.rho_gs) for k in ops)
     return sigma, check
 
 
@@ -229,8 +226,8 @@ def noisy_input_state(ctx: RunContext, noise: NoiseSpec | None,
         return mix_state(ctx.rho_gs, np.eye(dim) / dim, noise.p), 0.0
     if noise.kind in ("bit_flip", "phase_flip"):
         axis = "X" if noise.kind == "bit_flip" else "Z"
-        op = pauli_on_site(axis, noise.site, ctx.n_sites)
-        return mix_state(ctx.rho_gs, op @ ctx.rho_gs @ op, noise.p), 0.0
+        sigma = sandwich(PAULI[axis], noise.site, ctx.rho_gs)
+        return mix_state(ctx.rho_gs, sigma, noise.p), 0.0
     if noise.kind == "excited_mixture":
         rho_1, _ = _excited_level(ctx)
         return mix_state(ctx.rho_gs, rho_1, noise.p), 0.0
@@ -283,9 +280,11 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
                    **family_kwargs) -> ThresholdReport:
     """Locate the probabilities where the receiver energy changes sign.
 
-    Each bracketing pair on the grid is refined by bisection to 1e-4 in
-    p.  ``crossing`` is the first crossing, None when the sign never
-    changes (depolarization, for instance).
+    Only energies whose magnitude exceeds ``TOL.sign_zero`` carry a
+    sign; each pair of consecutive such grid points with opposite signs
+    is refined by bisection to 1e-4 in p.  An energy that merely reaches
+    zero, like depolarization at p = 1, is no crossing.  ``crossing`` is
+    the first crossing, None when the sign never changes.
     """
     curve = _family_curve(ctx, family, **family_kwargs)
     grid = np.asarray(grid, dtype=float)
@@ -294,9 +293,11 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
     e_a = np.array([o.e_alice for o in outs])
 
     crossings: list[float] = []
-    signs = np.sign(e_b)
-    for i in np.where(np.diff(signs) != 0)[0]:
-        lo, hi = float(grid[i]), float(grid[i + 1])
+    signed = np.flatnonzero(np.abs(e_b) > TOL.sign_zero)
+    for i, j in zip(signed[:-1], signed[1:]):
+        if (e_b[i] < 0) == (e_b[j] < 0):
+            continue
+        lo, hi = float(grid[i]), float(grid[j])
         f_lo = e_b[i]
         while hi - lo > TOL.bisection:
             mid = 0.5 * (lo + hi)

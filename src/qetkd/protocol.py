@@ -17,11 +17,13 @@ The rotation angle comes from the ground-state parameters
 
 via cos(2 theta) = xi / sqrt(xi^2 + eta^2) and sin(2 theta) = eta / ...,
 which minimizes the receiver's ensemble energy to (xi - sqrt(xi^2 +
-eta^2)) / 2.  All evolution is exact at the density-matrix level.
+eta^2)) / 2.  All evolution is exact at the density-matrix level; P(b)
+and U(b') are kept as their 2x2 factors and applied on their one site.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -37,13 +39,17 @@ from .models import ALICE, BOB, HamiltonianSpec, Partition, PartitionPart
 from .rng import stream
 from .spinops import (
     AXES,
-    commutator,
+    PAULI,
+    apply_on_site,
+    axis_operator,
+    degeneracy_tolerance,
     eigendecompose,
     expectation,
     frobenius,
-    pauli_on_site,
     pure_density,
     require_unit_vector,
+    sandwich,
+    site_operator,
     vector_observable,
 )
 from .tolerances import TOL
@@ -86,12 +92,16 @@ class MeasurementBasis:
         return vector_observable(np.asarray(self.vector), self.site, n_sites)
 
 
-def projector(basis: MeasurementBasis, b: int, n_sites: int) -> np.ndarray:
-    """P(b) = (1 - (-1)^b n.sigma) / 2."""
+def local_projector(basis: MeasurementBasis, b: int) -> np.ndarray:
+    """2x2 factor of P(b) = (1 - (-1)^b n.sigma) / 2 at the basis site."""
     if b not in (0, 1):
         raise ValueError(f"outcome bit must be 0 or 1, got {b}")
-    dim = 2 ** n_sites
-    return 0.5 * (np.eye(dim) - (-1.0) ** b * basis.observable(n_sites))
+    return 0.5 * (np.eye(2) - (-1.0) ** b * axis_operator(basis.vector))
+
+
+def projector(basis: MeasurementBasis, b: int, n_sites: int) -> np.ndarray:
+    """P(b) = (1 - (-1)^b n.sigma) / 2 on the whole register."""
+    return site_operator(local_projector(basis, b), basis.site, n_sites)
 
 
 @dataclass(frozen=True)
@@ -136,12 +146,18 @@ class FeedbackRule:
     def observable(self, n_sites: int) -> np.ndarray:
         return vector_observable(np.asarray(self.vector), self.site, n_sites)
 
-    def rotation(self, announced: int, n_sites: int) -> np.ndarray:
-        """Rotation for a given announced bit; (m.sigma)^2 = 1 keeps it closed-form."""
-        sb = self.observable(n_sites)
+    def local_rotation(self, announced: int) -> np.ndarray:
+        """2x2 factor of the rotation for an announced bit.
+
+        (m.sigma)^2 = 1 keeps it closed-form.
+        """
         sign = (-1.0) ** announced
-        dim = 2 ** n_sites
-        return math.cos(self.theta) * np.eye(dim) - 1j * sign * math.sin(self.theta) * sb
+        return (math.cos(self.theta) * np.eye(2)
+                - 1j * sign * math.sin(self.theta) * axis_operator(self.vector))
+
+    def rotation(self, announced: int, n_sites: int) -> np.ndarray:
+        """Rotation for a given announced bit on the whole register."""
+        return site_operator(self.local_rotation(announced), self.site, n_sites)
 
     def unitary(self, outcome: int, n_sites: int) -> np.ndarray:
         """Rotation the receiver applies when the sender measured ``outcome``."""
@@ -179,15 +195,13 @@ def ground_state(spec: HamiltonianSpec) -> tuple[np.ndarray, float]:
     (for the chain and star families this happens in the infinite-
     coupling limit; reduce the coupling).
     """
-    evals, evecs = eigendecompose(spec.matrix())
-    # Scale-aware: an eigensolver resolves gaps only relative to ||H||.
-    scale = max(1.0, float(np.abs(evals).max()))
-    if evals[1] - evals[0] <= TOL.degenerate_gap * scale:
+    evals, evecs = spec.spectrum
+    if evals[1] - evals[0] <= degeneracy_tolerance(evals):
         raise DegenerateGroundError(
             f"ground level of {spec.name} is degenerate "
             f"(gap {evals[1] - evals[0]:.3e})"
         )
-    gs = evecs[:, 0].copy()
+    gs = evecs[:, 0].astype(complex)
     pivot = int(np.argmax(np.abs(gs)))
     phase = gs[pivot] / abs(gs[pivot])
     gs = gs * phase.conjugate()
@@ -196,11 +210,16 @@ def ground_state(spec: HamiltonianSpec) -> tuple[np.ndarray, float]:
 
 def validate_partition(basis: MeasurementBasis, part_b: np.ndarray,
                        n_sites: int) -> float:
-    """Frobenius norm of [P(b), H_B]; anything above tolerance breaks the protocol."""
-    defect = 0.0
-    for b in (0, 1):
-        defect = max(defect, frobenius(commutator(projector(basis, b, n_sites), part_b)))
-    return defect
+    """Frobenius norm of [P(b), H_B]; anything above tolerance breaks the protocol.
+
+    [P(b), H_B] = -(-1)^b [n.sigma, H_B] / 2, so both outcomes share one norm.
+    """
+    if not 0 <= basis.site < n_sites:
+        raise ValueError(f"site {basis.site} out of range for {n_sites} sites")
+    a = axis_operator(basis.vector)
+    left = apply_on_site(a, basis.site, part_b)                  # (n.sigma) H_B
+    right = apply_on_site(a.T, n_sites + basis.site, part_b)     # H_B (n.sigma)
+    return 0.5 * frobenius(left - right)
 
 
 def theta_params(gs: np.ndarray, h_full: np.ndarray, sigma_a: np.ndarray,
@@ -208,11 +227,14 @@ def theta_params(gs: np.ndarray, h_full: np.ndarray, sigma_a: np.ndarray,
     """xi, eta and the principal-branch angle for one sender/receiver pair."""
     dim = h_full.shape[0]
     h_shifted = h_full - expectation(gs, h_full) * np.eye(dim)
-    xi = expectation(gs, sigma_b @ h_shifted @ sigma_b)
+    sb_gs = sigma_b @ gs
+    xi = expectation(sb_gs, h_shifted)
     if xi < -TOL.psd:
         raise ValueError(f"xi = {xi:.3e} is negative; shifted Hamiltonian not PSD")
-    eta_op = sigma_a @ (1j * commutator(sigma_b, h_shifted))
-    raw = complex(gs.conj() @ eta_op @ gs)
+    # <gs| sA i [sB, H] |gs> from matrix-vector products alone.
+    sa_gs = sigma_a @ gs
+    raw = 1j * complex(np.vdot(sa_gs, sigma_b @ (h_shifted @ gs))
+                       - np.vdot(sa_gs, h_shifted @ sb_gs))
     if abs(raw.imag) > TOL.imaginary_residue:
         raise ImaginaryResidueError(
             f"eta has imaginary residue {raw.imag:.3e}; unsupported operator pair"
@@ -233,10 +255,13 @@ def optimize_bob_basis(gs: np.ndarray, spec: HamiltonianSpec,
     vanishes (no energy can be teleported for this sender basis).
     """
     h_full = spec.matrix()
+    sa_gs = sigma_a @ gs
+    h_gs = h_full @ gs
     coeffs = np.zeros(3)
     for i, axis in enumerate(AXES):
-        sb = pauli_on_site(axis, bob_site, spec.n_sites)
-        raw = complex(gs.conj() @ (sigma_a @ (1j * commutator(sb, h_full))) @ gs)
+        sb = PAULI[axis]
+        raw = 1j * complex(np.vdot(sa_gs, apply_on_site(sb, bob_site, h_gs))
+                           - np.vdot(sa_gs, h_full @ apply_on_site(sb, bob_site, gs)))
         if abs(raw.imag) > TOL.imaginary_residue:
             raise ImaginaryResidueError(
                 f"axis coefficient for {axis} has imaginary residue {raw.imag:.3e}"
@@ -275,7 +300,13 @@ def _receiver_site(part: PartitionPart) -> int:
 
 @dataclass(frozen=True)
 class RunContext:
-    """Everything one protocol configuration needs, precomputed."""
+    """Everything one protocol configuration needs, precomputed.
+
+    The sender projectors and receiver rotations are held as their 2x2
+    factors, ``local_projectors[b]`` at ``alice.site`` and
+    ``local_rotations[announced]`` at ``rule.site``; ``project`` and
+    ``rotate`` apply them to a density matrix.
+    """
 
     spec: HamiltonianSpec
     partition: Partition
@@ -290,23 +321,25 @@ class RunContext:
     h_full: np.ndarray = field(repr=False, default=None)
     h_alice: np.ndarray = field(repr=False, default=None)
     h_bob: np.ndarray = field(repr=False, default=None)
-    projectors: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
-    rotations: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
+    local_projectors: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
+    local_rotations: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
 
     @property
     def n_sites(self) -> int:
         return self.spec.n_sites
 
+    def project(self, b: int, rho: np.ndarray) -> np.ndarray:
+        """P(b) rho P(b), unnormalized."""
+        return sandwich(self.local_projectors[b], self.alice.site, rho)
+
+    def rotate(self, announced: int, rho: np.ndarray) -> np.ndarray:
+        """U rho U† for the rotation the receiver applies on an announced bit."""
+        return sandwich(self.local_rotations[announced], self.rule.site, rho)
+
     def with_rule(self, bit_map: str) -> "RunContext":
         """Same configuration with the other sender-side encoding."""
-        rule = FeedbackRule(self.rule.site, self.rule.vector, self.rule.theta, bit_map)
-        return RunContext(
-            spec=self.spec, partition=self.partition, alice=self.alice, rule=rule,
-            theta=self.theta, alice_label=self.alice_label, bob_label=self.bob_label,
-            gs=self.gs, gs_energy=self.gs_energy, rho_gs=self.rho_gs,
-            h_full=self.h_full, h_alice=self.h_alice, h_bob=self.h_bob,
-            projectors=self.projectors, rotations=self.rotations,
-        )
+        return dataclasses.replace(
+            self, rule=dataclasses.replace(self.rule, bit_map=bit_map))
 
 
 def prepare(spec: HamiltonianSpec, partition: Partition,
@@ -362,8 +395,8 @@ def prepare(spec: HamiltonianSpec, partition: Partition,
         h_full=h_full,
         h_alice=partition.parts[alice_label].bare_matrix(n),
         h_bob=h_bob,
-        projectors=(projector(alice, 0, n), projector(alice, 1, n)),
-        rotations=(rule.rotation(0, n), rule.rotation(1, n)),
+        local_projectors=(local_projector(alice, 0), local_projector(alice, 1)),
+        local_rotations=(rule.local_rotation(0), rule.local_rotation(1)),
     )
 
 
@@ -385,18 +418,15 @@ def ensemble_for_state(ctx: RunContext, rho_in: np.ndarray,
     e_b = 0.0
     per: dict[int, tuple[float, float]] = {}
     for b in (0, 1):
-        p_b = ctx.projectors[b]
-        block = p_b @ rho_in @ p_b
+        block = ctx.project(b, rho_in)
         prob = float(np.trace(block).real)
-        e_a += float(np.trace(block @ ctx.h_alice).real)
+        e_a += expectation(block, ctx.h_alice)
         announced = ctx.rule.mapped(b)
-        u_good = ctx.rotations[announced]
-        fed = u_good @ block @ u_good.conj().T
+        fed = ctx.rotate(announced, block)
         if flip_probability > 0.0:
-            u_bad = ctx.rotations[announced ^ 1]
             fed = (1.0 - flip_probability) * fed \
-                + flip_probability * (u_bad @ block @ u_bad.conj().T)
-        energy = float(np.trace(fed @ ctx.h_bob).real)
+                + flip_probability * ctx.rotate(announced ^ 1, block)
+        energy = expectation(fed, ctx.h_bob)
         e_b += energy
         per[b] = (prob, energy / prob - ref_b if prob > 1e-14 else 0.0)
     return QetOutcome(e_alice=e_a - ref_a, e_bob=e_b - ref_b, per_outcome=per)
@@ -483,10 +513,9 @@ def run_rounds(ctx: RunContext, n_rounds: int, seed: int,
     ref = expectation(ctx.rho_gs, ctx.h_bob)
     weights = []
     for b in (0, 1):
-        block = ctx.projectors[b] @ ctx.rho_gs @ ctx.projectors[b]
+        block = ctx.project(b, ctx.rho_gs)
         prob = float(np.trace(block).real)
-        u = ctx.rotations[ctx.rule.mapped(b)]
-        fed = u @ block @ u.conj().T / prob
+        fed = ctx.rotate(ctx.rule.mapped(b), block) / prob
         w = np.real(np.einsum("ij,jk,ki->i", evecs.conj().T, fed, evecs))
         weights.append(np.clip(w, 0.0, None) / np.clip(w, 0.0, None).sum())
     energies = np.empty(n_rounds)

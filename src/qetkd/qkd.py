@@ -12,6 +12,7 @@ across receivers.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,7 @@ from .protocol import (
     run_ensemble,
 )
 from .rng import stream
-from .spinops import require_density_matrix
+from .spinops import expectation, require_density_matrix
 
 MODELS = ("two-site", "chain3", "star")
 POLICIES = ("fixed", "two-random", "haar")
@@ -192,17 +193,16 @@ def _tables_for_basis(spec: HamiltonianSpec, partition: Partition,
         rho_in, _ = noisy_input_state(ctx, noise)
         table = np.empty((2, 2))
         for b in (0, 1):
-            block = ctx.projectors[b] @ rho_in @ ctx.projectors[b]
+            block = ctx.project(b, rho_in)
             prob = float(np.trace(block).real)
             if b == 0:
                 p0 = prob
             if prob <= 1e-14:
                 table[b, :] = 0.0
                 continue
-            pre = float(np.trace(block @ ctx.h_bob).real) / prob
+            pre = expectation(block, ctx.h_bob) / prob
             for announced in (0, 1):
-                u = ctx.rotations[announced]
-                post = float(np.trace(u @ block @ u.conj().T @ ctx.h_bob).real) / prob
+                post = expectation(ctx.rotate(announced, block), ctx.h_bob) / prob
                 table[b, announced] = post - pre
         tables[label] = table
     return _BasisTables(basis=basis, p0=p0, tables=tables)
@@ -376,29 +376,31 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
 
     ``source`` is a callable returning the density matrix for round i.
     The empirical mean conditional energy must sit within five standard
-    errors of the trusted-model prediction.
+    errors of the trusted-model prediction.  Decode tables are cached by
+    the state's content, never by object identity: a supplier may return
+    fresh arrays, and a recycled id must not resurrect another state's
+    table.
     """
     predicted = run_ensemble(ctx).e_bob
     rng = stream(seed, 4)
     energies = np.empty(rounds)
-    cache: dict[int, tuple[float, np.ndarray]] = {}
+    cache: dict[tuple, tuple[float, np.ndarray]] = {}
     for i in range(rounds):
-        rho = source(i)
-        key = id(rho)
+        rho = np.ascontiguousarray(source(i))
+        key = (rho.shape, rho.dtype.str, hashlib.blake2b(rho).digest())
         if key not in cache:
             require_density_matrix(rho)
             table = np.empty(2)
             probs = np.empty(2)
             for b in (0, 1):
-                block = ctx.projectors[b] @ rho @ ctx.projectors[b]
+                block = ctx.project(b, rho)
                 prob = float(np.trace(block).real)
                 probs[b] = prob
                 if prob <= 1e-14:
                     table[b] = 0.0
                     continue
-                pre = float(np.trace(block @ ctx.h_bob).real) / prob
-                u = ctx.rotations[ctx.rule.mapped(b)]
-                post = float(np.trace(u @ block @ u.conj().T @ ctx.h_bob).real) / prob
+                pre = expectation(block, ctx.h_bob) / prob
+                post = expectation(ctx.rotate(ctx.rule.mapped(b), block), ctx.h_bob) / prob
                 table[b] = post - pre
             cache[key] = (probs[0], table)
         p0, table = cache[key]

@@ -1,9 +1,17 @@
-"""Dense spin-operator algebra on up to 12 qubits.
+"""Site-local spin-operator kernel on up to 12 qubits.
 
-Operators, pure states and density matrices are plain complex numpy
-arrays; the validators below enforce the class invariants (Hermiticity,
-unitarity, unit trace, positivity) wherever a value crosses a public
-boundary.  Everything here is a pure function on immutable inputs.
+A basis state |x> of n sites is the integer x whose most significant
+bit is site 0, matching the Kronecker order ``op_0 (x) op_1 (x) ...``.
+A Pauli product is then a signed permutation, P|x> = phase(x) |x ^ flip>,
+so Hamiltonians are assembled in O(terms * d) by scattering each term
+into the output.  A 2x2 operator at one site acts on a vector or matrix
+through a reshape that isolates that site's bit, at O(d) per vector and
+O(d^2) per matrix; no d x d operator product is ever formed for it.
+
+Operators, pure states and density matrices are plain numpy arrays; the
+validators below enforce the class invariants (Hermiticity, unitarity,
+unit trace, positivity) wherever a value crosses a public boundary.
+Everything here is a pure function on immutable inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import numpy as np
 from .errors import ImaginaryResidueError
 from .tolerances import TOL
 
-MAX_SITES = 12  # dense 4096x4096 complex is the largest system we allow
+MAX_SITES = 12  # dense 4096x4096 density matrices are the largest we allow
 
 AXES = ("X", "Y", "Z")
 
@@ -24,8 +32,6 @@ PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-_ID2 = np.eye(2, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -97,43 +103,114 @@ def term(coefficient: float, *factors: tuple[int, str]) -> PauliTerm:
     return PauliTerm(float(coefficient), tuple(factors))
 
 
-def pauli_on_site(axis: str, site: int, n_sites: int) -> np.ndarray:
-    """Single-site Pauli embedded in the n-site register by Kronecker products."""
-    if axis not in AXES:
-        raise ValueError(f"unknown Pauli axis {axis!r}")
+def _require_register(n_sites: int) -> None:
     if not 1 <= n_sites <= MAX_SITES:
         raise ValueError(f"n_sites must be in [1, {MAX_SITES}], got {n_sites}")
+
+
+def _require_site(site: int, n_sites: int) -> None:
     if not 0 <= site < n_sites:
         raise ValueError(f"site {site} out of range for {n_sites} sites")
-    out = np.array([[1.0 + 0j]])
-    for k in range(n_sites):
-        out = np.kron(out, PAULI[axis] if k == site else _ID2)
+
+
+def _pauli_string(factors: tuple[tuple[int, str], ...], n_sites: int,
+                  ) -> tuple[int, np.ndarray]:
+    """(flip mask, phases) of a Pauli product: P|x> = phases[x] |x ^ flip>.
+
+    On its site's input bit x_s, X flips, Z multiplies by (-1)^x_s and
+    Y = i X Z does both with an extra factor i.
+    """
+    idx = np.arange(2 ** n_sites)
+    flip = 0
+    phases = np.ones(idx.shape, dtype=complex)
+    for site, axis in factors:
+        shift = n_sites - 1 - site
+        if axis != "Z":
+            flip |= 1 << shift
+        if axis != "X":
+            phases *= 1 - 2 * ((idx >> shift) & 1)
+        if axis == "Y":
+            phases *= 1j
+    return flip, phases
+
+
+def axis_operator(vector: np.ndarray) -> np.ndarray:
+    """n . sigma as a 2x2 matrix, for a real unit 3-vector n."""
+    v = np.asarray(vector, dtype=float)
+    require_unit_vector(v)
+    return sum(v[i] * PAULI[AXES[i]] for i in range(3))
+
+
+def site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
+    """The 2x2 ``op`` at ``site`` as a dense d x d matrix, scattered in O(d)."""
+    _require_register(n_sites)
+    _require_site(site, n_sites)
+    dim = 2 ** n_sites
+    idx = np.arange(dim)
+    shift = n_sites - 1 - site
+    bit = (idx >> shift) & 1
+    cleared = idx & ~(1 << shift)
+    out = np.zeros((dim, dim), dtype=complex)
+    for row_bit in (0, 1):
+        out[cleared | (row_bit << shift), idx] = op[row_bit, bit]
     return out
+
+
+def pauli_on_site(axis: str, site: int, n_sites: int) -> np.ndarray:
+    """Single-site Pauli embedded in the n-site register."""
+    if axis not in AXES:
+        raise ValueError(f"unknown Pauli axis {axis!r}")
+    return site_operator(PAULI[axis], site, n_sites)
 
 
 def vector_observable(vector: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     """n . sigma at one site, for a real unit 3-vector n."""
-    v = np.asarray(vector, dtype=float)
-    require_unit_vector(v)
-    return sum(v[i] * pauli_on_site(AXES[i], site, n_sites) for i in range(3))
+    return site_operator(axis_operator(vector), site, n_sites)
 
 
 def assemble(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) -> np.ndarray:
     """Coefficient-weighted sum of Pauli products; empty input gives the zero operator."""
-    if not 1 <= n_sites <= MAX_SITES:
-        raise ValueError(f"n_sites must be in [1, {MAX_SITES}], got {n_sites}")
+    _require_register(n_sites)
     dim = 2 ** n_sites
+    idx = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
     for t in terms:
         if not isinstance(t, PauliTerm):
             raise TypeError(f"expected PauliTerm, got {type(t).__name__}")
         if t.max_site() >= n_sites:
             raise ValueError(f"term {t} does not fit {n_sites} sites")
-        prod = np.eye(dim, dtype=complex)
-        for site, axis in t.factors:
-            prod = prod @ pauli_on_site(axis, site, n_sites)
-        out += t.coefficient * prod
+        flip, phases = _pauli_string(t.factors, n_sites)
+        # (idx ^ flip, idx) hits each entry once, so += cannot lose updates.
+        out[idx ^ flip, idx] += t.coefficient * phases
     return out
+
+
+# ---------------------------------------------------------------------------
+# site-local application
+# ---------------------------------------------------------------------------
+
+def apply_on_site(op: np.ndarray, site: int, a: np.ndarray) -> np.ndarray:
+    """(1 (x) ... (x) op (x) ... (x) 1) @ a for the 2x2 ``op`` at ``site``.
+
+    ``a`` is a state vector or a matrix whose rows are indexed by the
+    register.  ``site`` counts bits of the flattened index from the most
+    significant one, so on a d x d matrix ``n_sites + s`` addresses the
+    column bit of site s: that computes a @ (1 (x) ... (x) op.T (x) ... (x) 1).
+    """
+    t = a.reshape(2 ** site, 2, -1)
+    out = np.empty(t.shape, dtype=np.result_type(op, a))
+    for row in (0, 1):
+        np.multiply(t[:, 0], op[row, 0], out=out[:, row])
+        out[:, row] += op[row, 1] * t[:, 1]
+    return out.reshape(a.shape)
+
+
+def sandwich(op: np.ndarray, site: int, m: np.ndarray) -> np.ndarray:
+    """A M A† for the 2x2 A = ``op`` at ``site`` and a d x d matrix M, in O(d^2)."""
+    n_sites = m.shape[0].bit_length() - 1
+    _require_site(site, n_sites)
+    return apply_on_site(op.conj(), n_sites + site,
+                         apply_on_site(op, site, m))
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +220,25 @@ def assemble(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) -> np
 def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
-    Degenerate clusters come back in an arbitrary orthonormal gauge;
-    callers must not rely on the gauge inside a cluster.
+    A matrix without imaginary part is diagonalized as a real symmetric
+    one, which returns real eigenvectors.  Degenerate clusters come back
+    in an arbitrary orthonormal gauge; callers must not rely on the gauge
+    inside a cluster.
     """
     require_hermitian(h)
+    if np.iscomplexobj(h) and not np.any(h.imag):
+        h = h.real
     evals, evecs = np.linalg.eigh(h)
     return evals, evecs
+
+
+def degeneracy_tolerance(evals: np.ndarray) -> float:
+    """Level spacings at or below this count as degenerate.
+
+    An eigensolver resolves gaps only relative to ||H||, so the absolute
+    tolerance is scaled by the largest eigenvalue magnitude (at least 1).
+    """
+    return TOL.degenerate_gap * max(1.0, float(np.abs(evals).max()))
 
 
 def expectation(state: np.ndarray, a: np.ndarray) -> float:
@@ -158,9 +248,9 @@ def expectation(state: np.ndarray, a: np.ndarray) -> float:
     signals a non-Hermitian observable or a corrupted state.
     """
     if state.ndim == 1:
-        val = complex(state.conj() @ a @ state)
+        val = complex(state.conj() @ (a @ state))
     elif state.ndim == 2:
-        val = complex(np.trace(state @ a))
+        val = complex(np.einsum("ij,ji->", state, a))
     else:
         raise ValueError(f"state must be a vector or matrix, got ndim={state.ndim}")
     if abs(val.imag) > TOL.imaginary_residue:

@@ -19,7 +19,8 @@ class Tolerances:
     zero_expectation: float = 1e-10 # shifted subsystem ground expectations
     imaginary_residue: float = 1e-10
     commutator: float = 1e-10       # [P_A, H_B] Frobenius norm
-    degenerate_gap: float = 1e-9    # below this a level is treated as degenerate
+    degenerate_gap: float = 1e-9    # level spacing, relative to max(1, max |E|)
+    sign_zero: float = 1e-12        # |E| at or below this carries no sign in scans
     objective: float = 1e-12        # feedback-axis optimizer coefficient norm
     bisection: float = 1e-4         # threshold location in p
 

@@ -23,6 +23,14 @@ def embed(axis, site, n):
     return out
 
 
+def embed_op(op, site, n):
+    """An arbitrary 2x2 operator at one site, by Kronecker products."""
+    out = np.array([[1.0 + 0j]])
+    for k in range(n):
+        out = np.kron(out, op if k == site else ID2)
+    return out
+
+
 def two_site_matrix(k, h):
     return (2 * k * embed("X", 0, 2) @ embed("X", 1, 2)
             + h * (embed("Z", 0, 2) + embed("Z", 1, 2)))

@@ -131,6 +131,22 @@ class TestNoise:
         header, rows = read_csv(out_path)
         assert header == ["family", "J", "p", "E_A", "E_B"]
 
+    @pytest.mark.parametrize("model", [
+        ("--model", "chain3"),
+        ("--model", "star", "--N", "6", "--J", "1"),
+    ])
+    def test_depolarize_default_grid_reports_no_crossing(self, tmp_path, capsys, model):
+        # the default grid ends at p = 1, where E_B reaches zero: a zero
+        # (or its rounding residue) is not a sign change
+        out_path = tmp_path / "dep.csv"
+        code, out, _ = run_cli(capsys, "noise", "--family", "depolarize", *model,
+                               "--out", str(out_path))
+        assert code == 0
+        assert "no sign change" in out
+        _, rows = read_csv(out_path)
+        assert len(rows) == 101
+        assert float(rows[-1][4]) == pytest.approx(0.0, abs=1e-12)
+
     def test_sender_site_bitflip_flat(self, tmp_path, capsys):
         out_path = tmp_path / "flat.csv"
         code, _, _ = run_cli(capsys, "noise", "--family", "bitflip",

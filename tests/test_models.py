@@ -193,6 +193,38 @@ class TestEnergyGap:
         gaps = [energy_gap(chain3(j)[0]) for j in np.arange(0.0, 5.01, 0.5)]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
+    def test_degeneracy_rule_scales_with_the_spectrum(self):
+        # one scale-aware rule everywhere: at |E| ~ 1e6 the 2e-6 tunnel
+        # splitting of this Ising doublet is below the solver's resolution,
+        # so energy_gap reports 0 exactly when ground_state refuses the level
+        from qetkd.errors import DegenerateGroundError
+        from qetkd.protocol import ground_state
+        from qetkd.spinops import term
+        ising = HamiltonianSpec("ising-1e6", 2, (
+            term(-1e6, (0, "Z"), (1, "Z")), term(1.0, (0, "X")), term(1.0, (1, "X"))))
+        assert energy_gap(ising) == 0.0
+        with pytest.raises(DegenerateGroundError):
+            ground_state(ising)
+        spec, _ = chain3(1.0)
+        scaled = HamiltonianSpec("chain3-1e6", 3, tuple(
+            term(1e6 * t.coefficient, *t.factors) for t in spec.terms))
+        assert energy_gap(scaled) == pytest.approx(1e6 * 0.890083735825258, rel=1e-9)
+
+    def test_spectrum_solved_once_per_spec(self, monkeypatch):
+        # the partition shifts, energy_gap, ground_state and prepare all
+        # read one solve of this spec object
+        from qetkd.protocol import MeasurementBasis, ground_state, prepare
+        solves = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda h, f=original: solves.append(h.shape) or f(h))
+        spec, part = chain3(1.1)
+        energy_gap(spec)
+        ground_state(spec)
+        prepare(spec, part, MeasurementBasis.x(0))
+        assert solves == [(8, 8)]
+
     def test_exactly_degenerate_returns_zero(self):
         from qetkd.spinops import term
         spec = HamiltonianSpec("flat", 2, (term(1.0, (0, "X"), (1, "X")),))

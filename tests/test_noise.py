@@ -182,6 +182,29 @@ class TestExcitedStates:
         assert np.sum(np.abs(evals - evals[1]) < 1e-9) == 3
 
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_degenerate_excited_cluster_found_at_scale(self, scale):
+        # three identical, decoupled qubits: the first excited level is
+        # exactly three-fold degenerate; at 1e6 the solver splits it by
+        # up to ~1e-9, which the scale-aware rule still groups
+        from qetkd.models import HamiltonianSpec, Partition, PartitionPart
+        from qetkd.noise import noisy_input_state
+        from qetkd.spinops import term
+        terms = tuple(term(scale * c, (k, a))
+                      for k in range(3) for c, a in ((0.6, "X"), (0.8, "Z")))
+        spec = HamiltonianSpec("free3", 3, terms)
+        partition = Partition({"A": PartitionPart(terms[0:2], 0.0),
+                               "buffer": PartitionPart(terms[2:4], 0.0),
+                               "B": PartitionPart(terms[4:6], 0.0)})
+        ctx = prepare(spec, partition, MeasurementBasis.x(0),
+                      bob_axis=MeasurementBasis.y(2))
+        rho, _ = noisy_input_state(ctx, NoiseSpec(kind="excited_mixture", p=1.0))
+        h = sum(scale * (0.6 * oracles.embed("X", k, 3) + 0.8 * oracles.embed("Z", k, 3))
+                for k in range(3))
+        level = np.linalg.eigh(h)[1][:, 1:4]
+        assert np.allclose(rho, level @ level.conj().T / 3, atol=1e-9)
+
+
 class TestPauliFlips:
     def test_sender_site_bit_flip_invariant(self, ctx_unit):
         clean = run_ensemble(ctx_unit).e_bob
@@ -371,3 +394,47 @@ class TestDefaultCoupling:
         })
         with pytest.raises(DegenerateGroundError):
             prepare(spec, partition, MeasurementBasis.x(0))
+
+
+class TestNoisyInputsAgainstOracle:
+    """Noisy inputs built site-locally, then evolved, against dense evolution."""
+
+    AMPLITUDE_DAMPING = (np.array([[1, 0], [0, np.sqrt(0.7)]], dtype=complex),
+                         np.array([[0, np.sqrt(0.3)], [0, 0]], dtype=complex))
+
+    def _oracle_input(self, data, kind):
+        rho = data["rho"]
+        if kind == "depolarize":
+            return 0.6 * rho + 0.4 * np.eye(8) / 8
+        if kind == "bit_flip":
+            x2 = oracles.embed("X", 2, 3)
+            return 0.7 * rho + 0.3 * x2 @ rho @ x2
+        ks = [oracles.embed_op(k, 1, 3) for k in self.AMPLITUDE_DAMPING]
+        return sum(k @ rho @ k.conj().T for k in ks)
+
+    @pytest.mark.parametrize("kind", ["depolarize", "bit_flip", "local_kraus"])
+    @pytest.mark.parametrize("bit_map", ["identity", "flip"])
+    def test_ensemble_matches_protocol_energies(self, ctx_unit, kind, bit_map):
+        from qetkd.noise import noisy_input_state
+        from qetkd.protocol import ensemble_for_state
+
+        data = oracles.chain3_standard(1.0)
+        noise = {
+            "depolarize": NoiseSpec(kind="depolarize", p=0.4),
+            "bit_flip": NoiseSpec(kind="bit_flip", p=0.3, site=2),
+            "local_kraus": NoiseSpec(kind="local_kraus", p=0.0, site=1,
+                                     kraus_ops=self.AMPLITUDE_DAMPING),
+        }[kind]
+        rho_in, _ = noisy_input_state(ctx_unit, noise)
+        want_rho = self._oracle_input(data, kind)
+        assert np.allclose(rho_in, want_rho, atol=1e-12)
+
+        out = ensemble_for_state(ctx_unit.with_rule(bit_map), rho_in)
+        e_a, e_b, per = oracles.protocol_energies(
+            data["h_a"], data["h_b"], want_rho, data["sigma_a"], data["sigma_b"],
+            data["theta"], flip=bit_map == "flip")
+        assert out.e_alice == pytest.approx(e_a, abs=1e-12)
+        assert out.e_bob == pytest.approx(e_b, abs=1e-12)
+        for b in (0, 1):
+            assert out.per_outcome[b][0] == pytest.approx(per[b][0], abs=1e-12)
+            assert out.per_outcome[b][1] == pytest.approx(per[b][1], abs=1e-12)

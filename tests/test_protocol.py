@@ -7,7 +7,7 @@ from qetkd.errors import (
     ImaginaryResidueError,
     PartitionViolationError,
 )
-from qetkd.models import BOB, HamiltonianSpec, chain3, two_site, \
+from qetkd.models import BOB, HamiltonianSpec, chain3, star, two_site, \
     two_site_partition_alternative, two_site_partition_standard, \
     two_site_shift_constants
 from qetkd.protocol import (
@@ -437,3 +437,51 @@ class TestRunRound:
         # single shots scatter over the receiver spectrum, unlike the
         # exact mode where each outcome gives one number
         assert len(np.unique(np.round(energies, 9))) > 1
+
+
+class TestAgainstDenseOracle:
+    """The site-local kernel against direct dense evolution in tests/oracles.py."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_theta_params_random_axes(self, seed):
+        # chain3 admits any sender and receiver axes (the buffer keeps
+        # [sA, i[sB, H]] off the sender site); the star and two-site
+        # models need the X sender axis for a real eta
+        rng = np.random.default_rng(seed)
+        j = float(rng.uniform(0.3, 3.0))
+
+        def axis(site, n):
+            v = rng.normal(size=3)
+            v /= np.linalg.norm(v)
+            return sum(v[i] * oracles.embed(a, site, n) for i, a in enumerate("XYZ"))
+
+        cases = [
+            (oracles.chain3_matrix(j), axis(0, 3), axis(2, 3)),
+            (oracles.star_matrix(3, j), oracles.embed("X", 0, 4), axis(2, 4)),
+            (oracles.two_site_matrix(j, 1.0), oracles.embed("X", 0, 2), axis(1, 2)),
+        ]
+        for h, sigma_a, sigma_b in cases:
+            evals, gs = oracles.ground(h)
+            xi, eta, theta = oracles.theta_of(h, gs, evals[0], sigma_a, sigma_b)
+            tp = theta_params(gs, h, sigma_a, sigma_b)
+            assert tp.xi == pytest.approx(xi, abs=1e-10)
+            assert tp.eta == pytest.approx(eta, abs=1e-10)
+            assert tp.theta == pytest.approx(theta, abs=1e-10)
+
+    @pytest.mark.parametrize("n_parties", range(1, 10))
+    def test_star_energies(self, n_parties):
+        n = n_parties + 1
+        h = oracles.star_matrix(n_parties, 1.0)
+        evals, gs = oracles.ground(h)
+        sigma_a = oracles.embed("X", 0, n)
+        sigma_b = oracles.embed("Y", 1, n)  # paired receiver axis X -> Y at leaf 1
+        h_a = oracles.embed("Z", 0, n)
+        h_b = oracles.embed("X", 0, n) @ oracles.embed("X", 1, n) + oracles.embed("Z", 1, n)
+        _, _, theta = oracles.theta_of(h, gs, evals[0], sigma_a, sigma_b)
+        e_a, e_b, _ = oracles.protocol_energies(h_a, h_b, np.outer(gs, gs.conj()),
+                                                sigma_a, sigma_b, theta)
+
+        spec, part = star(n_parties, 1.0)
+        out = run_ensemble(prepare(spec, part, MeasurementBasis.x(0), bob_label="B1"))
+        assert abs(out.e_alice - e_a) <= 1e-9 * abs(e_a)
+        assert abs(out.e_bob - e_b) <= 1e-9 * abs(e_b)

@@ -232,6 +232,32 @@ class TestResourceVerification:
                                         rounds=10_000, seed=2)
         assert not verdict.ok
 
+    @pytest.mark.parametrize("make_mixed", [
+        lambda: np.diag(np.full(8, 1 / 8)),
+        lambda: np.eye(8, dtype=complex) / 8,
+    ])
+    def test_fresh_arrays_alternating_with_mixed_fail(self, chain_ctx, make_mixed):
+        # a supplier returning fresh arrays recycles object ids; the decode
+        # table must follow the content, so every other round is the
+        # maximally mixed state (energy exactly 0) and the mean halves
+        def source(i):
+            return chain_ctx.rho_gs.copy() if i % 2 == 0 else make_mixed()
+
+        verdict = verify_resource_state(chain_ctx, source, rounds=20_000, seed=0)
+        assert not verdict.ok
+        assert abs(verdict.mean_energy - verdict.predicted / 2) <= 5 * verdict.stderr
+
+    def test_genuine_fresh_arrays_build_one_table(self, chain_ctx, monkeypatch):
+        import qetkd.qkd as qkd
+        calls = []
+        original = qkd.require_density_matrix
+        monkeypatch.setattr(qkd, "require_density_matrix",
+                            lambda rho: calls.append(1) or original(rho))
+        verdict = verify_resource_state(chain_ctx, lambda i: chain_ctx.rho_gs.copy(),
+                                        rounds=20_000, seed=0)
+        assert verdict.ok
+        assert len(calls) == 1
+
     def test_invalid_candidate_rejected(self, chain_ctx):
         with pytest.raises(ValueError):
             verify_resource_state(chain_ctx, lambda i: np.eye(8), rounds=4, seed=0)

@@ -4,6 +4,7 @@ import pytest
 from qetkd.errors import ImaginaryResidueError
 from qetkd.spinops import (
     PauliTerm,
+    apply_on_site,
     assemble,
     commutator,
     eigendecompose,
@@ -13,6 +14,8 @@ from qetkd.spinops import (
     require_density_matrix,
     require_hermitian,
     require_unitary,
+    sandwich,
+    site_operator,
     term,
     trace_distance,
 )
@@ -202,3 +205,61 @@ class TestValidators:
         x0 = oracles.embed("X", 0, 2)
         z1 = oracles.embed("Z", 1, 2)
         assert np.allclose(commutator(x0, z1), 0)
+
+
+class TestMaskKernelAgainstOracle:
+    """Mask-built operators and site-local contractions against Kronecker products."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pauli_products_match_embed(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(6):
+            k = int(rng.integers(1, n + 1))
+            sites = rng.choice(n, size=k, replace=False)
+            axes = rng.choice(["X", "Y", "Z"], size=k)
+            factors = tuple((int(s), str(a)) for s, a in zip(sites, axes))
+            expected = np.eye(2 ** n, dtype=complex)
+            for site, axis in factors:
+                expected = expected @ oracles.embed(axis, site, n)
+            assert np.allclose(assemble([term(1.0, *factors)], n), expected, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_weighted_sum_matches_embed(self, n):
+        rng = np.random.default_rng(n)
+        terms, expected = [], np.zeros((2 ** n, 2 ** n), dtype=complex)
+        for _ in range(8):
+            sites = rng.choice(n, size=2, replace=False)
+            axes = rng.choice(["X", "Y", "Z"], size=2)
+            c = float(rng.normal())
+            terms.append(term(c, *((int(s), str(a)) for s, a in zip(sites, axes))))
+            expected += c * (oracles.embed(axes[0], sites[0], n)
+                             @ oracles.embed(axes[1], sites[1], n))
+        assert np.allclose(assemble(terms, n), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_site_local_matches_dense(self, n):
+        # random, non-Hermitian operators on random non-pure, non-Hermitian matrices
+        rng = np.random.default_rng(40 + n)
+        dim = 2 ** n
+        for site in range(n):
+            op = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            full = oracles.embed_op(op, site, n)
+            assert np.allclose(site_operator(op, site, n), full, atol=1e-14)
+            assert np.allclose(sandwich(op, site, m), full @ m @ full.conj().T,
+                               atol=1e-12)
+            assert np.allclose(apply_on_site(op, site, m), full @ m, atol=1e-12)
+            assert np.allclose(apply_on_site(op, n + site, m), m @ full.T, atol=1e-12)
+            assert np.allclose(apply_on_site(op, site, m[:, 0]), full @ m[:, 0],
+                               atol=1e-12)
+
+    def test_sandwich_rejects_site_outside_register(self):
+        with pytest.raises(ValueError):
+            sandwich(oracles.SX, 2, np.eye(4))
+
+    def test_real_hamiltonian_solved_as_real(self):
+        h = oracles.chain3_matrix(1.3)
+        evals, evecs = eigendecompose(h)
+        assert not np.iscomplexobj(evecs)
+        assert np.allclose(evals, np.linalg.eigvalsh(h), atol=1e-12)
+        assert np.allclose(h @ evecs, evecs * evals, atol=1e-12)
