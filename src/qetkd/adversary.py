@@ -106,6 +106,11 @@ def _energy_table(ctx: RunContext) -> np.ndarray:
     return table
 
 
+def _joint_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2x2 float tally of the bit pairs (a[i], b[i])."""
+    return np.bincount(2 * a + b, minlength=4).reshape(2, 2).astype(float)
+
+
 def _sample_bits(p0: float, n: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(n) >= p0).astype(np.int64)
 
@@ -148,9 +153,6 @@ def eve_independent(ctx: RunContext, eve_basis: MeasurementBasis | None = None,
 
     rate_ab, se_ab = _match_stats(logical, bob_key)
     rate_eb, se_eb = _match_stats(eve_key, bob_key)
-    joint = np.zeros((2, 2))
-    for ba, be in zip(b_alice, b_eve):
-        joint[ba, be] += 1
 
     return AttackReport(
         scenario=AttackScenario("independent"),
@@ -162,7 +164,7 @@ def eve_independent(ctx: RunContext, eve_basis: MeasurementBasis | None = None,
         rounds=rounds,
         se_alice_bob=se_ab,
         se_eve_bob=se_eb,
-        joint_counts=joint,
+        joint_counts=_joint_counts(b_alice, b_eve),
     )
 
 
@@ -190,9 +192,6 @@ def eve_postselect(ctx: RunContext, rounds: int = 10_000, seed: int = 0) -> Atta
 
     rate_ab, se_ab = _match_stats(logical, bob_key)
     rate_eb, se_eb = _match_stats(eve_key, bob_key)
-    joint = np.zeros((2, 2))
-    for ba in b_alice:
-        joint[ba, ba] += 1
 
     return AttackReport(
         scenario=AttackScenario("postselect"),
@@ -204,7 +203,7 @@ def eve_postselect(ctx: RunContext, rounds: int = 10_000, seed: int = 0) -> Atta
         rounds=rounds,
         se_alice_bob=se_ab,
         se_eve_bob=se_eb,
-        joint_counts=joint,
+        joint_counts=_joint_counts(b_alice, b_alice),
     )
 
 
@@ -270,10 +269,6 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
         if compared and np.all(logical[:compared] == bob_key[:compared]):
             detection = "none"  # verification happened to pass
 
-    joint = np.zeros((2, 2))
-    for ba, be in zip(b_alice, np.maximum(b_eve, 0)):
-        joint[ba, be] += 1
-
     return AttackReport(
         scenario=AttackScenario("split_entanglement", sub_case),
         eve_state=rho_eb,
@@ -284,7 +279,7 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
         rounds=rounds,
         se_alice_bob=se_ab,
         se_eve_bob=se_eb,
-        joint_counts=joint,
+        joint_counts=_joint_counts(b_alice, np.maximum(b_eve, 0)),
     )
 
 

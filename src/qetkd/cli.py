@@ -28,7 +28,7 @@ from .errors import (
     PartitionViolationError,
     TooManyErasuresError,
 )
-from .models import chain3, energy_gap, star, two_site, two_site_partition_standard
+from .models import MODELS, build_model, chain3, energy_gap
 from .noise import (
     NoiseSpec,
     default_chain_coupling,
@@ -72,16 +72,6 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _build_model(args: argparse.Namespace, coupling: float | None = None):
-    j = coupling if coupling is not None else args.coupling
-    if args.model == "two-site":
-        spec = two_site(args.k, args.h)
-        return spec, two_site_partition_standard(args.k, args.h)
-    if args.model == "chain3":
-        return chain3(j)
-    return star(args.n_parties, j)
-
-
 def _default_coupling(args: argparse.Namespace) -> float:
     if args.coupling is not None:
         return args.coupling
@@ -96,11 +86,12 @@ def cmd_ground(args: argparse.Namespace) -> int:
     if args.sweep_j is not None:
         lines = [_manifest(args), "J,gap"]
         for j in args.sweep_j:
-            spec, _ = _build_model(args, coupling=float(j))
+            spec, _, _ = build_model(args.model, float(j), args.k, args.h, args.n_parties)
             lines.append(f"{j:.12g},{energy_gap(spec):.12g}")
         _emit(lines, args.out)
         return 0
-    spec, _ = _build_model(args, coupling=_default_coupling(args))
+    spec, _, _ = build_model(args.model, _default_coupling(args), args.k, args.h,
+                             args.n_parties)
     _, energy = ground_state(spec)
     gap = energy_gap(spec)
     print(f"model={spec.name} ground_energy={energy:.6f} gap={gap:.6f}")
@@ -108,22 +99,22 @@ def cmd_ground(args: argparse.Namespace) -> int:
 
 
 def cmd_qet(args: argparse.Namespace) -> int:
-    bob_label = "B1" if args.model == "star" else "B"
     lines = [_manifest(args), "J,E_A,E_B"]
     grid = args.sweep_j if args.sweep_j is not None \
         else np.array([_default_coupling(args)])
     for j in grid:
-        spec, partition = _build_model(args, coupling=float(j))
+        spec, partition, labels = build_model(args.model, float(j), args.k, args.h,
+                                              args.n_parties)
         if args.basis == "random":
             out = run_ensemble_random_basis(
                 spec, partition,
                 [(MeasurementBasis.x(0), 0.5), (MeasurementBasis.y(0), 0.5)],
-                bit_map=args.rule, bob_label=bob_label,
+                bit_map=args.rule, bob_label=labels[0],
             )
         else:
             basis = MeasurementBasis.x(0) if args.basis == "x" else MeasurementBasis.y(0)
             ctx = prepare(spec, partition, basis, bit_map=args.rule,
-                          bob_label=bob_label)
+                          bob_label=labels[0])
             out = run_ensemble(ctx)
         lines.append(f"{j:.12g},{out.e_alice:.12g},{out.e_bob:.12g}")
     _emit(lines, args.out)
@@ -131,22 +122,22 @@ def cmd_qet(args: argparse.Namespace) -> int:
 
 
 _FAMILIES = {
-    "classical": ("classical_flip", {}),
-    "depolarize": ("depolarize", {}),
-    "bitflip": ("bit_flip", {}),
-    "phaseflip": ("phase_flip", {}),
-    "excited-mix": ("excited_mixture", {}),
-    "excited-sup": ("excited_superposition", {}),
+    "classical": "classical_flip",
+    "depolarize": "depolarize",
+    "bitflip": "bit_flip",
+    "phaseflip": "phase_flip",
+    "excited-mix": "excited_mixture",
+    "excited-sup": "excited_superposition",
 }
 
 
 def cmd_noise(args: argparse.Namespace) -> int:
     j = _default_coupling(args)
-    spec, partition = _build_model(args, coupling=j)
-    bob_label = "B1" if args.model == "star" else "B"
-    ctx = prepare(spec, partition, MeasurementBasis.x(0), bob_label=bob_label)
+    spec, partition, labels = build_model(args.model, j, args.k, args.h, args.n_parties)
+    ctx = prepare(spec, partition, MeasurementBasis.x(0), bob_label=labels[0])
 
-    family, kwargs = _FAMILIES[args.family]
+    family = _FAMILIES[args.family]
+    kwargs = {}
     if family in ("bit_flip", "phase_flip"):
         if args.site == "alice":
             kwargs["site"] = ctx.alice.site
@@ -218,8 +209,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=("two-site", "chain3", "star"),
-                   default="chain3")
+    p.add_argument("--model", choices=MODELS, default="chain3")
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--h", type=float, default=1.0)
     p.add_argument("--J", dest="coupling", type=float, default=None,

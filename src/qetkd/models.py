@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateGroundError
 from .spinops import (
     PauliTerm,
     assemble,
@@ -243,8 +244,53 @@ def chain3(coupling: float) -> tuple[HamiltonianSpec, Partition]:
     return spec, Partition(parts)
 
 
+# ---------------------------------------------------------------------------
+# named models
+# ---------------------------------------------------------------------------
+
+MODELS = ("two-site", "chain3", "star")
+
+
+def build_model(model: str, coupling: float, k: float = 1.0, h: float = 1.0,
+                n_parties: int = 1) -> tuple[HamiltonianSpec, Partition, list[str]]:
+    """(spec, partition, receiver labels) of a named model.
+
+    ``two-site`` takes ``k`` and ``h`` and ignores ``coupling``; ``star``
+    has one receiver per party, labelled B1..BN.
+    """
+    if model == "two-site":
+        return two_site(k, h), two_site_partition_standard(k, h), [BOB]
+    if model == "chain3":
+        spec, partition = chain3(coupling)
+        return spec, partition, [BOB]
+    if model != "star":
+        raise ValueError(f"unknown model {model!r}")
+    spec, partition = star(n_parties, coupling)
+    return spec, partition, [f"B{j}" for j in range(1, n_parties + 1)]
+
+
 def energy_gap(spec: HamiltonianSpec) -> float:
     """First excitation energy; exactly 0.0 when the ground level is degenerate."""
     evals, _ = spec.spectrum
     gap = float(evals[1] - evals[0])
     return 0.0 if gap <= degeneracy_tolerance(evals) else gap
+
+
+def first_excited_level(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(uniform mixture over the first excited level, its first eigenvector).
+
+    The eigenvector's largest amplitude is rotated real positive.
+    Raises DegenerateGroundError when the level joins the ground level.
+    """
+    evals, evecs = spec.spectrum
+    tol = degeneracy_tolerance(evals)
+    if evals[1] - evals[0] <= tol:
+        raise DegenerateGroundError(
+            "first excited level is degenerate with the ground level")
+    cluster = np.where(np.abs(evals - evals[1]) <= tol)[0]
+    mixture = sum(np.outer(evecs[:, i], evecs[:, i].conj())
+                  for i in cluster) / len(cluster)
+    first = evecs[:, cluster[0]].copy()
+    pivot = int(np.argmax(np.abs(first)))
+    first = first * (first[pivot] / abs(first[pivot])).conjugate()
+    return mixture, first

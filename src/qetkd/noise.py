@@ -1,10 +1,12 @@
 """Noise channels and sign-change threshold scans.
 
-Every mixture family runs the exact protocol on the noisy input state
-and references energies to that same state, so the reported E_A and E_B
-are the protocol-induced changes only.  By linearity of the trace each
-mixture family decomposes exactly into its clean and noisy branches,
-which the tests exploit.
+Every noise family resolves to two or three fixed branch inputs with
+scalar weights in p (``noise_branches``).  The protocol energies are
+linear in the input state and in the classical flip probability, so a
+family's energies at p are the same weighted sum of its branch energies,
+and a threshold scan runs the protocol once per branch.  Energies are
+referenced to the input state itself, so the reported E_A and E_B are
+the protocol-induced changes only.
 """
 
 from __future__ import annotations
@@ -15,12 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CompletenessViolationError,
-    DegenerateGroundError,
-    SupportViolationError,
-)
-from .models import chain3
+from .errors import CompletenessViolationError, SupportViolationError
+from .models import chain3, first_excited_level
 from .protocol import (
     MeasurementBasis,
     QetOutcome,
@@ -33,8 +31,8 @@ from .protocol import (
 from .spinops import (
     PAULI,
     commutator,
-    degeneracy_tolerance,
     frobenius,
+    pure_density,
     require_density_matrix,
     sandwich,
     site_operator,
@@ -54,7 +52,11 @@ NOISE_KINDS = (
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Tagged union describing one noise channel."""
+    """Tagged union describing one noise channel.
+
+    ``local_kraus`` applies its full channel and ignores ``p``: with
+    amplitude-damping operators, ``p=0.0`` is full amplitude damping.
+    """
 
     kind: str
     p: float
@@ -85,68 +87,104 @@ def mix_state(rho_gs: np.ndarray, sigma: np.ndarray, p: float) -> np.ndarray:
     return (1.0 - p) * rho_gs + p * sigma
 
 
-# ---------------------------------------------------------------------------
-# noise families
-# ---------------------------------------------------------------------------
+# Branch weights as coefficient rows over the scalar basis (1, p, sqrt(p (1 - p))).
+_AFFINE = ((1.0, -1.0, 0.0), (0.0, 1.0, 0.0))            # 1 - p, p
+_COHERENT = ((1.0, -1.0, -1.0), (0.0, 1.0, -1.0), (0.0, 0.0, 2.0))
+
+
+def branch_weights(coefficients, p: float) -> np.ndarray:
+    """A family's branch weights at probability p, from its coefficient rows."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability must be in [0, 1], got {p}")
+    return np.asarray(coefficients) @ (1.0, p, math.sqrt(p * (1.0 - p)))
+
+
+def noise_branches(ctx: RunContext, kind: str, *, site: int | None = None,
+                   alpha: float | None = None, kraus_ops=None):
+    """The one noise resolver: ((state, classical flip probability), ...), coefficients.
+
+    ``classical_flip`` is the resource state at flip probability 0 and 1,
+    the mixture families the resource state and their noise state, each
+    weighted 1 - p and p.  ``excited_superposition`` is |g>, |1> and
+    |+_alpha> = (|g> + e^{i alpha} |1>) / sqrt(2), weighted 1 - p - c,
+    p - c and 2c with c = sqrt(p (1 - p)).  ``local_kraus`` is its channel
+    output at every p.  Branch states other than |g><g| are validated once.
+    """
+    rho = ctx.rho_gs
+    coefficients = _AFFINE
+    if kind == "classical_flip":
+        return ((rho, 0.0), (rho, 1.0)), coefficients
+    if kind == "depolarize":
+        states = (rho, np.eye(rho.shape[0]) / rho.shape[0])
+    elif kind in ("bit_flip", "phase_flip"):
+        if site is None:
+            raise ValueError(f"{kind} needs a site")
+        states = (rho, sandwich(PAULI["X" if kind == "bit_flip" else "Z"], site, rho))
+    elif kind == "excited_mixture":
+        states = (rho, first_excited_level(ctx.spec)[0])
+    elif kind == "excited_superposition":
+        psi_1 = first_excited_level(ctx.spec)[1]
+        plus = (ctx.gs + np.exp(1j * (alpha or 0.0)) * psi_1) / math.sqrt(2.0)
+        states = (rho, pure_density(psi_1), pure_density(plus))
+        coefficients = _COHERENT
+    elif kind == "local_kraus":
+        states = (kraus_state(ctx, site, kraus_ops)[0],)
+        coefficients = ((1.0, 0.0, 0.0),)
+    else:
+        raise ValueError(f"unknown noise family {kind!r}")
+    for s in states:
+        if s is not rho:
+            require_density_matrix(s)
+    return tuple((s, 0.0) for s in states), coefficients
+
+
+def noisy_input_state(ctx: RunContext, noise: NoiseSpec | None,
+                      ) -> tuple[np.ndarray, float]:
+    """(input state, classical flip probability): the weighted branches folded.
+
+    A family varies its states or its flip probabilities, never both.
+    """
+    if noise is None:
+        return ctx.rho_gs, 0.0
+    branches, coefficients = noise_branches(ctx, noise.kind, site=noise.site,
+                                            alpha=noise.alpha, kraus_ops=noise.kraus_ops)
+    w = branch_weights(coefficients, noise.p)
+    rho = branches[0][0]
+    if any(s is not rho for s, _ in branches):
+        rho = sum(wk * s for wk, (s, _) in zip(w, branches))
+    return rho, float(np.dot(w, [f for _, f in branches]))
+
 
 def apply_classical_flip(ctx: RunContext, p: float) -> QetOutcome:
     """Receiver acts on the wrong classical bit with probability p."""
-    return ensemble_for_state(ctx, ctx.rho_gs, flip_probability=p)
+    return ensemble_for_state(ctx, *noisy_input_state(ctx, NoiseSpec("classical_flip", p)))
 
 
 def depolarize_run(ctx: RunContext, p: float) -> QetOutcome:
     """Resource state mixed with the maximally mixed state on the register."""
-    dim = 2 ** ctx.n_sites
-    sigma = np.eye(dim) / dim
-    return ensemble_for_state(ctx, mix_state(ctx.rho_gs, sigma, p))
-
-
-def _excited_level(ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
-    """(uniform mixture over the first excited level, its first eigenvector)."""
-    evals, evecs = ctx.spec.spectrum
-    tol = degeneracy_tolerance(evals)
-    if evals[1] - evals[0] <= tol:
-        raise DegenerateGroundError(
-            "first excited level is degenerate with the ground level"
-        )
-    cluster = np.where(np.abs(evals - evals[1]) <= tol)[0]
-    mixture = sum(
-        np.outer(evecs[:, i], evecs[:, i].conj()) for i in cluster
-    ) / len(cluster)
-    first = evecs[:, cluster[0]].copy()
-    pivot = int(np.argmax(np.abs(first)))
-    first = first * (first[pivot] / abs(first[pivot])).conjugate()
-    return mixture, first
+    return ensemble_for_state(ctx, *noisy_input_state(ctx, NoiseSpec("depolarize", p)))
 
 
 def excited_mixture_run(ctx: RunContext, p: float) -> QetOutcome:
-    """Resource state mixed with the first excited level.
-
-    A degenerate excited level enters as the uniform mixture over its
-    eigenspace.
-    """
-    rho_1, _ = _excited_level(ctx)
-    return ensemble_for_state(ctx, mix_state(ctx.rho_gs, rho_1, p))
+    """Resource state mixed with the first excited level (uniform if degenerate)."""
+    return ensemble_for_state(ctx, *noisy_input_state(ctx, NoiseSpec("excited_mixture", p)))
 
 
 def excited_superposition_run(ctx: RunContext, p: float, alpha: float = 0.0) -> QetOutcome:
     """Coherent admixture sqrt(1-p) |gs> + e^{i alpha} sqrt(p) |1>.
 
-    For a degenerate excited level the lexicographically first
-    eigenvector in the fixed gauge is used.
+    A degenerate excited level gives its first eigenvector in the fixed gauge.
     """
-    _, psi_1 = _excited_level(ctx)
-    psi = math.sqrt(1.0 - p) * ctx.gs + np.exp(1j * alpha) * math.sqrt(p) * psi_1
-    psi = psi / np.linalg.norm(psi)
-    return ensemble_for_state(ctx, np.outer(psi, psi.conj()))
+    noise = NoiseSpec("excited_superposition", p, alpha=alpha)
+    return ensemble_for_state(ctx, *noisy_input_state(ctx, noise))
 
 
 def pauli_flip_run(ctx: RunContext, axis: str, site: int, p: float) -> QetOutcome:
     """Bit-flip (X) or phase-flip (Z) error at one site with probability p."""
     if axis not in ("X", "Z"):
         raise ValueError(f"flip axis must be X or Z, got {axis!r}")
-    sigma = sandwich(PAULI[axis], site, ctx.rho_gs)
-    return ensemble_for_state(ctx, mix_state(ctx.rho_gs, sigma, p))
+    kind = "bit_flip" if axis == "X" else "phase_flip"
+    return ensemble_for_state(ctx, *noisy_input_state(ctx, NoiseSpec(kind, p, site=site)))
 
 
 @dataclass(frozen=True)
@@ -181,11 +219,10 @@ def kraus_state(ctx: RunContext, site: int,
     for k in ops:
         if k.shape != (2, 2):
             raise SupportViolationError("Kraus operators must be single-site 2x2")
-    total = sum(k.conj().T @ k for k in ops)
-    if frobenius(total - np.eye(2)) > TOL.trace_one:
+    defect = frobenius(sum(k.conj().T @ k for k in ops) - np.eye(2))
+    if defect > TOL.trace_one:
         raise CompletenessViolationError(
-            f"sum K† K deviates from identity by {frobenius(total - np.eye(2)):.3e}"
-        )
+            f"sum K† K deviates from identity by {defect:.3e}")
 
     # The locality check is a cold path: it builds d x d forms on demand.
     n = ctx.n_sites
@@ -214,36 +251,6 @@ def local_kraus_run(ctx: RunContext, site: int,
     return ensemble_for_state(ctx, sigma), check
 
 
-def noisy_input_state(ctx: RunContext, noise: NoiseSpec | None,
-                      ) -> tuple[np.ndarray, float]:
-    """Session-facing resolver: (input state, classical flip probability)."""
-    if noise is None:
-        return ctx.rho_gs, 0.0
-    if noise.kind == "classical_flip":
-        return ctx.rho_gs, noise.p
-    if noise.kind == "depolarize":
-        dim = 2 ** ctx.n_sites
-        return mix_state(ctx.rho_gs, np.eye(dim) / dim, noise.p), 0.0
-    if noise.kind in ("bit_flip", "phase_flip"):
-        axis = "X" if noise.kind == "bit_flip" else "Z"
-        sigma = sandwich(PAULI[axis], noise.site, ctx.rho_gs)
-        return mix_state(ctx.rho_gs, sigma, noise.p), 0.0
-    if noise.kind == "excited_mixture":
-        rho_1, _ = _excited_level(ctx)
-        return mix_state(ctx.rho_gs, rho_1, noise.p), 0.0
-    if noise.kind == "excited_superposition":
-        _, psi_1 = _excited_level(ctx)
-        alpha = noise.alpha or 0.0
-        psi = math.sqrt(1.0 - noise.p) * ctx.gs \
-            + np.exp(1j * alpha) * math.sqrt(noise.p) * psi_1
-        psi = psi / np.linalg.norm(psi)
-        return np.outer(psi, psi.conj()), 0.0
-    if noise.kind == "local_kraus":
-        sigma, _ = kraus_state(ctx, noise.site, noise.kraus_ops)
-        return sigma, 0.0
-    raise ValueError(f"unknown noise kind {noise.kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # threshold scans
 # ---------------------------------------------------------------------------
@@ -260,37 +267,29 @@ class ThresholdReport:
     crossings: tuple[float, ...] = ()
 
 
-def _family_curve(ctx: RunContext, family: str, **kw):
-    if family == "classical_flip":
-        return lambda p: apply_classical_flip(ctx, p)
-    if family == "depolarize":
-        return lambda p: depolarize_run(ctx, p)
-    if family == "bit_flip":
-        return lambda p: pauli_flip_run(ctx, "X", kw["site"], p)
-    if family == "phase_flip":
-        return lambda p: pauli_flip_run(ctx, "Z", kw["site"], p)
-    if family == "excited_mixture":
-        return lambda p: excited_mixture_run(ctx, p)
-    if family == "excited_superposition":
-        return lambda p: excited_superposition_run(ctx, p, kw.get("alpha", 0.0))
-    raise ValueError(f"unknown scan family {family!r}")
-
-
 def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
                    **family_kwargs) -> ThresholdReport:
-    """Locate the probabilities where the receiver energy changes sign.
+    """Energy curves of a noise family over a grid, and where E_B changes sign.
 
-    Only energies whose magnitude exceeds ``TOL.sign_zero`` carry a
-    sign; each pair of consecutive such grid points with opposite signs
-    is refined by bisection to 1e-4 in p.  An energy that merely reaches
-    zero, like depolarization at p = 1, is no crossing.  ``crossing`` is
-    the first crossing, None when the sign never changes.
+    ``noise_branches(ctx, family, **family_kwargs)`` validates each branch
+    state once, and each branch runs through ``ensemble_for_state`` once;
+    every grid row and bisection step is then a scalar, the branch
+    energies weighted by ``branch_weights`` at that p.
+    Only energies above ``TOL.sign_zero`` in magnitude carry a sign; each
+    pair of consecutive such grid points with opposite signs is bisected
+    to ``TOL.bisection`` in p.  An energy that merely reaches zero, like
+    depolarization at p = 1, is no crossing.  ``crossing`` is the first
+    crossing, None when the sign never changes.
     """
-    curve = _family_curve(ctx, family, **family_kwargs)
+    branches, coefficients = noise_branches(ctx, family, **family_kwargs)
+    outs = [ensemble_for_state(ctx, rho, flip) for rho, flip in branches]
+    table = np.array([(out.e_alice, out.e_bob) for out in outs])
+
+    def energies(p: float) -> np.ndarray:  # (E_A, E_B) at p
+        return branch_weights(coefficients, p) @ table
+
     grid = np.asarray(grid, dtype=float)
-    outs = [curve(p) for p in grid]
-    e_b = np.array([o.e_bob for o in outs])
-    e_a = np.array([o.e_alice for o in outs])
+    e_a, e_b = np.array([energies(p) for p in grid]).reshape(-1, 2).T
 
     crossings: list[float] = []
     signed = np.flatnonzero(np.abs(e_b) > TOL.sign_zero)
@@ -301,7 +300,7 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
         f_lo = e_b[i]
         while hi - lo > TOL.bisection:
             mid = 0.5 * (lo + hi)
-            f_mid = curve(mid).e_bob
+            f_mid = energies(mid)[1]
             if (f_mid < 0) == (f_lo < 0):
                 lo, f_lo = mid, f_mid
             else:

@@ -18,15 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateObjectiveError, TooManyErasuresError
-from .models import (
-    BOB,
-    HamiltonianSpec,
-    Partition,
-    chain3,
-    star,
-    two_site,
-    two_site_partition_standard,
-)
+from .models import MODELS, HamiltonianSpec, Partition, build_model
 from .noise import NoiseSpec, noisy_input_state
 from .protocol import (
     MeasurementBasis,
@@ -37,7 +29,6 @@ from .protocol import (
 from .rng import stream
 from .spinops import expectation, require_density_matrix
 
-MODELS = ("two-site", "chain3", "star")
 POLICIES = ("fixed", "two-random", "haar")
 
 
@@ -142,19 +133,8 @@ class ResourceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# model plumbing
+# decoding
 # ---------------------------------------------------------------------------
-
-def build_model(config: SessionConfig) -> tuple[HamiltonianSpec, Partition, list[str]]:
-    if config.model == "two-site":
-        spec = two_site(config.k, config.h)
-        return spec, two_site_partition_standard(config.k, config.h), [BOB]
-    if config.model == "chain3":
-        spec, partition = chain3(config.coupling)
-        return spec, partition, [BOB]
-    spec, partition = star(config.n_parties, config.coupling)
-    return spec, partition, [f"B{k}" for k in range(1, config.n_parties + 1)]
-
 
 def _decode(energy: float, epsilon: float) -> int | None:
     if energy < -epsilon:
@@ -231,7 +211,8 @@ def run_session(config: SessionConfig,
     ``cheat_plan`` maps a party label to "flip": the sender transmits
     the complemented bit to that party in every round.
     """
-    spec, partition, labels = build_model(config)
+    spec, partition, labels = build_model(config.model, config.coupling, k=config.k,
+                                          h=config.h, n_parties=config.n_parties)
     epsilon = config.epsilon if config.epsilon is not None \
         else _default_epsilon(spec, partition, labels)
     cheat_plan = cheat_plan or {}

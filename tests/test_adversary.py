@@ -3,6 +3,7 @@ import pytest
 
 from qetkd.adversary import (
     AttackScenario,
+    _joint_counts,
     bob_reference_state,
     eve_independent,
     eve_postselect,
@@ -164,3 +165,15 @@ class TestReportSerialization:
     def test_split_kv_records_sub_case(self, ctx):
         report = split_attack(ctx, "eve_measures_first_sends", rounds=500, seed=1)
         assert "sub_case=eve_measures_first_sends" in report.to_kv()
+
+
+class TestJointCounts:
+    def test_bincount_tally_matches_loop(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.integers(0, 2, (2, 5000))
+        loop = np.zeros((2, 2))
+        for x, y in zip(a, b):
+            loop[x, y] += 1
+        counts = _joint_counts(a, b)
+        assert counts.dtype == np.float64
+        assert np.array_equal(counts, loop)
