@@ -23,12 +23,12 @@ import numpy as np
 from .protocol import (
     MeasurementBasis,
     RunContext,
-    ensemble_for_state,
+    conditional_table,
     local_projector,
-    run_ensemble,
 )
 from .rng import stream
 from .spinops import expectation, sandwich, trace_distance
+from .tolerances import TOL
 
 DETECTIONS = ("none", "double_message", "verification_mismatch")
 SPLIT_CASES = ("eve_waits", "eve_measures_first_silent", "eve_measures_first_sends")
@@ -88,22 +88,16 @@ def _match_stats(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 
 def bob_reference_state(ctx: RunContext) -> np.ndarray:
     """Receiver's exact post-feedback ensemble state (identity encoding)."""
-    dim = 2 ** ctx.n_sites
-    rho_b = np.zeros((dim, dim), dtype=complex)
-    for b in (0, 1):
-        rho_b += ctx.rotate(b, ctx.project(b, ctx.rho_gs))
-    return rho_b
+    return sum(ctx.rotate(b, ctx.project(b, ctx.rho_gs)) for b in (0, 1))
 
 
-def _energy_table(ctx: RunContext) -> np.ndarray:
-    """table[b, b'] = receiver conditional energy for outcome b, announced bit b'."""
-    ident = ensemble_for_state(ctx.with_rule("identity"), ctx.rho_gs)
-    flipped = ensemble_for_state(ctx.with_rule("flip"), ctx.rho_gs)
-    table = np.empty((2, 2))
-    for b in (0, 1):
-        table[b, b] = ident.per_outcome[b][1]
-        table[b, b ^ 1] = flipped.per_outcome[b][1]
-    return table
+def _energy_table(ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome probabilities, and table[b, b'] = receiver conditional energy
+    for outcome b and announced bit b', referenced to the resource state."""
+    table = conditional_table(ctx, ctx.gs)
+    weight = table.prob.sum()
+    ref_b = expectation(ctx.gs, ctx.h_bob) / weight
+    return table.prob / weight, table.per_outcome(table.post, ref_b)
 
 
 def _joint_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,6 +109,26 @@ def _sample_bits(p0: float, n: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(n) >= p0).astype(np.int64)
 
 
+def _report(ctx: RunContext, scenario: AttackScenario, eve_state: np.ndarray,
+            logical: np.ndarray, bob_key: np.ndarray, eve_key: np.ndarray,
+            joint_counts: np.ndarray, detection: str = "none") -> AttackReport:
+    """Key agreement statistics and Eve's distance to the receiver's state."""
+    rate_ab, se_ab = _match_stats(logical, bob_key)
+    rate_eb, se_eb = _match_stats(eve_key, bob_key)
+    return AttackReport(
+        scenario=scenario,
+        eve_state=eve_state,
+        trace_distance_to_bob=trace_distance(eve_state, bob_reference_state(ctx)),
+        key_match_rate_alice_bob=rate_ab,
+        key_match_rate_eve_bob=rate_eb,
+        detection=detection,
+        rounds=len(logical),
+        se_alice_bob=se_ab,
+        se_eve_bob=se_eb,
+        joint_counts=joint_counts,
+    )
+
+
 def eve_independent(ctx: RunContext, eve_basis: MeasurementBasis | None = None,
                     rounds: int = 10_000, seed: int = 0) -> AttackReport:
     """Eve measures her own copy of the resource state and replays the feedback.
@@ -124,7 +138,6 @@ def eve_independent(ctx: RunContext, eve_basis: MeasurementBasis | None = None,
     agrees with his only at chance level.
     """
     eve_basis = eve_basis or ctx.alice
-    dim = 2 ** ctx.n_sites
 
     # Exact statistical state: Eve's measured ensemble, rotated by the
     # announced bit (identity encoding), weighted by the announcement odds.
@@ -132,40 +145,21 @@ def eve_independent(ctx: RunContext, eve_basis: MeasurementBasis | None = None,
                   for b in (0, 1)]
     p_eve = [float(np.trace(block).real) for block in eve_blocks]
     eve_measured = eve_blocks[0] + eve_blocks[1]
-    out = run_ensemble(ctx)
-    rho_e = np.zeros((dim, dim), dtype=complex)
-    for announced in (0, 1):
-        q = out.per_outcome[announced][0]
-        rho_e += q * ctx.rotate(announced, eve_measured)
-    rho_b = bob_reference_state(ctx)
+    prob, table = _energy_table(ctx)
+    rho_e = sum(prob[a] * ctx.rotate(a, eve_measured) for a in (0, 1))
 
     # Seeded round statistics.
-    table = _energy_table(ctx)
     rng = stream(seed, 1)
     logical = rng.integers(0, 2, rounds)
-    b_alice = _sample_bits(out.per_outcome[0][0], rounds, rng)
+    b_alice = _sample_bits(prob[0], rounds, rng)
     b_eve = _sample_bits(p_eve[0], rounds, rng)
     announced = b_alice ^ (logical ^ 1)  # send b for logical 1, b^1 for logical 0
     bob_energy = table[b_alice, announced]
     eve_energy = table[b_eve, announced]
     bob_key = (bob_energy < 0).astype(np.int64)
     eve_key = (eve_energy < 0).astype(np.int64)
-
-    rate_ab, se_ab = _match_stats(logical, bob_key)
-    rate_eb, se_eb = _match_stats(eve_key, bob_key)
-
-    return AttackReport(
-        scenario=AttackScenario("independent"),
-        eve_state=rho_e,
-        trace_distance_to_bob=trace_distance(rho_e, rho_b),
-        key_match_rate_alice_bob=rate_ab,
-        key_match_rate_eve_bob=rate_eb,
-        detection="none",
-        rounds=rounds,
-        se_alice_bob=se_ab,
-        se_eve_bob=se_eb,
-        joint_counts=_joint_counts(b_alice, b_eve),
-    )
+    return _report(ctx, AttackScenario("independent"), rho_e, logical, bob_key,
+                   eve_key, _joint_counts(b_alice, b_eve))
 
 
 def eve_postselect(ctx: RunContext, rounds: int = 10_000, seed: int = 0) -> AttackReport:
@@ -175,36 +169,17 @@ def eve_postselect(ctx: RunContext, rounds: int = 10_000, seed: int = 0) -> Atta
     sender's, so the state she assembles is identical to the receiver's
     -- and so is every key bit she decodes from it.
     """
-    dim = 2 ** ctx.n_sites
-    rho_e = np.zeros((dim, dim), dtype=complex)
-    for b in (0, 1):
-        rho_e += ctx.rotate(b, ctx.project(b, ctx.rho_gs))
-    rho_b = bob_reference_state(ctx)
+    rho_e = bob_reference_state(ctx)
 
-    out = run_ensemble(ctx)
-    table = _energy_table(ctx)
+    prob, table = _energy_table(ctx)
     rng = stream(seed, 2)
     logical = rng.integers(0, 2, rounds)
-    b_alice = _sample_bits(out.per_outcome[0][0], rounds, rng)
+    b_alice = _sample_bits(prob[0], rounds, rng)
     announced = b_alice ^ (logical ^ 1)
     bob_key = (table[b_alice, announced] < 0).astype(np.int64)
     eve_key = bob_key.copy()  # post-selected on b_alice: identical conditioning
-
-    rate_ab, se_ab = _match_stats(logical, bob_key)
-    rate_eb, se_eb = _match_stats(eve_key, bob_key)
-
-    return AttackReport(
-        scenario=AttackScenario("postselect"),
-        eve_state=rho_e,
-        trace_distance_to_bob=trace_distance(rho_e, rho_b),
-        key_match_rate_alice_bob=rate_ab,
-        key_match_rate_eve_bob=rate_eb,
-        detection="none",
-        rounds=rounds,
-        se_alice_bob=se_ab,
-        se_eve_bob=se_eb,
-        joint_counts=_joint_counts(b_alice, b_alice),
-    )
+    return _report(ctx, AttackScenario("postselect"), rho_e, logical, bob_key,
+                   eve_key, _joint_counts(b_alice, b_alice))
 
 
 def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
@@ -219,9 +194,8 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
     if sub_case not in SPLIT_CASES:
         raise ValueError(f"unknown split sub-case {sub_case!r}")
     dim = 2 ** ctx.n_sites
-    out = run_ensemble(ctx)
-    p0 = out.per_outcome[0][0]
-    table = _energy_table(ctx)
+    prob, table = _energy_table(ctx)
+    p0 = prob[0]
     ref_b = expectation(ctx.rho_gs, ctx.h_bob)
 
     rng = stream(seed, 3)
@@ -246,12 +220,12 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
         bob_energy = table[b_eve, used_bit]
         rho_eb = np.zeros((dim, dim), dtype=complex)
         for be in (0, 1):
+            block = ctx.project(be, ctx.rho_gs)
+            weight = float(np.trace(block).real)
             for a in (0, 1):
                 q = float(np.mean((b_eve == be) & (used_bit == a)))
-                block = ctx.project(be, ctx.rho_gs)
-                prob = float(np.trace(block).real)
-                if prob > 1e-14 and q > 0:
-                    rho_eb += q * ctx.rotate(a, block) / prob
+                if weight > TOL.outcome and q > 0:
+                    rho_eb += q * ctx.rotate(a, block) / weight
         detection = ("double_message" if sub_case == "eve_measures_first_sends"
                      else "verification_mismatch")
 
@@ -261,26 +235,14 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
     eve_energy = table[b_alice, announced]
     eve_key = (eve_energy < 0).astype(np.int64)
 
-    rate_ab, se_ab = _match_stats(logical, bob_key)
-    rate_eb, se_eb = _match_stats(eve_key, bob_key)
-
     if detection == "verification_mismatch":
         compared = min(verification_bits, rounds)
         if compared and np.all(logical[:compared] == bob_key[:compared]):
             detection = "none"  # verification happened to pass
 
-    return AttackReport(
-        scenario=AttackScenario("split_entanglement", sub_case),
-        eve_state=rho_eb,
-        trace_distance_to_bob=trace_distance(rho_eb, bob_reference_state(ctx)),
-        key_match_rate_alice_bob=rate_ab,
-        key_match_rate_eve_bob=rate_eb,
-        detection=detection,
-        rounds=rounds,
-        se_alice_bob=se_ab,
-        se_eve_bob=se_eb,
-        joint_counts=_joint_counts(b_alice, np.maximum(b_eve, 0)),
-    )
+    return _report(ctx, AttackScenario("split_entanglement", sub_case), rho_eb,
+                   logical, bob_key, eve_key,
+                   _joint_counts(b_alice, np.maximum(b_eve, 0)), detection)
 
 
 def mutual_information_bits(joint_counts: np.ndarray) -> float:

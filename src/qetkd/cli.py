@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage error, 3 degenerate ground level,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -160,20 +161,25 @@ def cmd_noise(args: argparse.Namespace) -> int:
 
 
 def cmd_session(args: argparse.Namespace) -> int:
-    noise = None
-    if args.noise is not None:
-        kind, p = args.noise
-        site = None
-        if kind in ("bit_flip", "phase_flip"):
-            site = int(args.noise_site) if args.noise_site is not None else 0
-        noise = NoiseSpec(kind=kind, p=float(p), site=site)
-    config = SessionConfig(
-        model=args.model, k=args.k, h=args.h,
-        coupling=_default_coupling(args), n_parties=args.n_parties,
-        rounds=args.rounds, basis_policy=args.policy,
-        epsilon=args.epsilon, verify_bits=args.verify_bits,
-        noise=noise, seed=args.seed,
-    )
+    coupling = _default_coupling(args)
+    try:
+        noise = None
+        if args.noise is not None:
+            kind, p = args.noise
+            site = None
+            if kind in ("bit_flip", "phase_flip"):
+                site = int(args.noise_site) if args.noise_site is not None else 0
+            noise = NoiseSpec(kind=kind, p=float(p), site=site)
+        config = SessionConfig(
+            model=args.model, k=args.k, h=args.h,
+            coupling=coupling, n_parties=args.n_parties,
+            rounds=args.rounds, basis_policy=args.policy,
+            epsilon=args.epsilon, verify_bits=args.verify_bits,
+            noise=noise, seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     result = run_session(config)
     if args.transcript:
         write_transcript(result, args.transcript)
@@ -217,7 +223,9 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--N", dest="n_parties", type=int, default=2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="qetkd",
         description="Energy-teleportation key distribution simulator",

@@ -251,6 +251,11 @@ def chain3(coupling: float) -> tuple[HamiltonianSpec, Partition]:
 MODELS = ("two-site", "chain3", "star")
 
 
+def model_sites(model: str, n_parties: int = 1) -> int:
+    """Register size of a named model, known without building it."""
+    return {"two-site": 2, "chain3": 3}.get(model, n_parties + 1)
+
+
 def build_model(model: str, coupling: float, k: float = 1.0, h: float = 1.0,
                 n_parties: int = 1) -> tuple[HamiltonianSpec, Partition, list[str]]:
     """(spec, partition, receiver labels) of a named model.

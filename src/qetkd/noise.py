@@ -128,7 +128,7 @@ def noise_branches(ctx: RunContext, kind: str, *, site: int | None = None,
         states = (rho, pure_density(psi_1), pure_density(plus))
         coefficients = _COHERENT
     elif kind == "local_kraus":
-        states = (kraus_state(ctx, site, kraus_ops)[0],)
+        states = (_kraus_output(ctx, site, kraus_ops)[0],)
         coefficients = ((1.0, 0.0, 0.0),)
     else:
         raise ValueError(f"unknown noise family {kind!r}")
@@ -202,15 +202,10 @@ class KrausCheck:
     defects: dict[str, float] = field(default_factory=dict)
 
 
-def kraus_state(ctx: RunContext, site: int,
-                kraus_ops: list[np.ndarray] | tuple[np.ndarray, ...],
-                ) -> tuple[np.ndarray, KrausCheck]:
-    """Channel output sum_a K_a rho K_a† plus the locality report.
-
-    ``kraus_ops`` are 2x2 matrices acting on ``site``.  Raises
-    SupportViolationError if the site belongs to the sender or receiver
-    and CompletenessViolationError if sum K† K != 1.
-    """
+def _kraus_output(ctx: RunContext, site: int,
+                  kraus_ops: list[np.ndarray] | tuple[np.ndarray, ...],
+                  ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Validated channel output sum_a K_a rho K_a†, and the 2x2 operators."""
     if site == ctx.alice.site or site == ctx.rule.site:
         raise SupportViolationError(f"site {site} belongs to a protocol party")
     if not 0 <= site < ctx.n_sites:
@@ -223,6 +218,19 @@ def kraus_state(ctx: RunContext, site: int,
     if defect > TOL.trace_one:
         raise CompletenessViolationError(
             f"sum K† K deviates from identity by {defect:.3e}")
+    return sum(sandwich(k, site, ctx.rho_gs) for k in ops), ops
+
+
+def kraus_state(ctx: RunContext, site: int,
+                kraus_ops: list[np.ndarray] | tuple[np.ndarray, ...],
+                ) -> tuple[np.ndarray, KrausCheck]:
+    """Channel output sum_a K_a rho K_a† plus the locality report.
+
+    ``kraus_ops`` are 2x2 matrices acting on ``site``.  Raises
+    SupportViolationError if the site belongs to the sender or receiver
+    and CompletenessViolationError if sum K† K != 1.
+    """
+    sigma, ops = _kraus_output(ctx, site, kraus_ops)
 
     # The locality check is a cold path: it builds d x d forms on demand.
     n = ctx.n_sites
@@ -238,8 +246,6 @@ def kraus_state(ctx: RunContext, site: int,
         worst = max(worst, defects[f"K{i}"])
     check = KrausCheck(commutes=worst <= TOL.commutator, max_defect=worst,
                        defects=defects)
-
-    sigma = sum(sandwich(k, site, ctx.rho_gs) for k in ops)
     return sigma, check
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -305,7 +306,7 @@ class RunContext:
     The sender projectors and receiver rotations are held as their 2x2
     factors, ``local_projectors[b]`` at ``alice.site`` and
     ``local_rotations[announced]`` at ``rule.site``; ``project`` and
-    ``rotate`` apply them to a density matrix.
+    ``rotate`` apply them to a density matrix or a state vector.
     """
 
     spec: HamiltonianSpec
@@ -318,7 +319,6 @@ class RunContext:
     gs: np.ndarray = field(repr=False)
     gs_energy: float = 0.0
     rho_gs: np.ndarray = field(repr=False, default=None)
-    h_full: np.ndarray = field(repr=False, default=None)
     h_alice: np.ndarray = field(repr=False, default=None)
     h_bob: np.ndarray = field(repr=False, default=None)
     local_projectors: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
@@ -329,11 +329,11 @@ class RunContext:
         return self.spec.n_sites
 
     def project(self, b: int, rho: np.ndarray) -> np.ndarray:
-        """P(b) rho P(b), unnormalized."""
+        """P(b) rho P(b), unnormalized (P(b) psi for a state vector)."""
         return sandwich(self.local_projectors[b], self.alice.site, rho)
 
     def rotate(self, announced: int, rho: np.ndarray) -> np.ndarray:
-        """U rho U† for the rotation the receiver applies on an announced bit."""
+        """U rho U† (U psi) for the rotation the receiver applies on an announced bit."""
         return sandwich(self.local_rotations[announced], self.rule.site, rho)
 
     def with_rule(self, bit_map: str) -> "RunContext":
@@ -392,7 +392,6 @@ def prepare(spec: HamiltonianSpec, partition: Partition,
         spec=spec, partition=partition, alice=alice, rule=rule, theta=tp,
         alice_label=alice_label, bob_label=bob_label,
         gs=gs, gs_energy=energy, rho_gs=pure_density(gs),
-        h_full=h_full,
         h_alice=partition.parts[alice_label].bare_matrix(n),
         h_bob=h_bob,
         local_projectors=(local_projector(alice, 0), local_projector(alice, 1)),
@@ -404,37 +403,70 @@ def prepare(spec: HamiltonianSpec, partition: Partition,
 # exact ensemble evolution
 # ---------------------------------------------------------------------------
 
+class ConditionalTable(NamedTuple):
+    """Unnormalized per-outcome traces of one input state rho."""
+
+    prob: np.ndarray   # [b] Tr[P_b rho]
+    alice: np.ndarray  # [b] Tr[P_b rho P_b H_A]
+    pre: np.ndarray    # [b] Tr[P_b rho P_b H_B]
+    post: np.ndarray   # [b, b'] Tr[U_b' P_b rho P_b U_b'† H_B], b' the announced bit
+
+    def per_outcome(self, traces: np.ndarray, reference=0.0) -> np.ndarray:
+        """traces[b] / prob[b] - reference; 0 for an outcome that never occurs."""
+        prob = self.prob.reshape((2,) + (1,) * (np.ndim(traces) - 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = traces / prob - reference
+        return np.where(prob > TOL.outcome, value, 0.0)
+
+    def decode(self) -> np.ndarray:
+        """[b, b'] energy the rotation extracts from the conditional state."""
+        return self.per_outcome(self.post, self.per_outcome(self.pre)[:, None])
+
+
+def conditional_table(ctx: RunContext, state: np.ndarray) -> ConditionalTable:
+    """The one conditional-energy kernel: every per-outcome trace of ``state``.
+
+    ``state`` is a density matrix or a state vector psi, which stands for
+    |psi><psi|: the 2x2 factors then act on psi and a weight is ||psi||^2.
+    """
+    prob, alice, pre = np.empty(2), np.empty(2), np.empty(2)
+    post = np.empty((2, 2))
+    for b in (0, 1):
+        block = ctx.project(b, state)
+        prob[b] = (np.vdot(block, block) if block.ndim == 1 else np.trace(block)).real
+        alice[b] = expectation(block, ctx.h_alice)
+        pre[b] = expectation(block, ctx.h_bob)
+        for announced in (0, 1):
+            post[b, announced] = expectation(ctx.rotate(announced, block), ctx.h_bob)
+    return ConditionalTable(prob, alice, pre, post)
+
+
 def ensemble_for_state(ctx: RunContext, rho_in: np.ndarray,
                        flip_probability: float = 0.0) -> QetOutcome:
-    """Run the protocol on an arbitrary input state.
+    """Run the protocol on an arbitrary input state (density matrix or vector).
 
     Energies are referenced to rho_in itself, so noisy inputs report the
     protocol-induced change only.  ``flip_probability`` is the chance
-    that the receiver acts on the wrong classical bit.
+    that the receiver acts on the wrong classical bit.  Traces are divided
+    by the input's weight, so the ensemble energies are the
+    probability-weighted means of the per-outcome ones.
     """
-    ref_a = expectation(rho_in, ctx.h_alice)
-    ref_b = expectation(rho_in, ctx.h_bob)
-    e_a = 0.0
-    e_b = 0.0
-    per: dict[int, tuple[float, float]] = {}
-    for b in (0, 1):
-        block = ctx.project(b, rho_in)
-        prob = float(np.trace(block).real)
-        e_a += expectation(block, ctx.h_alice)
-        announced = ctx.rule.mapped(b)
-        fed = ctx.rotate(announced, block)
-        if flip_probability > 0.0:
-            fed = (1.0 - flip_probability) * fed \
-                + flip_probability * ctx.rotate(announced ^ 1, block)
-        energy = expectation(fed, ctx.h_bob)
-        e_b += energy
-        per[b] = (prob, energy / prob - ref_b if prob > 1e-14 else 0.0)
-    return QetOutcome(e_alice=e_a - ref_a, e_bob=e_b - ref_b, per_outcome=per)
+    table = conditional_table(ctx, rho_in)
+    weight = table.prob.sum()  # Tr rho, or ||psi||^2 for a vector
+    ref_a = expectation(rho_in, ctx.h_alice) / weight
+    ref_b = expectation(rho_in, ctx.h_bob) / weight
+    announced = np.array([ctx.rule.mapped(b) for b in (0, 1)])
+    energy = (1.0 - flip_probability) * table.post[(0, 1), announced] \
+        + flip_probability * table.post[(0, 1), announced ^ 1]
+    per_energy = table.per_outcome(energy, ref_b)
+    per = {b: (float(table.prob[b] / weight), float(per_energy[b])) for b in (0, 1)}
+    return QetOutcome(e_alice=float(table.alice.sum() / weight - ref_a),
+                      e_bob=float(energy.sum() / weight - ref_b), per_outcome=per)
 
 
 def run_ensemble(ctx: RunContext) -> QetOutcome:
-    """Exact ensemble energies on the resource ground state."""
-    return ensemble_for_state(ctx, ctx.rho_gs)
+    """Exact ensemble energies on the resource ground state (its vector)."""
+    return ensemble_for_state(ctx, ctx.gs)
 
 
 def run_ensemble_random_basis(spec: HamiltonianSpec, partition: Partition,
@@ -468,7 +500,7 @@ def run_ensemble_random_basis(spec: HamiltonianSpec, partition: Partition,
             prob[b] += w * p
             mean_energy[b] += w * p * e
     per = {
-        b: (prob[b], mean_energy[b] / prob[b] if prob[b] > 1e-14 else 0.0)
+        b: (prob[b], mean_energy[b] / prob[b] if prob[b] > TOL.outcome else 0.0)
         for b in (0, 1)
     }
     return QetOutcome(e_alice=e_a, e_bob=e_b, per_outcome=per)
@@ -510,14 +542,12 @@ def run_rounds(ctx: RunContext, n_rounds: int, seed: int,
         return bits, table[bits]
 
     evals, evecs = eigendecompose(ctx.h_bob)
-    ref = expectation(ctx.rho_gs, ctx.h_bob)
+    ref = expectation(ctx.gs, ctx.h_bob)
     weights = []
     for b in (0, 1):
-        block = ctx.project(b, ctx.rho_gs)
-        prob = float(np.trace(block).real)
-        fed = ctx.rotate(ctx.rule.mapped(b), block) / prob
-        w = np.real(np.einsum("ij,jk,ki->i", evecs.conj().T, fed, evecs))
-        weights.append(np.clip(w, 0.0, None) / np.clip(w, 0.0, None).sum())
+        fed = ctx.rotate(ctx.rule.mapped(b), ctx.project(b, ctx.gs))
+        w = np.abs(evecs.conj().T @ fed) ** 2  # |<e_i| U P |gs>|^2
+        weights.append(w / w.sum())
     energies = np.empty(n_rounds)
     for b in (0, 1):
         mask = bits == b

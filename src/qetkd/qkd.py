@@ -18,16 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateObjectiveError, TooManyErasuresError
-from .models import MODELS, HamiltonianSpec, Partition, build_model
+from .models import MODELS, HamiltonianSpec, Partition, build_model, model_sites
 from .noise import NoiseSpec, noisy_input_state
 from .protocol import (
     MeasurementBasis,
     RunContext,
+    conditional_table,
     prepare,
     run_ensemble,
 )
 from .rng import stream
-from .spinops import expectation, require_density_matrix
+from .spinops import require_density_matrix
 
 POLICIES = ("fixed", "two-random", "haar")
 
@@ -58,6 +59,9 @@ class SessionConfig:
             raise ValueError("verification bits must fit inside the round budget")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValueError("decode threshold must be positive")
+        site = None if self.noise is None else self.noise.site
+        if site is not None and not 0 <= site < model_sites(self.model, self.n_parties):
+            raise ValueError(f"noise site {site} is outside the {self.model} register")
 
 
 @dataclass(frozen=True)
@@ -170,21 +174,9 @@ def _tables_for_basis(spec: HamiltonianSpec, partition: Partition,
     p0 = 0.5
     for label in labels:
         ctx = prepare(spec, partition, basis, bob_label=label, bob_axis=bob_axis)
-        rho_in, _ = noisy_input_state(ctx, noise)
-        table = np.empty((2, 2))
-        for b in (0, 1):
-            block = ctx.project(b, rho_in)
-            prob = float(np.trace(block).real)
-            if b == 0:
-                p0 = prob
-            if prob <= 1e-14:
-                table[b, :] = 0.0
-                continue
-            pre = expectation(block, ctx.h_bob) / prob
-            for announced in (0, 1):
-                post = expectation(ctx.rotate(announced, block), ctx.h_bob) / prob
-                table[b, announced] = post - pre
-        tables[label] = table
+        table = conditional_table(ctx, noisy_input_state(ctx, noise)[0])
+        p0 = float(table.prob[0])
+        tables[label] = table.decode()
     return _BasisTables(basis=basis, p0=p0, tables=tables)
 
 
@@ -363,6 +355,7 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
     table.
     """
     predicted = run_ensemble(ctx).e_bob
+    announced = [ctx.rule.mapped(b) for b in (0, 1)]
     rng = stream(seed, 4)
     energies = np.empty(rounds)
     cache: dict[tuple, tuple[float, np.ndarray]] = {}
@@ -370,20 +363,8 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
         rho = np.ascontiguousarray(source(i))
         key = (rho.shape, rho.dtype.str, hashlib.blake2b(rho).digest())
         if key not in cache:
-            require_density_matrix(rho)
-            table = np.empty(2)
-            probs = np.empty(2)
-            for b in (0, 1):
-                block = ctx.project(b, rho)
-                prob = float(np.trace(block).real)
-                probs[b] = prob
-                if prob <= 1e-14:
-                    table[b] = 0.0
-                    continue
-                pre = expectation(block, ctx.h_bob) / prob
-                post = expectation(ctx.rotate(ctx.rule.mapped(b), block), ctx.h_bob) / prob
-                table[b] = post - pre
-            cache[key] = (probs[0], table)
+            table = conditional_table(ctx, require_density_matrix(rho))
+            cache[key] = (table.prob[0], table.decode()[(0, 1), announced])
         p0, table = cache[key]
         b = int(rng.random() >= p0)
         energies[i] = table[b]

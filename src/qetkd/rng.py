@@ -1,8 +1,10 @@
 """Counter-based random streams.
 
 All randomness in the package flows from a single 64-bit seed through
-Philox streams keyed by (seed, stream index), so results never depend on
-evaluation order and parallel sweeps stay reproducible.
+Philox streams keyed by (seed, index), one index per consumer (sessions 0,
+attacks 1-3, resource check 4).  Draws within a stream are sequential: a
+session takes every per-round variate from stream 0 in round order, so a
+change in what one round draws moves every later round.
 """
 
 import numpy as np

@@ -206,9 +206,14 @@ def apply_on_site(op: np.ndarray, site: int, a: np.ndarray) -> np.ndarray:
 
 
 def sandwich(op: np.ndarray, site: int, m: np.ndarray) -> np.ndarray:
-    """A M A† for the 2x2 A = ``op`` at ``site`` and a d x d matrix M, in O(d^2)."""
+    """A M A† for the 2x2 A = ``op`` at ``site`` and a d x d matrix M, in O(d^2).
+
+    A state vector psi (1-d) stands for |psi><psi|, so it maps to A psi, in O(d).
+    """
     n_sites = m.shape[0].bit_length() - 1
     _require_site(site, n_sites)
+    if m.ndim == 1:
+        return apply_on_site(op, site, m)
     return apply_on_site(op.conj(), n_sites + site,
                          apply_on_site(op, site, m))
 

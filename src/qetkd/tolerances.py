@@ -21,6 +21,7 @@ class Tolerances:
     commutator: float = 1e-10       # [P_A, H_B] Frobenius norm
     degenerate_gap: float = 1e-9    # level spacing, relative to max(1, max |E|)
     sign_zero: float = 1e-12        # |E| at or below this carries no sign in scans
+    outcome: float = 1e-14          # an outcome this unlikely has no conditional state
     objective: float = 1e-12        # feedback-axis optimizer coefficient norm
     bisection: float = 1e-4         # threshold location in p
 

@@ -180,6 +180,18 @@ class TestSession:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ("--noise", "foo", "0.1"),
+        ("--noise", "bit_flip", "1.5"),
+        ("--noise-site", "7", "--noise", "bit_flip", "0.1"),
+        ("--rounds", "10"),
+    ])
+    def test_bad_session_arguments_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "session", "--model", "chain3", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_erasure_abort_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "session", "--model", "chain3", "--J", "1",
                                "--rounds", "16", "--verify-bits", "0",

@@ -5,9 +5,12 @@ from qetkd.models import (
     ALICE,
     BOB,
     BUFFER,
+    MODELS,
     HamiltonianSpec,
+    build_model,
     chain3,
     energy_gap,
+    model_sites,
     star,
     two_site,
     two_site_partition_alternative,
@@ -246,3 +249,10 @@ class TestSerialization:
         spec, _ = star(3, 0.75)
         again = HamiltonianSpec.from_text(spec.name, spec.n_sites, spec.to_text())
         assert np.allclose(again.matrix(), spec.matrix())
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("n_parties", [1, 3])
+def test_model_sites_match_the_built_register(model, n_parties):
+    spec, _, _ = build_model(model, 1.0, n_parties=n_parties)
+    assert model_sites(model, n_parties) == spec.n_sites

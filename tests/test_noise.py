@@ -7,6 +7,7 @@ from qetkd.errors import (
     SupportViolationError,
 )
 from qetkd.models import chain3, star
+import qetkd.noise as noise
 from qetkd.noise import (
     NoiseSpec,
     apply_classical_flip,
@@ -17,6 +18,7 @@ from qetkd.noise import (
     excited_superposition_run,
     local_kraus_run,
     mix_state,
+    noisy_input_state,
     pauli_flip_run,
     report_csv_rows,
     threshold_scan,
@@ -287,6 +289,25 @@ class TestLocalKraus:
     def test_party_site_raises_support_violation(self, ctx_unit, site):
         with pytest.raises(SupportViolationError):
             local_kraus_run(ctx_unit, site, [np.eye(2)])
+
+    def test_noisy_input_skips_the_locality_check(self, ctx_unit, monkeypatch):
+        # The dense commutators are the KrausCheck; a session input that
+        # only needs the channel output must not build them.
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return a @ b - b @ a
+
+        monkeypatch.setattr(noise, "commutator", counted)
+        ops = (np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * oracles.SX)
+        rho, _ = noisy_input_state(
+            ctx_unit, NoiseSpec(kind="local_kraus", p=0.0, site=1, kraus_ops=ops))
+        assert calls == []
+        _, check = local_kraus_run(ctx_unit, 1, ops)
+        assert len(calls) == 4 * len(ops) and check.commutes
+        np.testing.assert_allclose(rho, noise.kraus_state(ctx_unit, 1, ops)[0],
+                                   rtol=0, atol=0)
 
 
 class TestThresholdScan:

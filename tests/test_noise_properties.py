@@ -1,4 +1,5 @@
-"""Property tests of the noise resolver and of branch-linear threshold scans."""
+"""Property tests of the noise resolver, branch-linear threshold scans, the
+conditional-energy kernel and the energy bookkeeping of a partition."""
 
 import functools
 
@@ -10,10 +11,17 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
 import qetkd.noise as noise  # noqa: E402
-from qetkd.models import build_model, first_excited_level  # noqa: E402
+from qetkd.models import build_model, chain3, first_excited_level, two_site  # noqa: E402
+from qetkd.models import two_site_partition_alternative  # noqa: E402
+from qetkd.models import two_site_partition_standard  # noqa: E402
 from qetkd.noise import NoiseSpec, chain_context, noisy_input_state, threshold_scan  # noqa: E402
-from qetkd.protocol import MeasurementBasis, ensemble_for_state, prepare  # noqa: E402
-from qetkd.spinops import require_density_matrix  # noqa: E402
+from qetkd.protocol import (  # noqa: E402
+    MeasurementBasis,
+    conditional_table,
+    ensemble_for_state,
+    prepare,
+)
+from qetkd.spinops import expectation, pure_density, require_density_matrix  # noqa: E402
 
 SCAN_FAMILIES = ("classical_flip", "depolarize", "bit_flip", "phase_flip",
                  "excited_mixture", "excited_superposition")
@@ -123,3 +131,107 @@ def test_scan_validates_and_evaluates_each_branch_once(monkeypatch, family):
     threshold_scan(ctx, family, np.linspace(0.0, 1.0, 101), **kwargs)
     assert counts["validate"] <= BRANCHES[family]
     assert counts["evaluate"] <= BRANCHES[family]
+
+
+# ---------------------------------------------------------------------------
+# conditional-energy kernel and energy bookkeeping
+# ---------------------------------------------------------------------------
+
+unit_vectors = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(lambda v: tuple(np.asarray(v) / np.linalg.norm(v)))
+
+
+@st.composite
+def kernel_contexts(draw):
+    """Chain3 with a random sender axis, or star N <= 4 (sender +-X) with a
+    random receiver and receiver axis; random coupling and bit map."""
+    coupling = draw(st.floats(0.1, 3.0))
+    bit_map = draw(st.sampled_from(("identity", "flip")))
+    if draw(st.booleans()):
+        spec, partition = chain3(coupling)
+        alice, label, bob_site = MeasurementBasis(0, draw(unit_vectors)), "B", 2
+    else:
+        n_parties = draw(st.integers(1, 4))
+        spec, partition, labels = build_model("star", coupling, n_parties=n_parties)
+        bob_site = draw(st.integers(1, n_parties))
+        label = labels[bob_site - 1]
+        alice = MeasurementBasis(0, (draw(st.sampled_from((1.0, -1.0))), 0.0, 0.0))
+    return prepare(spec, partition, alice, bob_label=label, bit_map=bit_map,
+                   bob_axis=MeasurementBasis(bob_site, draw(unit_vectors)))
+
+
+def random_density(draw, dim):
+    """A random full-rank mixed state from drawn complex entries."""
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * dim * dim,
+                            max_size=2 * dim * dim))
+    a = np.reshape(entries, (2, dim, dim))
+    a = a[0] + 1j * a[1] + np.eye(dim)
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@PROPERTY
+@given(kernel_contexts())
+def test_conditional_table_same_for_vector_and_its_density_matrix(ctx):
+    from_vector = conditional_table(ctx, ctx.gs)
+    from_matrix = conditional_table(ctx, pure_density(ctx.gs))
+    for a, b in zip(from_vector, from_matrix):
+        assert a.shape == b.shape
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(kernel_contexts(), st.data())
+def test_conditional_pre_energies_sum_to_input_energy(ctx, data):
+    # [P_b, H_B] = 0 (prepare checks it), so measuring leaves Tr[rho H_B] whole.
+    rho = random_density(data.draw, 2 ** ctx.n_sites)
+    for state in (ctx.gs, rho):
+        table = conditional_table(ctx, state)
+        assert table.pre.sum() == pytest.approx(expectation(state, ctx.h_bob), abs=1e-12)
+
+
+@PROPERTY
+@given(st.sampled_from(("chain3", "star", "two-site standard", "two-site alternative")),
+       st.floats(0.1, 3.0), st.floats(0.1, 2.0), st.integers(1, 4))
+def test_partition_parts_sum_to_hamiltonian(model, coupling, field, n_parties):
+    if model == "two-site standard":
+        spec, partition = two_site(coupling, field), two_site_partition_standard(coupling, field)
+    elif model == "two-site alternative":
+        spec, partition = two_site(coupling, field), two_site_partition_alternative(coupling, field)
+    else:
+        spec, partition, _ = build_model(model, coupling, n_parties=n_parties)
+    n = spec.n_sites
+    total = sum(part.bare_matrix(n) for part in partition.parts.values())
+    np.testing.assert_allclose(total, spec.matrix(), rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(st.floats(0.1, 3.0), unit_vectors, unit_vectors,
+       st.sampled_from(("identity", "flip")), st.booleans(), st.data())
+def test_party_energies_add_up_to_total_energy_change(coupling, a_axis, b_axis,
+                                                      bit_map, mixed, data):
+    spec, partition = chain3(coupling)
+    ctx = prepare(spec, partition, MeasurementBasis(0, a_axis), bit_map=bit_map,
+                  bob_axis=MeasurementBasis(2, b_axis))
+    rho_in = random_density(data.draw, 8) if mixed else pure_density(ctx.gs)
+    out = ensemble_for_state(ctx, rho_in if mixed else ctx.gs)
+
+    # Dense evolution from the oracle Paulis, independent of the kernel.
+    sigma_a = sum(c * oracles.embed(ax, 0, 3) for c, ax in zip(a_axis, "XYZ"))
+    sigma_b = sum(c * oracles.embed(ax, 2, 3) for c, ax in zip(ctx.rule.vector, "XYZ"))
+    theta = ctx.rule.theta
+    rho_out = np.zeros((8, 8), dtype=complex)
+    for b in (0, 1):
+        proj = 0.5 * (np.eye(8) - (-1.0) ** b * sigma_a)
+        sign = (-1.0) ** ctx.rule.mapped(b)
+        u = np.cos(theta) * np.eye(8) - 1j * sign * np.sin(theta) * sigma_b
+        rho_out += u @ proj @ rho_in @ proj @ u.conj().T
+
+    def change(h):
+        return np.trace(rho_out @ h).real - np.trace(rho_in @ h).real
+
+    h_buffer = coupling * oracles.embed("X", 0, 3) @ oracles.embed("X", 1, 3) \
+        + oracles.embed("Z", 1, 3)
+    e_buffer = change(h_buffer)
+    assert out.e_alice + e_buffer + out.e_bob == pytest.approx(
+        change(oracles.chain3_matrix(coupling)), abs=1e-12)
