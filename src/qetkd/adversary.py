@@ -26,7 +26,7 @@ from .protocol import (
     conditional_table,
     local_projector,
 )
-from .rng import stream
+from .rng import SUBSTREAM, stream
 from .spinops import expectation, sandwich, trace_distance
 from .tolerances import TOL
 
@@ -149,7 +149,7 @@ def eve_independent(ctx: RunContext, eve_basis: MeasurementBasis | None = None,
     rho_e = sum(prob[a] * ctx.rotate(a, eve_measured) for a in (0, 1))
 
     # Seeded round statistics.
-    rng = stream(seed, 1)
+    rng = stream(seed, SUBSTREAM["attack_independent"])
     logical = rng.integers(0, 2, rounds)
     b_alice = _sample_bits(prob[0], rounds, rng)
     b_eve = _sample_bits(p_eve[0], rounds, rng)
@@ -172,7 +172,7 @@ def eve_postselect(ctx: RunContext, rounds: int = 10_000, seed: int = 0) -> Atta
     rho_e = bob_reference_state(ctx)
 
     prob, table = _energy_table(ctx)
-    rng = stream(seed, 2)
+    rng = stream(seed, SUBSTREAM["attack_postselect"])
     logical = rng.integers(0, 2, rounds)
     b_alice = _sample_bits(prob[0], rounds, rng)
     announced = b_alice ^ (logical ^ 1)
@@ -198,7 +198,7 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
     p0 = prob[0]
     ref_b = expectation(ctx.rho_gs, ctx.h_bob)
 
-    rng = stream(seed, 3)
+    rng = stream(seed, SUBSTREAM["attack_split"])
     logical = rng.integers(0, 2, rounds)
     b_alice = _sample_bits(p0, rounds, rng)   # sender's outcomes on the EA pair
     announced = b_alice ^ (logical ^ 1)

@@ -29,7 +29,7 @@ from .errors import (
     PartitionViolationError,
     TooManyErasuresError,
 )
-from .models import MODELS, build_model, chain3, energy_gap
+from .models import MODELS, build_model, chain3, check_model_parameters, energy_gap
 from .noise import (
     NoiseSpec,
     default_chain_coupling,
@@ -44,6 +44,7 @@ from .protocol import (
     run_ensemble_random_basis,
 )
 from .qkd import SessionConfig, run_session, write_transcript
+from .rng import STREAM_LAYOUT
 from .spinops import frobenius
 
 
@@ -189,6 +190,7 @@ def cmd_session(args: argparse.Namespace) -> int:
               f"erasures={party.key.erasure_fraction():.6f}")
     print(f"verification={'pass' if result.verdict.ok else 'fail'} "
           f"compared={result.verdict.compared} mismatches={result.verdict.mismatches}")
+    print(f"stream_layout={STREAM_LAYOUT}")
     return 0
 
 
@@ -282,11 +284,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_model_args(args: argparse.Namespace) -> None:
+    """Reject out-of-range model parameters before any model is built."""
+    couplings = [args.coupling]
+    if getattr(args, "sweep_j", None) is not None:
+        couplings.extend(float(j) for j in args.sweep_j)
+    for j in couplings:
+        check_model_parameters(getattr(args, "model", "chain3"), j,  # attack: chain3
+                               getattr(args, "k", 1.0), getattr(args, "h", 1.0),
+                               getattr(args, "n_parties", 1))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "command", None) == "noise" and args.grid is None:
         args.grid = np.linspace(0.0, 1.0, 101)
+    try:
+        _check_model_args(args)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except DegenerateGroundError as exc:

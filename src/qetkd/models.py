@@ -38,6 +38,7 @@ from .spinops import (
 ALICE = "A"
 BOB = "B"
 BUFFER = "buffer"
+MAX_PARTIES = 11  # star receivers: 12 sites, the register limit
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,7 @@ def _zeroing_shift(terms: tuple[PauliTerm, ...], spec: HamiltonianSpec,
 
 def two_site(k: float, h: float) -> HamiltonianSpec:
     """H = 2k X0 X1 + h (Z0 + Z1); k and h must be positive."""
-    if k <= 0 or h <= 0:
-        raise ValueError(f"couplings must be positive, got k={k}, h={h}")
+    check_model_parameters("two-site", None, k, h)
     terms = (
         term(2.0 * k, (0, "X"), (1, "X")),
         term(h, (0, "Z")),
@@ -187,10 +187,7 @@ def star(n_parties: int, coupling: float) -> tuple[HamiltonianSpec, Partition]:
     so that an X-basis measurement at the hub commutes with every
     receiver part.
     """
-    if not 1 <= n_parties <= 11:
-        raise ValueError(f"number of parties must be in [1, 11], got {n_parties}")
-    if coupling < 0:
-        raise ValueError(f"coupling must be non-negative, got {coupling}")
+    check_model_parameters("star", coupling, n_parties=n_parties)
     n = n_parties + 1
     terms: list[PauliTerm] = []
     if coupling != 0.0:
@@ -220,8 +217,7 @@ def chain3(coupling: float) -> tuple[HamiltonianSpec, Partition]:
     The receiver part is {J X1 X2, Z2}; the middle-site terms form a
     buffer part of their own so the energy bookkeeping stays total.
     """
-    if coupling < 0:
-        raise ValueError(f"coupling must be non-negative, got {coupling}")
+    check_model_parameters("chain3", coupling)
     terms: list[PauliTerm] = []
     if coupling != 0.0:
         terms.append(term(coupling, (0, "X"), (1, "X")))
@@ -254,6 +250,25 @@ MODELS = ("two-site", "chain3", "star")
 def model_sites(model: str, n_parties: int = 1) -> int:
     """Register size of a named model, known without building it."""
     return {"two-site": 2, "chain3": 3}.get(model, n_parties + 1)
+
+
+def check_model_parameters(model: str, coupling: float | None, k: float = 1.0,
+                           h: float = 1.0, n_parties: int = 1) -> None:
+    """Raise ValueError, in one line, for parameters the named model rejects.
+
+    ``coupling`` None stands for the model's default; ``two-site`` reads
+    ``k`` and ``h`` only, ``star`` also checks its party count.
+    """
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    if model == "two-site":
+        if k <= 0 or h <= 0:
+            raise ValueError(f"couplings must be positive, got k={k}, h={h}")
+        return
+    if coupling is not None and coupling < 0:
+        raise ValueError(f"coupling must be non-negative, got {coupling}")
+    if model == "star" and not 1 <= n_parties <= MAX_PARTIES:
+        raise ValueError(f"number of parties must be in [1, {MAX_PARTIES}], got {n_parties}")
 
 
 def build_model(model: str, coupling: float, k: float = 1.0, h: float = 1.0,

@@ -23,7 +23,7 @@ and U(b') are kept as their 2x2 factors and applied on their one site.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -37,17 +37,20 @@ from .errors import (
     PartitionViolationError,
 )
 from .models import ALICE, BOB, HamiltonianSpec, Partition, PartitionPart
-from .rng import stream
+from .rng import SUBSTREAM, stream
 from .spinops import (
     AXES,
     PAULI,
+    PauliTerm,
     apply_on_site,
+    assemble,
     axis_operator,
     degeneracy_tolerance,
     eigendecompose,
     expectation,
     frobenius,
     pure_density,
+    reduced_density,
     require_unit_vector,
     sandwich,
     site_operator,
@@ -318,7 +321,6 @@ class RunContext:
     bob_label: str
     gs: np.ndarray = field(repr=False)
     gs_energy: float = 0.0
-    rho_gs: np.ndarray = field(repr=False, default=None)
     h_alice: np.ndarray = field(repr=False, default=None)
     h_bob: np.ndarray = field(repr=False, default=None)
     local_projectors: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
@@ -328,6 +330,11 @@ class RunContext:
     def n_sites(self) -> int:
         return self.spec.n_sites
 
+    @functools.cached_property
+    def rho_gs(self) -> np.ndarray:
+        """|gs><gs| as a d x d matrix, built on first read; vector paths read ``gs``."""
+        return pure_density(self.gs)
+
     def project(self, b: int, rho: np.ndarray) -> np.ndarray:
         """P(b) rho P(b), unnormalized (P(b) psi for a state vector)."""
         return sandwich(self.local_projectors[b], self.alice.site, rho)
@@ -335,11 +342,6 @@ class RunContext:
     def rotate(self, announced: int, rho: np.ndarray) -> np.ndarray:
         """U rho U† (U psi) for the rotation the receiver applies on an announced bit."""
         return sandwich(self.local_rotations[announced], self.rule.site, rho)
-
-    def with_rule(self, bit_map: str) -> "RunContext":
-        """Same configuration with the other sender-side encoding."""
-        return dataclasses.replace(
-            self, rule=dataclasses.replace(self.rule, bit_map=bit_map))
 
 
 def prepare(spec: HamiltonianSpec, partition: Partition,
@@ -391,7 +393,7 @@ def prepare(spec: HamiltonianSpec, partition: Partition,
     return RunContext(
         spec=spec, partition=partition, alice=alice, rule=rule, theta=tp,
         alice_label=alice_label, bob_label=bob_label,
-        gs=gs, gs_energy=energy, rho_gs=pure_density(gs),
+        gs=gs, gs_energy=energy,
         h_alice=partition.parts[alice_label].bare_matrix(n),
         h_bob=h_bob,
         local_projectors=(local_projector(alice, 0), local_projector(alice, 1)),
@@ -404,23 +406,27 @@ def prepare(spec: HamiltonianSpec, partition: Partition,
 # ---------------------------------------------------------------------------
 
 class ConditionalTable(NamedTuple):
-    """Unnormalized per-outcome traces of one input state rho."""
+    """Unnormalized per-outcome traces of one input state rho.
+
+    A batched table (``ReceiverForms.table``) puts one leading axis in
+    front of every field and leaves ``alice`` None.
+    """
 
     prob: np.ndarray   # [b] Tr[P_b rho]
-    alice: np.ndarray  # [b] Tr[P_b rho P_b H_A]
+    alice: np.ndarray | None  # [b] Tr[P_b rho P_b H_A]
     pre: np.ndarray    # [b] Tr[P_b rho P_b H_B]
     post: np.ndarray   # [b, b'] Tr[U_b' P_b rho P_b U_b'† H_B], b' the announced bit
 
     def per_outcome(self, traces: np.ndarray, reference=0.0) -> np.ndarray:
         """traces[b] / prob[b] - reference; 0 for an outcome that never occurs."""
-        prob = self.prob.reshape((2,) + (1,) * (np.ndim(traces) - 1))
+        prob = self.prob.reshape(self.prob.shape + (1,) * (np.ndim(traces) - self.prob.ndim))
         with np.errstate(divide="ignore", invalid="ignore"):
             value = traces / prob - reference
         return np.where(prob > TOL.outcome, value, 0.0)
 
     def decode(self) -> np.ndarray:
         """[b, b'] energy the rotation extracts from the conditional state."""
-        return self.per_outcome(self.post, self.per_outcome(self.pre)[:, None])
+        return self.per_outcome(self.post, self.per_outcome(self.pre)[..., None])
 
 
 def conditional_table(ctx: RunContext, state: np.ndarray) -> ConditionalTable:
@@ -439,6 +445,114 @@ def conditional_table(ctx: RunContext, state: np.ndarray) -> ConditionalTable:
         for announced in (0, 1):
             post[b, announced] = expectation(ctx.rotate(announced, block), ctx.h_bob)
     return ConditionalTable(prob, alice, pre, post)
+
+
+# ---------------------------------------------------------------------------
+# closed forms over every sender basis: one receiver, any n, m and theta
+# ---------------------------------------------------------------------------
+
+_PAULI4 = (np.eye(2, dtype=complex),) + tuple(PAULI[a] for a in AXES)
+_SIGNS = np.array([1.0, -1.0])  # (-1)^b
+
+
+def _require_real(values: np.ndarray, what: str) -> np.ndarray:
+    residue = float(np.max(np.abs(values.imag), initial=0.0))
+    if residue > TOL.imaginary_residue:
+        raise ImaginaryResidueError(f"{what} has imaginary residue {residue:.3e}")
+    return values.real
+
+
+@dataclass(frozen=True)
+class ReceiverForms:
+    """One receiver's decode tables for every sender axis, feedback axis and angle.
+
+    With sigma_0 = tau_0 = 1 and the Paulis sigma_i at the sender site and
+    tau_k at the receiver site, the input state rho fixes
+
+        T[i, j, k, l] = Tr[sigma_i rho sigma_j tau_k H_B tau_l],   bloch[i] = Tr[sigma_i rho],
+
+    so P(b) = sum_i a_i sigma_i and U(b') = sum_k u_k tau_k turn prob, pre
+    and post into contractions.  The ground state fixes three 3x3 forms:
+    eta(n, m) = n^T C m, xi(m) = m^T Q m and the partition defect
+    ||[n.sigma, H_B]||_F / 2 = sqrt(n^T G n) / 2.  Every method takes one
+    row per basis, so a whole session is one batched call.
+    """
+
+    site: int                                  # receiver site
+    tensor: np.ndarray = field(repr=False)     # T as [(i, j), (k, l)], 16 x 16
+    bloch: np.ndarray = field(repr=False)      # (4,)
+    c: np.ndarray = field(repr=False)          # [sender axis, receiver axis], complex
+    q: np.ndarray = field(repr=False)
+    g: np.ndarray = field(repr=False)
+
+    def defect(self, n: np.ndarray) -> np.ndarray:
+        """||[n.sigma, H_B]||_F / 2, as ``validate_partition`` measures it."""
+        return 0.5 * np.sqrt(np.maximum(np.einsum("xi,ij,xj->x", n, self.g, n), 0.0))
+
+    def coefficients(self, n: np.ndarray) -> np.ndarray:
+        """C^T n: eta is m . C^T n, so ``optimize_bob_basis`` picks its direction."""
+        return _require_real(n @ self.c, "axis coefficient")
+
+    def theta(self, n: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(xi, eta, theta) per row, as ``theta_params`` gives them."""
+        xi = np.einsum("xi,ij,xj->x", m, self.q, m)
+        if np.any(xi < -TOL.psd):
+            raise ValueError(f"xi = {xi.min():.3e} is negative; shifted Hamiltonian not PSD")
+        eta = _require_real(np.einsum("xj,ji,xi->x", n, self.c, m), "eta")
+        return xi, eta, 0.5 * np.arctan2(eta, xi)
+
+    def table(self, n: np.ndarray, m: np.ndarray, theta: np.ndarray) -> ConditionalTable:
+        """``conditional_table`` of the input state for each row of (n, m, theta)."""
+        a = np.empty((len(n), 2, 4))
+        a[..., 0] = 0.5
+        a[..., 1:] = -0.5 * _SIGNS[:, None] * n[:, None, :]
+        u = np.empty((len(n), 2, 4), dtype=complex)
+        u[..., 0] = np.cos(theta)[:, None]
+        u[..., 1:] = (-1j * np.sin(theta))[:, None, None] * _SIGNS[:, None] * m[:, None, :]
+        aa = (a[..., :, None] * a[..., None, :]).reshape(-1, 2, 16)
+        uu = (u.conj()[..., :, None] * u[..., None, :]).reshape(-1, 2, 16)
+        left = aa @ self.tensor
+        post = np.einsum("xbq,xcq->xbc", left, uu).real
+        return ConditionalTable(prob=a @ self.bloch, alice=None, pre=left[..., 0].real,
+                                post=post)
+
+
+def receiver_forms(spec: HamiltonianSpec, partition: Partition, bob_label: str,
+                   state: np.ndarray, alice_site: int = 0) -> ReceiverForms:
+    """``ReceiverForms`` of one receiver for an input state (vector or matrix).
+
+    The state enters through its marginal on the sites of P, U and H_B
+    only; C and Q read the ground state and the full Hamiltonian.
+    """
+    n_sites = spec.n_sites
+    part = partition.parts[bob_label]
+    site = _receiver_site(part)
+    support = sorted({alice_site, site}.union(s for t in part.terms for s, _ in t.factors))
+    pos = {s: i for i, s in enumerate(support)}
+    k = len(support)
+    h_b = assemble([PauliTerm(t.coefficient, tuple((pos[s], ax) for s, ax in t.factors))
+                    for t in part.terms], k)
+    sig = np.array([site_operator(p, pos[alice_site], k) for p in _PAULI4])
+    tau = np.array([site_operator(p, pos[site], k) for p in _PAULI4])
+    rho = reduced_density(state, support)
+    outer = np.einsum("iab,bc,jcd->ijad", sig, rho, sig)
+    inner = np.einsum("kab,bc,lcd->klad", tau, h_b, tau)
+    tensor = np.einsum("ijab,klba->ijkl", outer, inner).reshape(16, 16)
+    comm = sig[1:] @ h_b - h_b @ sig[1:]
+    g = 2.0 ** (n_sites - k) * np.einsum("jab,lab->jl", comm.conj(), comm).real
+
+    gs, _ = ground_state(spec)
+    h = spec.matrix()
+    energy = expectation(gs, h)
+    s_gs = np.array([apply_on_site(PAULI[a], alice_site, gs) for a in AXES])
+    t_gs = np.array([apply_on_site(PAULI[a], site, gs) for a in AXES])
+    h_t_gs = t_gs @ h.T - energy * t_gs                     # rows H' tau_i |gs>
+    h_gs = h @ gs - energy * gs
+    t_h_gs = np.array([apply_on_site(PAULI[a], site, h_gs) for a in AXES])
+    c = 1j * (s_gs.conj() @ (t_h_gs - h_t_gs).T)
+    q = (t_gs.conj() @ h_t_gs.T).real
+    return ReceiverForms(site=site, tensor=tensor, bloch=np.einsum("iab,ba->i", sig, rho).real,
+                         c=c, q=q, g=g)
 
 
 def ensemble_for_state(ctx: RunContext, rho_in: np.ndarray,
@@ -524,7 +638,7 @@ def run_round(ctx: RunContext, seed: int) -> RoundRecord:
 
 
 def run_rounds(ctx: RunContext, n_rounds: int, seed: int,
-               stream_index: int = 0,
+               stream_index: int = SUBSTREAM["rounds"],
                shot_noise: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized sampling of many rounds: outcome bits and conditional energies.
 

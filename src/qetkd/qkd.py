@@ -12,23 +12,39 @@ across receivers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateObjectiveError, TooManyErasuresError
-from .models import MODELS, HamiltonianSpec, Partition, build_model, model_sites
+from .errors import (
+    DegenerateObjectiveError,
+    PartitionViolationError,
+    TooManyErasuresError,
+)
+from .models import (
+    HamiltonianSpec,
+    Partition,
+    build_model,
+    check_model_parameters,
+    model_sites,
+)
 from .noise import NoiseSpec, noisy_input_state
 from .protocol import (
     MeasurementBasis,
+    ReceiverForms,
     RunContext,
     conditional_table,
+    ground_state,
+    paired_feedback_axis,
     prepare,
+    receiver_forms,
     run_ensemble,
 )
-from .rng import stream
+from .rng import SUBSTREAM, stream
 from .spinops import require_density_matrix
+from .tolerances import TOL
 
 POLICIES = ("fixed", "two-random", "haar")
 
@@ -49,8 +65,7 @@ class SessionConfig:
     erasure_abort_fraction: float = 0.10
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
+        check_model_parameters(self.model, self.coupling, self.k, self.h, self.n_parties)
         if self.basis_policy not in POLICIES:
             raise ValueError(f"unknown basis policy {self.basis_policy!r}")
         if self.rounds < 0:
@@ -64,40 +79,75 @@ class SessionConfig:
             raise ValueError(f"noise site {site} is outside the {self.model} register")
 
 
-@dataclass(frozen=True)
 class KeyBits:
-    """Decoded key; None marks an erasure."""
+    """Decoded key; None marks an erasure.
 
-    bits: tuple[int | None, ...]
+    The key is held as ``codes``, a read-only int8 array with -1 for an
+    erasure; the ``bits`` tuple is built on first read.
+    """
+
+    def __init__(self, bits):
+        self.codes = np.array([-1 if b is None else int(b) for b in bits], dtype=np.int8)
+        self.codes.flags.writeable = False
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray) -> "KeyBits":
+        key = cls.__new__(cls)
+        key.codes = np.asarray(codes, dtype=np.int8)
+        key.codes.flags.writeable = False
+        return key
+
+    @functools.cached_property
+    def bits(self) -> tuple[int | None, ...]:
+        return tuple(map(_BIT_VALUES.__getitem__, self.codes.tolist()))
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return len(self.codes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KeyBits):
+            return NotImplemented
+        return np.array_equal(self.codes, other.codes)
+
+    def __hash__(self) -> int:
+        return hash(self.codes.tobytes())
+
+    def __repr__(self) -> str:
+        return f"KeyBits(bits={self.bits!r})"
 
     def as_str(self) -> str:
-        return "".join("e" if b is None else str(b) for b in self.bits)
+        return _BIT_CHARS[self.codes].tobytes().decode()
 
     def erasure_fraction(self) -> float:
-        if not self.bits:
+        if not len(self):
             return 0.0
-        return sum(b is None for b in self.bits) / len(self.bits)
+        return int(np.count_nonzero(self.codes < 0)) / len(self)
 
     def match_rate(self, other: "KeyBits") -> float:
         """Agreement over all rounds; erasures never match."""
-        if len(self.bits) != len(other.bits):
+        if len(self) != len(other):
             raise ValueError("key lengths differ")
-        if not self.bits:
+        if not len(self):
             return 1.0
-        hits = sum(
-            a is not None and a == b for a, b in zip(self.bits, other.bits)
-        )
-        return hits / len(self.bits)
+        hits = np.count_nonzero((self.codes == other.codes) & (self.codes >= 0))
+        return int(hits) / len(self)
 
 
-@dataclass(frozen=True)
+_BIT_VALUES = (0, 1, None)  # indexed by a code; -1 picks None
+_BIT_CHARS = np.frombuffer(b"01e", dtype=np.uint8)
+
+
+@dataclass(frozen=True, eq=False)
 class PartyResult:
+    """One receiver's key and per-round decode energies."""
+
     label: str
     key: KeyBits
-    energies: tuple[float, ...]
+    energy_array: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def energies(self) -> tuple[float, ...]:
+        return tuple(self.energy_array.tolist())
 
 
 @dataclass(frozen=True)
@@ -108,12 +158,48 @@ class VerificationVerdict:
 
 
 @dataclass(frozen=True)
+class _TranscriptRows:
+    """What a session's transcript rows are formatted from.
+
+    ``cell[r, j]`` is (axis * 2 + outcome) * 2 + sent bit of receiver j in
+    round r; each distinct (cell, receiver) is formatted once.
+    """
+
+    axes: np.ndarray      # [axis, 3] sender axes
+    labels: tuple[str, ...]
+    tables: np.ndarray    # [receiver, axis, outcome, sent] decode energies
+    epsilon: float
+    cell: np.ndarray      # [round, receiver]
+
+    def render(self) -> tuple[str, ...]:
+        n_labels = len(self.labels)
+        keys, index = np.unique(self.cell * n_labels + np.arange(n_labels),
+                                return_inverse=True)
+        cells, receiver = np.divmod(keys, n_labels)
+        axis, outcome, sent = cells // 4, (cells // 2) % 2, cells % 2
+        energy = self.tables[receiver, axis, outcome, sent]
+        decoded = _BIT_CHARS[_decode(energy, self.epsilon)].tobytes().decode()
+        suffix = [
+            f"{n1:.12g},{n2:.12g},{n3:.12g},{s},{self.labels[j]},{e:.12g},{d}"
+            for (n1, n2, n3), s, j, e, d in zip(self.axes[axis].tolist(), sent.tolist(),
+                                                receiver.tolist(), energy.tolist(), decoded)
+        ]
+        return tuple(f"{i // n_labels},{suffix[k]}"
+                     for i, k in enumerate(index.ravel().tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class SessionResult:
     alice_key: KeyBits
     parties: dict[str, PartyResult]
     verdict: VerificationVerdict
     epsilon: float
-    transcript: tuple[str, ...] = field(repr=False, default=())
+    rows: _TranscriptRows | None = field(repr=False, default=None)
+
+    @functools.cached_property
+    def transcript(self) -> tuple[str, ...]:
+        """One row per round and receiver, as ``write_transcript`` writes them."""
+        return () if self.rows is None else self.rows.render()
 
     def erasure_fraction(self) -> float:
         if not self.parties:
@@ -137,47 +223,12 @@ class ResourceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# decoding
+# the session engine: every receiver's tables for every basis of a session
 # ---------------------------------------------------------------------------
 
-def _decode(energy: float, epsilon: float) -> int | None:
-    if energy < -epsilon:
-        return 1
-    if energy > epsilon:
-        return 0
-    return None
-
-
-@dataclass(frozen=True)
-class _BasisTables:
-    """Per-basis sampling data: outcome odds and conditional energies."""
-
-    basis: MeasurementBasis
-    p0: float
-    tables: dict[str, np.ndarray]  # label -> table[b, announced]
-
-
-def _tables_for_basis(spec: HamiltonianSpec, partition: Partition,
-                      basis: MeasurementBasis, labels: list[str],
-                      noise: NoiseSpec | None,
-                      bob_axis: MeasurementBasis | str) -> _BasisTables:
-    """Decode tables: energy the feedback rotation itself extracts.
-
-    Each entry is Tr[U rho_cond U† H_B] - Tr[rho_cond H_B], i.e. the
-    receiver's energy change referenced to his own post-measurement
-    conditional state (which he can compute from the announced basis).
-    For the X and Y bases this equals the resource-referenced value; for
-    arbitrary axes it is the quantity whose sign carries the key bit.
-    Probability-weighted, both references average to the ensemble E_B.
-    """
-    tables: dict[str, np.ndarray] = {}
-    p0 = 0.5
-    for label in labels:
-        ctx = prepare(spec, partition, basis, bob_label=label, bob_axis=bob_axis)
-        table = conditional_table(ctx, noisy_input_state(ctx, noise)[0])
-        p0 = float(table.prob[0])
-        tables[label] = table.decode()
-    return _BasisTables(basis=basis, p0=p0, tables=tables)
+def _decode(energy: np.ndarray, epsilon: float) -> np.ndarray:
+    """Key codes: 1 for energy below -epsilon, 0 above epsilon, -1 (erasure) between."""
+    return np.where(energy < -epsilon, 1, np.where(energy > epsilon, 0, -1)).astype(np.int8)
 
 
 def _default_epsilon(spec: HamiltonianSpec, partition: Partition,
@@ -191,9 +242,77 @@ def _default_epsilon(spec: HamiltonianSpec, partition: Partition,
     return signal / 10.0
 
 
-# ---------------------------------------------------------------------------
-# sessions
-# ---------------------------------------------------------------------------
+def _receivers(config: SessionConfig, spec: HamiltonianSpec, partition: Partition,
+               labels: list[str]) -> list[ReceiverForms]:
+    """Each receiver's closed forms on the session's input state, built once."""
+    if config.noise is None:
+        gs, _ = ground_state(spec)
+        return [receiver_forms(spec, partition, lab, gs) for lab in labels]
+    forms = []
+    for lab in labels:
+        ctx = prepare(spec, partition, MeasurementBasis.x(0), bob_label=lab)
+        state, _ = noisy_input_state(ctx, config.noise)
+        forms.append(receiver_forms(spec, partition, lab, state))
+    return forms
+
+
+def _require_partition(forms: list[ReceiverForms], axes: np.ndarray) -> None:
+    for f in forms:
+        defect = float(np.max(f.defect(axes), initial=0.0))
+        if defect > TOL.commutator:
+            raise PartitionViolationError(defect)
+
+
+def _haar(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Uniform directions on the 2-sphere (normalized 3-d Gaussians)."""
+    v = rng.normal(size=(count, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _haar_axes(seed: int, rounds: int, forms: list[ReceiverForms]) -> np.ndarray:
+    """One sender axis per round; a round whose feedback objective vanishes
+    for some receiver is redrawn, at most 100 draws per round."""
+    rng = stream(seed, SUBSTREAM["haar"])
+    axes = _haar(rng, rounds)
+    todo = np.arange(rounds)
+    for attempt in range(100):
+        if attempt:
+            axes[todo] = _haar(rng, len(todo))
+        _require_partition(forms, axes[todo])
+        degenerate = np.zeros(len(todo), dtype=bool)
+        for f in forms:
+            degenerate |= np.linalg.norm(f.coefficients(axes[todo]), axis=1) < TOL.objective
+        todo = todo[degenerate]
+        if not len(todo):
+            return axes
+    raise DegenerateObjectiveError("no usable measurement axis found in 100 draws")
+
+
+def _session_axes(config: SessionConfig, forms: list[ReceiverForms],
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(sender axes in use, index of each round's axis) under the basis policy."""
+    if config.basis_policy == "haar":
+        return _haar_axes(config.seed, config.rounds, forms), np.arange(config.rounds)
+    if config.basis_policy == "fixed":
+        choice = np.zeros(config.rounds, dtype=np.int64)
+    else:
+        choice = stream(config.seed, SUBSTREAM["basis"]).integers(0, 2, size=config.rounds)
+    used, index = np.unique(choice, return_inverse=True)
+    axes = np.eye(3)[used]  # choice 0 is X, 1 is Y
+    _require_partition(forms, axes)
+    return axes, index
+
+
+def _feedback(f: ReceiverForms, axes: np.ndarray, optimal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Receiver axis and angle per sender axis: optimal, or paired (X -> Y, Y -> X)."""
+    if optimal:
+        coeffs = f.coefficients(axes)
+        m = coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True)
+    else:
+        m = np.array([paired_feedback_axis(MeasurementBasis(0, tuple(v)), f.site).vector
+                      for v in axes.tolist()]).reshape(-1, 3)
+    return m, f.theta(axes, m)[2]
+
 
 def run_session(config: SessionConfig,
                 cheat_plan: dict[str, str] | None = None,
@@ -201,7 +320,10 @@ def run_session(config: SessionConfig,
     """Run one seeded session; identical configs give identical transcripts.
 
     ``cheat_plan`` maps a party label to "flip": the sender transmits
-    the complemented bit to that party in every round.
+    the complemented bit to that party in every round.  Every round of
+    every policy reads one batched evaluation of the receivers'
+    ``ReceiverForms``, and each variate kind is one array drawn from its
+    own sub-stream (``rng.SUBSTREAM``).
     """
     spec, partition, labels = build_model(config.model, config.coupling, k=config.k,
                                           h=config.h, n_parties=config.n_parties)
@@ -212,71 +334,35 @@ def run_session(config: SessionConfig,
         if label not in labels:
             raise ValueError(f"cheat plan names unknown party {label!r}")
 
-    rng = stream(config.seed, 0)
+    forms = _receivers(config, spec, partition, labels)
+    axes, axis = _session_axes(config, forms)
+    tables = []
+    for f in forms:
+        m, theta = _feedback(f, axes, config.basis_policy == "haar")
+        table = f.table(axes, m, theta)
+        tables.append(table.decode())
+    tables = np.array(tables)
+    p0 = table.prob[:, 0]  # every receiver reads the same input state
+
+    seed, rounds = config.seed, config.rounds
+    logical = stream(seed, SUBSTREAM["logical"]).integers(0, 2, size=rounds)
+    outcome = (stream(seed, SUBSTREAM["outcome"]).random(rounds) >= p0[axis]).astype(np.int64)
+    announced = outcome ^ logical ^ 1
     classical_p = config.noise.p if (config.noise is not None
                                      and config.noise.kind == "classical_flip") else 0.0
+    sent = np.empty((rounds, len(labels)), dtype=np.int64)
+    for j, label in enumerate(labels):
+        sent[:, j] = announced ^ 1 if cheat_plan.get(label) == "flip" else announced
+        if classical_p > 0.0:
+            sent[:, j] ^= stream(seed, SUBSTREAM["flip"] + j).random(rounds) < classical_p
 
-    fixed_x = MeasurementBasis.x(0)
-    cache: dict[str, _BasisTables] = {}
-
-    def tables_for(basis: MeasurementBasis, axis_mode) -> _BasisTables:
-        key = f"{basis.vector}"
-        if key not in cache:
-            cache[key] = _tables_for_basis(spec, partition, basis, labels,
-                                           config.noise, axis_mode)
-        return cache[key]
-
-    alice_bits: list[int] = []
-    party_keys: dict[str, list[int | None]] = {lab: [] for lab in labels}
-    party_energies: dict[str, list[float]] = {lab: [] for lab in labels}
-    transcript: list[str] = []
-
-    for rnd in range(config.rounds):
-        if config.basis_policy == "fixed":
-            bt = tables_for(fixed_x, "paired")
-        elif config.basis_policy == "two-random":
-            basis = fixed_x if rng.integers(0, 2) == 0 else MeasurementBasis.y(0)
-            bt = tables_for(basis, "paired")
-        else:  # haar: resample until the feedback objective is non-degenerate
-            bt = None
-            for _ in range(100):
-                basis = MeasurementBasis.haar_random(0, rng)
-                try:
-                    bt = _tables_for_basis(spec, partition, basis, labels,
-                                           config.noise, "optimal")
-                    break
-                except DegenerateObjectiveError:
-                    continue
-            if bt is None:
-                raise DegenerateObjectiveError(
-                    "no usable measurement axis found in 100 draws"
-                )
-
-        logical = int(rng.integers(0, 2))
-        outcome = int(rng.random() >= bt.p0)
-        announced = outcome ^ (logical ^ 1)
-        alice_bits.append(logical)
-
-        for label in labels:
-            sent = announced ^ 1 if cheat_plan.get(label) == "flip" else announced
-            if classical_p > 0.0 and rng.random() < classical_p:
-                sent ^= 1
-            energy = float(bt.tables[label][outcome, sent])
-            decoded = _decode(energy, epsilon)
-            party_keys[label].append(decoded)
-            party_energies[label].append(energy)
-            n1, n2, n3 = bt.basis.vector
-            transcript.append(
-                f"{rnd},{n1:.12g},{n2:.12g},{n3:.12g},{sent},{label},"
-                f"{energy:.12g},{'e' if decoded is None else decoded}"
-            )
-
-    alice_key = KeyBits(tuple(alice_bits))
-    parties = {
-        lab: PartyResult(lab, KeyBits(tuple(party_keys[lab])),
-                         tuple(party_energies[lab]))
-        for lab in labels
-    }
+    cell = (axis * 2 + outcome)[:, None] * 2 + sent
+    alice_key = KeyBits.from_codes(logical)
+    parties = {}
+    for j, label in enumerate(labels):
+        energy = tables[j].reshape(-1)[cell[:, j]]
+        parties[label] = PartyResult(label, KeyBits.from_codes(_decode(energy, epsilon)),
+                                     energy)
 
     worst_erasure = max(
         (p.key.erasure_fraction() for p in parties.values()), default=0.0
@@ -287,16 +373,15 @@ def run_session(config: SessionConfig,
             f"{config.erasure_abort_fraction:.3f}"
         )
 
-    mismatches = 0
     compared = config.verify_bits
-    for lab in labels:
-        for i in range(compared):
-            if parties[lab].key.bits[i] != alice_key.bits[i]:
-                mismatches += 1
+    mismatches = sum(int(np.count_nonzero(p.key.codes[:compared] != logical[:compared]))
+                     for p in parties.values())
     verdict = VerificationVerdict(ok=mismatches == 0, compared=compared,
                                   mismatches=mismatches)
+    rows = _TranscriptRows(axes=axes, labels=tuple(labels), tables=tables,
+                           epsilon=epsilon, cell=cell)
     return SessionResult(alice_key=alice_key, parties=parties, verdict=verdict,
-                         epsilon=epsilon, transcript=tuple(transcript))
+                         epsilon=epsilon, rows=rows)
 
 
 def run_multiparty(config: SessionConfig,
@@ -314,24 +399,16 @@ def run_multiparty(config: SessionConfig,
     result = run_session(config, cheat_plan=cheat_plan)
 
     labels = list(result.parties)
-    dissent = {lab: 0 for lab in labels}
     rounds = len(result.alice_key)
-    for rnd in range(rounds):
-        signs = {
-            lab: 1 if result.parties[lab].energies[rnd] >= 0 else -1
-            for lab in labels
-        }
-        # The sender's claimed bit votes too: logical 1 promises negative
-        # energy.  With two receivers this breaks the tie.
-        alice_vote = -1 if result.alice_key.bits[rnd] == 1 else 1
-        total = sum(signs.values()) + alice_vote
-        if total == 0:
-            continue  # no majority; nobody blamed this round
-        majority = 1 if total > 0 else -1
-        for lab in labels:
-            if signs[lab] != majority:
-                dissent[lab] += 1
-    fractions = {lab: dissent[lab] / rounds if rounds else 0.0 for lab in labels}
+    signs = np.where(np.array([result.parties[lab].energy_array for lab in labels]) >= 0,
+                     1, -1)
+    # The sender's claimed bit votes too: logical 1 promises negative
+    # energy.  With two receivers this breaks the tie; a round without a
+    # majority blames nobody.
+    total = signs.sum(axis=0) + np.where(result.alice_key.codes == 1, -1, 1)
+    dissent = np.count_nonzero((signs != np.sign(total)) & (total != 0), axis=1)
+    fractions = {lab: int(dissent[j]) / rounds if rounds else 0.0
+                 for j, lab in enumerate(labels)}
     worst = max(fractions.values(), default=0.0)
     cheater = None
     if worst > 0.0:
@@ -356,7 +433,7 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
     """
     predicted = run_ensemble(ctx).e_bob
     announced = [ctx.rule.mapped(b) for b in (0, 1)]
-    rng = stream(seed, 4)
+    rng = stream(seed, SUBSTREAM["resource_check"])
     energies = np.empty(rounds)
     cache: dict[tuple, tuple[float, np.ndarray]] = {}
     for i in range(rounds):

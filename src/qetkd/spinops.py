@@ -265,6 +265,24 @@ def expectation(state: np.ndarray, a: np.ndarray) -> float:
     return val.real
 
 
+def reduced_density(state: np.ndarray, sites: list[int]) -> np.ndarray:
+    """Reduced density matrix on ``sites`` (ascending) of a vector or matrix.
+
+    The kept sites stay in register order, so the first of them is the
+    most significant bit of the 2^k x 2^k result.  A state vector costs
+    O(d 2^k), a density matrix one O(d^2) partial trace.
+    """
+    n_sites = state.shape[0].bit_length() - 1
+    rest = [s for s in range(n_sites) if s not in sites]
+    dim, other = 2 ** len(sites), 2 ** len(rest)
+    if state.ndim == 1:
+        m = state.reshape((2,) * n_sites).transpose(sites + rest).reshape(dim, other)
+        return m @ m.conj().T
+    order = sites + rest
+    t = state.reshape((2,) * (2 * n_sites)).transpose(order + [n_sites + s for s in order])
+    return np.einsum("arbr->ab", t.reshape(dim, other, dim, other))
+
+
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 

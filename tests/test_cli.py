@@ -227,6 +227,28 @@ class TestAttack:
         assert "detection=none" in out
 
 
+class TestModelParameters:
+    @pytest.mark.parametrize("argv", [
+        ("ground", "--J", "-1"),
+        ("qet", "--J", "-1"),
+        ("qet", "--model", "star", "--N", "20"),
+        ("noise", "--family", "classical", "--J", "-1"),
+        ("session", "--J", "-1"),
+        ("attack", "--scenario", "independent", "--J", "-1"),
+    ])
+    def test_out_of_range_exits_2_with_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_session_summary_names_stream_layout(self, capsys):
+        code, out, _ = run_cli(capsys, "session", "--model", "chain3", "--J", "1",
+                               "--rounds", "32", "--verify-bits", "8")
+        assert code == 0
+        assert out.splitlines()[-1] == "stream_layout=2"
+
+
 class TestManifest:
     def test_csv_rerun_byte_identical(self, tmp_path, capsys):
         args = ["qet", "--model", "chain3", "--basis", "x",

@@ -53,7 +53,7 @@ class TestClassicalFlip:
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.7])
     def test_linear_in_the_two_branches(self, ctx_unit, p):
         clean = run_ensemble(ctx_unit).e_bob
-        flipped = run_ensemble(ctx_unit.with_rule("flip")).e_bob
+        flipped = run_ensemble(chain_context(1.0, bit_map="flip")).e_bob
         assert apply_classical_flip(ctx_unit, p).e_bob == \
                pytest.approx((1 - p) * clean + p * flipped, abs=1e-10)
 
@@ -450,7 +450,7 @@ class TestNoisyInputsAgainstOracle:
         want_rho = self._oracle_input(data, kind)
         assert np.allclose(rho_in, want_rho, atol=1e-12)
 
-        out = ensemble_for_state(ctx_unit.with_rule(bit_map), rho_in)
+        out = ensemble_for_state(chain_context(1.0, bit_map=bit_map), rho_in)
         e_a, e_b, per = oracles.protocol_energies(
             data["h_a"], data["h_b"], want_rho, data["sigma_a"], data["sigma_b"],
             data["theta"], flip=bit_map == "flip")

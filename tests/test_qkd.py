@@ -38,6 +38,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SessionConfig(basis_policy="alternating")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"coupling": -1.0},
+        {"model": "star", "n_parties": 0},
+        {"model": "star", "n_parties": 12},
+    ])
+    def test_model_parameters_in_range(self, kwargs):
+        with pytest.raises(ValueError):
+            SessionConfig(**kwargs)
+
 
 class TestKeyBits:
     def test_render_and_erasures(self):
