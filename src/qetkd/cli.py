@@ -26,10 +26,11 @@ from .adversary import (
 )
 from .errors import (
     DegenerateGroundError,
+    ModelParameterError,
     PartitionViolationError,
     TooManyErasuresError,
 )
-from .models import MODELS, build_model, chain3, check_model_parameters, energy_gap
+from .models import MODELS, build_model, chain3, energy_gap
 from .noise import (
     NoiseSpec,
     default_chain_coupling,
@@ -284,29 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_model_args(args: argparse.Namespace) -> None:
-    """Reject out-of-range model parameters before any model is built."""
-    couplings = [args.coupling]
-    if getattr(args, "sweep_j", None) is not None:
-        couplings.extend(float(j) for j in args.sweep_j)
-    for j in couplings:
-        check_model_parameters(getattr(args, "model", "chain3"), j,  # attack: chain3
-                               getattr(args, "k", 1.0), getattr(args, "h", 1.0),
-                               getattr(args, "n_parties", 1))
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "command", None) == "noise" and args.grid is None:
         args.grid = np.linspace(0.0, 1.0, 101)
     try:
-        _check_model_args(args)
-    except ValueError as exc:
+        return args.func(args)
+    except ModelParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return args.func(args)
     except DegenerateGroundError as exc:
         print(f"degenerate ground level: {exc}", file=sys.stderr)
         return 3

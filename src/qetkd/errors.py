@@ -5,6 +5,10 @@ class QetkdError(Exception):
     """Base class for all package errors."""
 
 
+class ModelParameterError(QetkdError, ValueError):
+    """A model parameter lies outside the range the model accepts."""
+
+
 class DegenerateGroundError(QetkdError):
     """Ground level is degenerate; no unique resource state exists."""
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGroundError
+from .errors import DegenerateGroundError, ModelParameterError
 from .spinops import (
     PauliTerm,
     assemble,
@@ -254,21 +254,21 @@ def model_sites(model: str, n_parties: int = 1) -> int:
 
 def check_model_parameters(model: str, coupling: float | None, k: float = 1.0,
                            h: float = 1.0, n_parties: int = 1) -> None:
-    """Raise ValueError, in one line, for parameters the named model rejects.
+    """Raise ModelParameterError, in one line, for parameters the named model rejects.
 
     ``coupling`` None stands for the model's default; ``two-site`` reads
     ``k`` and ``h`` only, ``star`` also checks its party count.
     """
     if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
+        raise ModelParameterError(f"unknown model {model!r}")
     if model == "two-site":
         if k <= 0 or h <= 0:
-            raise ValueError(f"couplings must be positive, got k={k}, h={h}")
+            raise ModelParameterError(f"couplings must be positive, got k={k}, h={h}")
         return
     if coupling is not None and coupling < 0:
-        raise ValueError(f"coupling must be non-negative, got {coupling}")
+        raise ModelParameterError(f"coupling must be non-negative, got {coupling}")
     if model == "star" and not 1 <= n_parties <= MAX_PARTIES:
-        raise ValueError(f"number of parties must be in [1, {MAX_PARTIES}], got {n_parties}")
+        raise ModelParameterError(f"number of parties must be in [1, {MAX_PARTIES}], got {n_parties}")
 
 
 def build_model(model: str, coupling: float, k: float = 1.0, h: float = 1.0,

@@ -518,12 +518,14 @@ class ReceiverForms:
 
 
 def receiver_forms(spec: HamiltonianSpec, partition: Partition, bob_label: str,
-                   state: np.ndarray, alice_site: int = 0) -> ReceiverForms:
+                   state: np.ndarray) -> ReceiverForms:
     """``ReceiverForms`` of one receiver for an input state (vector or matrix).
 
-    The state enters through its marginal on the sites of P, U and H_B
-    only; C and Q read the ground state and the full Hamiltonian.
+    The sender measures site 0, as in every model.  The state enters
+    through its marginal on the sites of P, U and H_B only; C and Q read
+    the ground state and the full Hamiltonian.
     """
+    alice_site = 0
     n_sites = spec.n_sites
     part = partition.parts[bob_label]
     site = _receiver_site(part)

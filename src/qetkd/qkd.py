@@ -149,6 +149,15 @@ class PartyResult:
     def energies(self) -> tuple[float, ...]:
         return tuple(self.energy_array.tolist())
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PartyResult):
+            return NotImplemented
+        return (self.label, self.key) == (other.label, other.key) \
+            and np.array_equal(self.energy_array, other.energy_array)
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.key))
+
 
 @dataclass(frozen=True)
 class VerificationVerdict:
@@ -200,6 +209,12 @@ class SessionResult:
     def transcript(self) -> tuple[str, ...]:
         """One row per round and receiver, as ``write_transcript`` writes them."""
         return () if self.rows is None else self.rows.render()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SessionResult):
+            return NotImplemented
+        return (self.alice_key, self.parties, self.verdict, self.epsilon, self.transcript) \
+            == (other.alice_key, other.parties, other.verdict, other.epsilon, other.transcript)
 
     def erasure_fraction(self) -> float:
         if not self.parties:

@@ -230,7 +230,10 @@ class TestAttack:
 class TestModelParameters:
     @pytest.mark.parametrize("argv", [
         ("ground", "--J", "-1"),
+        ("ground", "--sweep-J", "1:-1:3"),
+        ("ground", "--model", "two-site", "--k", "-1"),
         ("qet", "--J", "-1"),
+        ("qet", "--sweep-J", "1:-1:3"),
         ("qet", "--model", "star", "--N", "20"),
         ("noise", "--family", "classical", "--J", "-1"),
         ("session", "--J", "-1"),

@@ -1,5 +1,6 @@
 """Property tests of the noise resolver, branch-linear threshold scans, the
-conditional-energy kernel and the energy bookkeeping of a partition."""
+conditional-energy kernel, the optimal feedback angle and the energy
+bookkeeping of a partition."""
 
 import functools
 
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
 import qetkd.noise as noise  # noqa: E402
+from qetkd.errors import DegenerateObjectiveError  # noqa: E402
 from qetkd.models import build_model, chain3, first_excited_level, two_site  # noqa: E402
 from qetkd.models import two_site_partition_alternative  # noqa: E402
 from qetkd.models import two_site_partition_standard  # noqa: E402
@@ -20,6 +22,7 @@ from qetkd.protocol import (  # noqa: E402
     conditional_table,
     ensemble_for_state,
     prepare,
+    run_ensemble,
 )
 from qetkd.spinops import expectation, pure_density, require_density_matrix  # noqa: E402
 
@@ -235,3 +238,22 @@ def test_party_energies_add_up_to_total_energy_change(coupling, a_axis, b_axis,
     e_buffer = change(h_buffer)
     assert out.e_alice + e_buffer + out.e_bob == pytest.approx(
         change(oracles.chain3_matrix(coupling)), abs=1e-12)
+
+
+@PROPERTY
+@given(coupling=st.floats(0.1, 4.0),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       delta=st.floats(1e-3, 0.5))
+def test_optimal_angle_is_a_minimum(coupling, axis, delta):
+    """E_B at theta_opt is at or below E_B at theta_opt +- delta."""
+    spec, part = chain3(coupling)
+    basis = MeasurementBasis(0, tuple(np.asarray(axis) / np.linalg.norm(axis)))
+    try:
+        ctx = prepare(spec, part, basis, bob_axis="optimal")
+    except DegenerateObjectiveError:  # e.g. the Z axis: no energy to teleport
+        assume(False)
+    best = run_ensemble(ctx).e_bob
+    for shifted in (ctx.rule.theta + delta, ctx.rule.theta - delta):
+        other = prepare(spec, part, basis, bob_axis="optimal", theta_override=shifted)
+        assert best <= run_ensemble(other).e_bob + 1e-12
