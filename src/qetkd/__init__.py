@@ -26,8 +26,6 @@ from .protocol import (
     run_ensemble,
     run_ensemble_random_basis,
     run_round,
-    theta_params,
-    validate_partition,
 )
 from .noise import (
     NoiseSpec,

@@ -27,7 +27,7 @@ from .protocol import (
     local_projector,
 )
 from .rng import SUBSTREAM, stream
-from .spinops import expectation, sandwich, trace_distance
+from .spinops import sandwich, trace_distance
 from .tolerances import TOL
 
 DETECTIONS = ("none", "double_message", "verification_mismatch")
@@ -94,9 +94,10 @@ def bob_reference_state(ctx: RunContext) -> np.ndarray:
 def _energy_table(ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
     """Outcome probabilities, and table[b, b'] = receiver conditional energy
     for outcome b and announced bit b', referenced to the resource state."""
-    table = conditional_table(ctx, ctx.gs)
+    rho = ctx.forms.marginal(ctx.gs)
+    table = conditional_table(ctx, rho)
     weight = table.prob.sum()
-    ref_b = expectation(ctx.gs, ctx.h_bob) / weight
+    ref_b = ctx.forms.reference(rho)[1] / weight
     return table.prob / weight, table.per_outcome(table.post, ref_b)
 
 
@@ -196,7 +197,7 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
     dim = 2 ** ctx.n_sites
     prob, table = _energy_table(ctx)
     p0 = prob[0]
-    ref_b = expectation(ctx.rho_gs, ctx.h_bob)
+    ref_b = ctx.forms.reference(ctx.gs)[1]
 
     rng = stream(seed, SUBSTREAM["attack_split"])
     logical = rng.integers(0, 2, rounds)
@@ -206,7 +207,7 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
     if sub_case == "eve_waits":
         # Receiver rotates an unmeasured pair: no projection ever happened.
         rotated = [ctx.rotate(a, ctx.rho_gs) for a in (0, 1)]
-        energy_by_bit = np.array([expectation(r, ctx.h_bob) - ref_b for r in rotated])
+        energy_by_bit = np.array([ctx.forms.reference(r)[1] - ref_b for r in rotated])
         bob_energy = energy_by_bit[announced]
         rho_eb = np.zeros((dim, dim), dtype=complex)
         for a in (0, 1):

@@ -61,9 +61,14 @@ def sweep_values(text: str) -> np.ndarray:
 
 
 def _manifest(args: argparse.Namespace) -> str:
+    """The invocation as JSON; arrays are written in full, as lists of floats."""
     payload = {k: v for k, v in sorted(vars(args).items()) if not callable(v)}
     payload["version"] = __version__
-    return "# manifest: " + json.dumps(payload, sort_keys=True, default=str)
+    return "# manifest: " + json.dumps(payload, sort_keys=True, default=_json_value)
+
+
+def _json_value(value):
+    return value.tolist() if isinstance(value, np.ndarray) else str(value)
 
 
 def _emit(lines: list[str], out: str | None) -> None:

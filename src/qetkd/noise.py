@@ -103,17 +103,18 @@ def noise_branches(ctx: RunContext, kind: str, *, site: int | None = None,
                    alpha: float | None = None, kraus_ops=None):
     """The one noise resolver: ((state, classical flip probability), ...), coefficients.
 
-    ``classical_flip`` is the resource state at flip probability 0 and 1,
-    the mixture families the resource state and their noise state, each
-    weighted 1 - p and p.  ``excited_superposition`` is |g>, |1> and
+    ``classical_flip`` is the ground-state vector (no d x d matrix is
+    built for it) at flip probability 0 and 1, the mixture families the
+    resource state and their noise state, each weighted 1 - p and p.
+    ``excited_superposition`` is |g>, |1> and
     |+_alpha> = (|g> + e^{i alpha} |1>) / sqrt(2), weighted 1 - p - c,
     p - c and 2c with c = sqrt(p (1 - p)).  ``local_kraus`` is its channel
     output at every p.  Branch states other than |g><g| are validated once.
     """
-    rho = ctx.rho_gs
     coefficients = _AFFINE
     if kind == "classical_flip":
-        return ((rho, 0.0), (rho, 1.0)), coefficients
+        return ((ctx.gs, 0.0), (ctx.gs, 1.0)), coefficients
+    rho = ctx.rho_gs
     if kind == "depolarize":
         states = (rho, np.eye(rho.shape[0]) / rho.shape[0])
     elif kind in ("bit_flip", "phase_flip"):
@@ -234,13 +235,15 @@ def kraus_state(ctx: RunContext, site: int,
 
     # The locality check is a cold path: it builds d x d forms on demand.
     n = ctx.n_sites
+    h_alice, h_bob = (ctx.partition.parts[label].bare_matrix(n)
+                      for label in (ctx.alice_label, ctx.bob_label))
     projectors = [projector(ctx.alice, b, n) for b in (0, 1)]
     defects: dict[str, float] = {}
     worst = 0.0
     for i, k in enumerate(ops):
         k_full = site_operator(k, site, n)
-        d_a = frobenius(commutator(k_full, ctx.h_alice))
-        d_b = frobenius(commutator(k_full, ctx.h_bob))
+        d_a = frobenius(commutator(k_full, h_alice))
+        d_b = frobenius(commutator(k_full, h_bob))
         d_p = max(frobenius(commutator(k_full, p_b)) for p_b in projectors)
         defects[f"K{i}"] = max(d_a, d_b, d_p)
         worst = max(worst, defects[f"K{i}"])

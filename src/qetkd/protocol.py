@@ -17,8 +17,14 @@ The rotation angle comes from the ground-state parameters
 
 via cos(2 theta) = xi / sqrt(xi^2 + eta^2) and sin(2 theta) = eta / ...,
 which minimizes the receiver's ensemble energy to (xi - sqrt(xi^2 +
-eta^2)) / 2.  All evolution is exact at the density-matrix level; P(b)
-and U(b') are kept as their 2x2 factors and applied on their one site.
+eta^2)) / 2.
+
+Every operator the protocol reads is local: P(b) acts on the sender
+site, U(b') on the receiver site, H_A and H_B on the sites of their
+terms, and xi and eta read only the terms of H that touch the receiver
+site.  So one kernel, ``ReceiverForms``, evaluates all of it exactly on
+the reduced state of the union S of those sites (2 or 3 sites on every
+model, at any register size); no d x d operator is built for it.
 """
 
 from __future__ import annotations
@@ -41,20 +47,14 @@ from .rng import SUBSTREAM, stream
 from .spinops import (
     AXES,
     PAULI,
-    PauliTerm,
-    apply_on_site,
-    assemble,
     axis_operator,
     degeneracy_tolerance,
     eigendecompose,
-    expectation,
-    frobenius,
     pure_density,
     reduced_density,
     require_unit_vector,
     sandwich,
     site_operator,
-    vector_observable,
 )
 from .tolerances import TOL
 
@@ -91,10 +91,6 @@ class MeasurementBasis:
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
         return cls(site, tuple(float(c) for c in v))
-
-    def observable(self, n_sites: int) -> np.ndarray:
-        return vector_observable(np.asarray(self.vector), self.site, n_sites)
-
 
 def local_projector(basis: MeasurementBasis, b: int) -> np.ndarray:
     """2x2 factor of P(b) = (1 - (-1)^b n.sigma) / 2 at the basis site."""
@@ -147,9 +143,6 @@ class FeedbackRule:
     def mapped(self, b: int) -> int:
         return b ^ 1 if self.bit_map == "flip" else b
 
-    def observable(self, n_sites: int) -> np.ndarray:
-        return vector_observable(np.asarray(self.vector), self.site, n_sites)
-
     def local_rotation(self, announced: int) -> np.ndarray:
         """2x2 factor of the rotation for an announced bit.
 
@@ -189,7 +182,7 @@ class RoundRecord:
 
 
 # ---------------------------------------------------------------------------
-# ground state and angle parameters
+# ground state and receiver axis
 # ---------------------------------------------------------------------------
 
 def ground_state(spec: HamiltonianSpec) -> tuple[np.ndarray, float]:
@@ -212,75 +205,6 @@ def ground_state(spec: HamiltonianSpec) -> tuple[np.ndarray, float]:
     return gs, float(evals[0])
 
 
-def validate_partition(basis: MeasurementBasis, part_b: np.ndarray,
-                       n_sites: int) -> float:
-    """Frobenius norm of [P(b), H_B]; anything above tolerance breaks the protocol.
-
-    [P(b), H_B] = -(-1)^b [n.sigma, H_B] / 2, so both outcomes share one norm.
-    """
-    if not 0 <= basis.site < n_sites:
-        raise ValueError(f"site {basis.site} out of range for {n_sites} sites")
-    a = axis_operator(basis.vector)
-    left = apply_on_site(a, basis.site, part_b)                  # (n.sigma) H_B
-    right = apply_on_site(a.T, n_sites + basis.site, part_b)     # H_B (n.sigma)
-    return 0.5 * frobenius(left - right)
-
-
-def theta_params(gs: np.ndarray, h_full: np.ndarray, sigma_a: np.ndarray,
-                 sigma_b: np.ndarray) -> ThetaParams:
-    """xi, eta and the principal-branch angle for one sender/receiver pair."""
-    dim = h_full.shape[0]
-    h_shifted = h_full - expectation(gs, h_full) * np.eye(dim)
-    sb_gs = sigma_b @ gs
-    xi = expectation(sb_gs, h_shifted)
-    if xi < -TOL.psd:
-        raise ValueError(f"xi = {xi:.3e} is negative; shifted Hamiltonian not PSD")
-    # <gs| sA i [sB, H] |gs> from matrix-vector products alone.
-    sa_gs = sigma_a @ gs
-    raw = 1j * complex(np.vdot(sa_gs, sigma_b @ (h_shifted @ gs))
-                       - np.vdot(sa_gs, h_shifted @ sb_gs))
-    if abs(raw.imag) > TOL.imaginary_residue:
-        raise ImaginaryResidueError(
-            f"eta has imaginary residue {raw.imag:.3e}; unsupported operator pair"
-        )
-    eta = raw.real
-    theta = 0.5 * math.atan2(eta, xi)
-    return ThetaParams(xi=xi, eta=eta, theta=theta)
-
-
-def optimize_bob_basis(gs: np.ndarray, spec: HamiltonianSpec,
-                       sigma_a: np.ndarray, bob_site: int,
-                       ) -> tuple[np.ndarray, ThetaParams]:
-    """Feedback axis maximizing eta.
-
-    eta is linear in the axis vector, eta(m) = sum_i m_i <gs| sA . i
-    [sigma_i, H] |gs>, so the maximizer is the normalized coefficient
-    vector.  Raises DegenerateObjectiveError when every coefficient
-    vanishes (no energy can be teleported for this sender basis).
-    """
-    h_full = spec.matrix()
-    sa_gs = sigma_a @ gs
-    h_gs = h_full @ gs
-    coeffs = np.zeros(3)
-    for i, axis in enumerate(AXES):
-        sb = PAULI[axis]
-        raw = 1j * complex(np.vdot(sa_gs, apply_on_site(sb, bob_site, h_gs))
-                           - np.vdot(sa_gs, h_full @ apply_on_site(sb, bob_site, gs)))
-        if abs(raw.imag) > TOL.imaginary_residue:
-            raise ImaginaryResidueError(
-                f"axis coefficient for {axis} has imaginary residue {raw.imag:.3e}"
-            )
-        coeffs[i] = raw.real
-    norm = float(np.linalg.norm(coeffs))
-    if norm < TOL.objective:
-        raise DegenerateObjectiveError(
-            "feedback objective vanishes for this sender basis; resample"
-        )
-    m = coeffs / norm
-    sigma_b = vector_observable(m, bob_site, spec.n_sites)
-    return m, theta_params(gs, h_full, sigma_a, sigma_b)
-
-
 def paired_feedback_axis(alice: MeasurementBasis, bob_site: int) -> MeasurementBasis:
     """Fixed sender->receiver axis pairing: X -> Y and Y -> X."""
     v = np.asarray(alice.vector)
@@ -291,9 +215,170 @@ def paired_feedback_axis(alice: MeasurementBasis, bob_site: int) -> MeasurementB
     raise ValueError("fixed pairing only covers the X and Y sender bases")
 
 
+def optimize_bob_basis(forms: ReceiverForms, n: np.ndarray) -> np.ndarray:
+    """Feedback axis maximizing eta, one row per sender axis row of ``n``.
+
+    eta(n, m) = n^T C m is linear in the receiver axis m, so the maximizer
+    is the normalized coefficient vector C^T n.  Raises
+    DegenerateObjectiveError when every coefficient of a row vanishes (no
+    energy can be teleported for that sender basis).
+    """
+    coeffs = forms.coefficients(n)
+    norm = np.linalg.norm(coeffs, axis=1, keepdims=True)
+    if np.any(norm < TOL.objective):
+        raise DegenerateObjectiveError(
+            "feedback objective vanishes for this sender basis; resample"
+        )
+    return coeffs / norm
+
+
 # ---------------------------------------------------------------------------
-# prepared protocol context
+# the kernel: one receiver's closed forms on the support of its operators
 # ---------------------------------------------------------------------------
+
+class ConditionalTable(NamedTuple):
+    """Unnormalized per-outcome traces of one input state rho.
+
+    A batched table (``ReceiverForms.table``) puts one leading axis in
+    front of every field.
+    """
+
+    prob: np.ndarray   # [b] Tr[P_b rho]
+    alice: np.ndarray  # [b] Tr[P_b rho P_b H_A]
+    pre: np.ndarray    # [b] Tr[P_b rho P_b H_B]
+    post: np.ndarray   # [b, b'] Tr[U_b' P_b rho P_b U_b'† H_B], b' the announced bit
+
+    def per_outcome(self, traces: np.ndarray, reference=0.0) -> np.ndarray:
+        """traces[b] / prob[b] - reference; 0 for an outcome that never occurs."""
+        prob = self.prob.reshape(self.prob.shape + (1,) * (np.ndim(traces) - self.prob.ndim))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = traces / prob - reference
+        return np.where(prob > TOL.outcome, value, 0.0)
+
+    def decode(self) -> np.ndarray:
+        """[b, b'] energy the rotation extracts from the conditional state."""
+        return self.per_outcome(self.post, self.per_outcome(self.pre)[..., None])
+
+
+_PAULI4 = (np.eye(2, dtype=complex),) + tuple(PAULI[a] for a in AXES)
+_SIGNS = np.array([1.0, -1.0])  # (-1)^b
+
+
+def _require_real(values: np.ndarray, what: str) -> np.ndarray:
+    residue = float(np.max(np.abs(values.imag), initial=0.0))
+    if residue > TOL.imaginary_residue:
+        raise ImaginaryResidueError(f"{what} has imaginary residue {residue:.3e}")
+    return values.real
+
+
+@dataclass(frozen=True)
+class ReceiverForms:
+    """The protocol kernel of one sender site and one receiver.
+
+    Everything lives on the support S: the sender site, the receiver site,
+    the sites of the H_A and H_B terms and of every term of H that touches
+    the receiver site.  With sigma_0 = tau_0 = 1 and the Paulis sigma_i at
+    the sender site and tau_k at the receiver site, an input state rho
+    enters through its marginal rho_S alone:
+
+        T[i, j, k, l] = Tr[sigma_i rho sigma_j tau_k H_B tau_l],
+        A[i, j] = Tr[sigma_i rho sigma_j H_A],   bloch[i] = Tr[sigma_i rho],
+
+    so P(b) = sum_i a_i sigma_i and U(b') = sum_k u_k tau_k turn every trace
+    of ``ConditionalTable`` into a contraction.  The ground state fixes
+    three 3x3 forms: eta(n, m) = n^T C m, xi(m) = m^T Q m and the partition
+    defect ||[n.sigma, H_B]||_F / 2 = sqrt(n^T G n) / 2.  Every method takes
+    one row per basis, so a whole session is one batched call.
+    """
+
+    site: int                                  # receiver site
+    support: tuple[int, ...]                   # S, ascending
+    sig: np.ndarray = field(repr=False)        # [i] sigma_i on S
+    parts: np.ndarray = field(repr=False)      # [H_A, H_B] on S
+    inner: np.ndarray = field(repr=False)      # [k, l] tau_k H_B tau_l on S
+    c: np.ndarray = field(repr=False)          # [sender axis, receiver axis], complex
+    q: np.ndarray = field(repr=False)
+    g: np.ndarray = field(repr=False)
+
+    def marginal(self, state: np.ndarray) -> np.ndarray:
+        """Reduced state on S of a state vector or density matrix.
+
+        A density matrix already on S passes through, so a caller that
+        reads several traces of one input reduces it once.
+        """
+        if state.ndim == 2 and len(state) == 2 ** len(self.support):
+            return state
+        return reduced_density(state, list(self.support))
+
+    def reference(self, state: np.ndarray) -> np.ndarray:
+        """(Tr[rho H_A], Tr[rho H_B]) of a state vector or density matrix."""
+        return _require_real(np.einsum("xab,ba->x", self.parts, self.marginal(state)),
+                             "reference energy")
+
+    def defect(self, n: np.ndarray) -> np.ndarray:
+        """||[n.sigma, H_B]||_F / 2 on the whole register, per sender axis row."""
+        return 0.5 * np.sqrt(np.maximum(np.einsum("xi,ij,xj->x", n, self.g, n), 0.0))
+
+    def require_commuting(self, n: np.ndarray) -> None:
+        """Raise PartitionViolationError unless every P(b) commutes with H_B."""
+        defect = float(np.max(self.defect(n), initial=0.0))
+        if defect > TOL.commutator:
+            raise PartitionViolationError(defect)
+
+    def coefficients(self, n: np.ndarray) -> np.ndarray:
+        """C^T n: eta is m . C^T n, so ``optimize_bob_basis`` picks its direction."""
+        return _require_real(n @ self.c, "axis coefficient")
+
+    def theta(self, n: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(xi, eta, theta) per row, theta on the principal branch."""
+        xi = np.einsum("xi,ij,xj->x", m, self.q, m)
+        if np.any(xi < -TOL.psd):
+            raise ValueError(f"xi = {xi.min():.3e} is negative; shifted Hamiltonian not PSD")
+        eta = _require_real(np.einsum("xj,ji,xi->x", n, self.c, m), "eta")
+        return xi, eta, 0.5 * np.arctan2(eta, xi)
+
+    def table(self, state: np.ndarray, n: np.ndarray, m: np.ndarray,
+              theta: np.ndarray) -> ConditionalTable:
+        """Every per-outcome trace of ``state`` for each row of (n, m, theta).
+
+        ``state`` is a density matrix or a state vector psi, which stands
+        for |psi><psi|; it is reduced to S once.
+        """
+        rho = self.marginal(state)
+        outer = self.sig[:, None] @ rho @ self.sig[None, :]  # [i, j] sigma_i rho sigma_j
+        tensor = np.einsum("ijab,klba->ijkl", outer, self.inner).reshape(16, 16)
+        alice = np.einsum("ijab,ba->ij", outer, self.parts[0]).reshape(16)
+        bloch = np.einsum("iab,ba->i", self.sig, rho).real
+        a = np.empty((len(n), 2, 4))
+        a[..., 0] = 0.5
+        a[..., 1:] = -0.5 * _SIGNS[:, None] * n[:, None, :]
+        u = np.empty((len(n), 2, 4), dtype=complex)
+        u[..., 0] = np.cos(theta)[:, None]
+        u[..., 1:] = (-1j * np.sin(theta))[:, None, None] * _SIGNS[:, None] * m[:, None, :]
+        aa = (a[..., :, None] * a[..., None, :]).reshape(-1, 2, 16)
+        uu = (u.conj()[..., :, None] * u[..., None, :]).reshape(-1, 2, 16)
+        left = aa @ tensor
+        post = np.einsum("xbq,xcq->xbc", left, uu).real
+        return ConditionalTable(prob=a @ bloch, alice=(aa @ alice).real,
+                                pre=left[..., 0].real, post=post)
+
+
+@functools.lru_cache(maxsize=None)
+def _site_paulis(pos: int, k: int) -> np.ndarray:
+    """[1, X, Y, Z] at position ``pos`` of a k-site register."""
+    ops = np.array([site_operator(p, pos, k) for p in _PAULI4])
+    ops.flags.writeable = False
+    return ops
+
+
+def _on_support(terms, pos: dict[int, int], k: int) -> np.ndarray:
+    """Sum of Pauli terms on a k-site support; ``pos`` maps a site to its position."""
+    out = np.zeros((2 ** k, 2 ** k), dtype=complex)
+    for t in terms:
+        ops = [_site_paulis(pos[s], k)[1 + AXES.index(ax)] for s, ax in t.factors]
+        out += t.coefficient * functools.reduce(np.matmul, ops or [np.eye(2 ** k)])
+    return out
+
 
 def _receiver_site(part: PartitionPart) -> int:
     sites = {t.factors[0][0] for t in part.terms if len(t.factors) == 1}
@@ -302,14 +387,49 @@ def _receiver_site(part: PartitionPart) -> int:
     return sites.pop()
 
 
+def receiver_forms(spec: HamiltonianSpec, partition: Partition, gs: np.ndarray,
+                   alice_site: int, alice_label: str, bob_label: str) -> ReceiverForms:
+    """``ReceiverForms`` of one receiver, read off the ground state's marginal.
+
+    C and Q need [tau_j, H] = [tau_j, H_loc], with H_loc the terms of H
+    that touch the receiver site, and (H - E_0)|gs> = 0 turns xi into
+    <gs| tau_i [H, tau_j] |gs>: both are traces against the marginal.
+    """
+    if not 0 <= alice_site < spec.n_sites:
+        raise ValueError(f"site {alice_site} out of range for {spec.n_sites} sites")
+    a_terms = partition.parts[alice_label].terms
+    b_terms = partition.parts[bob_label].terms
+    site = _receiver_site(partition.parts[bob_label])
+    local = [t for t in spec.terms if any(s == site for s, _ in t.factors)]
+    support = sorted({alice_site, site}.union(
+        s for t in (*a_terms, *b_terms, *local) for s, _ in t.factors))
+    pos = {s: i for i, s in enumerate(support)}
+    k = len(support)
+    h_a, h_b, h_loc = (_on_support(terms, pos, k) for terms in (a_terms, b_terms, local))
+    sig, tau = _site_paulis(pos[alice_site], k), _site_paulis(pos[site], k)
+    comm = sig[1:] @ h_b - h_b @ sig[1:]
+    g = 2.0 ** (spec.n_sites - k) * np.einsum("jab,lab->jl", comm.conj(), comm).real
+    t_rho = (tau[1:] @ h_loc - h_loc @ tau[1:]) @ reduced_density(gs, support)
+    c = 1j * np.einsum("iab,jba->ij", sig[1:], t_rho)  # i Tr[sigma_i [tau_j, H] rho]
+    q = -np.einsum("iab,jba->ij", tau[1:], t_rho).real  # Tr[tau_i [H, tau_j] rho]
+    return ReceiverForms(site=site, support=tuple(support), sig=sig,
+                         parts=np.array([h_a, h_b]), inner=tau[:, None] @ h_b @ tau[None, :],
+                         c=c, q=q, g=g)
+
+
+# ---------------------------------------------------------------------------
+# prepared protocol context
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
 class RunContext:
     """Everything one protocol configuration needs, precomputed.
 
-    The sender projectors and receiver rotations are held as their 2x2
-    factors, ``local_projectors[b]`` at ``alice.site`` and
-    ``local_rotations[announced]`` at ``rule.site``; ``project`` and
-    ``rotate`` apply them to a density matrix or a state vector.
+    ``forms`` is the receiver's kernel; every trace the protocol reports
+    comes from it.  The sender projectors and receiver rotations are also
+    held as their 2x2 factors, ``local_projectors[b]`` at ``alice.site``
+    and ``local_rotations[announced]`` at ``rule.site``; ``project`` and
+    ``rotate`` apply them to a full density matrix or state vector.
     """
 
     spec: HamiltonianSpec
@@ -320,9 +440,8 @@ class RunContext:
     alice_label: str
     bob_label: str
     gs: np.ndarray = field(repr=False)
+    forms: ReceiverForms = field(repr=False)
     gs_energy: float = 0.0
-    h_alice: np.ndarray = field(repr=False, default=None)
-    h_bob: np.ndarray = field(repr=False, default=None)
     local_projectors: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
     local_rotations: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
 
@@ -350,52 +469,40 @@ def prepare(spec: HamiltonianSpec, partition: Partition,
             bob_axis: MeasurementBasis | str = "paired",
             bit_map: str = "identity",
             theta_override: float | None = None) -> RunContext:
-    """Resolve the receiver axis and angle, validate commutation, cache matrices.
+    """Build the receiver's forms, validate commutation, resolve the axis and angle.
 
     ``bob_axis`` may be an explicit MeasurementBasis, "paired" (X->Y,
     Y->X, anything else falls back to the optimizer) or "optimal".
     """
-    n = spec.n_sites
     gs, energy = ground_state(spec)
-    h_full = spec.matrix()
-    bob_part = partition.parts[bob_label]
-    h_bob = bob_part.bare_matrix(n)
-    defect = validate_partition(alice, h_bob, n)
-    if defect > TOL.commutator:
-        raise PartitionViolationError(defect)
-    bob_site = _receiver_site(bob_part)
-    sigma_a = alice.observable(n)
+    forms = receiver_forms(spec, partition, gs, alice.site, alice_label, bob_label)
+    n = np.array([alice.vector], dtype=float)
+    forms.require_commuting(n)
 
     if isinstance(bob_axis, MeasurementBasis):
-        if bob_axis.site != bob_site:
+        if bob_axis.site != forms.site:
             raise ValueError(
                 f"feedback axis sits on site {bob_axis.site}, "
-                f"but the receiver part lives on site {bob_site}"
+                f"but the receiver part lives on site {forms.site}"
             )
-        tp = theta_params(gs, h_full, sigma_a, bob_axis.observable(n))
-        axis_vec = bob_axis.vector
+        m = np.array([bob_axis.vector], dtype=float)
     elif bob_axis == "optimal":
-        m, tp = optimize_bob_basis(gs, spec, sigma_a, bob_site)
-        axis_vec = tuple(float(c) for c in m)
+        m = optimize_bob_basis(forms, n)
     elif bob_axis == "paired":
         try:
-            paired = paired_feedback_axis(alice, bob_site)
-            tp = theta_params(gs, h_full, sigma_a, paired.observable(n))
-            axis_vec = paired.vector
+            m = np.array([paired_feedback_axis(alice, forms.site).vector])
         except ValueError:
-            m, tp = optimize_bob_basis(gs, spec, sigma_a, bob_site)
-            axis_vec = tuple(float(c) for c in m)
+            m = optimize_bob_basis(forms, n)
     else:
         raise ValueError(f"unknown bob_axis {bob_axis!r}")
 
+    tp = ThetaParams(*(float(v[0]) for v in forms.theta(n, m)))
     theta = tp.theta if theta_override is None else float(theta_override)
-    rule = FeedbackRule(bob_site, axis_vec, theta, bit_map)
+    rule = FeedbackRule(forms.site, tuple(float(c) for c in m[0]), theta, bit_map)
     return RunContext(
         spec=spec, partition=partition, alice=alice, rule=rule, theta=tp,
         alice_label=alice_label, bob_label=bob_label,
-        gs=gs, gs_energy=energy,
-        h_alice=partition.parts[alice_label].bare_matrix(n),
-        h_bob=h_bob,
+        gs=gs, forms=forms, gs_energy=energy,
         local_projectors=(local_projector(alice, 0), local_projector(alice, 1)),
         local_rotations=(rule.local_rotation(0), rule.local_rotation(1)),
     )
@@ -405,156 +512,11 @@ def prepare(spec: HamiltonianSpec, partition: Partition,
 # exact ensemble evolution
 # ---------------------------------------------------------------------------
 
-class ConditionalTable(NamedTuple):
-    """Unnormalized per-outcome traces of one input state rho.
-
-    A batched table (``ReceiverForms.table``) puts one leading axis in
-    front of every field and leaves ``alice`` None.
-    """
-
-    prob: np.ndarray   # [b] Tr[P_b rho]
-    alice: np.ndarray | None  # [b] Tr[P_b rho P_b H_A]
-    pre: np.ndarray    # [b] Tr[P_b rho P_b H_B]
-    post: np.ndarray   # [b, b'] Tr[U_b' P_b rho P_b U_b'† H_B], b' the announced bit
-
-    def per_outcome(self, traces: np.ndarray, reference=0.0) -> np.ndarray:
-        """traces[b] / prob[b] - reference; 0 for an outcome that never occurs."""
-        prob = self.prob.reshape(self.prob.shape + (1,) * (np.ndim(traces) - self.prob.ndim))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value = traces / prob - reference
-        return np.where(prob > TOL.outcome, value, 0.0)
-
-    def decode(self) -> np.ndarray:
-        """[b, b'] energy the rotation extracts from the conditional state."""
-        return self.per_outcome(self.post, self.per_outcome(self.pre)[..., None])
-
-
 def conditional_table(ctx: RunContext, state: np.ndarray) -> ConditionalTable:
-    """The one conditional-energy kernel: every per-outcome trace of ``state``.
-
-    ``state`` is a density matrix or a state vector psi, which stands for
-    |psi><psi|: the 2x2 factors then act on psi and a weight is ||psi||^2.
-    """
-    prob, alice, pre = np.empty(2), np.empty(2), np.empty(2)
-    post = np.empty((2, 2))
-    for b in (0, 1):
-        block = ctx.project(b, state)
-        prob[b] = (np.vdot(block, block) if block.ndim == 1 else np.trace(block)).real
-        alice[b] = expectation(block, ctx.h_alice)
-        pre[b] = expectation(block, ctx.h_bob)
-        for announced in (0, 1):
-            post[b, announced] = expectation(ctx.rotate(announced, block), ctx.h_bob)
-    return ConditionalTable(prob, alice, pre, post)
-
-
-# ---------------------------------------------------------------------------
-# closed forms over every sender basis: one receiver, any n, m and theta
-# ---------------------------------------------------------------------------
-
-_PAULI4 = (np.eye(2, dtype=complex),) + tuple(PAULI[a] for a in AXES)
-_SIGNS = np.array([1.0, -1.0])  # (-1)^b
-
-
-def _require_real(values: np.ndarray, what: str) -> np.ndarray:
-    residue = float(np.max(np.abs(values.imag), initial=0.0))
-    if residue > TOL.imaginary_residue:
-        raise ImaginaryResidueError(f"{what} has imaginary residue {residue:.3e}")
-    return values.real
-
-
-@dataclass(frozen=True)
-class ReceiverForms:
-    """One receiver's decode tables for every sender axis, feedback axis and angle.
-
-    With sigma_0 = tau_0 = 1 and the Paulis sigma_i at the sender site and
-    tau_k at the receiver site, the input state rho fixes
-
-        T[i, j, k, l] = Tr[sigma_i rho sigma_j tau_k H_B tau_l],   bloch[i] = Tr[sigma_i rho],
-
-    so P(b) = sum_i a_i sigma_i and U(b') = sum_k u_k tau_k turn prob, pre
-    and post into contractions.  The ground state fixes three 3x3 forms:
-    eta(n, m) = n^T C m, xi(m) = m^T Q m and the partition defect
-    ||[n.sigma, H_B]||_F / 2 = sqrt(n^T G n) / 2.  Every method takes one
-    row per basis, so a whole session is one batched call.
-    """
-
-    site: int                                  # receiver site
-    tensor: np.ndarray = field(repr=False)     # T as [(i, j), (k, l)], 16 x 16
-    bloch: np.ndarray = field(repr=False)      # (4,)
-    c: np.ndarray = field(repr=False)          # [sender axis, receiver axis], complex
-    q: np.ndarray = field(repr=False)
-    g: np.ndarray = field(repr=False)
-
-    def defect(self, n: np.ndarray) -> np.ndarray:
-        """||[n.sigma, H_B]||_F / 2, as ``validate_partition`` measures it."""
-        return 0.5 * np.sqrt(np.maximum(np.einsum("xi,ij,xj->x", n, self.g, n), 0.0))
-
-    def coefficients(self, n: np.ndarray) -> np.ndarray:
-        """C^T n: eta is m . C^T n, so ``optimize_bob_basis`` picks its direction."""
-        return _require_real(n @ self.c, "axis coefficient")
-
-    def theta(self, n: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(xi, eta, theta) per row, as ``theta_params`` gives them."""
-        xi = np.einsum("xi,ij,xj->x", m, self.q, m)
-        if np.any(xi < -TOL.psd):
-            raise ValueError(f"xi = {xi.min():.3e} is negative; shifted Hamiltonian not PSD")
-        eta = _require_real(np.einsum("xj,ji,xi->x", n, self.c, m), "eta")
-        return xi, eta, 0.5 * np.arctan2(eta, xi)
-
-    def table(self, n: np.ndarray, m: np.ndarray, theta: np.ndarray) -> ConditionalTable:
-        """``conditional_table`` of the input state for each row of (n, m, theta)."""
-        a = np.empty((len(n), 2, 4))
-        a[..., 0] = 0.5
-        a[..., 1:] = -0.5 * _SIGNS[:, None] * n[:, None, :]
-        u = np.empty((len(n), 2, 4), dtype=complex)
-        u[..., 0] = np.cos(theta)[:, None]
-        u[..., 1:] = (-1j * np.sin(theta))[:, None, None] * _SIGNS[:, None] * m[:, None, :]
-        aa = (a[..., :, None] * a[..., None, :]).reshape(-1, 2, 16)
-        uu = (u.conj()[..., :, None] * u[..., None, :]).reshape(-1, 2, 16)
-        left = aa @ self.tensor
-        post = np.einsum("xbq,xcq->xbc", left, uu).real
-        return ConditionalTable(prob=a @ self.bloch, alice=None, pre=left[..., 0].real,
-                                post=post)
-
-
-def receiver_forms(spec: HamiltonianSpec, partition: Partition, bob_label: str,
-                   state: np.ndarray) -> ReceiverForms:
-    """``ReceiverForms`` of one receiver for an input state (vector or matrix).
-
-    The sender measures site 0, as in every model.  The state enters
-    through its marginal on the sites of P, U and H_B only; C and Q read
-    the ground state and the full Hamiltonian.
-    """
-    alice_site = 0
-    n_sites = spec.n_sites
-    part = partition.parts[bob_label]
-    site = _receiver_site(part)
-    support = sorted({alice_site, site}.union(s for t in part.terms for s, _ in t.factors))
-    pos = {s: i for i, s in enumerate(support)}
-    k = len(support)
-    h_b = assemble([PauliTerm(t.coefficient, tuple((pos[s], ax) for s, ax in t.factors))
-                    for t in part.terms], k)
-    sig = np.array([site_operator(p, pos[alice_site], k) for p in _PAULI4])
-    tau = np.array([site_operator(p, pos[site], k) for p in _PAULI4])
-    rho = reduced_density(state, support)
-    outer = np.einsum("iab,bc,jcd->ijad", sig, rho, sig)
-    inner = np.einsum("kab,bc,lcd->klad", tau, h_b, tau)
-    tensor = np.einsum("ijab,klba->ijkl", outer, inner).reshape(16, 16)
-    comm = sig[1:] @ h_b - h_b @ sig[1:]
-    g = 2.0 ** (n_sites - k) * np.einsum("jab,lab->jl", comm.conj(), comm).real
-
-    gs, _ = ground_state(spec)
-    h = spec.matrix()
-    energy = expectation(gs, h)
-    s_gs = np.array([apply_on_site(PAULI[a], alice_site, gs) for a in AXES])
-    t_gs = np.array([apply_on_site(PAULI[a], site, gs) for a in AXES])
-    h_t_gs = t_gs @ h.T - energy * t_gs                     # rows H' tau_i |gs>
-    h_gs = h @ gs - energy * gs
-    t_h_gs = np.array([apply_on_site(PAULI[a], site, h_gs) for a in AXES])
-    c = 1j * (s_gs.conj() @ (t_h_gs - h_t_gs).T)
-    q = (t_gs.conj() @ h_t_gs.T).real
-    return ReceiverForms(site=site, tensor=tensor, bloch=np.einsum("iab,ba->i", sig, rho).real,
-                         c=c, q=q, g=g)
+    """Every per-outcome trace of ``state`` under ``ctx``: one row of ``ctx.forms.table``."""
+    table = ctx.forms.table(state, np.array([ctx.alice.vector], dtype=float),
+                            np.array([ctx.rule.vector]), np.array([ctx.rule.theta]))
+    return ConditionalTable(*(f[0] for f in table))
 
 
 def ensemble_for_state(ctx: RunContext, rho_in: np.ndarray,
@@ -567,10 +529,10 @@ def ensemble_for_state(ctx: RunContext, rho_in: np.ndarray,
     by the input's weight, so the ensemble energies are the
     probability-weighted means of the per-outcome ones.
     """
-    table = conditional_table(ctx, rho_in)
+    rho = ctx.forms.marginal(rho_in)
+    table = conditional_table(ctx, rho)
     weight = table.prob.sum()  # Tr rho, or ||psi||^2 for a vector
-    ref_a = expectation(rho_in, ctx.h_alice) / weight
-    ref_b = expectation(rho_in, ctx.h_bob) / weight
+    ref_a, ref_b = ctx.forms.reference(rho) / weight
     announced = np.array([ctx.rule.mapped(b) for b in (0, 1)])
     energy = (1.0 - flip_probability) * table.post[(0, 1), announced] \
         + flip_probability * table.post[(0, 1), announced ^ 1]
@@ -646,7 +608,8 @@ def run_rounds(ctx: RunContext, n_rounds: int, seed: int,
 
     The default records the exact conditional expectation each round.
     With ``shot_noise`` the receiver instead projectively samples an
-    eigenvalue of his part; the mean is unchanged but single rounds
+    eigenvalue of his part, read off the marginal of his conditional
+    state on the support; the mean is unchanged but single rounds
     scatter over the spectrum.
     """
     out = run_ensemble(ctx)
@@ -657,12 +620,13 @@ def run_rounds(ctx: RunContext, n_rounds: int, seed: int,
         table = np.array([out.per_outcome[0][1], out.per_outcome[1][1]])
         return bits, table[bits]
 
-    evals, evecs = eigendecompose(ctx.h_bob)
-    ref = expectation(ctx.gs, ctx.h_bob)
+    evals, evecs = eigendecompose(ctx.forms.parts[1])
+    ref = ctx.forms.reference(ctx.gs)[1]
     weights = []
     for b in (0, 1):
-        fed = ctx.rotate(ctx.rule.mapped(b), ctx.project(b, ctx.gs))
-        w = np.abs(evecs.conj().T @ fed) ** 2  # |<e_i| U P |gs>|^2
+        fed = ctx.forms.marginal(ctx.rotate(ctx.rule.mapped(b), ctx.project(b, ctx.gs)))
+        # <e_i| rho_b |e_i>, clipped: a rounded zero weight may come out below 0
+        w = np.maximum(np.einsum("ai,ab,bi->i", evecs.conj(), fed, evecs).real, 0.0)
         weights.append(w / w.sum())
     energies = np.empty(n_rounds)
     for b in (0, 1):

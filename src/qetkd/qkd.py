@@ -20,23 +20,17 @@ import numpy as np
 
 from .errors import (
     DegenerateObjectiveError,
-    PartitionViolationError,
+    SupportViolationError,
     TooManyErasuresError,
 )
-from .models import (
-    HamiltonianSpec,
-    Partition,
-    build_model,
-    check_model_parameters,
-    model_sites,
-)
+from .models import build_model, check_model_parameters, model_sites
 from .noise import NoiseSpec, noisy_input_state
 from .protocol import (
     MeasurementBasis,
     ReceiverForms,
     RunContext,
     conditional_table,
-    ground_state,
+    optimize_bob_basis,
     paired_feedback_axis,
     prepare,
     receiver_forms,
@@ -246,9 +240,7 @@ def _decode(energy: np.ndarray, epsilon: float) -> np.ndarray:
     return np.where(energy < -epsilon, 1, np.where(energy > epsilon, 0, -1)).astype(np.int8)
 
 
-def _default_epsilon(spec: HamiltonianSpec, partition: Partition,
-                     labels: list[str]) -> float:
-    ctx = prepare(spec, partition, MeasurementBasis.x(0), bob_label=labels[0])
+def _default_epsilon(ctx: RunContext) -> float:
     signal = abs(run_ensemble(ctx).e_bob)
     if signal <= 0.0:
         raise ValueError(
@@ -257,25 +249,20 @@ def _default_epsilon(spec: HamiltonianSpec, partition: Partition,
     return signal / 10.0
 
 
-def _receivers(config: SessionConfig, spec: HamiltonianSpec, partition: Partition,
-               labels: list[str]) -> list[ReceiverForms]:
-    """Each receiver's closed forms on the session's input state, built once."""
+def _receivers(config: SessionConfig, ctx: RunContext,
+               labels: list[str]) -> tuple[list[ReceiverForms], np.ndarray]:
+    """Every receiver's forms, and the session's input state, built once.
+
+    ``ctx`` is the first receiver's context; a Kraus channel may touch no
+    receiver's site.
+    """
+    forms = [ctx.forms] + [receiver_forms(ctx.spec, ctx.partition, ctx.gs, ctx.alice.site,
+                                          ctx.alice_label, lab) for lab in labels[1:]]
     if config.noise is None:
-        gs, _ = ground_state(spec)
-        return [receiver_forms(spec, partition, lab, gs) for lab in labels]
-    forms = []
-    for lab in labels:
-        ctx = prepare(spec, partition, MeasurementBasis.x(0), bob_label=lab)
-        state, _ = noisy_input_state(ctx, config.noise)
-        forms.append(receiver_forms(spec, partition, lab, state))
-    return forms
-
-
-def _require_partition(forms: list[ReceiverForms], axes: np.ndarray) -> None:
-    for f in forms:
-        defect = float(np.max(f.defect(axes), initial=0.0))
-        if defect > TOL.commutator:
-            raise PartitionViolationError(defect)
+        return forms, ctx.gs
+    if config.noise.kind == "local_kraus" and config.noise.site in {f.site for f in forms}:
+        raise SupportViolationError(f"site {config.noise.site} belongs to a protocol party")
+    return forms, noisy_input_state(ctx, config.noise)[0]
 
 
 def _haar(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -293,7 +280,8 @@ def _haar_axes(seed: int, rounds: int, forms: list[ReceiverForms]) -> np.ndarray
     for attempt in range(100):
         if attempt:
             axes[todo] = _haar(rng, len(todo))
-        _require_partition(forms, axes[todo])
+        for f in forms:
+            f.require_commuting(axes[todo])
         degenerate = np.zeros(len(todo), dtype=bool)
         for f in forms:
             degenerate |= np.linalg.norm(f.coefficients(axes[todo]), axis=1) < TOL.objective
@@ -314,15 +302,15 @@ def _session_axes(config: SessionConfig, forms: list[ReceiverForms],
         choice = stream(config.seed, SUBSTREAM["basis"]).integers(0, 2, size=config.rounds)
     used, index = np.unique(choice, return_inverse=True)
     axes = np.eye(3)[used]  # choice 0 is X, 1 is Y
-    _require_partition(forms, axes)
+    for f in forms:
+        f.require_commuting(axes)
     return axes, index
 
 
 def _feedback(f: ReceiverForms, axes: np.ndarray, optimal: bool) -> tuple[np.ndarray, np.ndarray]:
     """Receiver axis and angle per sender axis: optimal, or paired (X -> Y, Y -> X)."""
     if optimal:
-        coeffs = f.coefficients(axes)
-        m = coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True)
+        m = optimize_bob_basis(f, axes)
     else:
         m = np.array([paired_feedback_axis(MeasurementBasis(0, tuple(v)), f.site).vector
                       for v in axes.tolist()]).reshape(-1, 3)
@@ -338,23 +326,23 @@ def run_session(config: SessionConfig,
     the complemented bit to that party in every round.  Every round of
     every policy reads one batched evaluation of the receivers'
     ``ReceiverForms``, and each variate kind is one array drawn from its
-    own sub-stream (``rng.SUBSTREAM``).
+    own sub-stream (``rng.SUBSTREAM``).  A session calls ``prepare`` once.
     """
     spec, partition, labels = build_model(config.model, config.coupling, k=config.k,
                                           h=config.h, n_parties=config.n_parties)
-    epsilon = config.epsilon if config.epsilon is not None \
-        else _default_epsilon(spec, partition, labels)
+    ctx = prepare(spec, partition, MeasurementBasis.x(0), bob_label=labels[0])
+    epsilon = config.epsilon if config.epsilon is not None else _default_epsilon(ctx)
     cheat_plan = cheat_plan or {}
     for label in cheat_plan:
         if label not in labels:
             raise ValueError(f"cheat plan names unknown party {label!r}")
 
-    forms = _receivers(config, spec, partition, labels)
+    forms, state = _receivers(config, ctx, labels)
     axes, axis = _session_axes(config, forms)
     tables = []
     for f in forms:
         m, theta = _feedback(f, axes, config.basis_policy == "haar")
-        table = f.table(axes, m, theta)
+        table = f.table(state, axes, m, theta)
         tables.append(table.decode())
     tables = np.array(tables)
     p0 = table.prob[:, 0]  # every receiver reads the same input state

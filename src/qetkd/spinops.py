@@ -163,11 +163,6 @@ def pauli_on_site(axis: str, site: int, n_sites: int) -> np.ndarray:
     return site_operator(PAULI[axis], site, n_sites)
 
 
-def vector_observable(vector: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """n . sigma at one site, for a real unit 3-vector n."""
-    return site_operator(axis_operator(vector), site, n_sites)
-
-
 def assemble(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) -> np.ndarray:
     """Coefficient-weighted sum of Pauli products; empty input gives the zero operator."""
     _require_register(n_sites)

@@ -31,6 +31,18 @@ def embed_op(op, site, n):
     return out
 
 
+def terms_matrix(terms, n):
+    """Dense sum of Pauli terms, each read as its ``coefficient`` and its
+    ``factors``, a tuple of (site, axis) pairs."""
+    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for t in terms:
+        op = np.eye(2 ** n, dtype=complex)
+        for site, axis in t.factors:
+            op = op @ embed(axis, site, n)
+        out += t.coefficient * op
+    return out
+
+
 def two_site_matrix(k, h):
     return (2 * k * embed("X", 0, 2) @ embed("X", 1, 2)
             + h * (embed("Z", 0, 2) + embed("Z", 1, 2)))
@@ -87,6 +99,27 @@ def protocol_energies(h_a, h_b, rho_in, sigma_a, sigma_b, theta, flip=False):
         e_b += energy
         per[b] = (prob, energy / prob - ref_b if prob > 1e-14 else 0.0)
     return e_a - ref_a, e_b - ref_b, per
+
+
+def conditional_energies(h_b, rho_in, sigma_a, sigma_b, theta):
+    """Per-outcome probability prob[b] and decode[b, b']: the receiver's
+    conditional energy change when the sender measured b and the receiver
+    rotates for the announced bit b', by direct density-matrix evolution."""
+    dim = rho_in.shape[0]
+    prob = np.zeros(2)
+    decode = np.zeros((2, 2))
+    for b in (0, 1):
+        proj = 0.5 * (np.eye(dim) - (-1.0) ** b * sigma_a)
+        block = proj @ rho_in @ proj
+        prob[b] = np.real(np.trace(block))
+        if prob[b] <= 1e-14:
+            continue
+        before = np.real(np.trace(block @ h_b))
+        for announced in (0, 1):
+            u = np.cos(theta) * np.eye(dim) - 1j * (-1.0) ** announced * np.sin(theta) * sigma_b
+            after = np.real(np.trace(u @ block @ u.conj().T @ h_b))
+            decode[b, announced] = (after - before) / prob[b]
+    return prob, decode
 
 
 def chain3_standard(j):

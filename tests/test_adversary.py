@@ -58,8 +58,9 @@ class TestPostselect:
     def test_energies_reproduced(self, ctx):
         report = eve_postselect(ctx, rounds=1000, seed=1)
         clean = run_ensemble(ctx)
-        ref = expectation(ctx.rho_gs, ctx.h_bob)
-        eve_energy = expectation(report.eve_state, ctx.h_bob) - ref
+        h_bob = ctx.partition.parts[ctx.bob_label].bare_matrix(ctx.n_sites)
+        ref = expectation(ctx.rho_gs, h_bob)
+        eve_energy = expectation(report.eve_state, h_bob) - ref
         assert eve_energy == pytest.approx(clean.e_bob, abs=1e-10)
 
     def test_keys_identical(self, ctx):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,13 @@ class TestManifest:
         manifest_line = out_path.read_text().splitlines()[0]
         assert '"basis": "y"' in manifest_line
         assert '"version"' in manifest_line
+
+    def test_manifest_keeps_a_long_grid_exactly(self, tmp_path, capsys):
+        # numpy prints arrays of more than 1000 entries with "..."; the
+        # manifest must hold every grid point to reproduce the file.
+        out_path = tmp_path / "long.csv"
+        run_cli(capsys, "noise", "--family", "classical", "--model", "chain3", "--J", "1",
+                "--grid", "0:1:2001", "--out", str(out_path))
+        manifest_line = out_path.read_text().splitlines()[0]
+        payload = json.loads(manifest_line[len("# manifest: "):])
+        assert payload["grid"] == np.linspace(0.0, 1.0, 2001).tolist()

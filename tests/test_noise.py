@@ -70,6 +70,15 @@ class TestClassicalFlip:
         assert apply_classical_flip(ctx_unit, 0.4).e_alice == \
                pytest.approx(clean, abs=1e-12)
 
+    def test_scan_reads_the_ground_state_vector(self):
+        # Both branches are the ground-state vector: a classical scan never
+        # builds the d x d resource density matrix.
+        spec, part = star(2, 1.0)
+        ctx = prepare(spec, part, MeasurementBasis.x(0), bob_label="B1")
+        report = threshold_scan(ctx, "classical_flip", np.linspace(0, 1, 41))
+        assert report.crossing is not None
+        assert "rho_gs" not in ctx.__dict__
+
     def test_star_threshold_near_quarter(self, star_ctx):
         report = threshold_scan(star_ctx, "classical_flip", np.linspace(0, 1, 41))
         assert report.crossing is not None

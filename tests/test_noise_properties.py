@@ -188,9 +188,10 @@ def test_conditional_table_same_for_vector_and_its_density_matrix(ctx):
 def test_conditional_pre_energies_sum_to_input_energy(ctx, data):
     # [P_b, H_B] = 0 (prepare checks it), so measuring leaves Tr[rho H_B] whole.
     rho = random_density(data.draw, 2 ** ctx.n_sites)
+    h_bob = ctx.partition.parts[ctx.bob_label].bare_matrix(ctx.n_sites)
     for state in (ctx.gs, rho):
         table = conditional_table(ctx, state)
-        assert table.pre.sum() == pytest.approx(expectation(state, ctx.h_bob), abs=1e-12)
+        assert table.pre.sum() == pytest.approx(expectation(state, h_bob), abs=1e-12)
 
 
 @PROPERTY

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from qetkd.models import BOB, HamiltonianSpec, chain3, star, two_site, \
     two_site_shift_constants
 from qetkd.protocol import (
     MeasurementBasis,
+    ensemble_for_state,
     ground_state,
     optimize_bob_basis,
     paired_feedback_axis,
@@ -21,12 +24,17 @@ from qetkd.protocol import (
     run_ensemble_random_basis,
     run_round,
     run_rounds,
-    theta_params,
-    validate_partition,
 )
 from qetkd.spinops import expectation, require_unitary, term
 
 import oracles
+
+X_AXIS, Y_AXIS = np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])
+
+
+def chain_theta(spec, part, bob_axis, sender=None):
+    """ThetaParams of the chain protocol for a sender basis and an explicit receiver axis."""
+    return prepare(spec, part, sender or MeasurementBasis.x(0), bob_axis=bob_axis).theta
 
 
 class TestGroundState:
@@ -80,14 +88,14 @@ class TestProjector:
 
 class TestValidatePartition:
     def test_two_site_x_basis_ok(self):
-        part = two_site_partition_standard(1.0, 1.0)
-        h_bob = part.parts[BOB].bare_matrix(2)
-        assert validate_partition(MeasurementBasis.x(0), h_bob, 2) < 1e-12
+        forms = prepare(two_site(1.0, 1.0), two_site_partition_standard(1.0, 1.0),
+                        MeasurementBasis.x(0)).forms
+        assert forms.defect(X_AXIS)[0] < 1e-12
 
     def test_two_site_y_basis_violates(self):
-        part = two_site_partition_standard(1.0, 1.0)
-        h_bob = part.parts[BOB].bare_matrix(2)
-        defect = validate_partition(MeasurementBasis.y(0), h_bob, 2)
+        forms = prepare(two_site(1.0, 1.0), two_site_partition_standard(1.0, 1.0),
+                        MeasurementBasis.x(0)).forms
+        defect = forms.defect(Y_AXIS)[0]
         assert defect == pytest.approx(4.0, abs=1e-12)  # direct commutator oracle
 
     def test_prepare_refuses_violation(self):
@@ -99,38 +107,32 @@ class TestValidatePartition:
 
     def test_chain_any_sender_axis_ok(self):
         spec, part = chain3(1.0)
-        h_bob = part.parts[BOB].bare_matrix(3)
+        forms = prepare(spec, part, MeasurementBasis.x(0)).forms
         rng = np.random.default_rng(4)
         for _ in range(5):
             basis = MeasurementBasis.haar_random(0, rng)
-            assert validate_partition(basis, h_bob, 3) < 1e-12
+            assert forms.defect(np.array([basis.vector]))[0] < 1e-12
 
 
 class TestThetaParams:
     def test_decoupled_chain(self):
-        spec, _ = chain3(0.0)
-        gs, _ = ground_state(spec)
-        tp = theta_params(gs, spec.matrix(),
-                          oracles.embed("X", 0, 3), oracles.embed("Y", 2, 3))
+        spec, part = chain3(0.0)
+        tp = chain_theta(spec, part, MeasurementBasis.y(2))
         assert tp.eta == pytest.approx(0.0, abs=1e-12)
         assert tp.xi == pytest.approx(2.0, abs=1e-12)
         assert tp.theta == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_coupling_frozen_values(self):
-        spec, _ = chain3(1.0)
-        gs, _ = ground_state(spec)
-        tp = theta_params(gs, spec.matrix(),
-                          oracles.embed("X", 0, 3), oracles.embed("Y", 2, 3))
+        spec, part = chain3(1.0)
+        tp = chain_theta(spec, part, MeasurementBasis.y(2))
         assert tp.xi == pytest.approx(2.709107892087, abs=1e-9)
         assert tp.eta == pytest.approx(0.172535849031, abs=1e-9)
         assert tp.eta != 0.0
 
     @pytest.mark.parametrize("j", [0.5, 1.0, 2.0, 3.5])
     def test_angle_identities(self, j):
-        spec, _ = chain3(j)
-        gs, _ = ground_state(spec)
-        tp = theta_params(gs, spec.matrix(),
-                          oracles.embed("X", 0, 3), oracles.embed("Y", 2, 3))
+        spec, part = chain3(j)
+        tp = chain_theta(spec, part, MeasurementBasis.y(2))
         mag = tp.magnitude
         assert np.cos(2 * tp.theta) * mag == pytest.approx(tp.xi, abs=1e-10)
         assert np.sin(2 * tp.theta) * mag == pytest.approx(tp.eta, abs=1e-10)
@@ -142,55 +144,47 @@ class TestThetaParams:
     def test_matches_independent_oracle(self):
         for j in (0.7, 1.8):
             data = oracles.chain3_standard(j)
-            spec, _ = chain3(j)
-            gs, _ = ground_state(spec)
-            tp = theta_params(gs, spec.matrix(), data["sigma_a"], data["sigma_b"])
+            spec, part = chain3(j)
+            tp = chain_theta(spec, part, MeasurementBasis.y(2))
             assert tp.xi == pytest.approx(data["xi"], abs=1e-10)
             assert tp.eta == pytest.approx(data["eta"], abs=1e-10)
 
     def test_imaginary_residue_detected(self):
         # sA = Y0 with sB = Y1 gives a complex cross expectation on the
-        # two-site model: an unsupported operator pair.
+        # two-site model: an unsupported operator pair.  The alternative
+        # partition admits the Y sender basis, so the angle is reached.
         spec = two_site(1.0, 1.0)
-        gs, _ = ground_state(spec)
         with pytest.raises(ImaginaryResidueError):
-            theta_params(gs, spec.matrix(),
-                         oracles.embed("Y", 0, 2), oracles.embed("Y", 1, 2))
+            prepare(spec, two_site_partition_alternative(1.0, 1.0), MeasurementBasis.y(0),
+                    bob_axis=MeasurementBasis.y(1))
 
 
 class TestOptimizeBobBasis:
     def test_dominates_axis_aligned_choices(self):
-        spec, _ = chain3(1.0)
-        gs, _ = ground_state(spec)
-        sigma_a = oracles.embed("X", 0, 3)
-        m, tp = optimize_bob_basis(gs, spec, sigma_a, bob_site=2)
+        spec, part = chain3(1.0)
+        tp = chain_theta(spec, part, "optimal")
         assert tp.eta >= 0
-        for axis in ("X", "Y", "Z"):
-            axis_tp = theta_params(gs, spec.matrix(), sigma_a,
-                                   oracles.embed(axis, 2, 3))
+        for axis in np.eye(3):
+            axis_tp = chain_theta(spec, part, MeasurementBasis(2, tuple(axis)))
             assert tp.eta >= axis_tp.eta - 1e-12
 
     def test_linearity_of_objective(self):
-        spec, _ = chain3(1.3)
-        gs, _ = ground_state(spec)
-        sigma_a = oracles.embed("X", 0, 3)
+        spec, part = chain3(1.3)
         coeffs = []
-        for axis in ("X", "Y", "Z"):
-            sb = oracles.embed(axis, 2, 3)
-            tp = theta_params(gs, spec.matrix(), sigma_a, sb)
+        for axis in np.eye(3):
+            tp = chain_theta(spec, part, MeasurementBasis(2, tuple(axis)))
             coeffs.append(tp.eta)
         coeffs = np.array(coeffs)
         blend = np.array([0.5, 0.5, 0.0])
         blend /= np.linalg.norm(blend)
-        sb = sum(blend[i] * oracles.embed(ax, 2, 3) for i, ax in enumerate("XYZ"))
-        tp = theta_params(gs, spec.matrix(), sigma_a, sb)
+        tp = chain_theta(spec, part, MeasurementBasis(2, tuple(blend)))
         assert tp.eta == pytest.approx(float(blend @ coeffs), abs=1e-10)
 
     def test_degenerate_objective_at_zero_coupling(self):
-        spec, _ = chain3(0.0)
-        gs, _ = ground_state(spec)
+        spec, part = chain3(0.0)
+        forms = prepare(spec, part, MeasurementBasis.x(0)).forms
         with pytest.raises(DegenerateObjectiveError):
-            optimize_bob_basis(gs, spec, oracles.embed("X", 0, 3), bob_site=2)
+            optimize_bob_basis(forms, X_AXIS)
 
     def test_matches_paired_energy(self):
         # optimizer and fixed pairing agree on the receiver energy even
@@ -453,17 +447,22 @@ class TestAgainstDenseOracle:
         def axis(site, n):
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
-            return sum(v[i] * oracles.embed(a, site, n) for i, a in enumerate("XYZ"))
+            return (MeasurementBasis(site, tuple(v)),
+                    sum(v[i] * oracles.embed(a, site, n) for i, a in enumerate("XYZ")))
 
+        x_axis = (MeasurementBasis.x(0), None)
         cases = [
-            (oracles.chain3_matrix(j), axis(0, 3), axis(2, 3)),
-            (oracles.star_matrix(3, j), oracles.embed("X", 0, 4), axis(2, 4)),
-            (oracles.two_site_matrix(j, 1.0), oracles.embed("X", 0, 2), axis(1, 2)),
+            (oracles.chain3_matrix(j), axis(0, 3), axis(2, 3), chain3(j), BOB),
+            (oracles.star_matrix(3, j), x_axis, axis(2, 4), star(3, j), "B2"),
+            (oracles.two_site_matrix(j, 1.0), x_axis, axis(1, 2),
+             (two_site(j, 1.0), two_site_partition_standard(j, 1.0)), BOB),
         ]
-        for h, sigma_a, sigma_b in cases:
+        for h, (alice, sigma_a), (bob, sigma_b), (spec, part), label in cases:
+            n = h.shape[0].bit_length() - 1
+            sigma_a = oracles.embed("X", 0, n) if sigma_a is None else sigma_a
             evals, gs = oracles.ground(h)
             xi, eta, theta = oracles.theta_of(h, gs, evals[0], sigma_a, sigma_b)
-            tp = theta_params(gs, h, sigma_a, sigma_b)
+            tp = prepare(spec, part, alice, bob_axis=bob, bob_label=label).theta
             assert tp.xi == pytest.approx(xi, abs=1e-10)
             assert tp.eta == pytest.approx(eta, abs=1e-10)
             assert tp.theta == pytest.approx(theta, abs=1e-10)
@@ -485,3 +484,56 @@ class TestAgainstDenseOracle:
         out = run_ensemble(prepare(spec, part, MeasurementBasis.x(0), bob_label="B1"))
         assert abs(out.e_alice - e_a) <= 1e-9 * abs(e_a)
         assert abs(out.e_bob - e_b) <= 1e-9 * abs(e_b)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("model", ["star7", "two-site alternative"])
+    def test_marginal_kernel_matches_dense_evolution(self, model, mixed):
+        # The kernel reads only the marginal on the support of P, U, H_A and
+        # H_B; the oracle evolves the whole register.  On the alternative
+        # partition H_A spans both sites.
+        if model == "star7":
+            n, j = 8, 1.0
+            h = oracles.star_matrix(7, j)
+            h_a = oracles.embed("Z", 0, n)
+            h_b = j * oracles.embed("X", 0, n) @ oracles.embed("X", 1, n) + oracles.embed("Z", 1, n)
+            spec, part = star(7, j)
+            ctx = prepare(spec, part, MeasurementBasis.x(0), bob_label="B1")
+        else:
+            n, k, field = 2, 0.8, 1.3
+            h = oracles.two_site_matrix(k, field)
+            h_a = 2 * k * oracles.embed("X", 0, n) @ oracles.embed("X", 1, n) \
+                + field * oracles.embed("Z", 0, n)
+            h_b = field * oracles.embed("Z", 1, n)
+            ctx = prepare(two_site(k, field), two_site_partition_alternative(k, field),
+                          MeasurementBasis.x(0))
+        sigma_a, sigma_b = oracles.embed("X", 0, n), oracles.embed("Y", 1, n)
+        evals, gs = oracles.ground(h)
+        _, _, theta = oracles.theta_of(h, gs, evals[0], sigma_a, sigma_b)
+        if mixed:
+            rng = np.random.default_rng(n)
+            a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+            rho = a @ a.conj().T
+            rho /= np.trace(rho).real
+            state = rho
+        else:
+            rho, state = np.outer(gs, gs.conj()), ctx.gs
+        e_a, e_b, per = oracles.protocol_energies(h_a, h_b, rho, sigma_a, sigma_b, theta)
+        out = ensemble_for_state(ctx, state)
+        assert out.e_alice == pytest.approx(e_a, abs=1e-12)
+        assert out.e_bob == pytest.approx(e_b, abs=1e-12)
+        for b in (0, 1):
+            assert out.per_outcome[b][0] == pytest.approx(per[b][0], abs=1e-12)
+            assert out.per_outcome[b][1] == pytest.approx(per[b][1], abs=1e-12)
+
+    def test_run_ensemble_allocates_no_register_matrix(self):
+        # star N=9 has 10 sites: one d x d complex array is 16 MB.
+        spec, part = star(9, 1.0)
+        ctx = prepare(spec, part, MeasurementBasis.x(0), bob_label="B1")
+        run_ensemble(ctx)
+        tracemalloc.start()
+        try:
+            run_ensemble(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000

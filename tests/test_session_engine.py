@@ -1,28 +1,22 @@
-"""The session engine against the per-basis protocol kernel.
+"""The session engine against the dense oracles of ``tests/oracles.py``.
 
-``protocol.receiver_forms`` evaluates a receiver's decode tables for any
-batch of sender axes, feedback axes and angles from one precomputed
-tensor and three 3x3 forms.  Every table it gives must equal the one
-``conditional_table(prepare(...), state)`` builds basis by basis, and
-its closed-form feedback axis, angle and partition defect must equal
-``optimize_bob_basis``, ``theta_params`` and ``validate_partition``.
+``ReceiverForms`` evaluates a receiver's decode tables for any batch of
+sender axes, feedback axes and angles from the marginal of the input
+state and three 3x3 forms.  Every batched table must equal direct
+Kronecker-product evolution of the full input state, and its
+closed-form feedback axis, angle and partition defect must equal the
+dense values of ``tests/oracles.py``.
 """
 
 import numpy as np
 import pytest
 
+import oracles
 import qetkd.qkd as qkd
-from qetkd.errors import DegenerateObjectiveError
+from qetkd.errors import DegenerateObjectiveError, SupportViolationError
 from qetkd.models import build_model, chain3
 from qetkd.noise import NoiseSpec, noisy_input_state
-from qetkd.protocol import (
-    MeasurementBasis,
-    conditional_table,
-    optimize_bob_basis,
-    prepare,
-    receiver_forms,
-    validate_partition,
-)
+from qetkd.protocol import MeasurementBasis, conditional_table, optimize_bob_basis, prepare
 from qetkd.qkd import SessionConfig, run_session
 
 TIGHT = 1e-12
@@ -49,21 +43,33 @@ def input_state(ctx, noise):
     return ctx.gs if noise is None else noisy_input_state(ctx, noise)[0]
 
 
+def oracle_axis(v, site, n):
+    return sum(c * oracles.embed(ax, site, n) for c, ax in zip(v, "XYZ"))
+
+
 def assert_tables_match(spec, part, label, noise, bases, bob_axes):
-    """Engine tables for each (basis, receiver axis) against the per-basis kernel."""
+    """Engine tables for each (basis, receiver axis) against dense evolution."""
     base = prepare(spec, part, MeasurementBasis.x(0), bob_label=label)
-    forms = receiver_forms(spec, part, label, input_state(base, noise))
+    forms, state = base.forms, input_state(base, noise)
     contexts = [prepare(spec, part, b, bob_label=label, bob_axis=m)
                 for b, m in zip(bases, bob_axes)]
     n = np.array([ctx.alice.vector for ctx in contexts])
     m = np.array([ctx.rule.vector for ctx in contexts])
     theta = forms.theta(n, m)[2]
     assert np.allclose(theta, [ctx.rule.theta for ctx in contexts], rtol=0, atol=TIGHT)
-    table = forms.table(n, m, theta)
+    table = forms.table(state, n, m, theta)
+    size = spec.n_sites
+    h = oracles.terms_matrix(spec.terms, size)
+    evals, gs = oracles.ground(h)
+    h_b = oracles.terms_matrix(part.parts[label].terms, size)
+    rho = state if state.ndim == 2 else np.outer(state, state.conj())
     for i, ctx in enumerate(contexts):
-        want = conditional_table(ctx, input_state(ctx, noise))
-        assert np.allclose(table.prob[i], want.prob, rtol=0, atol=TIGHT)
-        assert np.allclose(table.decode()[i], want.decode(), rtol=0, atol=TIGHT)
+        sigma_a = oracle_axis(n[i], ctx.alice.site, size)
+        sigma_b = oracle_axis(m[i], ctx.rule.site, size)
+        assert abs(theta[i] - oracles.theta_of(h, gs, evals[0], sigma_a, sigma_b)[2]) <= TIGHT
+        prob, decode = oracles.conditional_energies(h_b, rho, sigma_a, sigma_b, theta[i])
+        assert np.allclose(table.prob[i], prob, rtol=0, atol=TIGHT)
+        assert np.allclose(table.decode()[i], decode, rtol=0, atol=TIGHT)
 
 
 @pytest.mark.parametrize("model,n_parties", MODELS)
@@ -94,19 +100,24 @@ def test_haar_and_paired_sender_axes_match_kernel_on_chain(noise_index):
 @pytest.mark.parametrize("coupling", [0.3, 1.0, 2.7])
 def test_closed_form_axis_and_angle_match_optimizer(coupling):
     spec, part = chain3(coupling)
-    ctx = prepare(spec, part, MeasurementBasis.x(0))
-    forms = receiver_forms(spec, part, "B", ctx.gs)
+    forms = prepare(spec, part, MeasurementBasis.x(0)).forms
     n = unit_rows(np.random.default_rng(int(coupling * 10)), 8)
-    coeffs = forms.coefficients(n)
-    m_star = coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True)
+    m_star = optimize_bob_basis(forms, n)
     xi, eta, theta = forms.theta(n, m_star)
+    h = oracles.chain3_matrix(coupling)
+    evals, gs = oracles.ground(h)
     for i, v in enumerate(n):
-        sigma_a = MeasurementBasis(0, tuple(v)).observable(3)
-        m, tp = optimize_bob_basis(ctx.gs, spec, sigma_a, 2)
+        sigma_a = oracle_axis(v, 0, 3)
+        # eta is linear in the receiver axis: its maximizer is the
+        # normalized vector of the per-axis values.
+        coeffs = np.array([oracles.theta_of(h, gs, evals[0], sigma_a, oracles.embed(ax, 2, 3))[1]
+                           for ax in "XYZ"])
+        m = coeffs / np.linalg.norm(coeffs)
+        want = oracles.theta_of(h, gs, evals[0], sigma_a, oracle_axis(m, 2, 3))
         assert np.allclose(m_star[i], m, rtol=0, atol=TIGHT)
-        assert abs(xi[i] - tp.xi) <= TIGHT
-        assert abs(eta[i] - tp.eta) <= TIGHT
-        assert abs(theta[i] - tp.theta) <= TIGHT
+        assert abs(xi[i] - want[0]) <= TIGHT
+        assert abs(eta[i] - want[1]) <= TIGHT
+        assert abs(theta[i] - want[2]) <= TIGHT
 
 
 @pytest.mark.parametrize("model,n_parties", [("two-site", 1), ("star", 2), ("star", 4),
@@ -116,10 +127,12 @@ def test_closed_form_partition_defect(model, n_parties):
     n = np.vstack([np.eye(3), unit_rows(np.random.default_rng(3), 5)])
     for label in labels:
         ctx = prepare(spec, part, MeasurementBasis.x(0), bob_label=label)
-        forms = receiver_forms(spec, part, label, ctx.gs)
-        want = [validate_partition(MeasurementBasis(0, tuple(v)), ctx.h_bob, spec.n_sites)
-                for v in n]
-        assert np.allclose(forms.defect(n), want, rtol=0, atol=TIGHT)
+        h_bob = oracles.terms_matrix(part.parts[label].terms, spec.n_sites)
+        want = []
+        for v in n:
+            sigma_a = oracle_axis(v, 0, spec.n_sites)
+            want.append(0.5 * np.linalg.norm(sigma_a @ h_bob - h_bob @ sigma_a))
+        assert np.allclose(ctx.forms.defect(n), want, rtol=0, atol=TIGHT)
 
 
 @pytest.mark.parametrize("noise", [None, NoiseSpec("depolarize", 0.2),
@@ -152,6 +165,29 @@ def test_haar_session_prepares_a_constant_number_of_times(monkeypatch):
                                   basis_policy="haar", verify_bits=0, seed=17))
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 1
+
+
+def test_noisy_star_session_prepares_once_for_any_party_count(monkeypatch):
+    calls = []
+    original = qkd.prepare
+    monkeypatch.setattr(qkd, "prepare", lambda *a, **k: calls.append(1) or original(*a, **k))
+    counts = []
+    for n_parties in (2, 3, 4):
+        calls.clear()
+        run_session(SessionConfig(model="star", coupling=1.0, n_parties=n_parties, rounds=64,
+                                  verify_bits=0, noise=NoiseSpec("depolarize", 0.05), seed=1))
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]
+
+
+def test_kraus_channel_at_any_receiver_site_is_refused():
+    ops = (np.sqrt(0.8) * np.eye(2), np.sqrt(0.2) * oracles.SX)
+    for site in (1, 2):  # B1's site, then B2's: the first context is B1's
+        config = SessionConfig(model="star", coupling=1.0, n_parties=2, rounds=16,
+                               verify_bits=0, seed=0, epsilon=1e-6,
+                               noise=NoiseSpec("local_kraus", 0.0, site=site, kraus_ops=ops))
+        with pytest.raises(SupportViolationError):
+            run_session(config)
 
 
 def test_haar_session_without_usable_axis_raises():
