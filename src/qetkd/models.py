@@ -14,7 +14,12 @@ Each partition carries an additive shift per part chosen so that the
 shifted part has zero ground-state expectation: measured energies are
 then deviations from the vacuum.  The two-site shifts have closed forms
 (C1 = h^2 / sqrt(h^2 + k^2), C2 = 2 k^2 / sqrt(h^2 + k^2)); all other
-shifts are fixed numerically from the ground state.
+shifts are fixed numerically from the ground state, each as a trace
+against the ground state's marginal on the part's own sites.
+
+H is solved once per spec, in the flip sectors of its terms
+(``spinops.assemble_sectors``): on all three families that is global
+parity, two blocks of d/2.  Building a model forms no d x d operator.
 """
 
 from __future__ import annotations
@@ -29,9 +34,12 @@ from .errors import DegenerateGroundError, ModelParameterError
 from .spinops import (
     PauliTerm,
     assemble,
+    assemble_sectors,
     degeneracy_tolerance,
     eigendecompose,
     expectation,
+    on_support,
+    reduced_density,
     term,
 )
 
@@ -59,13 +67,23 @@ class HamiltonianSpec:
 
     @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, eigenvectors) of the assembled H, solved once per object.
+        """(eigenvalues ascending, eigenvectors as columns) of H, solved once per object.
 
-        The shifts of a model's partition, its ground state and its
-        excited levels all read this one solve.  The arrays are read-only
-        because every caller shares them.
+        H is diagonalized block by block in its flip sectors, in one
+        batched solve, and each block's eigenvectors are scattered into
+        the register basis at their place in the joint ascending order
+        (ties keep sector order).  The shifts of a model's partition, its
+        ground state and its excited levels all read this one solve.  The
+        arrays are read-only because every caller shares them.
         """
-        evals, evecs = eigendecompose(self.matrix())
+        blocks, states = assemble_sectors(self.terms, self.n_sites)
+        values, vectors = eigendecompose(blocks)
+        order = np.argsort(values, axis=None, kind="stable")
+        column = np.empty_like(order)
+        column[order] = np.arange(order.size)
+        evecs = np.zeros((order.size, order.size), dtype=vectors.dtype)
+        evecs[states[:, :, None], column.reshape(values.shape)[:, None, :]] = vectors
+        evals = values.ravel()[order]
         evals.flags.writeable = False
         evecs.flags.writeable = False
         return evals, evecs
@@ -127,9 +145,10 @@ def _ground_vector(spec: HamiltonianSpec) -> np.ndarray:
     return spec.spectrum[1][:, 0]
 
 
-def _zeroing_shift(terms: tuple[PauliTerm, ...], spec: HamiltonianSpec,
-                   gs: np.ndarray) -> float:
-    return -expectation(gs, assemble(terms, spec.n_sites))
+def _zeroing_shift(terms: tuple[PauliTerm, ...], gs: np.ndarray) -> float:
+    """-<gs| part |gs>, as -Tr[rho_S part_S] on the part's own sites S."""
+    support = sorted({site for t in terms for site, _ in t.factors})
+    return -expectation(reduced_density(gs, support), on_support(terms, support))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +190,8 @@ def two_site_partition_alternative(k: float, h: float) -> Partition:
     a_terms = (term(2.0 * k, (0, "X"), (1, "X")), term(h, (0, "Z")))
     b_terms = (term(h, (1, "Z")),)
     return Partition({
-        ALICE: PartitionPart(a_terms, _zeroing_shift(a_terms, spec, gs)),
-        BOB: PartitionPart(b_terms, _zeroing_shift(b_terms, spec, gs)),
+        ALICE: PartitionPart(a_terms, _zeroing_shift(a_terms, gs)),
+        BOB: PartitionPart(b_terms, _zeroing_shift(b_terms, gs)),
     })
 
 
@@ -197,13 +216,13 @@ def star(n_parties: int, coupling: float) -> tuple[HamiltonianSpec, Partition]:
     gs = _ground_vector(spec)
     parts: dict[str, PartitionPart] = {}
     a_terms = (term(1.0, (0, "Z")),)
-    parts[ALICE] = PartitionPart(a_terms, _zeroing_shift(a_terms, spec, gs))
+    parts[ALICE] = PartitionPart(a_terms, _zeroing_shift(a_terms, gs))
     for k in range(1, n):
         if coupling != 0.0:
             k_terms = (term(coupling, (0, "X"), (k, "X")), term(1.0, (k, "Z")))
         else:
             k_terms = (term(1.0, (k, "Z")),)
-        parts[f"B{k}"] = PartitionPart(k_terms, _zeroing_shift(k_terms, spec, gs))
+        parts[f"B{k}"] = PartitionPart(k_terms, _zeroing_shift(k_terms, gs))
     return spec, Partition(parts)
 
 
@@ -233,9 +252,9 @@ def chain3(coupling: float) -> tuple[HamiltonianSpec, Partition]:
         m_terms = (term(1.0, (1, "Z")),)
         b_terms = (term(1.0, (2, "Z")),)
     parts = {
-        ALICE: PartitionPart(a_terms, _zeroing_shift(a_terms, spec, gs)),
-        BUFFER: PartitionPart(m_terms, _zeroing_shift(m_terms, spec, gs)),
-        BOB: PartitionPart(b_terms, _zeroing_shift(b_terms, spec, gs)),
+        ALICE: PartitionPart(a_terms, _zeroing_shift(a_terms, gs)),
+        BUFFER: PartitionPart(m_terms, _zeroing_shift(m_terms, gs)),
+        BOB: PartitionPart(b_terms, _zeroing_shift(b_terms, gs)),
     }
     return spec, Partition(parts)
 

@@ -45,16 +45,16 @@ from .errors import (
 from .models import ALICE, BOB, HamiltonianSpec, Partition, PartitionPart
 from .rng import SUBSTREAM, stream
 from .spinops import (
-    AXES,
-    PAULI,
     axis_operator,
     degeneracy_tolerance,
     eigendecompose,
+    on_support,
     pure_density,
     reduced_density,
     require_unit_vector,
     sandwich,
     site_operator,
+    site_paulis,
 )
 from .tolerances import TOL
 
@@ -92,11 +92,17 @@ class MeasurementBasis:
         v /= np.linalg.norm(v)
         return cls(site, tuple(float(c) for c in v))
 
-def local_projector(basis: MeasurementBasis, b: int) -> np.ndarray:
-    """2x2 factor of P(b) = (1 - (-1)^b n.sigma) / 2 at the basis site."""
+def local_projector(basis: MeasurementBasis, b: int,
+                    n_sigma: np.ndarray | None = None) -> np.ndarray:
+    """2x2 factor of P(b) = (1 - (-1)^b n.sigma) / 2 at the basis site.
+
+    ``n_sigma`` is n.sigma when the caller has already built it.
+    """
     if b not in (0, 1):
         raise ValueError(f"outcome bit must be 0 or 1, got {b}")
-    return 0.5 * (np.eye(2) - (-1.0) ** b * axis_operator(basis.vector))
+    if n_sigma is None:
+        n_sigma = axis_operator(basis.vector)
+    return 0.5 * (np.eye(2) - (-1.0) ** b * n_sigma)
 
 
 def projector(basis: MeasurementBasis, b: int, n_sites: int) -> np.ndarray:
@@ -143,14 +149,16 @@ class FeedbackRule:
     def mapped(self, b: int) -> int:
         return b ^ 1 if self.bit_map == "flip" else b
 
-    def local_rotation(self, announced: int) -> np.ndarray:
+    def local_rotation(self, announced: int, m_sigma: np.ndarray | None = None) -> np.ndarray:
         """2x2 factor of the rotation for an announced bit.
 
-        (m.sigma)^2 = 1 keeps it closed-form.
+        (m.sigma)^2 = 1 keeps it closed-form; ``m_sigma`` is m.sigma when
+        the caller has already built it.
         """
+        if m_sigma is None:
+            m_sigma = axis_operator(self.vector)
         sign = (-1.0) ** announced
-        return (math.cos(self.theta) * np.eye(2)
-                - 1j * sign * math.sin(self.theta) * axis_operator(self.vector))
+        return math.cos(self.theta) * np.eye(2) - 1j * sign * math.sin(self.theta) * m_sigma
 
     def rotation(self, announced: int, n_sites: int) -> np.ndarray:
         """Rotation for a given announced bit on the whole register."""
@@ -207,10 +215,12 @@ def ground_state(spec: HamiltonianSpec) -> tuple[np.ndarray, float]:
 
 def paired_feedback_axis(alice: MeasurementBasis, bob_site: int) -> MeasurementBasis:
     """Fixed sender->receiver axis pairing: X -> Y and Y -> X."""
-    v = np.asarray(alice.vector)
-    if np.allclose(v, (1.0, 0.0, 0.0), atol=1e-12):
+    def near(axis):
+        return max(abs(a - b) for a, b in zip(alice.vector, axis)) <= 1e-12
+
+    if near((1.0, 0.0, 0.0)):
         return MeasurementBasis.y(bob_site)
-    if np.allclose(v, (0.0, 1.0, 0.0), atol=1e-12):
+    if near((0.0, 1.0, 0.0)):
         return MeasurementBasis.x(bob_site)
     raise ValueError("fixed pairing only covers the X and Y sender bases")
 
@@ -260,7 +270,6 @@ class ConditionalTable(NamedTuple):
         return self.per_outcome(self.post, self.per_outcome(self.pre)[..., None])
 
 
-_PAULI4 = (np.eye(2, dtype=complex),) + tuple(PAULI[a] for a in AXES)
 _SIGNS = np.array([1.0, -1.0])  # (-1)^b
 
 
@@ -363,23 +372,6 @@ class ReceiverForms:
                                 pre=left[..., 0].real, post=post)
 
 
-@functools.lru_cache(maxsize=None)
-def _site_paulis(pos: int, k: int) -> np.ndarray:
-    """[1, X, Y, Z] at position ``pos`` of a k-site register."""
-    ops = np.array([site_operator(p, pos, k) for p in _PAULI4])
-    ops.flags.writeable = False
-    return ops
-
-
-def _on_support(terms, pos: dict[int, int], k: int) -> np.ndarray:
-    """Sum of Pauli terms on a k-site support; ``pos`` maps a site to its position."""
-    out = np.zeros((2 ** k, 2 ** k), dtype=complex)
-    for t in terms:
-        ops = [_site_paulis(pos[s], k)[1 + AXES.index(ax)] for s, ax in t.factors]
-        out += t.coefficient * functools.reduce(np.matmul, ops or [np.eye(2 ** k)])
-    return out
-
-
 def _receiver_site(part: PartitionPart) -> int:
     sites = {t.factors[0][0] for t in part.terms if len(t.factors) == 1}
     if len(sites) != 1:
@@ -397,16 +389,19 @@ def receiver_forms(spec: HamiltonianSpec, partition: Partition, gs: np.ndarray,
     """
     if not 0 <= alice_site < spec.n_sites:
         raise ValueError(f"site {alice_site} out of range for {spec.n_sites} sites")
+    for label in (alice_label, bob_label):
+        if label not in partition.parts:
+            raise ValueError(f"partition has no part {label!r}; its labels are "
+                             f"{', '.join(partition.labels())}")
     a_terms = partition.parts[alice_label].terms
     b_terms = partition.parts[bob_label].terms
     site = _receiver_site(partition.parts[bob_label])
     local = [t for t in spec.terms if any(s == site for s, _ in t.factors)]
     support = sorted({alice_site, site}.union(
         s for t in (*a_terms, *b_terms, *local) for s, _ in t.factors))
-    pos = {s: i for i, s in enumerate(support)}
     k = len(support)
-    h_a, h_b, h_loc = (_on_support(terms, pos, k) for terms in (a_terms, b_terms, local))
-    sig, tau = _site_paulis(pos[alice_site], k), _site_paulis(pos[site], k)
+    h_a, h_b, h_loc = (on_support(terms, support) for terms in (a_terms, b_terms, local))
+    sig, tau = site_paulis(support.index(alice_site), k), site_paulis(support.index(site), k)
     comm = sig[1:] @ h_b - h_b @ sig[1:]
     g = 2.0 ** (spec.n_sites - k) * np.einsum("jab,lab->jl", comm.conj(), comm).real
     t_rho = (tau[1:] @ h_loc - h_loc @ tau[1:]) @ reduced_density(gs, support)
@@ -499,12 +494,13 @@ def prepare(spec: HamiltonianSpec, partition: Partition,
     tp = ThetaParams(*(float(v[0]) for v in forms.theta(n, m)))
     theta = tp.theta if theta_override is None else float(theta_override)
     rule = FeedbackRule(forms.site, tuple(float(c) for c in m[0]), theta, bit_map)
+    n_sigma, m_sigma = axis_operator(alice.vector), axis_operator(rule.vector)
     return RunContext(
         spec=spec, partition=partition, alice=alice, rule=rule, theta=tp,
         alice_label=alice_label, bob_label=bob_label,
         gs=gs, forms=forms, gs_energy=energy,
-        local_projectors=(local_projector(alice, 0), local_projector(alice, 1)),
-        local_rotations=(rule.local_rotation(0), rule.local_rotation(1)),
+        local_projectors=tuple(local_projector(alice, b, n_sigma) for b in (0, 1)),
+        local_rotations=tuple(rule.local_rotation(b, m_sigma) for b in (0, 1)),
     )
 
 

@@ -436,18 +436,20 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
     """
     predicted = run_ensemble(ctx).e_bob
     announced = [ctx.rule.mapped(b) for b in (0, 1)]
-    rng = stream(seed, SUBSTREAM["resource_check"])
-    energies = np.empty(rounds)
-    cache: dict[tuple, tuple[float, np.ndarray]] = {}
+    draws = stream(seed, SUBSTREAM["resource_check"]).random(rounds)
+    slots = np.empty(rounds, dtype=np.intp)
+    cache: dict[tuple, int] = {}
+    tables: list[np.ndarray] = []  # per distinct state: (P(b=0), decoded E for b=0, b=1)
     for i in range(rounds):
         rho = np.ascontiguousarray(source(i))
         key = (rho.shape, rho.dtype.str, hashlib.blake2b(rho).digest())
         if key not in cache:
             table = conditional_table(ctx, require_density_matrix(rho))
-            cache[key] = (table.prob[0], table.decode()[(0, 1), announced])
-        p0, table = cache[key]
-        b = int(rng.random() >= p0)
-        energies[i] = table[b]
+            cache[key] = len(tables)
+            tables.append(np.r_[table.prob[0], table.decode()[(0, 1), announced]])
+        slots[i] = cache[key]
+    table = np.reshape(tables, (-1, 3))
+    energies = table[slots, 1 + (draws >= table[slots, 0])]
     mean = float(np.mean(energies))
     stderr = float(np.std(energies) / np.sqrt(rounds)) if rounds else 0.0
     ok = abs(mean - predicted) <= 5.0 * stderr + 1e-12

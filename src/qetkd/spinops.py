@@ -4,9 +4,15 @@ A basis state |x> of n sites is the integer x whose most significant
 bit is site 0, matching the Kronecker order ``op_0 (x) op_1 (x) ...``.
 A Pauli product is then a signed permutation, P|x> = phase(x) |x ^ flip>,
 so Hamiltonians are assembled in O(terms * d) by scattering each term
-into the output.  A 2x2 operator at one site acts on a vector or matrix
-through a reshape that isolates that site's bit, at O(d) per vector and
-O(d^2) per matrix; no d x d operator product is ever formed for it.
+into the output.  Such an H never connects two basis states in different
+cosets of the GF(2) span of its terms' flip masks, so ``assemble_sectors``
+scatters it straight into one diagonal block per coset (the joint
+eigenspaces of the Z-strings that commute with H) and ``eigendecompose``
+solves the whole stack in one batched call.  A 2x2 operator at one site
+acts on a vector or matrix through a reshape that isolates that site's
+bit, at O(d) per vector and O(d^2) per matrix; no d x d operator product
+is ever formed for it, and ``on_support`` builds a sum of terms on the
+few sites it touches.
 
 Operators, pure states and density matrices are plain numpy arrays; the
 validators below enforce the class invariants (Hermiticity, unitarity,
@@ -16,6 +22,7 @@ Everything here is a pure function on immutable inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +46,10 @@ PAULI = {
 # ---------------------------------------------------------------------------
 
 def require_hermitian(a: np.ndarray, tol: float = TOL.hermitian) -> np.ndarray:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.conj().T)) > tol:
+    """A square matrix, or a stack of them along axis 0, each Hermitian within ``tol``."""
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if np.max(np.abs(a - a.conj().swapaxes(-1, -2))) > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
     return a
 
@@ -163,20 +171,108 @@ def pauli_on_site(axis: str, site: int, n_sites: int) -> np.ndarray:
     return site_operator(PAULI[axis], site, n_sites)
 
 
-def assemble(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) -> np.ndarray:
-    """Coefficient-weighted sum of Pauli products; empty input gives the zero operator."""
+def _strings(terms, n_sites: int) -> list[tuple[float, int, np.ndarray]]:
+    """(coefficient, flip mask, phases) of each term, checked against the register."""
     _require_register(n_sites)
-    dim = 2 ** n_sites
-    idx = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
+    out = []
     for t in terms:
         if not isinstance(t, PauliTerm):
             raise TypeError(f"expected PauliTerm, got {type(t).__name__}")
         if t.max_site() >= n_sites:
             raise ValueError(f"term {t} does not fit {n_sites} sites")
-        flip, phases = _pauli_string(t.factors, n_sites)
+        out.append((t.coefficient, *_pauli_string(t.factors, n_sites)))
+    return out
+
+
+def assemble(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) -> np.ndarray:
+    """Coefficient-weighted sum of Pauli products; empty input gives the zero operator."""
+    strings = _strings(terms, n_sites)
+    idx = np.arange(2 ** n_sites)
+    out = np.zeros((idx.size, idx.size), dtype=complex)
+    for coefficient, flip, phases in strings:
         # (idx ^ flip, idx) hits each entry once, so += cannot lose updates.
-        out[idx ^ flip, idx] += t.coefficient * phases
+        out[idx ^ flip, idx] += coefficient * phases
+    return out
+
+
+def _flip_sectors(flips: list[int], n_sites: int) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """(sector, position, (sectors, size)) of every basis state under a set of flip masks.
+
+    The flips span a GF(2) subspace F of rank r; a sector is a coset x ^ F.
+    F is put in reduced echelon form: each basis vector owns one pivot bit
+    that no other basis vector has.  Then x = rep ^ sum of the basis vectors
+    whose pivot bit x has set, where rep has every pivot bit clear, so x's
+    pivot bits give its position inside the coset and rep's other bits
+    name the coset.
+    """
+    pivots: dict[int, int] = {}  # pivot bit -> basis vector
+    for f in flips:
+        while f:
+            top = f.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = f
+                break
+            f ^= pivots[top]
+    for p in sorted(pivots, reverse=True):
+        for q in pivots:
+            if q != p and pivots[q] >> p & 1:
+                pivots[q] ^= pivots[p]
+    idx = np.arange(2 ** n_sites)
+    rep = idx.copy()
+    position = np.zeros_like(idx)
+    for i, p in enumerate(sorted(pivots)):
+        bit = (idx >> p) & 1
+        rep ^= bit * pivots[p]
+        position |= bit << i
+    sector = np.zeros_like(idx)
+    for i, b in enumerate(b for b in range(n_sites) if b not in pivots):
+        sector |= ((rep >> b) & 1) << i
+    return sector, position, (2 ** (n_sites - len(pivots)), 2 ** len(pivots))
+
+
+def assemble_sectors(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(blocks, states): H cut into its flip sectors, scattered in O(terms * d).
+
+    No term connects two sectors (cosets of the span of the terms' flip
+    masks, see ``_flip_sectors``), so H is the direct sum of the stacked
+    ``blocks[s]``, each H on the basis states ``states[s]`` in order.  The
+    blocks are real unless some term carries an odd number of Y factors.
+    """
+    strings = _strings(terms, n_sites)
+    sector, position, shape = _flip_sectors([flip for _, flip, _ in strings], n_sites)
+    real = all(sum(axis == "Y" for _, axis in t.factors) % 2 == 0 for t in terms)
+    blocks = np.zeros((shape[0], shape[1], shape[1]), dtype=float if real else complex)
+    idx = np.arange(2 ** n_sites)
+    for coefficient, flip, phases in strings:
+        # a term maps each basis state to one other, so += cannot lose updates
+        blocks[sector, position[idx ^ flip], position] += coefficient * (
+            phases.real if real else phases)
+    states = np.empty(shape, dtype=np.intp)
+    states[sector, position] = idx
+    return blocks, states
+
+
+@functools.lru_cache(maxsize=None)
+def site_paulis(pos: int, k: int) -> np.ndarray:
+    """[1, X, Y, Z] at position ``pos`` of a k-site register; shared, read-only."""
+    ops = np.array([site_operator(p, pos, k) for p in (np.eye(2), *(PAULI[a] for a in AXES))])
+    ops.flags.writeable = False
+    return ops
+
+
+def on_support(terms, support: list[int] | tuple[int, ...]) -> np.ndarray:
+    """Sum of Pauli terms as a 2^k x 2^k matrix on the k ascending sites ``support``.
+
+    Every factor's site must be in ``support``; the first of them is the
+    most significant bit, as in ``reduced_density``.
+    """
+    pos = {s: i for i, s in enumerate(support)}
+    k = len(support)
+    out = np.zeros((2 ** k, 2 ** k), dtype=complex)
+    for t in terms:
+        ops = [site_paulis(pos[s], k)[1 + AXES.index(ax)] for s, ax in t.factors]
+        out += t.coefficient * functools.reduce(np.matmul, ops or [np.eye(2 ** k)])
     return out
 
 
@@ -220,8 +316,10 @@ def sandwich(op: np.ndarray, site: int, m: np.ndarray) -> np.ndarray:
 def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
-    A matrix without imaginary part is diagonalized as a real symmetric
-    one, which returns real eigenvectors.  Degenerate clusters come back
+    A stack of matrices along axis 0 (the sector blocks of
+    ``assemble_sectors``) is solved in one batched call, with eigenvalues
+    ascending within each block.  A matrix without imaginary part is
+    diagonalized as a real symmetric one, which returns real eigenvectors.  Degenerate clusters come back
     in an arbitrary orthonormal gauge; callers must not rely on the gauge
     inside a cluster.
     """

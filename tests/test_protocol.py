@@ -105,6 +105,13 @@ class TestValidatePartition:
             prepare(spec, part, MeasurementBasis.y(0),
                     bob_axis=MeasurementBasis.x(1))
 
+    def test_unknown_part_label_names_the_labels(self):
+        # the star's receivers are B1..BN; the default label "B" is not one of them
+        with pytest.raises(ValueError, match=r"no part 'B'; its labels are A, B1, B2, B3$"):
+            prepare(*star(3, 1.0), MeasurementBasis.x(0))
+        with pytest.raises(ValueError, match="no part 'Z'"):
+            prepare(*chain3(1.0), MeasurementBasis.x(0), alice_label="Z")
+
     def test_chain_any_sender_axis_ok(self):
         spec, part = chain3(1.0)
         forms = prepare(spec, part, MeasurementBasis.x(0)).forms

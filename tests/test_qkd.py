@@ -221,6 +221,27 @@ class TestResourceVerification:
         assert verdict.ok
         assert verdict.predicted == pytest.approx(run_ensemble(chain_ctx).e_bob)
 
+    def test_matches_the_per_round_loop(self, chain_ctx):
+        # reference: one table, one scalar draw and one lookup per round;
+        # the same draws and table entries must give the same verdict exactly
+        from qetkd.protocol import conditional_table
+        from qetkd.rng import SUBSTREAM, stream
+        from qetkd.spinops import PAULI, sandwich
+        rho = chain_ctx.rho_gs
+        flipped = sandwich(PAULI["X"], 2, rho)
+        states = (rho, 0.7 * rho + 0.3 * flipped, flipped)
+        rng = stream(3, SUBSTREAM["resource_check"])
+        energies = []
+        for i in range(3000):
+            table = conditional_table(chain_ctx, states[i % 3])
+            b = int(rng.random() >= table.prob[0])
+            energies.append(table.decode()[b, chain_ctx.rule.mapped(b)])
+        verdict = verify_resource_state(chain_ctx, lambda i: states[i % 3],
+                                        rounds=3000, seed=3)
+        assert verdict.mean_energy == float(np.mean(energies))
+        assert verdict.stderr == float(np.std(energies) / np.sqrt(3000))
+        assert not verdict.ok
+
     def test_maximally_mixed_source_fails(self, chain_ctx):
         mixed = np.eye(8) / 8
         verdict = verify_resource_state(chain_ctx, lambda i: mixed,
