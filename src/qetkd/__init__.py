@@ -22,7 +22,6 @@ from .protocol import (
     ground_state,
     optimize_bob_basis,
     prepare,
-    projector,
     run_ensemble,
     run_ensemble_random_basis,
     run_round,

@@ -31,6 +31,7 @@ from .spinops import sandwich, trace_distance
 from .tolerances import TOL
 
 DETECTIONS = ("none", "double_message", "verification_mismatch")
+VERIFICATION_BITS = 64  # key prefix the parties compare in a split attack
 SPLIT_CASES = ("eve_waits", "eve_measures_first_silent", "eve_measures_first_sends")
 
 
@@ -184,7 +185,7 @@ def eve_postselect(ctx: RunContext, rounds: int = 10_000, seed: int = 0) -> Atta
 
 
 def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
-                 seed: int = 0, verification_bits: int = 64) -> AttackReport:
+                 seed: int = 0) -> AttackReport:
     """Man-in-the-middle with two resource pairs instead of one.
 
     The sender unknowingly runs the protocol on the Eve-sender pair, the
@@ -237,7 +238,7 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
     eve_key = (eve_energy < 0).astype(np.int64)
 
     if detection == "verification_mismatch":
-        compared = min(verification_bits, rounds)
+        compared = min(VERIFICATION_BITS, rounds)
         if compared and np.all(logical[:compared] == bob_key[:compared]):
             detection = "none"  # verification happened to pass
 

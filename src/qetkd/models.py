@@ -117,13 +117,6 @@ class PartitionPart:
     terms: tuple[PauliTerm, ...]
     shift: float
 
-    def matrix(self, n_sites: int) -> np.ndarray:
-        """Shifted part: assembled terms plus shift * identity."""
-        return assemble(self.terms, n_sites) + self.shift * np.eye(2 ** n_sites)
-
-    def bare_matrix(self, n_sites: int) -> np.ndarray:
-        return assemble(self.terms, n_sites)
-
 
 @dataclass(frozen=True)
 class Partition:

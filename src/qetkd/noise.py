@@ -24,14 +24,15 @@ from .protocol import (
     QetOutcome,
     RunContext,
     ensemble_for_state,
+    local_projector,
     prepare,
-    projector,
     run_ensemble_random_basis,
 )
 from .spinops import (
     PAULI,
     commutator,
     frobenius,
+    on_support,
     pure_density,
     require_density_matrix,
     sandwich,
@@ -230,22 +231,30 @@ def kraus_state(ctx: RunContext, site: int,
     ``kraus_ops`` are 2x2 matrices acting on ``site``.  Raises
     SupportViolationError if the site belongs to the sender or receiver
     and CompletenessViolationError if sum K† K != 1.
+
+    The commutators live on the support S of the Kraus site, the sender
+    site and the H_A and H_B terms: an operator X on S is X (x) 1 on the
+    register, so its Frobenius norm there is ||X||_F 2^((n - |S|) / 2).
     """
     sigma, ops = _kraus_output(ctx, site, kraus_ops)
 
-    # The locality check is a cold path: it builds d x d forms on demand.
-    n = ctx.n_sites
-    h_alice, h_bob = (ctx.partition.parts[label].bare_matrix(n)
-                      for label in (ctx.alice_label, ctx.bob_label))
-    projectors = [projector(ctx.alice, b, n) for b in (0, 1)]
+    a_terms, b_terms = (ctx.partition.parts[label].terms
+                        for label in (ctx.alice_label, ctx.bob_label))
+    support = sorted({site, ctx.alice.site}.union(
+        s for t in (*a_terms, *b_terms) for s, _ in t.factors))
+    k = len(support)
+    scale = 2.0 ** ((ctx.n_sites - k) / 2)
+    h_alice, h_bob = on_support(a_terms, support), on_support(b_terms, support)
+    projectors = [site_operator(local_projector(ctx.alice, b), support.index(ctx.alice.site), k)
+                  for b in (0, 1)]
     defects: dict[str, float] = {}
     worst = 0.0
-    for i, k in enumerate(ops):
-        k_full = site_operator(k, site, n)
-        d_a = frobenius(commutator(k_full, h_alice))
-        d_b = frobenius(commutator(k_full, h_bob))
-        d_p = max(frobenius(commutator(k_full, p_b)) for p_b in projectors)
-        defects[f"K{i}"] = max(d_a, d_b, d_p)
+    for i, op in enumerate(ops):
+        k_s = site_operator(op, support.index(site), k)
+        d_a = frobenius(commutator(k_s, h_alice))
+        d_b = frobenius(commutator(k_s, h_bob))
+        d_p = max(frobenius(commutator(k_s, p_b)) for p_b in projectors)
+        defects[f"K{i}"] = scale * max(d_a, d_b, d_p)
         worst = max(worst, defects[f"K{i}"])
     check = KrausCheck(commutes=worst <= TOL.commutator, max_defect=worst,
                        defects=defects)

@@ -53,7 +53,6 @@ from .spinops import (
     reduced_density,
     require_unit_vector,
     sandwich,
-    site_operator,
     site_paulis,
 )
 from .tolerances import TOL
@@ -92,22 +91,11 @@ class MeasurementBasis:
         v /= np.linalg.norm(v)
         return cls(site, tuple(float(c) for c in v))
 
-def local_projector(basis: MeasurementBasis, b: int,
-                    n_sigma: np.ndarray | None = None) -> np.ndarray:
-    """2x2 factor of P(b) = (1 - (-1)^b n.sigma) / 2 at the basis site.
-
-    ``n_sigma`` is n.sigma when the caller has already built it.
-    """
+def local_projector(basis: MeasurementBasis, b: int) -> np.ndarray:
+    """2x2 factor of P(b) = (1 - (-1)^b n.sigma) / 2 at the basis site."""
     if b not in (0, 1):
         raise ValueError(f"outcome bit must be 0 or 1, got {b}")
-    if n_sigma is None:
-        n_sigma = axis_operator(basis.vector)
-    return 0.5 * (np.eye(2) - (-1.0) ** b * n_sigma)
-
-
-def projector(basis: MeasurementBasis, b: int, n_sites: int) -> np.ndarray:
-    """P(b) = (1 - (-1)^b n.sigma) / 2 on the whole register."""
-    return site_operator(local_projector(basis, b), basis.site, n_sites)
+    return 0.5 * (np.eye(2) - (-1.0) ** b * axis_operator(basis.vector))
 
 
 @dataclass(frozen=True)
@@ -149,24 +137,11 @@ class FeedbackRule:
     def mapped(self, b: int) -> int:
         return b ^ 1 if self.bit_map == "flip" else b
 
-    def local_rotation(self, announced: int, m_sigma: np.ndarray | None = None) -> np.ndarray:
-        """2x2 factor of the rotation for an announced bit.
-
-        (m.sigma)^2 = 1 keeps it closed-form; ``m_sigma`` is m.sigma when
-        the caller has already built it.
-        """
-        if m_sigma is None:
-            m_sigma = axis_operator(self.vector)
+    def local_rotation(self, announced: int) -> np.ndarray:
+        """2x2 factor of the rotation for an announced bit; (m.sigma)^2 = 1 keeps it closed-form."""
+        m_sigma = axis_operator(self.vector)
         sign = (-1.0) ** announced
         return math.cos(self.theta) * np.eye(2) - 1j * sign * math.sin(self.theta) * m_sigma
-
-    def rotation(self, announced: int, n_sites: int) -> np.ndarray:
-        """Rotation for a given announced bit on the whole register."""
-        return site_operator(self.local_rotation(announced), self.site, n_sites)
-
-    def unitary(self, outcome: int, n_sites: int) -> np.ndarray:
-        """Rotation the receiver applies when the sender measured ``outcome``."""
-        return self.rotation(self.mapped(outcome), n_sites)
 
 
 @dataclass(frozen=True)
@@ -213,16 +188,35 @@ def ground_state(spec: HamiltonianSpec) -> tuple[np.ndarray, float]:
     return gs, float(evals[0])
 
 
+def _pairing(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(paired, m) per sender axis row: whether it is X or Y, and its fixed
+    receiver axis, X -> Y and Y -> X (meaningless where not paired)."""
+    near = np.max(np.abs(n[:, None, :] - np.eye(2, 3)), axis=2) <= 1e-12  # [row, X or Y]
+    return near.any(axis=1), np.eye(3)[1 - near.argmax(axis=1)]
+
+
 def paired_feedback_axis(alice: MeasurementBasis, bob_site: int) -> MeasurementBasis:
     """Fixed sender->receiver axis pairing: X -> Y and Y -> X."""
-    def near(axis):
-        return max(abs(a - b) for a, b in zip(alice.vector, axis)) <= 1e-12
+    paired, m = _pairing(np.array([alice.vector]))
+    if not paired[0]:
+        raise ValueError("fixed pairing only covers the X and Y sender bases")
+    return MeasurementBasis(bob_site, tuple(m[0].tolist()))
 
-    if near((1.0, 0.0, 0.0)):
-        return MeasurementBasis.y(bob_site)
-    if near((0.0, 1.0, 0.0)):
-        return MeasurementBasis.x(bob_site)
-    raise ValueError("fixed pairing only covers the X and Y sender bases")
+
+def feedback_axes(forms: ReceiverForms, n: np.ndarray, bob_axis: str) -> np.ndarray:
+    """Receiver axis per sender axis row of ``n``: "optimal" or "paired".
+
+    "optimal" maximizes eta on every row (``optimize_bob_basis``); "paired"
+    is the fixed pairing X -> Y and Y -> X, and any other row falls back
+    to the optimal axis.
+    """
+    if bob_axis not in ("paired", "optimal"):
+        raise ValueError(f"unknown bob_axis {bob_axis!r}")
+    paired, m = _pairing(n)
+    fallback = ~paired if bob_axis == "paired" else np.ones(len(n), dtype=bool)
+    if fallback.any():
+        m[fallback] = optimize_bob_basis(forms, n[fallback])
+    return m
 
 
 def optimize_bob_basis(forms: ReceiverForms, n: np.ndarray) -> np.ndarray:
@@ -421,10 +415,9 @@ class RunContext:
     """Everything one protocol configuration needs, precomputed.
 
     ``forms`` is the receiver's kernel; every trace the protocol reports
-    comes from it.  The sender projectors and receiver rotations are also
-    held as their 2x2 factors, ``local_projectors[b]`` at ``alice.site``
-    and ``local_rotations[announced]`` at ``rule.site``; ``project`` and
-    ``rotate`` apply them to a full density matrix or state vector.
+    comes from it.  ``project`` and ``rotate`` build the 2x2 factor of a
+    sender projector or receiver rotation when called and apply it to a
+    full density matrix or state vector.
     """
 
     spec: HamiltonianSpec
@@ -437,8 +430,6 @@ class RunContext:
     gs: np.ndarray = field(repr=False)
     forms: ReceiverForms = field(repr=False)
     gs_energy: float = 0.0
-    local_projectors: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
-    local_rotations: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
 
     @property
     def n_sites(self) -> int:
@@ -451,11 +442,11 @@ class RunContext:
 
     def project(self, b: int, rho: np.ndarray) -> np.ndarray:
         """P(b) rho P(b), unnormalized (P(b) psi for a state vector)."""
-        return sandwich(self.local_projectors[b], self.alice.site, rho)
+        return sandwich(local_projector(self.alice, b), self.alice.site, rho)
 
     def rotate(self, announced: int, rho: np.ndarray) -> np.ndarray:
         """U rho U† (U psi) for the rotation the receiver applies on an announced bit."""
-        return sandwich(self.local_rotations[announced], self.rule.site, rho)
+        return sandwich(self.rule.local_rotation(announced), self.rule.site, rho)
 
 
 def prepare(spec: HamiltonianSpec, partition: Partition,
@@ -481,26 +472,16 @@ def prepare(spec: HamiltonianSpec, partition: Partition,
                 f"but the receiver part lives on site {forms.site}"
             )
         m = np.array([bob_axis.vector], dtype=float)
-    elif bob_axis == "optimal":
-        m = optimize_bob_basis(forms, n)
-    elif bob_axis == "paired":
-        try:
-            m = np.array([paired_feedback_axis(alice, forms.site).vector])
-        except ValueError:
-            m = optimize_bob_basis(forms, n)
     else:
-        raise ValueError(f"unknown bob_axis {bob_axis!r}")
+        m = feedback_axes(forms, n, bob_axis)
 
     tp = ThetaParams(*(float(v[0]) for v in forms.theta(n, m)))
     theta = tp.theta if theta_override is None else float(theta_override)
     rule = FeedbackRule(forms.site, tuple(float(c) for c in m[0]), theta, bit_map)
-    n_sigma, m_sigma = axis_operator(alice.vector), axis_operator(rule.vector)
     return RunContext(
         spec=spec, partition=partition, alice=alice, rule=rule, theta=tp,
         alice_label=alice_label, bob_label=bob_label,
         gs=gs, forms=forms, gs_energy=energy,
-        local_projectors=tuple(local_projector(alice, b, n_sigma) for b in (0, 1)),
-        local_rotations=tuple(rule.local_rotation(b, m_sigma) for b in (0, 1)),
     )
 
 
@@ -598,7 +579,6 @@ def run_round(ctx: RunContext, seed: int) -> RoundRecord:
 
 
 def run_rounds(ctx: RunContext, n_rounds: int, seed: int,
-               stream_index: int = SUBSTREAM["rounds"],
                shot_noise: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized sampling of many rounds: outcome bits and conditional energies.
 
@@ -610,7 +590,7 @@ def run_rounds(ctx: RunContext, n_rounds: int, seed: int,
     """
     out = run_ensemble(ctx)
     p0 = out.per_outcome[0][0]
-    rng = stream(seed, stream_index)
+    rng = stream(seed, SUBSTREAM["rounds"])
     bits = (rng.random(n_rounds) >= p0).astype(np.int64)
     if not shot_noise:
         table = np.array([out.per_outcome[0][1], out.per_outcome[1][1]])

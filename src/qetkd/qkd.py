@@ -30,8 +30,7 @@ from .protocol import (
     ReceiverForms,
     RunContext,
     conditional_table,
-    optimize_bob_basis,
-    paired_feedback_axis,
+    feedback_axes,
     prepare,
     receiver_forms,
     run_ensemble,
@@ -307,16 +306,6 @@ def _session_axes(config: SessionConfig, forms: list[ReceiverForms],
     return axes, index
 
 
-def _feedback(f: ReceiverForms, axes: np.ndarray, optimal: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Receiver axis and angle per sender axis: optimal, or paired (X -> Y, Y -> X)."""
-    if optimal:
-        m = optimize_bob_basis(f, axes)
-    else:
-        m = np.array([paired_feedback_axis(MeasurementBasis(0, tuple(v)), f.site).vector
-                      for v in axes.tolist()]).reshape(-1, 3)
-    return m, f.theta(axes, m)[2]
-
-
 def run_session(config: SessionConfig,
                 cheat_plan: dict[str, str] | None = None,
                 ) -> SessionResult:
@@ -341,8 +330,8 @@ def run_session(config: SessionConfig,
     axes, axis = _session_axes(config, forms)
     tables = []
     for f in forms:
-        m, theta = _feedback(f, axes, config.basis_policy == "haar")
-        table = f.table(state, axes, m, theta)
+        m = feedback_axes(f, axes, "optimal" if config.basis_policy == "haar" else "paired")
+        table = f.table(state, axes, m, f.theta(axes, m)[2])
         tables.append(table.decode())
     tables = np.array(tables)
     p0 = table.prob[:, 0]  # every receiver reads the same input state

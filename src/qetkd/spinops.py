@@ -15,7 +15,7 @@ is ever formed for it, and ``on_support`` builds a sum of terms on the
 few sites it touches.
 
 Operators, pure states and density matrices are plain numpy arrays; the
-validators below enforce the class invariants (Hermiticity, unitarity,
+validators below enforce the class invariants (Hermiticity, unit norm,
 unit trace, positivity) wherever a value crosses a public boundary.
 Everything here is a pure function on immutable inputs.
 """
@@ -45,23 +45,17 @@ PAULI = {
 # validators
 # ---------------------------------------------------------------------------
 
-def require_hermitian(a: np.ndarray, tol: float = TOL.hermitian) -> np.ndarray:
-    """A square matrix, or a stack of them along axis 0, each Hermitian within ``tol``."""
+def require_hermitian(a: np.ndarray) -> np.ndarray:
+    """A square matrix, or a stack of them along axis 0, each Hermitian within tolerance."""
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if np.max(np.abs(a - a.conj().swapaxes(-1, -2))) > tol:
+    if np.max(np.abs(a - a.conj().swapaxes(-1, -2))) > TOL.hermitian:
         raise ValueError("matrix is not Hermitian within tolerance")
     return a
 
 
-def require_unitary(u: np.ndarray, tol: float = TOL.unitary) -> np.ndarray:
-    if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])) > tol:
-        raise ValueError("matrix is not unitary within tolerance")
-    return u
-
-
-def require_unit_vector(v: np.ndarray, tol: float = TOL.unit_norm) -> np.ndarray:
-    if abs(np.linalg.norm(v) - 1.0) > tol:
+def require_unit_vector(v: np.ndarray) -> np.ndarray:
+    if abs(np.linalg.norm(v) - 1.0) > TOL.unit_norm:
         raise ValueError("vector is not normalized within tolerance")
     return v
 

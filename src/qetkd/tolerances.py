@@ -11,12 +11,9 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     hermitian: float = 1e-12        # |A - A†| entrywise
-    unitary: float = 1e-12          # ||U U† - 1||_F
     unit_norm: float = 1e-12        # state vectors and basis 3-vectors
     trace_one: float = 1e-10        # density matrices
     psd: float = 1e-10              # smallest admissible eigenvalue is -psd
-    reconstruction: float = 1e-10   # relative ||H - V Λ V†||_F
-    zero_expectation: float = 1e-10 # shifted subsystem ground expectations
     imaginary_residue: float = 1e-10
     commutator: float = 1e-10       # [P_A, H_B] Frobenius norm
     degenerate_gap: float = 1e-9    # level spacing, relative to max(1, max |E|)

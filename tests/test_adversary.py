@@ -14,6 +14,8 @@ from qetkd.models import chain3
 from qetkd.protocol import MeasurementBasis, prepare, run_ensemble
 from qetkd.spinops import expectation, frobenius
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def ctx():
@@ -58,7 +60,7 @@ class TestPostselect:
     def test_energies_reproduced(self, ctx):
         report = eve_postselect(ctx, rounds=1000, seed=1)
         clean = run_ensemble(ctx)
-        h_bob = ctx.partition.parts[ctx.bob_label].bare_matrix(ctx.n_sites)
+        h_bob = oracles.terms_matrix(ctx.partition.parts[ctx.bob_label].terms, ctx.n_sites)
         ref = expectation(ctx.rho_gs, h_bob)
         eve_energy = expectation(report.eve_state, h_bob) - ref
         assert eve_energy == pytest.approx(clean.e_bob, abs=1e-10)

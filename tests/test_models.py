@@ -31,6 +31,11 @@ def ground_vector(spec):
     return evecs[:, 0]
 
 
+def shifted_matrix(part, n_sites):
+    """A partition part's terms plus its shift, built by the independent oracles."""
+    return oracles.terms_matrix(part.terms, n_sites) + part.shift * np.eye(2 ** n_sites)
+
+
 class TestTwoSite:
     def test_ground_energy_unit_couplings(self):
         assert ground_energy(two_site(1.0, 1.0)) == pytest.approx(-2 * np.sqrt(2), abs=1e-12)
@@ -69,7 +74,7 @@ class TestStandardPartition:
         gs = ground_vector(spec)
         part = two_site_partition_standard(k, h)
         for label in (ALICE, BOB):
-            shifted = part.parts[label].matrix(2)
+            shifted = shifted_matrix(part.parts[label], 2)
             assert expectation(gs, shifted) == pytest.approx(0.0, abs=1e-10)
 
     def test_partition_completeness(self):
@@ -87,7 +92,7 @@ class TestAlternativePartition:
 
     def test_any_sender_axis_commutes_with_receiver_part(self):
         part = two_site_partition_alternative(1.0, 1.0)
-        h_bob = part.parts[BOB].bare_matrix(2)
+        h_bob = oracles.terms_matrix(part.parts[BOB].terms, 2)
         for axis in ("X", "Y", "Z"):
             assert np.linalg.norm(commutator(pauli_on_site(axis, 0, 2), h_bob)) < 1e-14
 
@@ -101,7 +106,7 @@ class TestAlternativePartition:
         gs = ground_vector(spec)
         part = two_site_partition_alternative(0.8, 1.4)
         for p in part.parts.values():
-            assert expectation(gs, p.matrix(2)) == pytest.approx(0.0, abs=1e-10)
+            assert expectation(gs, shifted_matrix(p, 2)) == pytest.approx(0.0, abs=1e-10)
 
 
 class TestStar:
@@ -121,14 +126,14 @@ class TestStar:
         spec, part = star(3, 1.0)
         gs = ground_vector(spec)
         for p in part.parts.values():
-            assert expectation(gs, p.matrix(4)) == pytest.approx(0.0, abs=1e-10)
+            assert expectation(gs, shifted_matrix(p, 4)) == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("n,j", [(1, 0.5), (2, 0.0), (2, 2.0), (4, 1.3)])
     def test_zeroed_parts_across_sizes_and_couplings(self, n, j):
         spec, part = star(n, j)
         gs = ground_vector(spec)
         for p in part.parts.values():
-            assert expectation(gs, p.matrix(n + 1)) == pytest.approx(0.0, abs=1e-10)
+            assert expectation(gs, shifted_matrix(p, n + 1)) == pytest.approx(0.0, abs=1e-10)
 
     def test_partition_completeness(self):
         spec, part = star(3, 0.7)
@@ -166,7 +171,7 @@ class TestChain3:
         spec, part = chain3(1.7)
         gs = ground_vector(spec)
         for p in part.parts.values():
-            assert expectation(gs, p.matrix(3)) == pytest.approx(0.0, abs=1e-10)
+            assert expectation(gs, shifted_matrix(p, 3)) == pytest.approx(0.0, abs=1e-10)
 
     def test_partition_completeness(self):
         spec, part = chain3(2.5)

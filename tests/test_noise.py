@@ -6,7 +6,7 @@ from qetkd.errors import (
     DegenerateGroundError,
     SupportViolationError,
 )
-from qetkd.models import chain3, star
+from qetkd.models import HamiltonianSpec, Partition, PartitionPart, chain3, star
 import qetkd.noise as noise
 from qetkd.noise import (
     NoiseSpec,
@@ -24,7 +24,7 @@ from qetkd.noise import (
     threshold_scan,
 )
 from qetkd.protocol import MeasurementBasis, prepare, run_ensemble
-from qetkd.spinops import require_density_matrix
+from qetkd.spinops import require_density_matrix, term
 
 import oracles
 
@@ -317,6 +317,93 @@ class TestLocalKraus:
         assert len(calls) == 4 * len(ops) and check.commutes
         np.testing.assert_allclose(rho, noise.kraus_state(ctx_unit, 1, ops)[0],
                                    rtol=0, atol=0)
+
+
+DEPHASING = (np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * oracles.SZ)
+BIT_FLIP = (np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * oracles.SX)
+AMPLITUDE_DAMPING = (np.array([[1, 0], [0, np.sqrt(0.7)]]), np.array([[0, np.sqrt(0.3)], [0, 0]]))
+
+
+def dense_kraus_defects(ctx, site, ops):
+    """Each Kraus operator's largest commutator norm with H_A, H_B and P(b),
+    from Kronecker products on the whole register."""
+    n = ctx.n_sites
+    h_a, h_b = (oracles.terms_matrix(ctx.partition.parts[label].terms, n)
+                for label in (ctx.alice_label, ctx.bob_label))
+    n_sigma = sum(v * oracles.embed(axis, ctx.alice.site, n)
+                  for v, axis in zip(ctx.alice.vector, "XYZ"))
+    projectors = [0.5 * (np.eye(2 ** n) - (-1.0) ** b * n_sigma) for b in (0, 1)]
+    defects = []
+    for op in ops:
+        k = oracles.embed_op(op, site, n)
+        defects.append(max(np.linalg.norm(k @ m - m @ k) for m in (h_a, h_b, *projectors)))
+    return defects
+
+
+@pytest.fixture(scope="module")
+def ctx_spectator():
+    """chain3 at J = 1 plus a decoupled fourth site, Z3, in a part of its own:
+    the Kraus support {0, 1, 2} is then smaller than the register."""
+    spec, part = chain3(1.0)
+    extra = term(1.0, (3, "Z"))
+    spec = HamiltonianSpec("chain3+1", 4, spec.terms + (extra,))
+    part = Partition({**part.parts, "spectator": PartitionPart((extra,), 1.0)})
+    return prepare(spec, part, MeasurementBasis.x(0))
+
+
+@pytest.fixture(scope="module")
+def ctx_wide_sender():
+    """chain3 at J = 1 with the buffer terms in the sender's part, so a
+    buffer X commutes with H_B and P(b) and fails only against H_A."""
+    spec, part = chain3(1.0)
+    wide = PartitionPart(part.parts["A"].terms + part.parts["buffer"].terms, 0.0)
+    return prepare(spec, Partition({"A": wide, "B": part.parts["B"]}), MeasurementBasis.x(0))
+
+
+class TestKrausCheckAgainstOracle:
+    @pytest.mark.parametrize("context,ops", [
+        ("ctx_unit", DEPHASING), ("ctx_unit", AMPLITUDE_DAMPING),
+        ("ctx_spectator", DEPHASING), ("ctx_spectator", AMPLITUDE_DAMPING),
+        ("ctx_wide_sender", BIT_FLIP),
+    ], ids=["dephasing", "damping", "spectator-dephasing", "spectator-damping",
+            "wide-sender-bitflip"])
+    def test_chain3_buffer_site(self, context, ops, request):
+        ctx = request.getfixturevalue(context)
+        _, check = noise.kraus_state(ctx, 1, ops)
+        want = dense_kraus_defects(ctx, 1, ops)
+        assert max(want) > 0.1  # the buffer channel is not local
+        np.testing.assert_allclose(list(check.defects.values()), want, rtol=0, atol=1e-12)
+        assert check.max_defect == max(check.defects.values())
+        assert not check.commutes
+
+    @pytest.mark.parametrize("ops", [DEPHASING, AMPLITUDE_DAMPING], ids=["dephasing", "damping"])
+    def test_star_bystander_site(self, ops):
+        spec, part = star(4, 1.0)
+        ctx = prepare(spec, part, MeasurementBasis.x(0), bob_label="B1")
+        _, check = noise.kraus_state(ctx, 3, ops)
+        want = dense_kraus_defects(ctx, 3, ops)
+        assert max(want) == 0.0
+        np.testing.assert_allclose(list(check.defects.values()), want, rtol=0, atol=1e-12)
+        assert check.commutes
+
+    def test_star9_commutators_stay_on_the_support(self, monkeypatch):
+        spec, part = star(9, 1.0)
+        ctx = prepare(spec, part, MeasurementBasis.x(0), bob_label="B1")
+        site = 5
+        support = {site, ctx.alice.site}.union(
+            s for label in (ctx.alice_label, ctx.bob_label)
+            for t in part.parts[label].terms for s, _ in t.factors)
+        shapes = []
+
+        def recorded(a, b):
+            shapes.extend((a.shape, b.shape))
+            return a @ b - b @ a
+
+        monkeypatch.setattr(noise, "commutator", recorded)
+        _, check = noise.kraus_state(ctx, site, AMPLITUDE_DAMPING)
+        assert len(shapes) == 2 * 4 * len(AMPLITUDE_DAMPING)
+        assert max(max(shape) for shape in shapes) <= 2 ** len(support) < 2 ** spec.n_sites
+        assert check.commutes
 
 
 class TestThresholdScan:

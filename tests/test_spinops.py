@@ -13,7 +13,6 @@ from qetkd.spinops import (
     pure_density,
     require_density_matrix,
     require_hermitian,
-    require_unitary,
     sandwich,
     site_operator,
     term,
@@ -181,14 +180,6 @@ class TestValidators:
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError):
             require_density_matrix(bad)
-
-    def test_unitary_check(self):
-        theta = 0.3
-        u = np.array([[np.cos(theta), -np.sin(theta)],
-                      [np.sin(theta), np.cos(theta)]], dtype=complex)
-        require_unitary(u)
-        with pytest.raises(ValueError):
-            require_unitary(2 * u)
 
     def test_hermitian_check(self):
         require_hermitian(oracles.SY)
