@@ -17,9 +17,11 @@ then deviations from the vacuum.  The two-site shifts have closed forms
 shifts are fixed numerically from the ground state, each as a trace
 against the ground state's marginal on the part's own sites.
 
-H is solved once per spec, in the flip sectors of its terms
-(``spinops.assemble_sectors``): on all three families that is global
-parity, two blocks of d/2.  Building a model forms no d x d operator.
+H is solved once per spec, exactly, in the flip sectors of its terms
+split by the characters of the site swaps that leave H unchanged
+(``spinops.solve_sectors``): the star's leaf pairs, the chain's and the
+two-site model's end swap.  Building a model forms no d x d operator and
+keeps no d x d eigenvector matrix.
 """
 
 from __future__ import annotations
@@ -33,13 +35,13 @@ import numpy as np
 from .errors import DegenerateGroundError, ModelParameterError
 from .spinops import (
     PauliTerm,
+    Spectrum,
     assemble,
-    assemble_sectors,
     degeneracy_tolerance,
-    eigendecompose,
     expectation,
     on_support,
     reduced_density,
+    solve_sectors,
     term,
 )
 
@@ -66,27 +68,10 @@ class HamiltonianSpec:
         return assemble(self.terms, self.n_sites)
 
     @functools.cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues ascending, eigenvectors as columns) of H, solved once per object.
-
-        H is diagonalized block by block in its flip sectors, in one
-        batched solve, and each block's eigenvectors are scattered into
-        the register basis at their place in the joint ascending order
-        (ties keep sector order).  The shifts of a model's partition, its
-        ground state and its excited levels all read this one solve.  The
-        arrays are read-only because every caller shares them.
-        """
-        blocks, states = assemble_sectors(self.terms, self.n_sites)
-        values, vectors = eigendecompose(blocks)
-        order = np.argsort(values, axis=None, kind="stable")
-        column = np.empty_like(order)
-        column[order] = np.arange(order.size)
-        evecs = np.zeros((order.size, order.size), dtype=vectors.dtype)
-        evecs[states[:, :, None], column.reshape(values.shape)[:, None, :]] = vectors
-        evals = values.ravel()[order]
-        evals.flags.writeable = False
-        evecs.flags.writeable = False
-        return evals, evecs
+    def spectrum(self) -> Spectrum:
+        """H's solve, once per object: the partition shifts, the ground state
+        and the excited levels all read it, each asking for its own levels."""
+        return solve_sectors(self.terms, self.n_sites)
 
     def to_text(self) -> str:
         """One term per line: ``coeff site:axis [site:axis]``."""
@@ -134,10 +119,6 @@ class Partition:
         return tuple(out)
 
 
-def _ground_vector(spec: HamiltonianSpec) -> np.ndarray:
-    return spec.spectrum[1][:, 0]
-
-
 def _zeroing_shift(terms: tuple[PauliTerm, ...], gs: np.ndarray) -> float:
     """-<gs| part |gs>, as -Tr[rho_S part_S] on the part's own sites S."""
     support = sorted({site for t in terms for site, _ in t.factors})
@@ -179,7 +160,7 @@ def two_site_partition_standard(k: float, h: float) -> Partition:
 def two_site_partition_alternative(k: float, h: float) -> Partition:
     """Interaction folded into the sender's part; receiver holds only h Z1."""
     spec = two_site(k, h)
-    gs = _ground_vector(spec)
+    gs = spec.spectrum.ground
     a_terms = (term(2.0 * k, (0, "X"), (1, "X")), term(h, (0, "Z")))
     b_terms = (term(h, (1, "Z")),)
     return Partition({
@@ -206,7 +187,7 @@ def star(n_parties: int, coupling: float) -> tuple[HamiltonianSpec, Partition]:
         terms.extend(term(coupling, (0, "X"), (k, "X")) for k in range(1, n))
     terms.extend(term(1.0, (k, "Z")) for k in range(n))
     spec = HamiltonianSpec(f"star-{n_parties}", n, tuple(terms))
-    gs = _ground_vector(spec)
+    gs = spec.spectrum.ground
     parts: dict[str, PartitionPart] = {}
     a_terms = (term(1.0, (0, "Z")),)
     parts[ALICE] = PartitionPart(a_terms, _zeroing_shift(a_terms, gs))
@@ -236,7 +217,7 @@ def chain3(coupling: float) -> tuple[HamiltonianSpec, Partition]:
         terms.append(term(coupling, (1, "X"), (2, "X")))
     terms.extend(term(1.0, (k, "Z")) for k in range(3))
     spec = HamiltonianSpec("chain3", 3, tuple(terms))
-    gs = _ground_vector(spec)
+    gs = spec.spectrum.ground
     a_terms = (term(1.0, (0, "Z")),)
     if coupling != 0.0:
         m_terms = (term(coupling, (0, "X"), (1, "X")), term(1.0, (1, "Z")))
@@ -303,7 +284,7 @@ def build_model(model: str, coupling: float, k: float = 1.0, h: float = 1.0,
 
 def energy_gap(spec: HamiltonianSpec) -> float:
     """First excitation energy; exactly 0.0 when the ground level is degenerate."""
-    evals, _ = spec.spectrum
+    evals = spec.spectrum.values
     gap = float(evals[1] - evals[0])
     return 0.0 if gap <= degeneracy_tolerance(evals) else gap
 
@@ -311,18 +292,13 @@ def energy_gap(spec: HamiltonianSpec) -> float:
 def first_excited_level(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray]:
     """(uniform mixture over the first excited level, its first eigenvector).
 
-    The eigenvector's largest amplitude is rotated real positive.
-    Raises DegenerateGroundError when the level joins the ground level.
-    """
-    evals, evecs = spec.spectrum
+    In a degenerate level the first eigenvector, one of a swap character,
+    is a gauge choice.  Raises DegenerateGroundError when the level joins
+    the ground level."""
+    evals = spec.spectrum.values
     tol = degeneracy_tolerance(evals)
     if evals[1] - evals[0] <= tol:
         raise DegenerateGroundError(
             "first excited level is degenerate with the ground level")
-    cluster = np.where(np.abs(evals - evals[1]) <= tol)[0]
-    mixture = sum(np.outer(evecs[:, i], evecs[:, i].conj())
-                  for i in cluster) / len(cluster)
-    first = evecs[:, cluster[0]].copy()
-    pivot = int(np.argmax(np.abs(first)))
-    first = first * (first[pivot] / abs(first[pivot])).conjugate()
-    return mixture, first
+    vectors = spec.spectrum.vectors(np.flatnonzero(np.abs(evals - evals[1]) <= tol))
+    return vectors @ vectors.conj().T / vectors.shape[1], vectors[:, 0]

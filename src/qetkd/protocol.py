@@ -175,17 +175,13 @@ def ground_state(spec: HamiltonianSpec) -> tuple[np.ndarray, float]:
     (for the chain and star families this happens in the infinite-
     coupling limit; reduce the coupling).
     """
-    evals, evecs = spec.spectrum
+    evals = spec.spectrum.values
     if evals[1] - evals[0] <= degeneracy_tolerance(evals):
         raise DegenerateGroundError(
             f"ground level of {spec.name} is degenerate "
             f"(gap {evals[1] - evals[0]:.3e})"
         )
-    gs = evecs[:, 0].astype(complex)
-    pivot = int(np.argmax(np.abs(gs)))
-    phase = gs[pivot] / abs(gs[pivot])
-    gs = gs * phase.conjugate()
-    return gs, float(evals[0])
+    return spec.spectrum.ground.astype(complex), float(evals[0])
 
 
 def _pairing(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -449,7 +449,9 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
 def write_transcript(result: SessionResult, path) -> None:
     """Line-oriented transcript: round,basis,announced bit,party,energy,decoded."""
     header = "round,basis_n1,basis_n2,basis_n3,announced_bit,party,cond_energy,decoded_bit"
+    rows = result.transcript
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in result.transcript:
-            fh.write(row + "\n")
+        # joined in chunks: one string of the whole file would add its size to peak RSS
+        for i in range(0, len(rows), 8192):
+            fh.write("\n".join(rows[i:i + 8192]) + "\n")

@@ -5,10 +5,12 @@ bit is site 0, matching the Kronecker order ``op_0 (x) op_1 (x) ...``.
 A Pauli product is then a signed permutation, P|x> = phase(x) |x ^ flip>,
 so Hamiltonians are assembled in O(terms * d) by scattering each term
 into the output.  Such an H never connects two basis states in different
-cosets of the GF(2) span of its terms' flip masks, so ``assemble_sectors``
-scatters it straight into one diagonal block per coset (the joint
-eigenspaces of the Z-strings that commute with H) and ``eigendecompose``
-solves the whole stack in one batched call.  A 2x2 operator at one site
+cosets of the GF(2) span of its terms' flip masks (its flip sectors), and
+commutes with every site swap that maps its terms onto themselves,
+coefficients kept, and each sector onto itself.  ``solve_sectors``
+scatters H straight into its sectors split by the characters of a set of
+disjoint such swaps, and ``eigendecompose`` solves each stack of blocks of
+one size in one batched call.  A 2x2 operator at one site
 acts on a vector or matrix through a reshape that isolates that site's
 bit, at O(d) per vector and O(d^2) per matrix; no d x d operator product
 is ever formed for it, and ``on_support`` builds a sum of terms on the
@@ -23,6 +25,7 @@ Everything here is a pure function on immutable inputs.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,27 +168,11 @@ def pauli_on_site(axis: str, site: int, n_sites: int) -> np.ndarray:
     return site_operator(PAULI[axis], site, n_sites)
 
 
-def _strings(terms, n_sites: int) -> list[tuple[float, int, np.ndarray]]:
-    """(coefficient, flip mask, phases) of each term, checked against the register."""
-    _require_register(n_sites)
-    out = []
-    for t in terms:
-        if not isinstance(t, PauliTerm):
-            raise TypeError(f"expected PauliTerm, got {type(t).__name__}")
-        if t.max_site() >= n_sites:
-            raise ValueError(f"term {t} does not fit {n_sites} sites")
-        out.append((t.coefficient, *_pauli_string(t.factors, n_sites)))
-    return out
-
-
 def assemble(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) -> np.ndarray:
     """Coefficient-weighted sum of Pauli products; empty input gives the zero operator."""
-    strings = _strings(terms, n_sites)
-    idx = np.arange(2 ** n_sites)
-    out = np.zeros((idx.size, idx.size), dtype=complex)
-    for coefficient, flip, phases in strings:
-        # (idx ^ flip, idx) hits each entry once, so += cannot lose updates.
-        out[idx ^ flip, idx] += coefficient * phases
+    blocks, states = assemble_sectors(terms, n_sites)
+    out = np.zeros((2 ** n_sites, 2 ** n_sites), dtype=complex)
+    out[states[:, :, None], states[:, None, :]] = blocks
     return out
 
 
@@ -224,27 +211,165 @@ def _flip_sectors(flips: list[int], n_sites: int) -> tuple[np.ndarray, np.ndarra
     return sector, position, (2 ** (n_sites - len(pivots)), 2 ** len(pivots))
 
 
-def assemble_sectors(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(blocks, states): H cut into its flip sectors, scattered in O(terms * d).
+@dataclass(frozen=True, eq=False)
+class _SectorPlan:
+    """H's symmetry blocks, all but the coefficients; see ``_sector_plan``."""
 
-    No term connects two sectors (cosets of the span of the terms' flip
-    masks, see ``_flip_sectors``), so H is the direct sum of the stacked
-    ``blocks[s]``, each H on the basis states ``states[s]`` in order.  The
-    blocks are real unless some term carries an odd number of Y factors.
+    swaps: tuple[tuple[int, int], ...]
+    states: np.ndarray      # (sectors, size): the basis states of each flip sector
+    rep: np.ndarray
+    twist: np.ndarray
+    unequal: np.ndarray
+    pos: np.ndarray
+    pair_flip: np.ndarray   # per character mask, the bits its swaps exchange
+    ones: np.ndarray        # per character mask, its number of swaps
+    sizes: tuple[int, ...]
+    blocks: tuple[np.ndarray, ...]  # block ids of each size, in stack order
+    flat: np.ndarray
+    weight: np.ndarray
+    cls: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _sector_plan(n_sites: int, factors: tuple, pattern: tuple[int, ...],
+                 symmetric: bool) -> _SectorPlan:
+    """H's flip sectors, split by the characters of its swaps if ``symmetric``.
+
+    Terms of one coefficient form class ``pattern[t]``.  A swap qualifies when
+    it maps the (class, factors) multiset and every flip sector onto themselves;
+    k greedy disjoint ones generate G = Z2^k.  A basis state x is its orbit's
+    rep, with bits (0, 1) on each swapped pair of unequal bits (bit i of
+    ``unequal[x]``), under the swaps of bit mask ``twist[x]``.  Block (sector,
+    chi) holds |r, chi> = sum_y chi(g_y) |y> / sqrt|O_r| for each rep r whose
+    stabilizer chi fixes; x labels (rep[x], chi = twist[x]), a bijection, at
+    row ``pos[x]`` of block ``sector << k | twist[x]``.  Term (c, flip, phases)
+    maps |r, chi> to c phases[r] chi(g) sqrt(|O_r| / |O_s|) |r', chi> with
+    s = r ^ flip = g r' (0 unless chi fixes the stabilizer of s).  Per class,
+    entry ``flat`` of the size-ascending stacks sums phases[r] chi(g) |O_r| to
+    a Gaussian integer M, exactly, and gets weight M / sqrt(|O_r| |O_s|); its
+    mirror has conj(M) and the same root, so every block is exactly Hermitian.
     """
-    strings = _strings(terms, n_sites)
-    sector, position, shape = _flip_sectors([flip for _, flip, _ in strings], n_sites)
-    real = all(sum(axis == "Y" for _, axis in t.factors) % 2 == 0 for t in terms)
-    blocks = np.zeros((shape[0], shape[1], shape[1]), dtype=float if real else complex)
     idx = np.arange(2 ** n_sites)
-    for coefficient, flip, phases in strings:
-        # a term maps each basis state to one other, so += cannot lose updates
-        blocks[sector, position[idx ^ flip], position] += coefficient * (
-            phases.real if real else phases)
+    strings = [_pauli_string(f, n_sites) for f in factors]
+    sector, position, shape = _flip_sectors([flip for flip, _ in strings], n_sites)
+    bit = [1 << (n_sites - 1 - s) for s in range(n_sites)]
+    def image(swap: dict[int, int]) -> list:
+        return sorted((c, sorted((swap.get(s, s), ax) for s, ax in f))
+                      for c, f in zip(pattern, factors))
+    swaps, free, terms = [], set(range(n_sites) if symmetric else ()), image({})
+    for a, b in itertools.combinations(range(n_sites), 2):
+        if {a, b} <= free and sector[bit[a] | bit[b]] == 0 and image({a: b, b: a}) == terms:
+            swaps.append((a, b))
+            free -= {a, b}
+    k = len(swaps)
+    unequal, twist, pair_flip = np.zeros_like(idx), np.zeros_like(idx), np.zeros(2 ** k, int)
+    for i, (a, b) in enumerate(swaps):
+        on_a, on_b = (idx & bit[a]) > 0, (idx & bit[b]) > 0
+        unequal |= (on_a != on_b) << i
+        twist |= (on_a > on_b) << i
+        pair_flip ^= (np.arange(2 ** k) >> i & 1) * (bit[a] | bit[b])
+    rep = idx ^ pair_flip[twist]
+    ones = np.array([bin(m).count("1") for m in range(2 ** k)])
+    block = sector << k | twist
+    size = np.bincount(block, minlength=shape[0] << k)
+    order = np.lexsort((position[rep], block))
+    pos = np.empty_like(idx)
+    pos[order] = idx - (np.cumsum(size) - size)[block[order]]
+    stack = np.flatnonzero(size)[np.argsort(size[size > 0], kind="stable")]
+    offset = np.zeros_like(size)
+    offset[stack] = np.cumsum(size[stack] ** 2) - size[stack] ** 2
+    total = int(np.sum(size ** 2))
+    key, phase, root = [np.empty(0, dtype=idx.dtype)], [np.empty(0)], [np.empty(0)]
+    for (flip, phases), c in zip(strings, pattern):
+        s = rep ^ flip
+        x = idx[(twist & ~unequal[s]) == 0]
+        s, b = s[x], block[x]
+        key.append(c * total + offset[b] + pos[rep[s] ^ pair_flip[twist[x]]] * size[b] + pos[x])
+        phase.append(phases[rep[x]] * (-1.0) ** ones[twist[x] & twist[s]] * 2.0 ** ones[unequal[x]])
+        root.append(2.0 ** (-0.5 * (ones[unequal[x]] + ones[unequal[s]])))
+    key, first, inverse = np.unique(np.concatenate(key), return_index=True, return_inverse=True)
+    phase = np.concatenate(phase)
+    weight = (np.bincount(inverse, phase.real) + 1j * np.bincount(inverse, phase.imag)
+              ) * np.concatenate(root)[first]
+    sizes, starts = np.unique(size[stack], return_index=True)
     states = np.empty(shape, dtype=np.intp)
     states[sector, position] = idx
-    return blocks, states
+    return _SectorPlan(
+        tuple(swaps), states, rep, twist, unequal, pos, pair_flip, ones,
+        tuple(int(m) for m in sizes), tuple(np.split(stack, starts[1:])),
+        key % total, weight if np.any(weight.imag) else weight.real,
+        key // total)
+
+
+def _scatter(terms, n_sites: int, symmetric: bool) -> tuple[_SectorPlan, list[np.ndarray]]:
+    """(cached plan, its stacks of blocks of one size, ascending), in one bincount."""
+    _require_register(n_sites)
+    for t in terms:
+        if not isinstance(t, PauliTerm) or t.max_site() >= n_sites:
+            raise ValueError(f"expected PauliTerms on {n_sites} sites, got {t!r}")
+    first: dict[float, int] = {}
+    pattern = tuple(first.setdefault(t.coefficient, len(first)) for t in terms)
+    plan = _sector_plan(n_sites, tuple(t.factors for t in terms), pattern, symmetric)
+    w = plan.weight * np.array(list(first), dtype=float)[plan.cls]
+    ends = np.cumsum([len(b) * m * m for m, b in zip(plan.sizes, plan.blocks)])
+    data = np.bincount(plan.flat, w.real, ends[-1])
+    if np.iscomplexobj(w):
+        data = data + 1j * np.bincount(plan.flat, w.imag, ends[-1])
+    return plan, [part.reshape(len(b), m, m)
+                  for part, m, b in zip(np.split(data, ends), plan.sizes, plan.blocks)]
+
+
+def assemble_sectors(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(blocks, states): H is the direct sum of ``blocks[s]`` on the basis states
+    ``states[s]`` of flip sector s, real unless a term has an odd number of Ys."""
+    plan, (blocks,) = _scatter(terms, n_sites, symmetric=False)
+    return blocks, plan.states
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """H's eigenvalues, ascending, with its eigenvectors kept block by block."""
+
+    values: np.ndarray
+    plan: _SectorPlan
+    block_vectors: tuple[np.ndarray, ...]  # per size: (blocks, m, m), as columns
+    where: np.ndarray       # (size group, block, column) of each ascending level
+
+    @functools.cached_property
+    def ground(self) -> np.ndarray:
+        """``vectors([0])[:, 0]``, built once; read-only."""
+        v = self.vectors([0])[:, 0]
+        v.flags.writeable = False
+        return v
+
+    def vectors(self, levels) -> np.ndarray:
+        """The eigenvectors of ``levels`` (indices into ``values``) as register-basis
+        columns, each with its largest amplitude rotated real positive."""
+        p = self.plan
+        out = np.zeros((p.rep.size, len(levels)), dtype=np.result_type(*self.block_vectors))
+        for j, (g, b, col) in enumerate(self.where[levels]):
+            sector, chi = divmod(int(p.blocks[g][b]), 1 << len(p.swaps))
+            y = p.states[sector][(chi & ~p.unequal[p.states[sector]]) == 0]
+            out[y, j] = ((-1.0) ** p.ones[chi & p.twist[y]] * 2.0 ** (-0.5 * p.ones[p.unequal[y]])
+                         * self.block_vectors[g][b, p.pos[p.rep[y] ^ p.pair_flip[chi]], col])
+        phase = out[np.abs(out).argmax(axis=0), np.arange(len(levels))]
+        return out * (phase / np.abs(phase)).conjugate()
+
+
+def solve_sectors(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) -> Spectrum:
+    """H solved exactly, every block in full, in its flip sectors split by its swap
+    characters: one scatter by a plan cached on the terms' factors and which
+    coefficients are equal, and one ``eigendecompose`` per block size."""
+    plan, stacks = _scatter(terms, n_sites, symmetric=True)
+    solved = [eigendecompose(stack) for stack in stacks]
+    values = np.concatenate([v.ravel() for v, _ in solved])
+    where = np.concatenate([np.c_[np.full(v.size, g), np.indices(v.shape).reshape(2, -1).T]
+                            for g, (v, _) in enumerate(solved)])
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    values.flags.writeable = False
+    return Spectrum(values, plan, tuple(v for _, v in solved), where[order])
 
 
 @functools.lru_cache(maxsize=None)
@@ -310,8 +435,8 @@ def sandwich(op: np.ndarray, site: int, m: np.ndarray) -> np.ndarray:
 def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
-    A stack of matrices along axis 0 (the sector blocks of
-    ``assemble_sectors``) is solved in one batched call, with eigenvalues
+    A stack of matrices along axis 0 (the blocks of one size of
+    ``solve_sectors``) is solved in one batched call, with eigenvalues
     ascending within each block.  A matrix without imaginary part is
     diagonalized as a real symmetric one, which returns real eigenvectors.  Degenerate clusters come back
     in an arbitrary orthonormal gauge; callers must not rely on the gauge

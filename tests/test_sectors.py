@@ -1,21 +1,29 @@
-"""The flip-sector spectrum against dense Kronecker-product oracles.
+"""The symmetry-block spectrum against dense Kronecker-product oracles.
 
 ``HamiltonianSpec.spectrum`` solves H block by block in the cosets of the
-span of its terms' flip masks.  These tests compare it with
+span of its terms' flip masks, each split by the characters of the site
+swaps that leave H unchanged.  These tests compare it with
 ``np.linalg.eigh`` on the oracle matrix of the same Hamiltonian: the
-eigenvalues, each eigenvector's residual and orthonormality, and the
-ground state up to a phase.
+eigenvalues and their multiplicities, each eigenvector's residual and
+orthonormality, the ground state up to a phase and the first excited
+level's projector.
 """
 
+import functools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qetkd import models
-from qetkd.models import HamiltonianSpec, chain3, star, two_site, \
+from qetkd import models, spinops
+from qetkd.models import HamiltonianSpec, chain3, first_excited_level, star, two_site, \
     two_site_partition_alternative
 from qetkd.noise import default_chain_coupling
+from qetkd.protocol import ground_state
 from qetkd.spinops import assemble_sectors, eigendecompose, term
 
 import oracles
@@ -23,7 +31,8 @@ import oracles
 
 def assert_spectrum_matches(spec, h):
     """spec.spectrum against the dense oracle matrix h of the same Hamiltonian."""
-    evals, evecs = spec.spectrum
+    evals = spec.spectrum.values
+    evecs = spec.spectrum.vectors(range(len(evals)))
     want = np.linalg.eigvalsh(h)
     scale = max(1.0, float(np.abs(want).max()))
     np.testing.assert_allclose(evals, want, rtol=0, atol=1e-12 * scale)
@@ -172,3 +181,163 @@ class TestNoRegisterMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 25_250_000
+
+
+def symmetrized(n, swaps, rng, n_terms=6):
+    """Random 1- and 2-site terms, Y factors included, plus their images under
+    the group of ``swaps``, each image with its source's coefficient.  An
+    X_a X_b and an X_a Y_b + Y_a X_b term per swap put the pair's flip mask
+    in the span, so every swap fixes the flip sectors."""
+    base = list(random_spec(n, rng, n_terms).terms)
+    for i, (a, b) in enumerate(swaps):
+        base += [term(0.37 + 0.1 * i, (a, "X"), (b, "Y")), term(0.6 - 0.1 * i, (a, "X"), (b, "X"))]
+    terms = []
+    for t in base:
+        images = {t.factors}
+        for a, b in swaps:
+            images |= {tuple((b if s == a else a if s == b else s, ax) for s, ax in f)
+                       for f in images}
+        terms += [term(t.coefficient, *f) for f in sorted(images)]
+    return HamiltonianSpec("symmetrized", n, tuple(terms))
+
+
+@functools.lru_cache(maxsize=None)
+def star_oracle(n_parties):
+    """(h, eigenvalues, eigenvectors) of the dense star matrix at J = 1."""
+    h = oracles.star_matrix(n_parties, 1.0)
+    return (h, *np.linalg.eigh(h))
+
+
+def multiplicities(values, tol=1e-9):
+    """Sizes of the runs of ascending eigenvalues closer than ``tol``."""
+    cuts = np.flatnonzero(np.diff(values) > tol) + 1
+    return np.diff(np.concatenate([[0], cuts, [len(values)]])).tolist()
+
+
+class TestSwapSectors:
+    """Flip sectors split by the characters of the site swaps that leave H unchanged."""
+
+    @pytest.mark.parametrize("n, swaps", [(4, ((1, 2),)), (5, ((0, 3),)),
+                                          (6, ((1, 4), (2, 5))), (5, ((0, 1), (2, 4)))])
+    def test_symmetrized_random_specs(self, n, swaps):
+        rng = np.random.default_rng(900 + n + len(swaps))
+        for _ in range(3):
+            spec = symmetrized(n, swaps, rng)
+            plan = spec.spectrum.plan
+            assert plan.swaps == swaps
+            assert np.iscomplexobj(plan.weight)
+            assert len(plan.sizes) > 1
+            assert_spectrum_matches(spec, oracles.terms_matrix(spec.terms, n))
+
+    def test_swap_with_unequal_coefficients_is_not_used(self):
+        # every leaf of the star has the same factors, but leaf 1's coupling
+        # differs, so of the leaf swaps only those without leaf 1 qualify
+        spec, _ = star(4, 1.0)
+        text = spec.to_text().replace("1 0:X 1:X\n", "0.9 0:X 1:X\n")
+        skew = HamiltonianSpec.from_text("star-4-skew", 5, text)
+        assert skew.terms[0].coefficient == 0.9
+        assert skew.spectrum.plan.swaps == ((2, 3),)
+        assert star(4, 1.0)[0].spectrum.plan.swaps == ((1, 2), (3, 4))
+        assert_spectrum_matches(skew, oracles.terms_matrix(skew.terms, 5))
+
+    def test_swap_that_exchanges_flip_sectors_is_skipped(self):
+        # Z0 + Z1 + 0.3 Z0 Z1 + 0.5 X2 is symmetric under 0 <-> 1, but no
+        # term flips sites 0 and 1 together: the swap maps sector |01> onto |10>
+        terms = (term(1.0, (0, "Z")), term(1.0, (1, "Z")), term(0.5, (2, "X")),
+                 term(0.3, (0, "Z"), (1, "Z")))
+        spec = HamiltonianSpec("exchanging", 3, terms)
+        assert spec.spectrum.plan.swaps == ()
+        assert_spectrum_matches(spec, oracles.terms_matrix(terms, 3))
+
+    def test_coefficient_patterns_keep_their_own_plans(self):
+        # with the end fields equal 0 <-> 2 leaves H unchanged, with them
+        # unequal it does not; the same factors must not share that plan
+        factors = (((0, "X"), (1, "X")), ((1, "X"), (2, "X")),
+                   ((0, "Z"),), ((1, "Z"),), ((2, "Z"),))
+        specs = {c: HamiltonianSpec("fields", 3, tuple(term(v, *f) for v, f in zip(c, factors)))
+                 for c in [(0.7, 0.7, 1.0, 1.0, 1.0), (0.7, 0.7, 1.3, 1.0, 1.0)]}
+        for order in (list(specs), list(specs)[::-1]):
+            spinops._sector_plan.cache_clear()
+            for c in order:
+                spec = HamiltonianSpec("fields", 3, specs[c].terms)
+                assert spec.spectrum.plan.swaps == (((0, 2),) if c[2] == 1.0 else ())
+                assert_spectrum_matches(spec, oracles.terms_matrix(spec.terms, 3))
+        for order in ([1.0, 0.7], [0.7, 1.0]):
+            spinops._sector_plan.cache_clear()
+            for j in order:
+                assert_spectrum_matches(chain3(j)[0], oracles.chain3_matrix(j))
+        assert chain3(1.0)[0].spectrum.plan is not chain3(0.7)[0].spectrum.plan
+        assert chain3(0.7)[0].spectrum.plan is chain3(0.9)[0].spectrum.plan
+
+    @pytest.mark.parametrize("n_parties", range(3, 10))
+    def test_star_leaf_multiplets(self, n_parties):
+        spec, _ = star(n_parties, 1.0)
+        want = star_oracle(n_parties)[1]
+        got = spec.spectrum.values
+        assert multiplicities(got) == multiplicities(want)
+        assert n_parties - 1 in multiplicities(got)
+        if n_parties == 9:
+            assert np.sum(np.abs(got + 10.1078) < 1e-4) == 8
+
+    @pytest.mark.parametrize("make, h", [
+        (lambda: star(6, 1.0)[0], lambda: oracles.star_matrix(6, 1.0)),
+        (lambda: chain3(0.7)[0], lambda: oracles.chain3_matrix(0.7)),
+        (lambda: HamiltonianSpec("pairs", 6, tuple(
+            t for a in (0, 2, 4) for t in (term(0.8, (a, "X"), (a + 1, "X")),
+                                          term(0.3, (a, "Y"), (a + 1, "Y")),
+                                          term(1.0, (a, "Z")), term(1.0, (a + 1, "Z"))))),
+         None),
+    ])
+    def test_first_excited_mixture_is_the_cluster_projector(self, make, h):
+        spec = make()
+        h = oracles.terms_matrix(spec.terms, spec.n_sites) if h is None else h()
+        w, v = np.linalg.eigh(h)
+        cluster = np.abs(w - w[1]) <= 1e-9 * max(1.0, np.abs(w).max())
+        mixture, first = first_excited_level(spec)
+        want = v[:, cluster] @ v[:, cluster].conj().T / cluster.sum()
+        np.testing.assert_allclose(mixture, want, rtol=0, atol=1e-12)
+        assert np.linalg.norm(h @ first - w[1] * first) <= 1e-10
+        if spec.name == "pairs":
+            assert cluster.sum() == 3  # one excited pair out of three
+
+    @pytest.mark.parametrize("make, oracle", [
+        *[(lambda n=n: star(n, 1.0)[0], lambda n=n: star_oracle(n)[1:]) for n in range(1, 10)],
+        (lambda: chain3(1.0)[0], lambda: np.linalg.eigh(oracles.chain3_matrix(1.0))),
+        (lambda: two_site(1.3, 0.4), lambda: np.linalg.eigh(oracles.two_site_matrix(1.3, 0.4))),
+    ])
+    def test_ground_state_against_the_oracle(self, make, oracle):
+        gs, energy = ground_state(make())
+        w, v = oracle()
+        assert abs(np.vdot(v[:, 0], gs)) == pytest.approx(1.0, abs=1e-12)
+        assert energy == pytest.approx(w[0], abs=1e-12 * max(1.0, np.abs(w).max()))
+
+    def test_spectrum_builds_no_register_matrix(self):
+        # star N=9: one 1024 x 1024 float64 matrix would be 8.4 MB
+        spec = HamiltonianSpec("star-9", 10, star(9, 1.0)[0].terms)
+        spinops._sector_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            spec.spectrum.vectors([0, 1, 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024 * 8
+
+    def test_solve_imports_no_scipy(self):
+        # the blocks are solved by numpy's dense eigh; no sparse solver is loaded
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys; from qetkd.models import star; star(9, 1.0); sys.exit('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_twelve_site_build_memory(self):
+        # the d x d eigenvector scatter peaked at 269 MB; the symmetry blocks
+        # of star N=11 need less than a quarter of that
+        spinops._sector_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            star(11, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000_000
