@@ -16,7 +16,6 @@ from .protocol import (
     FeedbackRule,
     MeasurementBasis,
     QetOutcome,
-    RoundRecord,
     RunContext,
     ThetaParams,
     ground_state,
@@ -24,7 +23,6 @@ from .protocol import (
     prepare,
     run_ensemble,
     run_ensemble_random_basis,
-    run_round,
 )
 from .noise import (
     NoiseSpec,

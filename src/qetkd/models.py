@@ -36,7 +36,6 @@ from .errors import DegenerateGroundError, ModelParameterError
 from .spinops import (
     PauliTerm,
     Spectrum,
-    assemble,
     degeneracy_tolerance,
     expectation,
     on_support,
@@ -63,9 +62,6 @@ class HamiltonianSpec:
         for t in self.terms:
             if t.max_site() >= self.n_sites:
                 raise ValueError(f"term {t} does not fit {self.n_sites} sites")
-
-    def matrix(self) -> np.ndarray:
-        return assemble(self.terms, self.n_sites)
 
     @functools.cached_property
     def spectrum(self) -> Spectrum:
@@ -289,16 +285,15 @@ def energy_gap(spec: HamiltonianSpec) -> float:
     return 0.0 if gap <= degeneracy_tolerance(evals) else gap
 
 
-def first_excited_level(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(uniform mixture over the first excited level, its first eigenvector).
+def first_excited_level(spec: HamiltonianSpec) -> np.ndarray:
+    """The first excited level's eigenvectors, as register-basis columns.
 
-    In a degenerate level the first eigenvector, one of a swap character,
-    is a gauge choice.  Raises DegenerateGroundError when the level joins
-    the ground level."""
+    In a degenerate level the columns, each of one swap character, are a
+    gauge choice; their uniform mixture is not.  Raises
+    DegenerateGroundError when the level joins the ground level."""
     evals = spec.spectrum.values
     tol = degeneracy_tolerance(evals)
     if evals[1] - evals[0] <= tol:
         raise DegenerateGroundError(
             "first excited level is degenerate with the ground level")
-    vectors = spec.spectrum.vectors(np.flatnonzero(np.abs(evals - evals[1]) <= tol))
-    return vectors @ vectors.conj().T / vectors.shape[1], vectors[:, 0]
+    return spec.spectrum.vectors(np.flatnonzero(np.abs(evals - evals[1]) <= tol))

@@ -7,6 +7,12 @@ family's energies at p are the same weighted sum of its branch energies,
 and a threshold scan runs the protocol once per branch.  Energies are
 referenced to the input state itself, so the reported E_A and E_B are
 the protocol-induced changes only.
+
+The protocol reads an input only through its marginal on the receiver's
+support S (``ReceiverForms``), and every branch is a short ensemble of
+register vectors (|g>, P|g>, K_a|g>, the excited level's vectors) or
+the maximally mixed state.  So each branch is built as its 2^|S| x 2^|S|
+marginal, reduced vector by vector: no noise family forms a d x d state.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .models import chain3, first_excited_level
 from .protocol import (
     MeasurementBasis,
     QetOutcome,
+    ReceiverForms,
     RunContext,
     ensemble_for_state,
     local_projector,
@@ -33,7 +40,6 @@ from .spinops import (
     commutator,
     frobenius,
     on_support,
-    pure_density,
     require_density_matrix,
     sandwich,
     site_operator,
@@ -101,55 +107,62 @@ def branch_weights(coefficients, p: float) -> np.ndarray:
 
 
 def noise_branches(ctx: RunContext, kind: str, *, site: int | None = None,
-                   alpha: float | None = None, kraus_ops=None):
+                   alpha: float | None = None, kraus_ops=None,
+                   forms: ReceiverForms | None = None):
     """The one noise resolver: ((state, classical flip probability), ...), coefficients.
 
-    ``classical_flip`` is the ground-state vector (no d x d matrix is
-    built for it) at flip probability 0 and 1, the mixture families the
-    resource state and their noise state, each weighted 1 - p and p.
+    Each state is a branch's marginal on the support of ``forms``
+    (default ``ctx.forms``, the receiver whose support it reduces to),
+    reduced from vectors.  ``classical_flip`` is the ground state at flip
+    probability 0 and 1, the mixture families the resource state and
+    their noise state, each weighted 1 - p and p.
     ``excited_superposition`` is |g>, |1> and
     |+_alpha> = (|g> + e^{i alpha} |1>) / sqrt(2), weighted 1 - p - c,
     p - c and 2c with c = sqrt(p (1 - p)).  ``local_kraus`` is its channel
-    output at every p.  Branch states other than |g><g| are validated once.
+    output at every p.  Every other branch state is validated once.
     """
-    coefficients = _AFFINE
+    forms = forms or ctx.forms
+    g = forms.marginal(ctx.gs)
     if kind == "classical_flip":
-        return ((ctx.gs, 0.0), (ctx.gs, 1.0)), coefficients
-    rho = ctx.rho_gs
+        return ((g, 0.0), (g, 1.0)), _AFFINE
+    coefficients = _AFFINE
     if kind == "depolarize":
-        states = (rho, np.eye(rho.shape[0]) / rho.shape[0])
+        states = (g, np.eye(len(g)) / len(g))
     elif kind in ("bit_flip", "phase_flip"):
         if site is None:
             raise ValueError(f"{kind} needs a site")
-        states = (rho, sandwich(PAULI["X" if kind == "bit_flip" else "Z"], site, rho))
+        flip = PAULI["X" if kind == "bit_flip" else "Z"]
+        states = (g, forms.marginal(sandwich(flip, site, ctx.gs)))
     elif kind == "excited_mixture":
-        states = (rho, first_excited_level(ctx.spec)[0])
+        level = first_excited_level(ctx.spec).T
+        states = (g, sum(forms.marginal(v) for v in level) / len(level))
     elif kind == "excited_superposition":
-        psi_1 = first_excited_level(ctx.spec)[1]
+        psi_1 = first_excited_level(ctx.spec)[:, 0]
         plus = (ctx.gs + np.exp(1j * (alpha or 0.0)) * psi_1) / math.sqrt(2.0)
-        states = (rho, pure_density(psi_1), pure_density(plus))
+        states = (g, forms.marginal(psi_1), forms.marginal(plus))
         coefficients = _COHERENT
     elif kind == "local_kraus":
-        states = (_kraus_output(ctx, site, kraus_ops)[0],)
+        states = (_kraus_output(ctx, site, kraus_ops, forms)[0],)
         coefficients = ((1.0, 0.0, 0.0),)
     else:
         raise ValueError(f"unknown noise family {kind!r}")
     for s in states:
-        if s is not rho:
+        if s is not g:
             require_density_matrix(s)
     return tuple((s, 0.0) for s in states), coefficients
 
 
-def noisy_input_state(ctx: RunContext, noise: NoiseSpec | None,
-                      ) -> tuple[np.ndarray, float]:
+def noisy_input_state(ctx: RunContext, noise: NoiseSpec,
+                      forms: ReceiverForms | None = None) -> tuple[np.ndarray, float]:
     """(input state, classical flip probability): the weighted branches folded.
 
-    A family varies its states or its flip probabilities, never both.
+    The state is the marginal on the support of ``forms`` (default
+    ``ctx.forms``).  A family varies its states or its flip
+    probabilities, never both.
     """
-    if noise is None:
-        return ctx.rho_gs, 0.0
     branches, coefficients = noise_branches(ctx, noise.kind, site=noise.site,
-                                            alpha=noise.alpha, kraus_ops=noise.kraus_ops)
+                                            alpha=noise.alpha, kraus_ops=noise.kraus_ops,
+                                            forms=forms)
     w = branch_weights(coefficients, noise.p)
     rho = branches[0][0]
     if any(s is not rho for s, _ in branches):
@@ -206,8 +219,9 @@ class KrausCheck:
 
 def _kraus_output(ctx: RunContext, site: int,
                   kraus_ops: list[np.ndarray] | tuple[np.ndarray, ...],
-                  ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Validated channel output sum_a K_a rho K_a†, and the 2x2 operators."""
+                  forms: ReceiverForms) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Channel output sum_a K_a rho K_a† as its marginal on the support of
+    ``forms``, the sum of the marginals of K_a |g>; and the 2x2 operators."""
     if site == ctx.alice.site or site == ctx.rule.site:
         raise SupportViolationError(f"site {site} belongs to a protocol party")
     if not 0 <= site < ctx.n_sites:
@@ -220,7 +234,7 @@ def _kraus_output(ctx: RunContext, site: int,
     if defect > TOL.trace_one:
         raise CompletenessViolationError(
             f"sum K† K deviates from identity by {defect:.3e}")
-    return sum(sandwich(k, site, ctx.rho_gs) for k in ops), ops
+    return sum(forms.marginal(sandwich(k, site, ctx.gs)) for k in ops), ops
 
 
 def kraus_state(ctx: RunContext, site: int,
@@ -228,6 +242,8 @@ def kraus_state(ctx: RunContext, site: int,
                 ) -> tuple[np.ndarray, KrausCheck]:
     """Channel output sum_a K_a rho K_a† plus the locality report.
 
+    The output is its marginal on the receiver's support (``ctx.forms``),
+    which is all ``ensemble_for_state`` reads of it.
     ``kraus_ops`` are 2x2 matrices acting on ``site``.  Raises
     SupportViolationError if the site belongs to the sender or receiver
     and CompletenessViolationError if sum K† K != 1.
@@ -236,7 +252,7 @@ def kraus_state(ctx: RunContext, site: int,
     site and the H_A and H_B terms: an operator X on S is X (x) 1 on the
     register, so its Frobenius norm there is ||X||_F 2^((n - |S|) / 2).
     """
-    sigma, ops = _kraus_output(ctx, site, kraus_ops)
+    sigma, ops = _kraus_output(ctx, site, kraus_ops, ctx.forms)
 
     a_terms, b_terms = (ctx.partition.parts[label].terms
                         for label in (ctx.alice_label, ctx.bob_label))

@@ -156,14 +156,6 @@ class QetOutcome:
         return self.per_outcome[0][0], self.per_outcome[1][0]
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    outcome: int
-    transmitted: int
-    energy: float
-    decoded: int  # 1 for negative receiver energy, 0 otherwise
-
-
 # ---------------------------------------------------------------------------
 # ground state and receiver axis
 # ---------------------------------------------------------------------------
@@ -561,22 +553,10 @@ def run_ensemble_random_basis(spec: HamiltonianSpec, partition: Partition,
 # sampled rounds
 # ---------------------------------------------------------------------------
 
-def run_round(ctx: RunContext, seed: int) -> RoundRecord:
-    """Sample one protocol round; identical seeds give identical records."""
-    bits, energies = run_rounds(ctx, 1, seed)
-    b = int(bits[0])
-    energy = float(energies[0])
-    return RoundRecord(
-        outcome=b,
-        transmitted=ctx.rule.mapped(b),
-        energy=energy,
-        decoded=1 if energy < 0.0 else 0,
-    )
-
-
 def run_rounds(ctx: RunContext, n_rounds: int, seed: int,
                shot_noise: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized sampling of many rounds: outcome bits and conditional energies.
+    """Vectorized sampling of rounds: outcome bits and conditional energies;
+    identical seeds give identical arrays.
 
     The default records the exact conditional expectation each round.
     With ``shot_noise`` the receiver instead projectively samples an

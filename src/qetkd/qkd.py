@@ -249,19 +249,20 @@ def _default_epsilon(ctx: RunContext) -> float:
 
 
 def _receivers(config: SessionConfig, ctx: RunContext,
-               labels: list[str]) -> tuple[list[ReceiverForms], np.ndarray]:
-    """Every receiver's forms, and the session's input state, built once.
+               labels: list[str]) -> tuple[list[ReceiverForms], list[np.ndarray]]:
+    """Every receiver's forms, and the session's input state as each reads it.
 
-    ``ctx`` is the first receiver's context; a Kraus channel may touch no
-    receiver's site.
+    ``ctx`` is the first receiver's context.  A noisy input is folded once
+    per receiver, as its marginal on that receiver's own support; a Kraus
+    channel may touch no receiver's site.
     """
     forms = [ctx.forms] + [receiver_forms(ctx.spec, ctx.partition, ctx.gs, ctx.alice.site,
                                           ctx.alice_label, lab) for lab in labels[1:]]
     if config.noise is None:
-        return forms, ctx.gs
+        return forms, [ctx.gs] * len(forms)
     if config.noise.kind == "local_kraus" and config.noise.site in {f.site for f in forms}:
         raise SupportViolationError(f"site {config.noise.site} belongs to a protocol party")
-    return forms, noisy_input_state(ctx, config.noise)[0]
+    return forms, [noisy_input_state(ctx, config.noise, f)[0] for f in forms]
 
 
 def _haar(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -326,15 +327,15 @@ def run_session(config: SessionConfig,
         if label not in labels:
             raise ValueError(f"cheat plan names unknown party {label!r}")
 
-    forms, state = _receivers(config, ctx, labels)
+    forms, states = _receivers(config, ctx, labels)
     axes, axis = _session_axes(config, forms)
     tables = []
-    for f in forms:
+    for f, state in zip(forms, states):
         m = feedback_axes(f, axes, "optimal" if config.basis_policy == "haar" else "paired")
         table = f.table(state, axes, m, f.theta(axes, m)[2])
         tables.append(table.decode())
     tables = np.array(tables)
-    p0 = table.prob[:, 0]  # every receiver reads the same input state
+    p0 = table.prob[:, 0]  # Tr[P_0 rho] is the same on every receiver's support
 
     seed, rounds = config.seed, config.rounds
     logical = stream(seed, SUBSTREAM["logical"]).integers(0, 2, size=rounds)

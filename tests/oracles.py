@@ -67,6 +67,38 @@ def star_matrix(n_parties, j):
     return h
 
 
+def partial_trace(rho, keep):
+    """Reduced density matrix on the ascending sites ``keep``: every other
+    site traced out of the d x d ``rho``, highest site first."""
+    n = rho.shape[0].bit_length() - 1
+    t = rho.reshape((2,) * (2 * n))
+    for site in sorted(set(range(n)) - set(keep), reverse=True):
+        t = np.trace(t, axis1=site, axis2=site + t.ndim // 2)
+    return t.reshape(2 ** len(keep), 2 ** len(keep))
+
+
+def noisy_state(family, p, gs, level=None, site=None, alpha=0.0):
+    """A noise family's input at p as one d x d matrix, mixed directly.
+
+    ``gs`` is the ground vector and ``level`` the first excited level's
+    eigenvectors as columns (excited families only); ``classical_flip``
+    leaves the state alone.
+    """
+    n = len(gs).bit_length() - 1
+    rho = np.outer(gs, gs.conj())
+    if family == "classical_flip":
+        return rho
+    if family == "depolarize":
+        return (1 - p) * rho + p * np.eye(2 ** n) / 2 ** n
+    if family in ("bit_flip", "phase_flip"):
+        s = embed("X" if family == "bit_flip" else "Z", site, n)
+        return (1 - p) * rho + p * s @ rho @ s
+    if family == "excited_mixture":
+        return (1 - p) * rho + p * level @ level.conj().T / level.shape[1]
+    psi = np.sqrt(1 - p) * gs + np.exp(1j * alpha) * np.sqrt(p) * level[:, 0]
+    return np.outer(psi, psi.conj())
+
+
 def ground(h):
     evals, evecs = np.linalg.eigh(h)
     return evals, evecs[:, 0]

@@ -23,11 +23,11 @@ import oracles
 
 
 def ground_energy(spec):
-    return float(np.linalg.eigvalsh(spec.matrix())[0])
+    return float(np.linalg.eigvalsh(oracles.terms_matrix(spec.terms, spec.n_sites))[0])
 
 
 def ground_vector(spec):
-    _, evecs = np.linalg.eigh(spec.matrix())
+    _, evecs = np.linalg.eigh(oracles.terms_matrix(spec.terms, spec.n_sites))
     return evecs[:, 0]
 
 
@@ -52,7 +52,8 @@ class TestTwoSite:
             two_site(k, h)
 
     def test_matrix_matches_oracle(self):
-        assert np.allclose(two_site(1.3, 0.4).matrix(), oracles.two_site_matrix(1.3, 0.4))
+        assert np.allclose(oracles.terms_matrix(two_site(1.3, 0.4).terms, 2),
+                           oracles.two_site_matrix(1.3, 0.4))
 
 
 class TestStandardPartition:
@@ -114,11 +115,12 @@ class TestStar:
         # J = 2k with unit fields reproduces two_site(k, 1)
         for k in (0.5, 1.0, 1.7):
             spec, _ = star(1, 2 * k)
-            assert np.allclose(spec.matrix(), two_site(k, 1.0).matrix())
+            assert np.allclose(oracles.terms_matrix(spec.terms, spec.n_sites),
+                               oracles.terms_matrix(two_site(k, 1.0).terms, 2))
 
     def test_decoupled_ground_state(self):
         spec, _ = star(2, 0.0)
-        evals, evecs = np.linalg.eigh(spec.matrix())
+        evals, evecs = np.linalg.eigh(oracles.terms_matrix(spec.terms, spec.n_sites))
         assert evals[0] == pytest.approx(-3.0)
         assert abs(evecs[7, 0]) == pytest.approx(1.0)  # |111>
 
@@ -147,13 +149,15 @@ class TestStar:
 
     def test_matrix_matches_oracle(self):
         spec, _ = star(2, 1.3)
-        assert np.allclose(spec.matrix(), oracles.star_matrix(2, 1.3))
+        assert np.allclose(oracles.terms_matrix(spec.terms, spec.n_sites),
+                           oracles.star_matrix(2, 1.3))
 
 
 class TestChain3:
     def test_decoupled_spectrum(self):
         spec, _ = chain3(0.0)
-        assert np.allclose(np.linalg.eigvalsh(spec.matrix()), [-3, -1, -1, -1, 1, 1, 1, 3])
+        assert np.allclose(np.linalg.eigvalsh(oracles.terms_matrix(spec.terms, spec.n_sites)),
+                           [-3, -1, -1, -1, 1, 1, 1, 3])
 
     def test_gap_at_unit_coupling(self):
         # frozen from an independent 8x8 diagonalization
@@ -180,7 +184,8 @@ class TestChain3:
 
     def test_matrix_matches_oracle(self):
         spec, _ = chain3(1.9)
-        assert np.allclose(spec.matrix(), oracles.chain3_matrix(1.9))
+        assert np.allclose(oracles.terms_matrix(spec.terms, spec.n_sites),
+                           oracles.chain3_matrix(1.9))
 
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError):
@@ -248,12 +253,14 @@ class TestSerialization:
         spec, _ = chain3(1.25)
         again = HamiltonianSpec.from_text(spec.name, spec.n_sites, spec.to_text())
         assert again.terms == spec.terms
-        assert np.allclose(again.matrix(), spec.matrix())
+        assert np.allclose(oracles.terms_matrix(again.terms, again.n_sites),
+                           oracles.terms_matrix(spec.terms, spec.n_sites))
 
     def test_roundtrip_star(self):
         spec, _ = star(3, 0.75)
         again = HamiltonianSpec.from_text(spec.name, spec.n_sites, spec.to_text())
-        assert np.allclose(again.matrix(), spec.matrix())
+        assert np.allclose(oracles.terms_matrix(again.terms, again.n_sites),
+                           oracles.terms_matrix(spec.terms, spec.n_sites))
 
 
 @pytest.mark.parametrize("model", MODELS)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from qetkd.errors import (
     DegenerateGroundError,
     SupportViolationError,
 )
-from qetkd.models import HamiltonianSpec, Partition, PartitionPart, chain3, star
+from qetkd.models import HamiltonianSpec, Partition, PartitionPart, build_model, chain3, \
+    first_excited_level, star
 import qetkd.noise as noise
+import qetkd.qkd as qkd
 from qetkd.noise import (
     NoiseSpec,
     apply_classical_flip,
@@ -189,7 +193,7 @@ class TestExcitedStates:
         out = excited_mixture_run(ctx, 1.0)
         assert np.isfinite(out.e_bob)
         spec, _ = chain3(0.0)
-        evals = np.linalg.eigvalsh(spec.matrix())
+        evals = np.linalg.eigvalsh(oracles.terms_matrix(spec.terms, spec.n_sites))
         assert np.sum(np.abs(evals - evals[1]) < 1e-9) == 3
 
 
@@ -199,7 +203,6 @@ class TestExcitedStates:
         # exactly three-fold degenerate; at 1e6 the solver splits it by
         # up to ~1e-9, which the scale-aware rule still groups
         from qetkd.models import HamiltonianSpec, Partition, PartitionPart
-        from qetkd.noise import noisy_input_state
         from qetkd.spinops import term
         terms = tuple(term(scale * c, (k, a))
                       for k in range(3) for c, a in ((0.6, "X"), (0.8, "Z")))
@@ -209,11 +212,16 @@ class TestExcitedStates:
                                "B": PartitionPart(terms[4:6], 0.0)})
         ctx = prepare(spec, partition, MeasurementBasis.x(0),
                       bob_axis=MeasurementBasis.y(2))
-        rho, _ = noisy_input_state(ctx, NoiseSpec(kind="excited_mixture", p=1.0))
+        columns = first_excited_level(spec)
+        rho = columns @ columns.conj().T / columns.shape[1]
         h = sum(scale * (0.6 * oracles.embed("X", k, 3) + 0.8 * oracles.embed("Z", k, 3))
                 for k in range(3))
         level = np.linalg.eigh(h)[1][:, 1:4]
         assert np.allclose(rho, level @ level.conj().T / 3, atol=1e-9)
+        # the session input is that mixture's marginal on the receiver's support
+        marginal, _ = noisy_input_state(ctx, NoiseSpec(kind="excited_mixture", p=1.0))
+        assert ctx.forms.support == (0, 2)
+        assert np.allclose(marginal, oracles.partial_trace(rho, [0, 2]), atol=1e-9)
 
 
 class TestPauliFlips:
@@ -555,3 +563,48 @@ class TestNoisyInputsAgainstOracle:
         for b in (0, 1):
             assert out.per_outcome[b][0] == pytest.approx(per[b][0], abs=1e-12)
             assert out.per_outcome[b][1] == pytest.approx(per[b][1], abs=1e-12)
+
+
+class TestLargestRegister:
+    """At 12 sites (star N=11), once the ground state exists, no noise path
+    holds a register-sized array: one complex 4096 x 4096 matrix is 268 MB,
+    and every traced peak below stays under 8 MB."""
+
+    PEAK = 8_000_000
+
+    @pytest.fixture(scope="class")
+    def star11(self):
+        spec, part, labels = build_model("star", 1.0, n_parties=11)
+        return spec, part, labels, prepare(spec, part, MeasurementBasis.x(0),
+                                           bob_label=labels[0])
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("family, kwargs", [
+        ("classical_flip", {}),
+        ("depolarize", {}),
+        ("bit_flip", {"site": 5}),
+        ("phase_flip", {"site": 1}),
+        ("excited_mixture", {}),
+        ("excited_superposition", {"alpha": 0.7}),
+        ("local_kraus", {"site": 5, "kraus_ops": AMPLITUDE_DAMPING}),  # a bystander
+    ])
+    def test_threshold_scan_stays_on_the_support(self, star11, family, kwargs):
+        ctx = star11[3]
+        peak = self.traced_peak(
+            lambda: threshold_scan(ctx, family, np.linspace(0.0, 1.0, 101), **kwargs))
+        assert peak < self.PEAK
+
+    def test_noisy_session_stays_on_the_support(self, star11, monkeypatch):
+        # the session is handed the solved model, so only its own path is traced
+        monkeypatch.setattr(qkd, "build_model", lambda *args, **kwargs: star11[:3])
+        config = qkd.SessionConfig(model="star", coupling=1.0, n_parties=11, rounds=4096,
+                                   noise=NoiseSpec("bit_flip", 0.01, site=5))
+        assert self.traced_peak(lambda: qkd.run_session(config)) < self.PEAK

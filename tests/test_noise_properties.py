@@ -61,19 +61,9 @@ def scan_cases(draw):
 
 def mixed_input(ctx, family, p, site=None, alpha=0.0):
     """The family's input at p built as one matrix, without the branch resolver."""
-    rho, n = ctx.rho_gs, ctx.n_sites
-    if family == "classical_flip":
-        return rho, p
-    if family == "depolarize":
-        return (1 - p) * rho + p * np.eye(2 ** n) / 2 ** n, 0.0
-    if family in ("bit_flip", "phase_flip"):
-        s = oracles.embed("X" if family == "bit_flip" else "Z", site, n)
-        return (1 - p) * rho + p * s @ rho @ s, 0.0
-    mixture, psi_1 = first_excited_level(ctx.spec)
-    if family == "excited_mixture":
-        return (1 - p) * rho + p * mixture, 0.0
-    psi = np.sqrt(1 - p) * ctx.gs + np.exp(1j * alpha) * np.sqrt(p) * psi_1
-    return np.outer(psi, psi.conj()), 0.0
+    level = first_excited_level(ctx.spec) if family.startswith("excited") else None
+    rho = oracles.noisy_state(family, p, ctx.gs, level, site, alpha)
+    return rho, p if family == "classical_flip" else 0.0
 
 
 @PROPERTY
@@ -206,7 +196,7 @@ def test_partition_parts_sum_to_hamiltonian(model, coupling, field, n_parties):
         spec, partition, _ = build_model(model, coupling, n_parties=n_parties)
     n = spec.n_sites
     total = sum(oracles.terms_matrix(part.terms, n) for part in partition.parts.values())
-    np.testing.assert_allclose(total, spec.matrix(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(total, oracles.terms_matrix(spec.terms, n), rtol=0, atol=1e-12)
 
 
 @PROPERTY

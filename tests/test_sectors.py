@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qetkd import models, spinops
+from qetkd import spinops
 from qetkd.models import HamiltonianSpec, chain3, first_excited_level, star, two_site, \
     two_site_partition_alternative
 from qetkd.noise import default_chain_coupling
@@ -166,7 +166,8 @@ class TestNoRegisterMatrix:
         def refuse(terms, n_sites):
             raise AssertionError(f"d x d assemble of {n_sites} sites")
 
-        monkeypatch.setattr(models, "assemble", refuse)
+        # models imports no assemble; any d x d assembly goes through spinops
+        monkeypatch.setattr(spinops, "assemble", refuse)
         star(4, 1.0)
         chain3(0.9)
         two_site_partition_alternative(1.0, 0.5)
@@ -293,7 +294,8 @@ class TestSwapSectors:
         h = oracles.terms_matrix(spec.terms, spec.n_sites) if h is None else h()
         w, v = np.linalg.eigh(h)
         cluster = np.abs(w - w[1]) <= 1e-9 * max(1.0, np.abs(w).max())
-        mixture, first = first_excited_level(spec)
+        level = first_excited_level(spec)
+        mixture, first = level @ level.conj().T / level.shape[1], level[:, 0]
         want = v[:, cluster] @ v[:, cluster].conj().T / cluster.sum()
         np.testing.assert_allclose(mixture, want, rtol=0, atol=1e-12)
         assert np.linalg.norm(h @ first - w[1] * first) <= 1e-10

@@ -14,7 +14,7 @@ import pytest
 import oracles
 import qetkd.qkd as qkd
 from qetkd.errors import DegenerateObjectiveError, SupportViolationError
-from qetkd.models import build_model, chain3
+from qetkd.models import build_model, chain3, first_excited_level
 from qetkd.noise import NoiseSpec, noisy_input_state
 from qetkd.protocol import MeasurementBasis, conditional_table, optimize_bob_basis, prepare
 from qetkd.qkd import SessionConfig, run_session
@@ -43,6 +43,15 @@ def input_state(ctx, noise):
     return ctx.gs if noise is None else noisy_input_state(ctx, noise)[0]
 
 
+def register_state(ctx, noise):
+    """The input as one d x d matrix, mixed densely from the ground and excited vectors."""
+    if noise is None:
+        return np.outer(ctx.gs, ctx.gs.conj())
+    level = first_excited_level(ctx.spec) if noise.kind.startswith("excited") else None
+    return oracles.noisy_state(noise.kind, noise.p, ctx.gs, level, noise.site,
+                               noise.alpha or 0.0)
+
+
 def oracle_axis(v, site, n):
     return sum(c * oracles.embed(ax, site, n) for c, ax in zip(v, "XYZ"))
 
@@ -62,7 +71,7 @@ def assert_tables_match(spec, part, label, noise, bases, bob_axes):
     h = oracles.terms_matrix(spec.terms, size)
     evals, gs = oracles.ground(h)
     h_b = oracles.terms_matrix(part.parts[label].terms, size)
-    rho = state if state.ndim == 2 else np.outer(state, state.conj())
+    rho = register_state(base, noise)
     for i, ctx in enumerate(contexts):
         sigma_a = oracle_axis(n[i], ctx.alice.site, size)
         sigma_b = oracle_axis(m[i], ctx.rule.site, size)
@@ -178,6 +187,23 @@ def test_noisy_star_session_prepares_once_for_any_party_count(monkeypatch):
                                   verify_bits=0, noise=NoiseSpec("depolarize", 0.05), seed=1))
         counts.append(len(calls))
     assert counts == [1, 1, 1]
+
+
+def test_noisy_star_session_reduces_the_input_on_each_receivers_support():
+    # A bit flip at B2's site moves B2's marginal and not B1's, so a session
+    # that handed every receiver the first receiver's marginal fails here.
+    config = SessionConfig(model="star", coupling=1.0, n_parties=3, rounds=16,
+                           verify_bits=0, seed=0, noise=NoiseSpec("bit_flip", 0.3, site=2))
+    spec, part, labels = build_model("star", 1.0, n_parties=3)
+    ctx = prepare(spec, part, MeasurementBasis.x(0), bob_label=labels[0])
+    forms, states = qkd._receivers(config, ctx, labels)
+    rho = oracles.noisy_state("bit_flip", 0.3, oracles.ground(oracles.star_matrix(3, 1.0))[1],
+                              site=2)
+    assert [f.support for f in forms] == [(0, 1), (0, 2), (0, 3)]
+    for f, state in zip(forms, states):
+        np.testing.assert_allclose(state, oracles.partial_trace(rho, list(f.support)),
+                                   rtol=0, atol=TIGHT)
+    assert not np.allclose(states[0], states[1], rtol=0, atol=1e-3)
 
 
 def test_kraus_channel_at_any_receiver_site_is_refused():
