@@ -12,6 +12,10 @@ Three adversaries against the energy-sign key protocol:
 * a man-in-the-middle who replaces the shared resource state with two
   pairs (Eve-sender, Eve-receiver), destroying the correlations the
   receiver decodes from.
+
+Every attack draws its shared rounds through ``_rounds`` and decodes a
+key bit as a session does: by the sign of ``ConditionalTable.decode``,
+the energy the feedback rotation extracts from the conditional state.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .rng import SUBSTREAM, stream
 from .spinops import sandwich, trace_distance
 from .tolerances import TOL
 
-DETECTIONS = ("none", "double_message", "verification_mismatch")
 VERIFICATION_BITS = 64  # key prefix the parties compare in a split attack
 SPLIT_CASES = ("eve_waits", "eve_measures_first_silent", "eve_measures_first_sends")
 
@@ -92,14 +95,23 @@ def bob_reference_state(ctx: RunContext) -> np.ndarray:
     return sum(ctx.rotate(b, ctx.project(b, ctx.rho_gs)) for b in (0, 1))
 
 
-def _energy_table(ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome probabilities, and table[b, b'] = receiver conditional energy
-    for outcome b and announced bit b', referenced to the resource state."""
-    rho = ctx.forms.marginal(ctx.gs)
-    table = conditional_table(ctx, rho)
-    weight = table.prob.sum()
-    ref_b = ctx.forms.reference(rho)[1] / weight
-    return table.prob / weight, table.per_outcome(table.post, ref_b)
+def _rounds(ctx: RunContext, kind: str, rounds: int, seed: int):
+    """The rounds every attack shares, drawn from the attack's own sub-stream.
+
+    Returns the normalized outcome odds, the session decode table
+    decode[b, b'] (outcome b, announced bit b'), the logical bits, the
+    sender's outcomes, the announced bits and the stream, from which Eve's
+    draws follow.
+    """
+    if rounds < 1:
+        raise ValueError(f"an attack needs at least one round, got {rounds}")
+    table = conditional_table(ctx, ctx.gs)
+    prob = table.prob / table.prob.sum()
+    rng = stream(seed, SUBSTREAM[f"attack_{kind}"])
+    logical = rng.integers(0, 2, rounds)
+    b_alice = _sample_bits(prob[0], rounds, rng)
+    announced = b_alice ^ (logical ^ 1)  # send b for logical 1, b^1 for logical 0
+    return prob, table.decode(), logical, b_alice, announced, rng
 
 
 def _joint_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,6 +152,8 @@ def eve_independent(ctx: RunContext, eve_basis: MeasurementBasis | None = None,
     agrees with his only at chance level.
     """
     eve_basis = eve_basis or ctx.alice
+    prob, decode, logical, b_alice, announced, rng = _rounds(ctx, "independent",
+                                                             rounds, seed)
 
     # Exact statistical state: Eve's measured ensemble, rotated by the
     # announced bit (identity encoding), weighted by the announcement odds.
@@ -147,19 +161,11 @@ def eve_independent(ctx: RunContext, eve_basis: MeasurementBasis | None = None,
                   for b in (0, 1)]
     p_eve = [float(np.trace(block).real) for block in eve_blocks]
     eve_measured = eve_blocks[0] + eve_blocks[1]
-    prob, table = _energy_table(ctx)
     rho_e = sum(prob[a] * ctx.rotate(a, eve_measured) for a in (0, 1))
 
-    # Seeded round statistics.
-    rng = stream(seed, SUBSTREAM["attack_independent"])
-    logical = rng.integers(0, 2, rounds)
-    b_alice = _sample_bits(prob[0], rounds, rng)
     b_eve = _sample_bits(p_eve[0], rounds, rng)
-    announced = b_alice ^ (logical ^ 1)  # send b for logical 1, b^1 for logical 0
-    bob_energy = table[b_alice, announced]
-    eve_energy = table[b_eve, announced]
-    bob_key = (bob_energy < 0).astype(np.int64)
-    eve_key = (eve_energy < 0).astype(np.int64)
+    bob_key = (decode[b_alice, announced] < 0).astype(np.int64)
+    eve_key = (decode[b_eve, announced] < 0).astype(np.int64)
     return _report(ctx, AttackScenario("independent"), rho_e, logical, bob_key,
                    eve_key, _joint_counts(b_alice, b_eve))
 
@@ -171,17 +177,11 @@ def eve_postselect(ctx: RunContext, rounds: int = 10_000, seed: int = 0) -> Atta
     sender's, so the state she assembles is identical to the receiver's
     -- and so is every key bit she decodes from it.
     """
-    rho_e = bob_reference_state(ctx)
-
-    prob, table = _energy_table(ctx)
-    rng = stream(seed, SUBSTREAM["attack_postselect"])
-    logical = rng.integers(0, 2, rounds)
-    b_alice = _sample_bits(prob[0], rounds, rng)
-    announced = b_alice ^ (logical ^ 1)
-    bob_key = (table[b_alice, announced] < 0).astype(np.int64)
+    _, decode, logical, b_alice, announced, _ = _rounds(ctx, "postselect", rounds, seed)
+    bob_key = (decode[b_alice, announced] < 0).astype(np.int64)
     eve_key = bob_key.copy()  # post-selected on b_alice: identical conditioning
-    return _report(ctx, AttackScenario("postselect"), rho_e, logical, bob_key,
-                   eve_key, _joint_counts(b_alice, b_alice))
+    return _report(ctx, AttackScenario("postselect"), bob_reference_state(ctx), logical,
+                   bob_key, eve_key, _joint_counts(b_alice, b_alice))
 
 
 def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
@@ -195,52 +195,38 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
     """
     if sub_case not in SPLIT_CASES:
         raise ValueError(f"unknown split sub-case {sub_case!r}")
-    dim = 2 ** ctx.n_sites
-    prob, table = _energy_table(ctx)
-    p0 = prob[0]
-    ref_b = ctx.forms.reference(ctx.gs)[1]
-
-    rng = stream(seed, SUBSTREAM["attack_split"])
-    logical = rng.integers(0, 2, rounds)
-    b_alice = _sample_bits(p0, rounds, rng)   # sender's outcomes on the EA pair
-    announced = b_alice ^ (logical ^ 1)
+    prob, decode, logical, b_alice, announced, rng = _rounds(ctx, "split", rounds, seed)
 
     if sub_case == "eve_waits":
         # Receiver rotates an unmeasured pair: no projection ever happened.
         rotated = [ctx.rotate(a, ctx.rho_gs) for a in (0, 1)]
+        ref_b = ctx.forms.reference(ctx.gs)[1]
         energy_by_bit = np.array([ctx.forms.reference(r)[1] - ref_b for r in rotated])
         bob_energy = energy_by_bit[announced]
-        rho_eb = np.zeros((dim, dim), dtype=complex)
-        for a in (0, 1):
-            q = float(np.mean(announced == a))
-            rho_eb += q * rotated[a]
+        q = np.bincount(announced, minlength=2) / rounds
+        rho_eb = q[0] * rotated[0] + q[1] * rotated[1]
         b_eve = np.full(rounds, -1, dtype=np.int64)  # never measured
         detection = "verification_mismatch"
     else:
-        b_eve = _sample_bits(p0, rounds, rng)  # Eve's outcomes on the EB pair
+        b_eve = _sample_bits(prob[0], rounds, rng)  # Eve's outcomes on the EB pair
         used_bit = b_eve if sub_case == "eve_measures_first_sends" else announced
-        bob_energy = table[b_eve, used_bit]
-        rho_eb = np.zeros((dim, dim), dtype=complex)
-        for be in (0, 1):
-            block = ctx.project(be, ctx.rho_gs)
-            weight = float(np.trace(block).real)
-            for a in (0, 1):
-                q = float(np.mean((b_eve == be) & (used_bit == a)))
-                if weight > TOL.outcome and q > 0:
-                    rho_eb += q * ctx.rotate(a, block) / weight
+        bob_energy = decode[b_eve, used_bit]
+        q = _joint_counts(b_eve, used_bit) / rounds  # q[b_eve, bit the receiver used]
+        blocks = [ctx.project(be, ctx.rho_gs) for be in (0, 1)]
+        weights = [float(np.trace(block).real) for block in blocks]
+        rho_eb = sum(q[be, a] * ctx.rotate(a, blocks[be]) / weights[be]
+                     for be in (0, 1) if weights[be] > TOL.outcome for a in (0, 1))
         detection = ("double_message" if sub_case == "eve_measures_first_sends"
                      else "verification_mismatch")
 
     bob_key = (bob_energy < 0).astype(np.int64)
     # Eve decodes from her side of the sender pair, where she is the
     # legitimate receiver of the teleported energy.
-    eve_energy = table[b_alice, announced]
-    eve_key = (eve_energy < 0).astype(np.int64)
+    eve_key = (decode[b_alice, announced] < 0).astype(np.int64)
 
-    if detection == "verification_mismatch":
-        compared = min(VERIFICATION_BITS, rounds)
-        if compared and np.all(logical[:compared] == bob_key[:compared]):
-            detection = "none"  # verification happened to pass
+    compared = slice(VERIFICATION_BITS)
+    if detection == "verification_mismatch" and np.all(logical[compared] == bob_key[compared]):
+        detection = "none"  # verification happened to pass
 
     return _report(ctx, AttackScenario("split_entanglement", sub_case), rho_eb,
                    logical, bob_key, eve_key,

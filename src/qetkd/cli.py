@@ -80,6 +80,11 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _usage_error(message) -> int:
+    print(f"usage error: {message}", file=sys.stderr)
+    return 2
+
+
 def _default_coupling(args: argparse.Namespace) -> float:
     if args.coupling is not None:
         return args.coupling
@@ -147,14 +152,16 @@ def cmd_noise(args: argparse.Namespace) -> int:
     family = _FAMILIES[args.family]
     kwargs = {}
     if family in ("bit_flip", "phase_flip"):
-        if args.site == "alice":
-            kwargs["site"] = ctx.alice.site
-        elif args.site == "bob":
-            kwargs["site"] = ctx.rule.site
-        else:
-            kwargs["site"] = int(args.site)
+        sites = {str(i): i for i in range(spec.n_sites)}
+        sites.update(alice=ctx.alice.site, bob=ctx.rule.site)
+        if args.site not in sites:
+            return _usage_error(f"--site must be alice, bob or a site in [0, "
+                                f"{spec.n_sites - 1}], got {args.site!r}")
+        kwargs["site"] = sites[args.site]
     if family == "excited_superposition":
         kwargs["alpha"] = args.alpha
+    if np.any((args.grid < 0.0) | (args.grid > 1.0)):
+        return _usage_error("--grid probabilities must lie in [0, 1]")
 
     report = threshold_scan(ctx, family, args.grid, **kwargs)
     lines = [_manifest(args), "family,J,p,E_A,E_B"]
@@ -185,8 +192,7 @@ def cmd_session(args: argparse.Namespace) -> int:
             noise=noise, seed=args.seed,
         )
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     result = run_session(config)
     if args.transcript:
         write_transcript(result, args.transcript)
@@ -201,6 +207,8 @@ def cmd_session(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    if args.rounds < 1:
+        return _usage_error(f"--rounds must be at least 1, got {args.rounds}")
     spec, partition = chain3(args.coupling if args.coupling is not None else 1.0)
     ctx = prepare(spec, partition, MeasurementBasis.x(0))
     if args.scenario == "independent":
@@ -298,8 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ModelParameterError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     except DegenerateGroundError as exc:
         print(f"degenerate ground level: {exc}", file=sys.stderr)
         return 3

@@ -417,7 +417,6 @@ class RunContext:
     bob_label: str
     gs: np.ndarray = field(repr=False)
     forms: ReceiverForms = field(repr=False)
-    gs_energy: float = 0.0
 
     @property
     def n_sites(self) -> int:
@@ -448,7 +447,7 @@ def prepare(spec: HamiltonianSpec, partition: Partition,
     ``bob_axis`` may be an explicit MeasurementBasis, "paired" (X->Y,
     Y->X, anything else falls back to the optimizer) or "optimal".
     """
-    gs, energy = ground_state(spec)
+    gs, _ = ground_state(spec)
     forms = receiver_forms(spec, partition, gs, alice.site, alice_label, bob_label)
     n = np.array([alice.vector], dtype=float)
     forms.require_commuting(n)
@@ -468,8 +467,7 @@ def prepare(spec: HamiltonianSpec, partition: Partition,
     rule = FeedbackRule(forms.site, tuple(float(c) for c in m[0]), theta, bit_map)
     return RunContext(
         spec=spec, partition=partition, alice=alice, rule=rule, theta=tp,
-        alice_label=alice_label, bob_label=bob_label,
-        gs=gs, forms=forms, gs_energy=energy,
+        alice_label=alice_label, bob_label=bob_label, gs=gs, forms=forms,
     )
 
 

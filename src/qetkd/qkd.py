@@ -424,6 +424,8 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
     fresh arrays, and a recycled id must not resurrect another state's
     table.
     """
+    if rounds < 1:
+        raise ValueError(f"a resource check needs at least one round, got {rounds}")
     predicted = run_ensemble(ctx).e_bob
     announced = [ctx.rule.mapped(b) for b in (0, 1)]
     draws = stream(seed, SUBSTREAM["resource_check"]).random(rounds)
@@ -441,7 +443,7 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
     table = np.reshape(tables, (-1, 3))
     energies = table[slots, 1 + (draws >= table[slots, 0])]
     mean = float(np.mean(energies))
-    stderr = float(np.std(energies) / np.sqrt(rounds)) if rounds else 0.0
+    stderr = float(np.std(energies) / np.sqrt(rounds))
     ok = abs(mean - predicted) <= 5.0 * stderr + 1e-12
     return ResourceVerdict(ok=ok, mean_energy=mean, predicted=predicted,
                            stderr=stderr, rounds=rounds)

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ImaginaryResidueError
 from .tolerances import TOL
 
-MAX_SITES = 12  # dense 4096x4096 density matrices are the largest we allow
+MAX_SITES = 12  # the largest register tested; an attack's d x d states are 268 MB each here
 
 AXES = ("X", "Y", "Z")
 

@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 from qetkd.adversary import (
+    SPLIT_CASES,
     AttackScenario,
     _joint_counts,
     bob_reference_state,
@@ -153,6 +156,34 @@ class TestSplitAttack:
     def test_unknown_sub_case(self, ctx):
         with pytest.raises(ValueError):
             split_attack(ctx, "eve_does_cartwheels", rounds=10, seed=0)
+
+
+class TestSessionDecodeRule:
+    """The attacks decode a key bit as a session does, by ``ConditionalTable.decode``."""
+
+    @pytest.fixture(scope="class")
+    def off_axis_ctx(self):
+        # a sender basis outside X and Y, where the conditional energy and
+        # the energy referenced to the resource state differ in sign
+        n = np.array([0.189, -0.198, 0.962])
+        spec, part = chain3(1.0)
+        return prepare(spec, part, MeasurementBasis(0, tuple(n / np.linalg.norm(n))))
+
+    @pytest.mark.parametrize("attack", [eve_postselect, eve_independent])
+    def test_undisturbed_pair_agrees_off_axis(self, off_axis_ctx, attack):
+        report = attack(off_axis_ctx, rounds=4000, seed=1)
+        assert report.key_match_rate_alice_bob == 1.0
+
+    @pytest.mark.parametrize("attack", [
+        eve_independent,
+        eve_postselect,
+        *(pytest.param(functools.partial(split_attack, sub_case=sub), id=sub)
+          for sub in SPLIT_CASES),
+    ])
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_needs_at_least_one_round(self, ctx, attack, rounds):
+        with pytest.raises(ValueError, match="at least one round"):
+            attack(ctx, rounds=rounds, seed=0)
 
 
 class TestReportSerialization:

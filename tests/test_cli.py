@@ -240,6 +240,15 @@ class TestModelParameters:
         ("noise", "--family", "classical", "--J", "-1"),
         ("session", "--J", "-1"),
         ("attack", "--scenario", "independent", "--J", "-1"),
+        ("attack", "--scenario", "independent", "--rounds", "0"),
+        ("attack", "--scenario", "postselect", "--rounds", "0"),
+        ("attack", "--scenario", "postselect", "--rounds", "-5"),
+        ("noise", "--family", "bitflip", "--site", "7"),
+        ("noise", "--family", "bitflip", "--site", "-1"),
+        ("noise", "--family", "bitflip", "--site", "foo"),
+        ("noise", "--family", "phaseflip", "--model", "star", "--N", "3", "--J", "1",
+         "--site", "4"),
+        ("noise", "--family", "classical", "--grid", "0:2:5"),
     ])
     def test_out_of_range_exits_2_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

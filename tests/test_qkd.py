@@ -288,6 +288,16 @@ class TestResourceVerification:
         assert verdict.ok
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("rounds", [0, -3])
+    def test_needs_a_round_before_drawing(self, chain_ctx, monkeypatch, rounds):
+        import qetkd.qkd as qkd
+        calls = []
+        monkeypatch.setattr(qkd, "stream", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="at least one round"):
+            verify_resource_state(chain_ctx, lambda i: calls.append(i) or chain_ctx.rho_gs,
+                                  rounds=rounds, seed=0)
+        assert calls == []
+
     def test_invalid_candidate_rejected(self, chain_ctx):
         with pytest.raises(ValueError):
             verify_resource_state(chain_ctx, lambda i: np.eye(8), rounds=4, seed=0)
