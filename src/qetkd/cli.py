@@ -115,6 +115,9 @@ def cmd_qet(args: argparse.Namespace) -> int:
     lines = [_manifest(args), "J,E_A,E_B"]
     grid = args.sweep_j if args.sweep_j is not None \
         else np.array([_default_coupling(args)])
+    if args.model == "star" and args.basis != "x" and np.any(grid > 0.0):
+        return _usage_error(f"--basis {args.basis} measures the hub off the X axis, and on "
+                            "the star with J > 0 only X commutes with every receiver's H_B")
     for j in grid:
         spec, partition, labels = build_model(args.model, float(j), args.k, args.h,
                                               args.n_parties)

@@ -10,7 +10,11 @@ commutes with every site swap that maps its terms onto themselves,
 coefficients kept, and each sector onto itself.  ``solve_sectors``
 scatters H straight into its sectors split by the characters of a set of
 disjoint such swaps, and ``eigendecompose`` solves each stack of blocks of
-one size in one batched call.  A 2x2 operator at one site
+one size in one batched call.  When the terms form a hub and at least
+three interchangeable leaves, H commutes with every permutation of the
+leaves, and ``solve_sectors`` solves it instead in one hub (x) spin-j block
+per total leaf spin j, 2(2j + 1) wide, whose eigenvectors reach the
+register by coupling the leaves one at a time.  A 2x2 operator at one site
 acts on a vector or matrix through a reshape that isolates that site's
 bit, at O(d) per vector and O(d^2) per matrix; no d x d operator product
 is ever formed for it, and ``on_support`` builds a sum of terms on the
@@ -229,6 +233,23 @@ class _SectorPlan:
     weight: np.ndarray
     cls: np.ndarray
 
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        """Every block of a stack is solved once and stands for one set of levels."""
+        return (1,) * len(self.sizes)
+
+    def columns(self, block_vectors, where) -> np.ndarray:
+        """Register-basis columns of the block eigenvectors at ``where``'s
+        (size group, block, column) rows."""
+        out = np.zeros((self.rep.size, len(where)), dtype=np.result_type(*block_vectors))
+        for j, (g, b, col) in enumerate(where):
+            sector, chi = divmod(int(self.blocks[g][b]), 1 << len(self.swaps))
+            y = self.states[sector][(chi & ~self.unequal[self.states[sector]]) == 0]
+            out[y, j] = ((-1.0) ** self.ones[chi & self.twist[y]]
+                         * 2.0 ** (-0.5 * self.ones[self.unequal[y]])
+                         * block_vectors[g][b, self.pos[self.rep[y] ^ self.pair_flip[chi]], col])
+        return out
+
 
 @functools.lru_cache(maxsize=64)
 def _sector_plan(n_sites: int, factors: tuple, pattern: tuple[int, ...],
@@ -301,12 +322,16 @@ def _sector_plan(n_sites: int, factors: tuple, pattern: tuple[int, ...],
         key // total)
 
 
-def _scatter(terms, n_sites: int, symmetric: bool) -> tuple[_SectorPlan, list[np.ndarray]]:
-    """(cached plan, its stacks of blocks of one size, ascending), in one bincount."""
+def _require_terms(terms, n_sites: int) -> None:
     _require_register(n_sites)
     for t in terms:
         if not isinstance(t, PauliTerm) or t.max_site() >= n_sites:
             raise ValueError(f"expected PauliTerms on {n_sites} sites, got {t!r}")
+
+
+def _scatter(terms, n_sites: int, symmetric: bool) -> tuple[_SectorPlan, list[np.ndarray]]:
+    """(cached plan, its stacks of blocks of one size, ascending), in one bincount."""
+    _require_terms(terms, n_sites)
     first: dict[float, int] = {}
     pattern = tuple(first.setdefault(t.coefficient, len(first)) for t in terms)
     plan = _sector_plan(n_sites, tuple(t.factors for t in terms), pattern, symmetric)
@@ -327,14 +352,141 @@ def assemble_sectors(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: in
     return blocks, plan.states
 
 
+def _hub_and_leaves(terms, n_sites: int) -> tuple[int, np.ndarray] | None:
+    """(hub, C) when every term acts on the hub, one leaf, or both, and every
+    leaf carries the same terms; None otherwise.
+
+    A term is kept as (hub axis, leaf axis, coefficient), axis 0 for no
+    factor and 1, 2, 3 for X, Y, Z, so the leaves' lists compare with the
+    leaf's index relabelled.  C[a, b] sums the hub terms' and one leaf's
+    coefficients per (a, b).  Three leaves at least: with two, their one
+    swap is the whole leaf group, and the sector plan already uses it.
+    """
+    for hub in range(n_sites if n_sites >= 4 else 0):
+        per_leaf: dict[int, list] = {s: [] for s in range(n_sites) if s != hub}
+        hub_terms = []
+        for t in terms:
+            leaves = [s for s, _ in t.factors if s != hub]
+            if len(leaves) > 1:
+                break
+            axis = {s == hub: 1 + AXES.index(ax) for s, ax in t.factors}
+            form = (axis.get(True, 0), axis.get(False, 0), t.coefficient)
+            (per_leaf[leaves[0]] if leaves else hub_terms).append(form)
+        else:
+            first, *rest = (sorted(v) for v in per_leaf.values())
+            if all(r == first for r in rest):
+                c = np.zeros((4, 4))
+                for a, b, coefficient in hub_terms + first:
+                    c[a, b] += coefficient
+                return hub, c
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _collective_paulis(two_j: int) -> np.ndarray:
+    """[1, 2 J_x, 2 J_y, 2 J_z] of spin j on |j, m>, m descending from j: each
+    leaf Pauli summed over the leaves, on one copy of spin j; shared, read-only."""
+    m = two_j / 2 - np.arange(two_j + 1)
+    up = np.diag(np.sqrt(two_j / 2 * (two_j / 2 + 1) - m[1:] * (m[1:] + 1)), 1)
+    ops = np.array([np.eye(two_j + 1), up + up.T, -1j * (up - up.T), np.diag(2 * m)])
+    ops.flags.writeable = False
+    return ops
+
+
+@functools.lru_cache(maxsize=None)
+def _coupling_paths(n_leaves: int, two_j: int) -> tuple[tuple[int, ...], ...]:
+    """Every way to reach spin j by adding the leaves one at a time: the
+    doubled spins 1 = 2j_1, 2j_2, ..., 2j_N = 2j, each step +-1 and none
+    below 0.  There is one path per copy of spin j in the leaves."""
+    if n_leaves == 1:
+        return ((1,),) if two_j == 1 else ()
+    return tuple(p + (two_j,) for t in (two_j - 1, two_j + 1) if t >= 0
+                 for p in _coupling_paths(n_leaves - 1, t))
+
+
+def _coupled_leaves(path: tuple[int, ...]) -> np.ndarray:
+    """(2^N, 2j + 1): the path's |j, m>, m descending, as columns on the
+    leaves' register, the first leaf most significant.
+
+    Each step couples spin j (doubled t) and the next leaf's spin 1/2 to
+    spin j +- 1/2 with the Condon-Shortley Clebsch-Gordan coefficients;
+    the leaf's bit 0 is its m = +1/2.
+    """
+    out = np.eye(2)
+    for t, u in zip(path, path[1:]):
+        m2 = u - 2 * np.arange(u + 1)  # 2m of each new column
+        grow = np.sqrt((t + 1 + m2) / (2 * t + 2)), np.sqrt((t + 1 - m2) / (2 * t + 2))
+        new = np.zeros((len(out), 2, u + 1))
+        if u > t:
+            new[:, 0, :-1] = out * grow[0][:-1]
+            new[:, 1, 1:] = out * grow[1][1:]
+        else:
+            new[:, 0] = out[:, 1:] * -grow[1]
+            new[:, 1] = out[:, :-1] * grow[0]
+        out = new.reshape(-1, u + 1)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _CollectivePlan:
+    """H of a hub and N interchangeable leaves in hub (x) total-leaf-spin blocks.
+
+    Block j (doubled ``spins[g]``) is 2(2j + 1) wide, with the hub's bit
+    most significant, and stands for ``multiplicities[g]`` copies of
+    itself, one per coupling path of the leaves.
+    """
+
+    hub: int
+    n_sites: int
+    spins: tuple[int, ...]
+    multiplicities: tuple[int, ...]
+
+    @property
+    def widths(self) -> tuple[int, ...]:
+        return tuple(2 * t + 2 for t in self.spins)
+
+    def columns(self, block_vectors, where) -> np.ndarray:
+        """Register-basis columns of the block eigenvectors at ``where``'s
+        (spin block, copy, column) rows."""
+        out = np.zeros((2 ** self.n_sites, len(where)), dtype=np.result_type(*block_vectors))
+        leaves: dict[tuple[int, int], np.ndarray] = {}
+        for j, (g, copy, col) in enumerate(where):
+            if (g, copy) not in leaves:
+                path = _coupling_paths(self.n_sites - 1, self.spins[g])[copy]
+                leaves[g, copy] = _coupled_leaves(path)
+            v = block_vectors[g][0, :, col].reshape(2, -1) @ leaves[g, copy].T
+            out[:, j] = np.moveaxis(v.reshape((2,) * self.n_sites), 0, self.hub).ravel()
+        return out
+
+
+def _collective_blocks(terms, n_sites: int) -> tuple[_CollectivePlan, list[np.ndarray]] | None:
+    """(plan, one 1-block stack per spin j, descending) of a hub plus at least
+    three interchangeable leaves (``_hub_and_leaves``), else None.
+
+    Summed over the leaves, leaf Pauli b is 2 J_b of the total leaf spin, so
+    H_j = sum_ab C[a, b] sigma_a (x) 2 J_b^(j), with sigma_0 = 2 J_0 = 1.
+    """
+    _require_terms(terms, n_sites)
+    found = _hub_and_leaves(terms, n_sites)
+    if found is None:
+        return None
+    hub, c = found
+    spins = tuple(range(n_sites - 1, -1, -2))
+    stacks = [np.einsum("ab,axy,bij->xiyj", c, site_paulis(0, 1), _collective_paulis(t)
+                        ).reshape(1, 2 * t + 2, 2 * t + 2) for t in spins]
+    plan = _CollectivePlan(hub, n_sites, spins,
+                           tuple(len(_coupling_paths(n_sites - 1, t)) for t in spins))
+    return plan, stacks
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """H's eigenvalues, ascending, with its eigenvectors kept block by block."""
 
     values: np.ndarray
-    plan: _SectorPlan
-    block_vectors: tuple[np.ndarray, ...]  # per size: (blocks, m, m), as columns
-    where: np.ndarray       # (size group, block, column) of each ascending level
+    plan: _SectorPlan | _CollectivePlan
+    block_vectors: tuple[np.ndarray, ...]  # per size or spin: (blocks, m, m), as columns
+    where: np.ndarray       # (size group, block or copy, column) of each ascending level
 
     @functools.cached_property
     def ground(self) -> np.ndarray:
@@ -346,26 +498,26 @@ class Spectrum:
     def vectors(self, levels) -> np.ndarray:
         """The eigenvectors of ``levels`` (indices into ``values``) as register-basis
         columns, each with its largest amplitude rotated real positive."""
-        p = self.plan
-        out = np.zeros((p.rep.size, len(levels)), dtype=np.result_type(*self.block_vectors))
-        for j, (g, b, col) in enumerate(self.where[levels]):
-            sector, chi = divmod(int(p.blocks[g][b]), 1 << len(p.swaps))
-            y = p.states[sector][(chi & ~p.unequal[p.states[sector]]) == 0]
-            out[y, j] = ((-1.0) ** p.ones[chi & p.twist[y]] * 2.0 ** (-0.5 * p.ones[p.unequal[y]])
-                         * self.block_vectors[g][b, p.pos[p.rep[y] ^ p.pair_flip[chi]], col])
+        out = self.plan.columns(self.block_vectors, self.where[levels])
         phase = out[np.abs(out).argmax(axis=0), np.arange(len(levels))]
         return out * (phase / np.abs(phase)).conjugate()
 
 
 def solve_sectors(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) -> Spectrum:
-    """H solved exactly, every block in full, in its flip sectors split by its swap
-    characters: one scatter by a plan cached on the terms' factors and which
-    coefficients are equal, and one ``eigendecompose`` per block size."""
-    plan, stacks = _scatter(terms, n_sites, symmetric=True)
+    """H solved exactly, every block in full, and one ``eigendecompose`` per block size.
+
+    A hub with at least three interchangeable leaves is solved in its hub (x)
+    total-leaf-spin blocks (``_collective_blocks``), each block's levels
+    repeated once per copy of its spin.  Any other H is solved in its flip
+    sectors split by its swap characters: one scatter by a plan cached on
+    the terms' factors and which coefficients are equal.
+    """
+    plan, stacks = _collective_blocks(terms, n_sites) or _scatter(terms, n_sites, symmetric=True)
     solved = [eigendecompose(stack) for stack in stacks]
-    values = np.concatenate([v.ravel() for v, _ in solved])
+    values = [np.repeat(v, m, axis=0) for (v, _), m in zip(solved, plan.multiplicities)]
     where = np.concatenate([np.c_[np.full(v.size, g), np.indices(v.shape).reshape(2, -1).T]
-                            for g, (v, _) in enumerate(solved)])
+                            for g, v in enumerate(values)])
+    values = np.concatenate([v.ravel() for v in values])
     order = np.argsort(values, kind="stable")
     values = values[order]
     values.flags.writeable = False

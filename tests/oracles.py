@@ -67,6 +67,59 @@ def star_matrix(n_parties, j):
     return h
 
 
+def star_dicke_ground(n_parties, j):
+    """(E_0, a) of the star in the hub (x) Dicke block, where the ground state lies.
+
+    |D^n> is the uniform superposition of the leaf strings with n leaves in
+    |1>, so sum_k Z_k |D^n> = (N - 2n) |D^n> and, counting the strings one
+    flip reaches, sum_k X_k |D^n> = sqrt((n + 1)(N - n)) |D^(n+1)>
+    + sqrt(n (N - n + 1)) |D^(n-1)>.  The ground state is
+    sum a[s, n] |s>_hub |D^n>.
+    """
+    n = np.arange(n_parties + 1)
+    up = np.sqrt((n[:-1] + 1) * (n_parties - n[:-1]))
+    leaf_x = np.diag(up, -1) + np.diag(up, 1)
+    leaf_z = np.diag(n_parties - 2.0 * n)
+    h = (j * np.kron(SX.real, leaf_x) + np.kron(SZ.real, np.eye(n_parties + 1))
+         + np.kron(np.eye(2), leaf_z))
+    evals, evecs = np.linalg.eigh(h)
+    return evals[0], evecs[:, 0].reshape(2, n_parties + 1)
+
+
+def star_hub_leaf_marginal(n_parties, j):
+    """4x4 reduced state of the star's ground state on (hub, one leaf), hub first.
+
+    Splitting one leaf off a Dicke state,
+    |D_N^n> = sqrt(n/N) |1>|D_(N-1)^(n-1)> + sqrt((N-n)/N) |0>|D_(N-1)^n>,
+    and the rest's Dicke states are orthonormal.
+    """
+    _, a = star_dicke_ground(n_parties, j)
+    rest = np.arange(n_parties)
+    b = np.stack([a[:, :-1] * np.sqrt((n_parties - rest) / n_parties),
+                  a[:, 1:] * np.sqrt((rest + 1) / n_parties)], axis=1)  # [hub, leaf, rest]
+    b = b.reshape(4, n_parties)
+    return b @ b.T
+
+
+def star_marginal_energies(n_parties, j):
+    """(E_A, E_B) of the X-basis star protocol for receiver 1, from the hub-leaf marginal.
+
+    Every operator the round reads lives on (hub, leaf): X at the hub, Y at
+    the leaf, H_A = Z_hub and H_B = J X_hub X_leaf + Z_leaf, which are also
+    all the terms of H at the leaf.  (H - E_0)|gs> = 0 makes
+    xi = <sB [H, sB]> and eta = <sA i [sB, H]> traces against the marginal.
+    """
+    rho = star_hub_leaf_marginal(n_parties, j)
+    sigma_a, sigma_b = np.kron(SX, ID2), np.kron(ID2, SY)
+    h_a = np.kron(SZ, ID2)
+    h_b = j * np.kron(SX, SX) + np.kron(ID2, SZ)
+    comm = sigma_b @ h_b - h_b @ sigma_b
+    xi = -np.real(np.trace(rho @ sigma_b @ comm))
+    eta = np.real(np.trace(rho @ sigma_a @ (1j * comm)))
+    e_a, e_b, _ = protocol_energies(h_a, h_b, rho, sigma_a, sigma_b, 0.5 * np.arctan2(eta, xi))
+    return e_a, e_b
+
+
 def partial_trace(rho, keep):
     """Reduced density matrix on the ascending sites ``keep``: every other
     site traced out of the d x d ``rho``, highest site first."""

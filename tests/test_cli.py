@@ -194,6 +194,38 @@ class TestSession:
         assert out == ""
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--model", "chain3", "--J", "0"),
+        ("--model", "star", "--N", "3", "--J", "0", "--policy", "haar"),
+    ])
+    def test_zero_coupling_without_threshold_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "session", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and "--epsilon" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("session", "--model", "star", "--N", "2", "--J", "1", "--policy", "haar"),
+        ("session", "--model", "star", "--N", "3", "--J", "1", "--policy", "two-random"),
+        ("qet", "--model", "star", "--N", "4", "--basis", "y"),
+        ("qet", "--model", "star", "--N", "1", "--basis", "random"),
+        ("qet", "--model", "star", "--N", "3", "--basis", "y", "--sweep-J", "0:1:3"),
+    ])
+    def test_star_sender_basis_off_x_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and "only X commutes" in err
+        assert len(err.splitlines()) == 1
+
+    def test_star_y_basis_at_zero_coupling_runs(self, tmp_path, capsys):
+        out_path = tmp_path / "y.csv"
+        code, _, _ = run_cli(capsys, "qet", "--model", "star", "--N", "4", "--basis", "y",
+                             "--J", "0", "--out", str(out_path))
+        assert code == 0
+        assert read_csv(out_path)[1] == [["0", "1", "0"]]
+
     def test_erasure_abort_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "session", "--model", "chain3", "--J", "1",
                                "--rounds", "16", "--verify-bits", "0",

@@ -38,6 +38,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SessionConfig(basis_policy="alternating")
 
+    @pytest.mark.parametrize("policy", ["two-random", "haar"])
+    @pytest.mark.parametrize("n_parties", [1, 2, 3])
+    def test_star_refuses_bases_off_x(self, policy, n_parties):
+        with pytest.raises(ValueError, match="only X commutes"):
+            SessionConfig(model="star", n_parties=n_parties, coupling=0.5,
+                          basis_policy=policy)
+        # at J = 0 every hub axis commutes with the receivers' fields
+        SessionConfig(model="star", n_parties=n_parties, coupling=0.0,
+                      basis_policy=policy, epsilon=1e-3)
+        SessionConfig(model="star", n_parties=n_parties, coupling=0.5)
+
+    @pytest.mark.parametrize("model", ["chain3", "star"])
+    def test_zero_coupling_needs_a_threshold(self, model):
+        with pytest.raises(ValueError, match="no default decode threshold"):
+            SessionConfig(model=model, coupling=0.0)
+        SessionConfig(model=model, coupling=0.0, epsilon=1e-3)
+
     @pytest.mark.parametrize("kwargs", [
         {"coupling": -1.0},
         {"model": "star", "n_parties": 0},
@@ -139,12 +156,11 @@ class TestSingleSession:
             run_session(config)
 
     def test_two_basis_policy_on_star_violates_partition(self):
-        # the Y draw fails to commute with the hub-leg interaction
-        config = SessionConfig(model="star", n_parties=2, coupling=1.0,
-                               rounds=32, verify_bits=0,
-                               basis_policy="two-random", seed=1)
-        with pytest.raises(PartitionViolationError):
-            run_session(config)
+        # the Y draw fails to commute with the hub-leg interaction, so the
+        # configuration is refused before any model is built
+        with pytest.raises(ValueError, match="only X commutes"):
+            SessionConfig(model="star", n_parties=2, coupling=1.0, rounds=32,
+                          verify_bits=0, basis_policy="two-random", seed=1)
 
     def test_depolarizing_state_noise_shrinks_margin(self):
         noise = NoiseSpec(kind="depolarize", p=0.5)
@@ -287,6 +303,42 @@ class TestResourceVerification:
                                         rounds=20_000, seed=0)
         assert verdict.ok
         assert len(calls) == 1
+
+    def test_equal_rounds_hash_once(self, chain_ctx, monkeypatch):
+        # consecutive rounds with equal bytes reuse the previous round's table
+        import qetkd.qkd as qkd
+        digests = []
+        original = qkd.hashlib.blake2b
+        monkeypatch.setattr(qkd.hashlib, "blake2b",
+                            lambda data: digests.append(1) or original(data))
+        verdict = verify_resource_state(chain_ctx, lambda i: chain_ctx.rho_gs.copy(),
+                                        rounds=5000, seed=0)
+        assert verdict.ok
+        assert len(digests) == 1
+
+    def test_state_mutated_in_place_builds_a_second_table(self, chain_ctx, monkeypatch):
+        # one array changed in place between rounds is two states, as two
+        # fresh arrays with the same contents are
+        import qetkd.qkd as qkd
+        from qetkd.spinops import PAULI, sandwich
+        rho = chain_ctx.rho_gs
+        flipped = sandwich(PAULI["X"], 2, rho)
+        shared = rho.copy()
+
+        def mutating(i):
+            shared[...] = rho if i < 500 else flipped
+            return shared
+
+        calls = []
+        original = qkd.require_density_matrix
+        monkeypatch.setattr(qkd, "require_density_matrix",
+                            lambda state: calls.append(1) or original(state))
+        mutated = verify_resource_state(chain_ctx, mutating, rounds=3000, seed=4)
+        assert len(calls) == 2
+        fresh = verify_resource_state(
+            chain_ctx, lambda i: (rho if i < 500 else flipped).copy(), rounds=3000, seed=4)
+        assert mutated == fresh
+        assert not mutated.ok
 
     @pytest.mark.parametrize("rounds", [0, -3])
     def test_needs_a_round_before_drawing(self, chain_ctx, monkeypatch, rounds):

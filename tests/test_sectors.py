@@ -1,8 +1,10 @@
 """The symmetry-block spectrum against dense Kronecker-product oracles.
 
-``HamiltonianSpec.spectrum`` solves H block by block in the cosets of the
-span of its terms' flip masks, each split by the characters of the site
-swaps that leave H unchanged.  These tests compare it with
+``HamiltonianSpec.spectrum`` solves a hub with at least three
+interchangeable leaves in hub (x) total-leaf-spin blocks, and any other H
+block by block in the cosets of the span of its terms' flip masks, each
+split by the characters of the site swaps that leave H unchanged.  These
+tests compare it with
 ``np.linalg.eigh`` on the oracle matrix of the same Hamiltonian: the
 eigenvalues and their multiplicities, each eigenvector's residual and
 orthonormality, the ground state up to a phase and the first excited
@@ -10,6 +12,7 @@ level's projector.
 """
 
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -19,12 +22,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qetkd import spinops
+from qetkd import cli, spinops
 from qetkd.models import HamiltonianSpec, chain3, first_excited_level, star, two_site, \
     two_site_partition_alternative
 from qetkd.noise import default_chain_coupling
 from qetkd.protocol import ground_state
-from qetkd.spinops import assemble_sectors, eigendecompose, term
+from qetkd.spinops import assemble_sectors, eigendecompose, reduced_density, term
 
 import oracles
 
@@ -238,7 +241,8 @@ class TestSwapSectors:
         skew = HamiltonianSpec.from_text("star-4-skew", 5, text)
         assert skew.terms[0].coefficient == 0.9
         assert skew.spectrum.plan.swaps == ((2, 3),)
-        assert star(4, 1.0)[0].spectrum.plan.swaps == ((1, 2), (3, 4))
+        plan = star(4, 1.0)[0].spectrum.plan
+        assert (plan.widths, plan.multiplicities) == ((10, 6, 2), (1, 3, 2))
         assert_spectrum_matches(skew, oracles.terms_matrix(skew.terms, 5))
 
     def test_swap_that_exchanges_flip_sectors_is_skipped(self):
@@ -343,3 +347,123 @@ class TestSwapSectors:
         finally:
             tracemalloc.stop()
         assert peak < 64_000_000
+
+
+def hub_spec(n, hub, terms_per_leaf, hub_terms=(), name="hub"):
+    """Hub terms plus, for every other site k, the leaf terms made by
+    ``terms_per_leaf(k)``."""
+    terms = list(hub_terms)
+    for k in range(n):
+        if k != hub:
+            terms += terms_per_leaf(k)
+    return HamiltonianSpec(name, n, tuple(terms))
+
+
+class TestCollectiveBlocks:
+    """A hub plus at least three interchangeable leaves: one block per total leaf spin."""
+
+    @pytest.mark.parametrize("n_parties", range(3, 12))
+    def test_star_blocks_and_multiplicities(self, n_parties):
+        plan = star(n_parties, 1.0)[0].spectrum.plan
+        spins = range(n_parties, -1, -2)  # 2j
+        want = [math.comb(n_parties, (n_parties - t) // 2)
+                - (math.comb(n_parties, (n_parties - t) // 2 - 1) if t < n_parties else 0)
+                for t in spins]
+        assert plan.widths == tuple(2 * t + 2 for t in spins)
+        assert plan.multiplicities == tuple(want)
+        assert sum(w * m for w, m in zip(plan.widths, want)) == 2 ** (n_parties + 1)
+
+    @pytest.mark.parametrize("n_parties", [1, 2])
+    def test_one_or_two_leaves_keep_the_sector_plan(self, n_parties):
+        plan = star(n_parties, 1.0)[0].spectrum.plan
+        assert plan.swaps == (((1, 2),) if n_parties == 2 else ((0, 1),))
+
+    def test_text_copy_of_a_star_is_solved_collectively(self):
+        spec, _ = star(5, 1.0)
+        copy = HamiltonianSpec.from_text("star-5-text", 6, spec.to_text())
+        assert copy.spectrum.plan.widths == (12, 8, 4)
+        np.testing.assert_array_equal(copy.spectrum.values, spec.spectrum.values)
+        assert_spectrum_matches(copy, oracles.star_matrix(5, 1.0))
+
+    def test_relabelled_hub(self):
+        # the star with its hub at site 2 and leaves listed out of order
+        spec = hub_spec(5, 2, lambda k: [term(1.0, (k, "Z")), term(0.8, (k, "X"), (2, "X"))],
+                        [term(1.0, (2, "Z"))])
+        assert spec.spectrum.plan.hub == 2
+        assert_spectrum_matches(spec, oracles.terms_matrix(spec.terms, 5))
+
+    def test_skew_star_stays_on_the_sector_plan(self):
+        # leaf 3's field differs from the others', so the leaves are not
+        # interchangeable; the swaps that leave H unchanged still qualify
+        spec, _ = star(4, 1.0)
+        text = spec.to_text().replace("1 3:Z\n", "1.1 3:Z\n")
+        skew = HamiltonianSpec.from_text("star-4-skew-field", 5, text)
+        assert skew.spectrum.plan.swaps == ((1, 2),)
+        assert_spectrum_matches(skew, oracles.terms_matrix(skew.terms, 5))
+
+    def test_leaf_leaf_term_stays_on_the_sector_plan(self):
+        spec, _ = star(4, 1.0)
+        ring = HamiltonianSpec("star-4-ring", 5, spec.terms + (term(0.3, (1, "Z"), (2, "Z")),))
+        assert hasattr(ring.spectrum.plan, "swaps")
+        assert_spectrum_matches(ring, oracles.terms_matrix(ring.terms, 5))
+
+    @pytest.mark.parametrize("n, hub", [(4, 0), (5, 2), (6, 5)])
+    def test_y_factors_give_complex_collective_blocks(self, n, hub):
+        # hub-leaf X Y, Y Z and Z Y couplings and leaf Y fields need 2 J_y,
+        # which is imaginary: every block is complex Hermitian
+        def leaf(k):
+            return [term(0.8, (k, "Y"), (hub, "X")), term(0.4, (hub, "Z"), (k, "Y")),
+                    term(0.35, (hub, "Y"), (k, "Z")), term(1.1, (hub, "Y"), (k, "X")),
+                    term(0.5, (k, "X")), term(-0.6, (k, "Y")), term(0.9, (k, "Z"))]
+        spec = hub_spec(n, hub, leaf, [term(0.3, (hub, "Z")), term(-0.7, (hub, "X")),
+                                       term(0.2, (hub, "Y")), term(0.25)])
+        assert spec.spectrum.plan.hub == hub
+        assert np.iscomplexobj(spec.spectrum.ground)
+        assert_spectrum_matches(spec, oracles.terms_matrix(spec.terms, n))
+
+    @pytest.mark.parametrize("coupling", [0.0, 0.45, 2.0])
+    def test_star_couplings(self, coupling):
+        spec, _ = star(5, coupling)
+        assert_spectrum_matches(spec, oracles.star_matrix(5, coupling))
+
+
+class TestCollectiveOracle:
+    """The hub (x) Dicke oracle, against the dense star and then against the library."""
+
+    @pytest.mark.parametrize("n_parties", range(1, 10))
+    def test_oracle_against_the_dense_star(self, n_parties):
+        h, w, v = star_oracle(n_parties)
+        e0, amplitudes = oracles.star_dicke_ground(n_parties, 1.0)
+        assert e0 == pytest.approx(w[0], abs=1e-12 * max(1.0, np.abs(w).max()))
+        assert np.linalg.norm(amplitudes) == pytest.approx(1.0, abs=1e-12)
+        rho = oracles.partial_trace(np.outer(v[:, 0], v[:, 0].conj()), [0, 1])
+        np.testing.assert_allclose(oracles.star_hub_leaf_marginal(n_parties, 1.0), rho,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_parties", [1, 3, 6])
+    def test_oracle_energies_against_the_dense_star(self, n_parties):
+        h, w, v = star_oracle(n_parties)
+        n = n_parties + 1
+        sigma_a, sigma_b = oracles.embed("X", 0, n), oracles.embed("Y", 1, n)
+        h_b = sigma_a @ oracles.embed("X", 1, n) + oracles.embed("Z", 1, n)
+        theta = oracles.theta_of(h, v[:, 0], w[0], sigma_a, sigma_b)[2]
+        e_a, e_b, _ = oracles.protocol_energies(oracles.embed("Z", 0, n), h_b,
+                                                np.outer(v[:, 0], v[:, 0].conj()),
+                                                sigma_a, sigma_b, theta)
+        np.testing.assert_allclose(oracles.star_marginal_energies(n_parties, 1.0), (e_a, e_b),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_parties", [10, 11])
+    def test_library_beyond_the_dense_oracle(self, n_parties, tmp_path):
+        spec, _ = star(n_parties, 1.0)
+        e0, _ = oracles.star_dicke_ground(n_parties, 1.0)
+        assert spec.spectrum.values[0] == pytest.approx(e0, abs=1e-12)
+        np.testing.assert_allclose(reduced_density(spec.spectrum.ground, [0, 1]),
+                                   oracles.star_hub_leaf_marginal(n_parties, 1.0),
+                                   rtol=0, atol=1e-12)
+        out = tmp_path / "qet.csv"
+        assert cli.main(["qet", "--model", "star", "--N", str(n_parties), "--J", "1",
+                         "--basis", "x", "--out", str(out)]) == 0
+        row = [float(x) for x in out.read_text().splitlines()[-1].split(",")]
+        np.testing.assert_allclose(row[1:], oracles.star_marginal_energies(n_parties, 1.0),
+                                   rtol=0, atol=1e-9)
