@@ -98,29 +98,35 @@ def bob_reference_state(ctx: RunContext) -> np.ndarray:
 def _rounds(ctx: RunContext, kind: str, rounds: int, seed: int):
     """The rounds every attack shares, drawn from the attack's own sub-stream.
 
-    Returns the normalized outcome odds, the session decode table
-    decode[b, b'] (outcome b, announced bit b'), the logical bits, the
-    sender's outcomes, the announced bits and the stream, from which Eve's
-    draws follow.
+    Returns the normalized outcome odds, the key bit key_bit[b, b'] that
+    the session decode table gives for outcome b and announced bit b' (1
+    where its energy is negative), the logical bits, the sender's outcomes,
+    the announced bits and the stream, from which Eve's draws follow.
+    Every per-round array is uint8.
     """
     if rounds < 1:
         raise ValueError(f"an attack needs at least one round, got {rounds}")
     table = conditional_table(ctx, ctx.gs)
     prob = table.prob / table.prob.sum()
     rng = stream(seed, SUBSTREAM[f"attack_{kind}"])
-    logical = rng.integers(0, 2, rounds)
+    logical = rng.integers(0, 2, rounds).astype(np.uint8)
     b_alice = _sample_bits(prob[0], rounds, rng)
-    announced = b_alice ^ (logical ^ 1)  # send b for logical 1, b^1 for logical 0
-    return prob, table.decode(), logical, b_alice, announced, rng
+    announced = b_alice ^ logical  # send b for logical 1, b^1 for logical 0
+    announced ^= 1
+    key_bit = (table.decode() < 0).view(np.uint8)
+    return prob, key_bit, logical, b_alice, announced, rng
 
 
 def _joint_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """2x2 float tally of the bit pairs (a[i], b[i])."""
-    return np.bincount(2 * a + b, minlength=4).reshape(2, 2).astype(float)
+    ones_a, ones_b = np.count_nonzero(a), np.count_nonzero(b)
+    both = np.count_nonzero(a & b)
+    return np.array([[len(a) - ones_a - ones_b + both, ones_b - both],
+                     [ones_a - both, both]], dtype=float)
 
 
 def _sample_bits(p0: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    return (rng.random(n) >= p0).astype(np.int64)
+    return (rng.random(n) >= p0).view(np.uint8)
 
 
 def _report(ctx: RunContext, scenario: AttackScenario, eve_state: np.ndarray,
@@ -152,8 +158,8 @@ def eve_independent(ctx: RunContext, eve_basis: MeasurementBasis | None = None,
     agrees with his only at chance level.
     """
     eve_basis = eve_basis or ctx.alice
-    prob, decode, logical, b_alice, announced, rng = _rounds(ctx, "independent",
-                                                             rounds, seed)
+    prob, key_bit, logical, b_alice, announced, rng = _rounds(ctx, "independent",
+                                                              rounds, seed)
 
     # Exact statistical state: Eve's measured ensemble, rotated by the
     # announced bit (identity encoding), weighted by the announcement odds.
@@ -164,8 +170,8 @@ def eve_independent(ctx: RunContext, eve_basis: MeasurementBasis | None = None,
     rho_e = sum(prob[a] * ctx.rotate(a, eve_measured) for a in (0, 1))
 
     b_eve = _sample_bits(p_eve[0], rounds, rng)
-    bob_key = (decode[b_alice, announced] < 0).astype(np.int64)
-    eve_key = (decode[b_eve, announced] < 0).astype(np.int64)
+    bob_key = key_bit[b_alice, announced]
+    eve_key = key_bit[b_eve, announced]
     return _report(ctx, AttackScenario("independent"), rho_e, logical, bob_key,
                    eve_key, _joint_counts(b_alice, b_eve))
 
@@ -177,8 +183,8 @@ def eve_postselect(ctx: RunContext, rounds: int = 10_000, seed: int = 0) -> Atta
     sender's, so the state she assembles is identical to the receiver's
     -- and so is every key bit she decodes from it.
     """
-    _, decode, logical, b_alice, announced, _ = _rounds(ctx, "postselect", rounds, seed)
-    bob_key = (decode[b_alice, announced] < 0).astype(np.int64)
+    _, key_bit, logical, b_alice, announced, _ = _rounds(ctx, "postselect", rounds, seed)
+    bob_key = key_bit[b_alice, announced]
     eve_key = bob_key.copy()  # post-selected on b_alice: identical conditioning
     return _report(ctx, AttackScenario("postselect"), bob_reference_state(ctx), logical,
                    bob_key, eve_key, _joint_counts(b_alice, b_alice))
@@ -195,22 +201,23 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
     """
     if sub_case not in SPLIT_CASES:
         raise ValueError(f"unknown split sub-case {sub_case!r}")
-    prob, decode, logical, b_alice, announced, rng = _rounds(ctx, "split", rounds, seed)
+    prob, key_bit, logical, b_alice, announced, rng = _rounds(ctx, "split", rounds, seed)
 
     if sub_case == "eve_waits":
         # Receiver rotates an unmeasured pair: no projection ever happened.
         rotated = [ctx.rotate(a, ctx.rho_gs) for a in (0, 1)]
         ref_b = ctx.forms.reference(ctx.gs)[1]
         energy_by_bit = np.array([ctx.forms.reference(r)[1] - ref_b for r in rotated])
-        bob_energy = energy_by_bit[announced]
-        q = np.bincount(announced, minlength=2) / rounds
+        bob_key = (energy_by_bit < 0).view(np.uint8)[announced]
+        ones = np.count_nonzero(announced)
+        q = np.array([rounds - ones, ones]) / rounds
         rho_eb = q[0] * rotated[0] + q[1] * rotated[1]
-        b_eve = np.full(rounds, -1, dtype=np.int64)  # never measured
+        b_eve = np.zeros(rounds, dtype=np.uint8)  # never measured; tallied as 0
         detection = "verification_mismatch"
     else:
         b_eve = _sample_bits(prob[0], rounds, rng)  # Eve's outcomes on the EB pair
         used_bit = b_eve if sub_case == "eve_measures_first_sends" else announced
-        bob_energy = decode[b_eve, used_bit]
+        bob_key = key_bit[b_eve, used_bit]
         q = _joint_counts(b_eve, used_bit) / rounds  # q[b_eve, bit the receiver used]
         blocks = [ctx.project(be, ctx.rho_gs) for be in (0, 1)]
         weights = [float(np.trace(block).real) for block in blocks]
@@ -219,18 +226,16 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
         detection = ("double_message" if sub_case == "eve_measures_first_sends"
                      else "verification_mismatch")
 
-    bob_key = (bob_energy < 0).astype(np.int64)
     # Eve decodes from her side of the sender pair, where she is the
     # legitimate receiver of the teleported energy.
-    eve_key = (decode[b_alice, announced] < 0).astype(np.int64)
+    eve_key = key_bit[b_alice, announced]
 
     compared = slice(VERIFICATION_BITS)
     if detection == "verification_mismatch" and np.all(logical[compared] == bob_key[compared]):
         detection = "none"  # verification happened to pass
 
     return _report(ctx, AttackScenario("split_entanglement", sub_case), rho_eb,
-                   logical, bob_key, eve_key,
-                   _joint_counts(b_alice, np.maximum(b_eve, 0)), detection)
+                   logical, bob_key, eve_key, _joint_counts(b_alice, b_eve), detection)
 
 
 def mutual_information_bits(joint_counts: np.ndarray) -> float:

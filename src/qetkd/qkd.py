@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,14 @@ class SessionConfig:
             raise ValueError(f"policy {self.basis_policy!r} draws sender bases other than X, "
                              "and on the star with J > 0 only X commutes with every "
                              "receiver's H_B; use the fixed policy")
+        if self.model == "two-site" and self.basis_policy != "fixed":
+            raise ValueError(f"policy {self.basis_policy!r} draws sender bases other than X, "
+                             "and on the two-site model only X commutes with the receiver's "
+                             "H_B (it holds 2k X0 X1); use the fixed policy")
+        if self.model != "two-site" and self.coupling == 0.0 and self.basis_policy == "haar":
+            raise ValueError("at J = 0 the ground state is a product and the feedback "
+                             "objective vanishes on every sender axis, so the haar policy "
+                             "has no axis to draw; use the fixed or two-random policy")
         site = None if self.noise is None else self.noise.site
         if site is not None and not 0 <= site < model_sites(self.model, self.n_parties):
             raise ValueError(f"noise site {site} is outside the {self.model} register")
@@ -166,35 +175,52 @@ class VerificationVerdict:
     mismatches: int
 
 
+CHUNK_ROWS = 8192  # transcript rows rendered, and written, at a time
+
+
 @dataclass(frozen=True)
 class _TranscriptRows:
     """What a session's transcript rows are formatted from.
 
     ``cell[r, j]`` is (axis * 2 + outcome) * 2 + sent bit of receiver j in
-    round r; each distinct (cell, receiver) is formatted once.
+    round r.  The rows after a round's number depend on (receiver, cell)
+    alone, so each pair that occurs is formatted once; the pairs that occur
+    are marked in a table over every pair, 4 * axes wide per receiver, and
+    no pass over the rounds sorts them.  The rows are rendered in chunks of
+    at most ``CHUNK_ROWS``, so no string of the whole transcript is built.
     """
 
     axes: np.ndarray      # [axis, 3] sender axes
     labels: tuple[str, ...]
     tables: np.ndarray    # [receiver, axis, outcome, sent] decode energies
     epsilon: float
-    cell: np.ndarray      # [round, receiver]
+    cell: np.ndarray      # [round, receiver], uint8 while 4 * axes fits a byte
 
-    def render(self) -> tuple[str, ...]:
+    def chunks(self) -> Iterator[str]:
+        """The rows in order, round by round and receiver by receiver, at
+        most ``CHUNK_ROWS`` rows per chunk, each row ended by a newline."""
         n_labels = len(self.labels)
-        keys, index = np.unique(self.cell * n_labels + np.arange(n_labels),
-                                return_inverse=True)
-        cells, receiver = np.divmod(keys, n_labels)
+        seen = np.zeros((n_labels, 4 * len(self.axes)), dtype=bool)
+        for j in range(n_labels):
+            seen[j, self.cell[:, j]] = True
+        receiver, cells = np.nonzero(seen)
         axis, outcome, sent = cells // 4, (cells // 2) % 2, cells % 2
         energy = self.tables[receiver, axis, outcome, sent]
         decoded = _BIT_CHARS[_decode(energy, self.epsilon)].tobytes().decode()
-        suffix = [
-            f"{n1:.12g},{n2:.12g},{n3:.12g},{s},{self.labels[j]},{e:.12g},{d}"
+        suffix = np.empty(seen.shape, dtype=object)
+        suffix[receiver, cells] = [
+            f",{n1:.12g},{n2:.12g},{n3:.12g},{s},{self.labels[j]},{e:.12g},{d}\n"
             for (n1, n2, n3), s, j, e, d in zip(self.axes[axis].tolist(), sent.tolist(),
                                                 receiver.tolist(), energy.tolist(), decoded)
         ]
-        return tuple(f"{i // n_labels},{suffix[k]}"
-                     for i, k in enumerate(index.ravel().tolist()))
+        step = max(1, CHUNK_ROWS // n_labels)
+        for start in range(0, len(self.cell), step):
+            block = self.cell[start:start + step]
+            parts = [None] * (2 * block.size)  # round number, then the rest of the row
+            numbers = np.arange(start, start + len(block)).repeat(n_labels)
+            parts[0::2] = map(str, numbers.tolist())
+            parts[1::2] = suffix[np.arange(n_labels), block].ravel().tolist()
+            yield "".join(parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,8 +233,11 @@ class SessionResult:
 
     @functools.cached_property
     def transcript(self) -> tuple[str, ...]:
-        """One row per round and receiver, as ``write_transcript`` writes them."""
-        return () if self.rows is None else self.rows.render()
+        """One row per round and receiver: the chunks ``write_transcript``
+        writes, split at their newlines."""
+        if self.rows is None:
+            return ()
+        return tuple(row for chunk in self.rows.chunks() for row in chunk.splitlines())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SessionResult):
@@ -243,7 +272,10 @@ class ResourceVerdict:
 
 def _decode(energy: np.ndarray, epsilon: float) -> np.ndarray:
     """Key codes: 1 for energy below -epsilon, 0 above epsilon, -1 (erasure) between."""
-    return np.where(energy < -epsilon, 1, np.where(energy > epsilon, 0, -1)).astype(np.int8)
+    codes = np.full(energy.shape, -1, dtype=np.int8)
+    np.copyto(codes, 1, where=energy < -epsilon)
+    np.copyto(codes, 0, where=energy > epsilon)
+    return codes
 
 
 def _default_epsilon(ctx: RunContext) -> float:
@@ -300,18 +332,25 @@ def _haar_axes(seed: int, rounds: int, forms: list[ReceiverForms]) -> np.ndarray
 
 def _session_axes(config: SessionConfig, forms: list[ReceiverForms],
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(sender axes in use, index of each round's axis) under the basis policy."""
+    """(sender axes in use, index of each round's axis) under the basis policy.
+
+    The index is as wide as a transcript cell, (axis * 2 + outcome) * 2 +
+    sent bit, needs: one byte unless a haar session has more than 64 axes.
+    """
+    rounds = config.rounds
     if config.basis_policy == "haar":
-        return _haar_axes(config.seed, config.rounds, forms), np.arange(config.rounds)
+        width = np.min_scalar_type(max(4 * rounds - 1, 0))
+        return _haar_axes(config.seed, rounds, forms), np.arange(rounds, dtype=width)
     if config.basis_policy == "fixed":
-        choice = np.zeros(config.rounds, dtype=np.int64)
+        choice = np.zeros(rounds, dtype=np.uint8)
     else:
-        choice = stream(config.seed, SUBSTREAM["basis"]).integers(0, 2, size=config.rounds)
-    used, index = np.unique(choice, return_inverse=True)
-    axes = np.eye(3)[used]  # choice 0 is X, 1 is Y
+        choice = stream(config.seed, SUBSTREAM["basis"]).integers(0, 2, size=rounds)
+        choice = choice.astype(np.uint8)
+    used = np.array([not choice.all(), choice.any()])  # choice 0 is X, 1 is Y
+    axes = np.eye(2, 3)[used]
     for f in forms:
         f.require_commuting(axes)
-    return axes, index
+    return axes, choice if used.all() else np.zeros_like(choice)
 
 
 def run_session(config: SessionConfig,
@@ -344,13 +383,23 @@ def run_session(config: SessionConfig,
     tables = np.array(tables)
     p0 = table.prob[:, 0]  # Tr[P_0 rho] is the same on every receiver's support
 
+    # Every per-round array is one byte wide, save the float64 draws in
+    # flight and the energies returned; the draws keep their methods and dtypes.
     seed, rounds = config.seed, config.rounds
-    logical = stream(seed, SUBSTREAM["logical"]).integers(0, 2, size=rounds)
-    outcome = (stream(seed, SUBSTREAM["outcome"]).random(rounds) >= p0[axis]).astype(np.int64)
-    announced = outcome ^ logical ^ 1
+    logical = stream(seed, SUBSTREAM["logical"]).integers(0, 2, size=rounds).astype(np.uint8)
+    draw = stream(seed, SUBSTREAM["outcome"]).random(rounds)
+    if config.basis_policy == "haar":  # one axis per round: p0 is per round
+        outcome = draw >= p0
+    else:  # one or two axes: compare per axis, with no per-round copy of p0
+        outcome = np.empty(rounds, dtype=bool)
+        for a, p in enumerate(p0):
+            np.greater_equal(draw, p, out=outcome, where=axis == a)
+    del draw
+    announced = np.bitwise_xor(outcome, logical, dtype=np.uint8)
+    announced ^= 1
     classical_p = config.noise.p if (config.noise is not None
                                      and config.noise.kind == "classical_flip") else 0.0
-    sent = np.empty((rounds, len(labels)), dtype=np.int64)
+    sent = np.empty((rounds, len(labels)), dtype=np.uint8)
     for j, label in enumerate(labels):
         sent[:, j] = announced ^ 1 if cheat_plan.get(label) == "flip" else announced
         if classical_p > 0.0:
@@ -400,12 +449,14 @@ def run_multiparty(config: SessionConfig,
 
     labels = list(result.parties)
     rounds = len(result.alice_key)
-    signs = np.where(np.array([result.parties[lab].energy_array for lab in labels]) >= 0,
-                     1, -1)
+    # int8 votes: +1 for a non-negative energy, -1 otherwise
+    signs = np.array([result.parties[lab].energy_array >= 0 for lab in labels])
+    signs = 2 * signs.view(np.int8) - 1
     # The sender's claimed bit votes too: logical 1 promises negative
     # energy.  With two receivers this breaks the tie; a round without a
     # majority blames nobody.
-    total = signs.sum(axis=0) + np.where(result.alice_key.codes == 1, -1, 1)
+    claim = 1 - 2 * (result.alice_key.codes == 1).view(np.int8)
+    total = signs.sum(axis=0, dtype=np.int8) + claim
     dissent = np.count_nonzero((signs != np.sign(total)) & (total != 0), axis=1)
     fractions = {lab: int(dissent[j]) / rounds if rounds else 0.0
                  for j, lab in enumerate(labels)}
@@ -462,11 +513,14 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
 
 
 def write_transcript(result: SessionResult, path) -> None:
-    """Line-oriented transcript: round,basis,announced bit,party,energy,decoded."""
+    """Line-oriented transcript: round,basis,announced bit,party,energy,decoded.
+
+    The rows are written as ``_TranscriptRows.chunks`` renders them, at
+    most ``CHUNK_ROWS`` at a time; neither the ``transcript`` tuple nor a
+    string of the whole file is built.
+    """
     header = "round,basis_n1,basis_n2,basis_n3,announced_bit,party,cond_energy,decoded_bit"
-    rows = result.transcript
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        # joined in chunks: one string of the whole file would add its size to peak RSS
-        for i in range(0, len(rows), 8192):
-            fh.write("\n".join(rows[i:i + 8192]) + "\n")
+        if result.rows is not None:
+            fh.writelines(result.rows.chunks())

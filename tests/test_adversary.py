@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,3 +212,15 @@ class TestJointCounts:
         counts = _joint_counts(a, b)
         assert counts.dtype == np.float64
         assert np.array_equal(counts, loop)
+
+
+class TestRoundMemory:
+    def test_split_attack_round_arrays(self, ctx):
+        split_attack(ctx, "eve_measures_first_sends", rounds=16, seed=1)  # warm caches
+        tracemalloc.start()
+        try:
+            split_attack(ctx, "eve_measures_first_sends", rounds=200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6

@@ -219,6 +219,19 @@ class TestSession:
         assert err.startswith("usage error: ") and "only X commutes" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("--model", "chain3", "--J", "0", "--policy", "haar", "--epsilon", "1e-3"),
+        ("--model", "star", "--N", "3", "--J", "0", "--policy", "haar", "--epsilon", "1e-3"),
+        ("--model", "two-site", "--policy", "haar"),
+        ("--model", "two-site", "--policy", "two-random"),
+    ])
+    def test_policy_without_usable_axis_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "session", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and "policy" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_star_y_basis_at_zero_coupling_runs(self, tmp_path, capsys):
         out_path = tmp_path / "y.csv"
         code, _, _ = run_cli(capsys, "qet", "--model", "star", "--N", "4", "--basis", "y",

@@ -1,11 +1,15 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qetkd.errors import PartitionViolationError, TooManyErasuresError
+from qetkd.errors import TooManyErasuresError
 from qetkd.models import chain3
 from qetkd.noise import NoiseSpec
 from qetkd.protocol import MeasurementBasis, prepare, run_ensemble
 from qetkd.qkd import (
+    CHUNK_ROWS,
     KeyBits,
     SessionConfig,
     run_multiparty,
@@ -44,10 +48,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="only X commutes"):
             SessionConfig(model="star", n_parties=n_parties, coupling=0.5,
                           basis_policy=policy)
-        # at J = 0 every hub axis commutes with the receivers' fields
-        SessionConfig(model="star", n_parties=n_parties, coupling=0.0,
-                      basis_policy=policy, epsilon=1e-3)
+        # at J = 0 every hub axis commutes with the receivers' fields, but the
+        # feedback objective vanishes on all of them: haar has no axis to draw
+        if policy == "haar":
+            with pytest.raises(ValueError, match="haar policy has no axis"):
+                SessionConfig(model="star", n_parties=n_parties, coupling=0.0,
+                              basis_policy=policy, epsilon=1e-3)
+        else:
+            SessionConfig(model="star", n_parties=n_parties, coupling=0.0,
+                          basis_policy=policy, epsilon=1e-3)
         SessionConfig(model="star", n_parties=n_parties, coupling=0.5)
+
+    def test_chain_refuses_haar_at_zero_coupling(self):
+        with pytest.raises(ValueError, match="haar policy has no axis"):
+            SessionConfig(model="chain3", coupling=0.0, basis_policy="haar", epsilon=1e-3)
+        SessionConfig(model="chain3", coupling=0.0, basis_policy="two-random", epsilon=1e-3)
+        SessionConfig(model="chain3", coupling=0.5, basis_policy="haar")
 
     @pytest.mark.parametrize("model", ["chain3", "star"])
     def test_zero_coupling_needs_a_threshold(self, model):
@@ -150,10 +166,10 @@ class TestSingleSession:
                 assert decoded == truth
 
     def test_haar_policy_on_two_site_violates_partition(self):
-        config = SessionConfig(model="two-site", rounds=16, verify_bits=0,
-                               basis_policy="haar", seed=1)
-        with pytest.raises(PartitionViolationError):
-            run_session(config)
+        # the receiver's part holds 2k X0 X1: the configuration is refused when built
+        with pytest.raises(ValueError, match="only X commutes"):
+            SessionConfig(model="two-site", rounds=16, verify_bits=0,
+                          basis_policy="haar", seed=1)
 
     def test_two_basis_policy_on_star_violates_partition(self):
         # the Y draw fails to commute with the hub-leg interaction, so the
@@ -188,6 +204,65 @@ class TestSingleSession:
         assert fields[5] == "B"
         float(fields[6])
         assert fields[7] in ("0", "1", "e")
+
+
+HEADER = "round,basis_n1,basis_n2,basis_n3,announced_bit,party,cond_energy,decoded_bit"
+
+# name: (SessionConfig fields, SHA-256 of the transcript file or None).  The
+# digests pin the bytes of files written by an unchunked renderer.
+TRANSCRIPTS = {
+    "fixed": (dict(rounds=8193, seed=3),  # one row more than a chunk
+              "5bbc84ffebff46b02d79de6e9fb9d589287a430ce93e7a300d01233d38be7e11"),
+    "two-random": (dict(rounds=500, basis_policy="two-random", seed=4), None),
+    "haar": (dict(rounds=100, basis_policy="haar", verify_bits=0, seed=5,
+                  erasure_abort_fraction=1.0),
+             "099818bc6b945ae616a5a4bbd54235054a864c87661569b08bd5f70ac3e3e511"),
+    "haar-byte-cells": (dict(rounds=40, basis_policy="haar", verify_bits=0, seed=5,
+                             erasure_abort_fraction=1.0),
+                        "f8349d6d0bc449743af8c9e324ddcb51fa68c8afdbfb34af24876dd218f84d76"),
+    "classical-flip": (dict(rounds=1000, seed=6, noise=NoiseSpec("classical_flip", 0.02)),
+                       None),
+    "star3": (dict(model="star", n_parties=3, rounds=3000, seed=7),
+              "fab18bf32c0cdddc93e2489129056c51e3d8aa71288ddd59ef26214cf2d985cb"),
+    "zero-rounds": (dict(rounds=0, verify_bits=0), None),
+}
+
+
+class TestTranscript:
+    @pytest.mark.parametrize("name", list(TRANSCRIPTS))
+    def test_file_holds_the_transcript_rows(self, name, tmp_path):
+        fields, digest = TRANSCRIPTS[name]
+        result = run_session(SessionConfig(coupling=1.0, **fields))
+        path = tmp_path / "t.csv"
+        write_transcript(result, path)
+        data = path.read_bytes()
+        assert data == "".join(row + "\n" for row in (HEADER, *result.transcript)).encode()
+        assert len(result.transcript) == fields["rounds"] * fields.get("n_parties", 1)
+        if digest is not None:
+            assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_chunks_hold_at_most_chunk_rows(self):
+        result = run_session(SessionConfig(model="star", n_parties=3, coupling=1.0,
+                                           rounds=3000, seed=7))
+        sizes = [chunk.count("\n") for chunk in result.rows.chunks()]
+        assert max(sizes) <= CHUNK_ROWS and sum(sizes) == 9000 and len(sizes) == 2
+
+
+class TestRoundMemory:
+    """A session keeps about 12 bytes per round, 8 of them the float64
+    energies: 8 MB at 100k rounds leaves room for one transcript chunk, not
+    for int64 round arrays or a tuple of every row."""
+
+    def test_session_and_transcript(self, tmp_path):
+        run_session(SessionConfig(coupling=1.0, rounds=16, verify_bits=0))  # warm caches
+        config = SessionConfig(model="chain3", coupling=1.0, rounds=100_000, seed=1)
+        tracemalloc.start()
+        try:
+            write_transcript(run_session(config), tmp_path / "t.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestMultiparty:

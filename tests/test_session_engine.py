@@ -217,11 +217,12 @@ def test_kraus_channel_at_any_receiver_site_is_refused():
 
 
 def test_haar_session_without_usable_axis_raises():
-    # at zero coupling the ground state is a product: eta vanishes on every axis
-    config = SessionConfig(model="chain3", coupling=0.0, rounds=4, verify_bits=0,
-                           basis_policy="haar", epsilon=1e-3, seed=0)
+    # at zero coupling the ground state is a product: eta vanishes on every
+    # axis.  SessionConfig refuses that session, so draw its axes directly.
+    spec, partition = chain3(0.0)
+    ctx = prepare(spec, partition, MeasurementBasis.x(0))
     with pytest.raises(DegenerateObjectiveError):
-        run_session(config)
+        qkd._haar_axes(0, 4, [ctx.forms])
 
 
 def test_classical_flips_leave_other_draws_in_place():
