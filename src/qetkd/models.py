@@ -21,10 +21,9 @@ H is solved once per spec, exactly (``spinops.solve_sectors``).  The star
 with N >= 3 leaves, whose H is unchanged by every permutation of the
 leaves, is solved in one hub (x) spin-j block per total leaf spin j, at
 most 2(N + 1) wide.  The chain, the two-site model and the star with one
-or two leaves are solved in the flip sectors of their terms split by the
-characters of the site swaps that leave H unchanged: the end swap, or the
-one leaf swap.  Building a model forms no d x d operator and keeps no
-d x d eigenvector matrix.
+or two leaves are solved in the flip sectors of their terms, at most 4
+wide.  Building a model forms no d x d operator and keeps no d x d
+eigenvector matrix.
 """
 
 from __future__ import annotations
@@ -291,10 +290,10 @@ def energy_gap(spec: HamiltonianSpec) -> float:
 def first_excited_level(spec: HamiltonianSpec) -> np.ndarray:
     """The first excited level's eigenvectors, as register-basis columns.
 
-    In a degenerate level the columns, each from one symmetry block (a swap
-    character, or one copy of a total leaf spin), are a gauge choice;
-    their uniform mixture is not.  Raises DegenerateGroundError when the
-    level joins the ground level."""
+    In a degenerate level the columns, each from one block (a flip sector,
+    or one copy of a total leaf spin), are a gauge choice; their uniform
+    mixture is not.  Raises DegenerateGroundError when the level joins the
+    ground level."""
     evals = spec.spectrum.values
     tol = degeneracy_tolerance(evals)
     if evals[1] - evals[0] <= tol:

@@ -481,32 +481,39 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
     the state's content, never by object identity: a supplier may return
     fresh arrays, and a recycled id must not resurrect another state's
     table.  A round whose bytes, shape and dtype equal the previous round's
-    reuses its table without hashing.
+    reuses its table without hashing.  Rounds are tallied per table and
+    outcome, ``CHUNK_ROWS`` at a time, so beyond the draws a check keeps no
+    per-round array.
     """
     if rounds < 1:
         raise ValueError(f"a resource check needs at least one round, got {rounds}")
     predicted = run_ensemble(ctx).e_bob
     announced = [ctx.rule.mapped(b) for b in (0, 1)]
     draws = stream(seed, SUBSTREAM["resource_check"]).random(rounds)
-    slots = np.empty(rounds, dtype=np.intp)
+    slots = np.empty(min(rounds, CHUNK_ROWS), dtype=np.intp)
+    counts = np.zeros(0, dtype=np.int64)  # per table and outcome
     cache: dict[tuple, int] = {}
     tables: list[np.ndarray] = []  # per distinct state: (P(b=0), decoded E for b=0, b=1)
     previous = None
-    for i in range(rounds):
-        rho = np.ascontiguousarray(source(i))
-        content = (rho.shape, rho.dtype.str, rho.tobytes())
-        if content != previous:  # a copy of the bytes: an in-place change still shows
-            key = content[:2] + (hashlib.blake2b(content[2]).digest(),)
-            if key not in cache:
-                table = conditional_table(ctx, require_density_matrix(rho))
-                cache[key] = len(tables)
-                tables.append(np.r_[table.prob[0], table.decode()[(0, 1), announced]])
-            slot, previous = cache[key], content
-        slots[i] = slot
-    table = np.reshape(tables, (-1, 3))
-    energies = table[slots, 1 + (draws >= table[slots, 0])]
-    mean = float(np.mean(energies))
-    stderr = float(np.std(energies) / np.sqrt(rounds))
+    for start in range(0, rounds, len(slots)):
+        chunk = slots[:min(len(slots), rounds - start)]
+        for i in range(len(chunk)):
+            rho = np.ascontiguousarray(source(start + i))
+            content = (rho.shape, rho.dtype.str, rho.tobytes())
+            if content != previous:  # a copy of the bytes: an in-place change still shows
+                key = content[:2] + (hashlib.blake2b(content[2]).digest(),)
+                if key not in cache:
+                    table = conditional_table(ctx, require_density_matrix(rho))
+                    cache[key] = len(tables)
+                    tables.append(np.r_[table.prob[0], table.decode()[(0, 1), announced]])
+                slot, previous = cache[key], content
+            chunk[i] = slot
+        outcome = draws[start:start + len(chunk)] >= np.reshape(tables, (-1, 3))[chunk, 0]
+        counts = np.pad(counts, (0, 2 * len(tables) - len(counts)))
+        counts += np.bincount(2 * chunk + outcome, minlength=len(counts))
+    energies = np.reshape(tables, (-1, 3))[:, 1:].ravel()  # per table and outcome
+    mean = float(counts @ energies / rounds)
+    stderr = float(np.sqrt(counts @ (energies - mean) ** 2 / rounds) / np.sqrt(rounds))
     ok = abs(mean - predicted) <= 5.0 * stderr + 1e-12
     return ResourceVerdict(ok=ok, mean_energy=mean, predicted=predicted,
                            stderr=stderr, rounds=rounds)

@@ -5,20 +5,17 @@ bit is site 0, matching the Kronecker order ``op_0 (x) op_1 (x) ...``.
 A Pauli product is then a signed permutation, P|x> = phase(x) |x ^ flip>,
 so Hamiltonians are assembled in O(terms * d) by scattering each term
 into the output.  Such an H never connects two basis states in different
-cosets of the GF(2) span of its terms' flip masks (its flip sectors), and
-commutes with every site swap that maps its terms onto themselves,
-coefficients kept, and each sector onto itself.  ``solve_sectors``
-scatters H straight into its sectors split by the characters of a set of
-disjoint such swaps, and ``eigendecompose`` solves each stack of blocks of
-one size in one batched call.  When the terms form a hub and at least
-three interchangeable leaves, H commutes with every permutation of the
-leaves, and ``solve_sectors`` solves it instead in one hub (x) spin-j block
-per total leaf spin j, 2(2j + 1) wide, whose eigenvectors reach the
-register by coupling the leaves one at a time.  A 2x2 operator at one site
-acts on a vector or matrix through a reshape that isolates that site's
-bit, at O(d) per vector and O(d^2) per matrix; no d x d operator product
-is ever formed for it, and ``on_support`` builds a sum of terms on the
-few sites it touches.
+cosets of the GF(2) span of its terms' flip masks (its flip sectors), all
+of one size.  ``solve_sectors`` scatters H straight into its sectors, and
+``eigendecompose`` solves that stack of blocks in one batched call.  When
+the terms form a hub and at least three interchangeable leaves, H commutes
+with every permutation of the leaves, and ``solve_sectors`` solves it
+instead in one hub (x) spin-j block per total leaf spin j, 2(2j + 1) wide,
+whose eigenvectors reach the register by coupling the leaves one at a
+time.  A 2x2 operator at one site acts on a vector or matrix through a
+reshape that isolates that site's bit, at O(d) per vector and O(d^2) per
+matrix; no d x d operator product is ever formed for it, and
+``on_support`` builds a sum of terms on the few sites it touches.
 
 Operators, pure states and density matrices are plain numpy arrays; the
 validators below enforce the class invariants (Hermiticity, unit norm,
@@ -29,7 +26,6 @@ Everything here is a pure function on immutable inputs.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,109 +213,46 @@ def _flip_sectors(flips: list[int], n_sites: int) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class _SectorPlan:
-    """H's symmetry blocks, all but the coefficients; see ``_sector_plan``."""
+    """H's flip sectors, all but the coefficients; see ``_sector_plan``."""
 
-    swaps: tuple[tuple[int, int], ...]
     states: np.ndarray      # (sectors, size): the basis states of each flip sector
-    rep: np.ndarray
-    twist: np.ndarray
-    unequal: np.ndarray
-    pos: np.ndarray
-    pair_flip: np.ndarray   # per character mask, the bits its swaps exchange
-    ones: np.ndarray        # per character mask, its number of swaps
-    sizes: tuple[int, ...]
-    blocks: tuple[np.ndarray, ...]  # block ids of each size, in stack order
-    flat: np.ndarray
-    weight: np.ndarray
-    cls: np.ndarray
+    flat: np.ndarray        # per term, then basis state x: stack index of its entry in column x
+    phases: np.ndarray      # (terms, d): each term's phase on x, real unless a Y count is odd
 
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        """Every block of a stack is solved once and stands for one set of levels."""
-        return (1,) * len(self.sizes)
+    multiplicities = (1,)   # one stack, each block solved once
 
     def columns(self, block_vectors, where) -> np.ndarray:
         """Register-basis columns of the block eigenvectors at ``where``'s
-        (size group, block, column) rows."""
-        out = np.zeros((self.rep.size, len(where)), dtype=np.result_type(*block_vectors))
-        for j, (g, b, col) in enumerate(where):
-            sector, chi = divmod(int(self.blocks[g][b]), 1 << len(self.swaps))
-            y = self.states[sector][(chi & ~self.unequal[self.states[sector]]) == 0]
-            out[y, j] = ((-1.0) ** self.ones[chi & self.twist[y]]
-                         * 2.0 ** (-0.5 * self.ones[self.unequal[y]])
-                         * block_vectors[g][b, self.pos[self.rep[y] ^ self.pair_flip[chi]], col])
+        (stack, sector, column) rows, each gathered onto its sector's states."""
+        (vectors,) = block_vectors
+        _, sector, col = np.transpose(where)
+        out = np.zeros((self.states.size, len(where)), dtype=vectors.dtype)
+        out[self.states[sector].T, np.arange(len(where))] = vectors[sector, :, col].T
         return out
 
 
 @functools.lru_cache(maxsize=64)
-def _sector_plan(n_sites: int, factors: tuple, pattern: tuple[int, ...],
-                 symmetric: bool) -> _SectorPlan:
-    """H's flip sectors, split by the characters of its swaps if ``symmetric``.
+def _sector_plan(n_sites: int, factors: tuple) -> _SectorPlan:
+    """H's flip sectors, and where each term's entries land in their stack.
 
-    Terms of one coefficient form class ``pattern[t]``.  A swap qualifies when
-    it maps the (class, factors) multiset and every flip sector onto themselves;
-    k greedy disjoint ones generate G = Z2^k.  A basis state x is its orbit's
-    rep, with bits (0, 1) on each swapped pair of unequal bits (bit i of
-    ``unequal[x]``), under the swaps of bit mask ``twist[x]``.  Block (sector,
-    chi) holds |r, chi> = sum_y chi(g_y) |y> / sqrt|O_r| for each rep r whose
-    stabilizer chi fixes; x labels (rep[x], chi = twist[x]), a bijection, at
-    row ``pos[x]`` of block ``sector << k | twist[x]``.  Term (c, flip, phases)
-    maps |r, chi> to c phases[r] chi(g) sqrt(|O_r| / |O_s|) |r', chi> with
-    s = r ^ flip = g r' (0 unless chi fixes the stabilizer of s).  Per class,
-    entry ``flat`` of the size-ascending stacks sums phases[r] chi(g) |O_r| to
-    a Gaussian integer M, exactly, and gets weight M / sqrt(|O_r| |O_s|); its
-    mirror has conj(M) and the same root, so every block is exactly Hermitian.
+    Term t maps |x> to phases[t, x] |x ^ flip_t>, and x ^ flip_t lies in x's
+    sector, so its entry in column x sits at row ``position[x ^ flip_t]`` of
+    block ``sector[x]``.  A Pauli product is Hermitian, so the mirror entry
+    is phases[t, x ^ flip_t] = conj(phases[t, x]); summed term by term in
+    the same order, every block is exactly Hermitian.
     """
     idx = np.arange(2 ** n_sites)
     strings = [_pauli_string(f, n_sites) for f in factors]
-    sector, position, shape = _flip_sectors([flip for flip, _ in strings], n_sites)
-    bit = [1 << (n_sites - 1 - s) for s in range(n_sites)]
-    def image(swap: dict[int, int]) -> list:
-        return sorted((c, sorted((swap.get(s, s), ax) for s, ax in f))
-                      for c, f in zip(pattern, factors))
-    swaps, free, terms = [], set(range(n_sites) if symmetric else ()), image({})
-    for a, b in itertools.combinations(range(n_sites), 2):
-        if {a, b} <= free and sector[bit[a] | bit[b]] == 0 and image({a: b, b: a}) == terms:
-            swaps.append((a, b))
-            free -= {a, b}
-    k = len(swaps)
-    unequal, twist, pair_flip = np.zeros_like(idx), np.zeros_like(idx), np.zeros(2 ** k, int)
-    for i, (a, b) in enumerate(swaps):
-        on_a, on_b = (idx & bit[a]) > 0, (idx & bit[b]) > 0
-        unequal |= (on_a != on_b) << i
-        twist |= (on_a > on_b) << i
-        pair_flip ^= (np.arange(2 ** k) >> i & 1) * (bit[a] | bit[b])
-    rep = idx ^ pair_flip[twist]
-    ones = np.array([bin(m).count("1") for m in range(2 ** k)])
-    block = sector << k | twist
-    size = np.bincount(block, minlength=shape[0] << k)
-    order = np.lexsort((position[rep], block))
-    pos = np.empty_like(idx)
-    pos[order] = idx - (np.cumsum(size) - size)[block[order]]
-    stack = np.flatnonzero(size)[np.argsort(size[size > 0], kind="stable")]
-    offset = np.zeros_like(size)
-    offset[stack] = np.cumsum(size[stack] ** 2) - size[stack] ** 2
-    total = int(np.sum(size ** 2))
-    key, phase, root = [np.empty(0, dtype=idx.dtype)], [np.empty(0)], [np.empty(0)]
-    for (flip, phases), c in zip(strings, pattern):
-        s = rep ^ flip
-        x = idx[(twist & ~unequal[s]) == 0]
-        s, b = s[x], block[x]
-        key.append(c * total + offset[b] + pos[rep[s] ^ pair_flip[twist[x]]] * size[b] + pos[x])
-        phase.append(phases[rep[x]] * (-1.0) ** ones[twist[x] & twist[s]] * 2.0 ** ones[unequal[x]])
-        root.append(2.0 ** (-0.5 * (ones[unequal[x]] + ones[unequal[s]])))
-    key, first, inverse = np.unique(np.concatenate(key), return_index=True, return_inverse=True)
-    phase = np.concatenate(phase)
-    weight = (np.bincount(inverse, phase.real) + 1j * np.bincount(inverse, phase.imag)
-              ) * np.concatenate(root)[first]
-    sizes, starts = np.unique(size[stack], return_index=True)
-    states = np.empty(shape, dtype=np.intp)
+    sector, position, (sectors, size) = _flip_sectors([flip for flip, _ in strings], n_sites)
+    flat = np.empty((len(strings), idx.size), dtype=np.intp)
+    phases = np.empty(flat.shape, dtype=complex)
+    for t, (flip, p) in enumerate(strings):
+        flat[t] = (sector * size + position[idx ^ flip]) * size + position
+        phases[t] = p
+    states = np.empty((sectors, size), dtype=np.intp)
     states[sector, position] = idx
-    return _SectorPlan(
-        tuple(swaps), states, rep, twist, unequal, pos, pair_flip, ones,
-        tuple(int(m) for m in sizes), tuple(np.split(stack, starts[1:])),
-        key % total, weight if np.any(weight.imag) else weight.real,
-        key // total)
+    states.flags.writeable = False  # shared by every spec of these factors
+    return _SectorPlan(states, flat.ravel(), phases if np.any(phases.imag) else phases.real)
 
 
 def _require_terms(terms, n_sites: int) -> None:
@@ -329,26 +262,23 @@ def _require_terms(terms, n_sites: int) -> None:
             raise ValueError(f"expected PauliTerms on {n_sites} sites, got {t!r}")
 
 
-def _scatter(terms, n_sites: int, symmetric: bool) -> tuple[_SectorPlan, list[np.ndarray]]:
-    """(cached plan, its stacks of blocks of one size, ascending), in one bincount."""
+def _scatter(terms, n_sites: int) -> tuple[_SectorPlan, list[np.ndarray]]:
+    """(cached plan, [its one stack of sector blocks]), in one bincount per part."""
     _require_terms(terms, n_sites)
-    first: dict[float, int] = {}
-    pattern = tuple(first.setdefault(t.coefficient, len(first)) for t in terms)
-    plan = _sector_plan(n_sites, tuple(t.factors for t in terms), pattern, symmetric)
-    w = plan.weight * np.array(list(first), dtype=float)[plan.cls]
-    ends = np.cumsum([len(b) * m * m for m, b in zip(plan.sizes, plan.blocks)])
-    data = np.bincount(plan.flat, w.real, ends[-1])
-    if np.iscomplexobj(w):
-        data = data + 1j * np.bincount(plan.flat, w.imag, ends[-1])
-    return plan, [part.reshape(len(b), m, m)
-                  for part, m, b in zip(np.split(data, ends), plan.sizes, plan.blocks)]
+    plan = _sector_plan(n_sites, tuple(t.factors for t in terms))
+    c = np.array([t.coefficient for t in terms])[:, None]
+    sectors, size = plan.states.shape
+    data = np.bincount(plan.flat, (c * plan.phases.real).ravel(), sectors * size * size)
+    if np.iscomplexobj(plan.phases):
+        data = data + 1j * np.bincount(plan.flat, (c * plan.phases.imag).ravel(), data.size)
+    return plan, [data.reshape(sectors, size, size)]
 
 
 def assemble_sectors(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """(blocks, states): H is the direct sum of ``blocks[s]`` on the basis states
     ``states[s]`` of flip sector s, real unless a term has an odd number of Ys."""
-    plan, (blocks,) = _scatter(terms, n_sites, symmetric=False)
+    plan, (blocks,) = _scatter(terms, n_sites)
     return blocks, plan.states
 
 
@@ -359,8 +289,8 @@ def _hub_and_leaves(terms, n_sites: int) -> tuple[int, np.ndarray] | None:
     A term is kept as (hub axis, leaf axis, coefficient), axis 0 for no
     factor and 1, 2, 3 for X, Y, Z, so the leaves' lists compare with the
     leaf's index relabelled.  C[a, b] sums the hub terms' and one leaf's
-    coefficients per (a, b).  Three leaves at least: with two, their one
-    swap is the whole leaf group, and the sector plan already uses it.
+    coefficients per (a, b).  Three leaves at least: with fewer, the flip
+    sectors are at most 4 wide.
     """
     for hub in range(n_sites if n_sites >= 4 else 0):
         per_leaf: dict[int, list] = {s: [] for s in range(n_sites) if s != hub}
@@ -485,8 +415,8 @@ class Spectrum:
 
     values: np.ndarray
     plan: _SectorPlan | _CollectivePlan
-    block_vectors: tuple[np.ndarray, ...]  # per size or spin: (blocks, m, m), as columns
-    where: np.ndarray       # (size group, block or copy, column) of each ascending level
+    block_vectors: tuple[np.ndarray, ...]  # per stack: (blocks, m, m), as columns
+    where: np.ndarray       # (stack, sector or copy, column) of each ascending level
 
     @functools.cached_property
     def ground(self) -> np.ndarray:
@@ -504,15 +434,15 @@ class Spectrum:
 
 
 def solve_sectors(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) -> Spectrum:
-    """H solved exactly, every block in full, and one ``eigendecompose`` per block size.
+    """H solved exactly, every block in full, and one ``eigendecompose`` per stack.
 
     A hub with at least three interchangeable leaves is solved in its hub (x)
     total-leaf-spin blocks (``_collective_blocks``), each block's levels
     repeated once per copy of its spin.  Any other H is solved in its flip
-    sectors split by its swap characters: one scatter by a plan cached on
-    the terms' factors and which coefficients are equal.
+    sectors, all of one size: one scatter by a plan cached on the terms'
+    factors alone, so specs that differ only in coefficients share it.
     """
-    plan, stacks = _collective_blocks(terms, n_sites) or _scatter(terms, n_sites, symmetric=True)
+    plan, stacks = _collective_blocks(terms, n_sites) or _scatter(terms, n_sites)
     solved = [eigendecompose(stack) for stack in stacks]
     values = [np.repeat(v, m, axis=0) for (v, _), m in zip(solved, plan.multiplicities)]
     where = np.concatenate([np.c_[np.full(v.size, g), np.indices(v.shape).reshape(2, -1).T]

@@ -236,7 +236,7 @@ class TestEnergyGap:
         energy_gap(spec)
         ground_state(spec)
         prepare(spec, part, MeasurementBasis.x(0))
-        assert solves == [(2, 1, 1), (2, 3, 3)]
+        assert solves == [(2, 4, 4)]
 
     def test_exactly_degenerate_returns_zero(self):
         from qetkd.spinops import term

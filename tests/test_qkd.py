@@ -216,7 +216,7 @@ TRANSCRIPTS = {
     "two-random": (dict(rounds=500, basis_policy="two-random", seed=4), None),
     "haar": (dict(rounds=100, basis_policy="haar", verify_bits=0, seed=5,
                   erasure_abort_fraction=1.0),
-             "099818bc6b945ae616a5a4bbd54235054a864c87661569b08bd5f70ac3e3e511"),
+             "dcfa3d44b3d41af4c67b9f69b748150f5e51824342094e3695ba04d48c371ca7"),
     "haar-byte-cells": (dict(rounds=40, basis_policy="haar", verify_bits=0, seed=5,
                              erasure_abort_fraction=1.0),
                         "f8349d6d0bc449743af8c9e324ddcb51fa68c8afdbfb34af24876dd218f84d76"),
@@ -414,6 +414,21 @@ class TestResourceVerification:
             chain_ctx, lambda i: (rho if i < 500 else flipped).copy(), rounds=3000, seed=4)
         assert mutated == fresh
         assert not mutated.ok
+
+    def test_round_memory(self, chain_ctx):
+        # the float64 draws are 1.6 MB at 200k rounds; a tally per table and
+        # outcome keeps no other per-round array (a float64 energy gather
+        # and an intp slot per round peaked at 6.4 MB)
+        rho = chain_ctx.rho_gs
+        verify_resource_state(chain_ctx, lambda i: rho, rounds=16, seed=0)  # warm caches
+        tracemalloc.start()
+        try:
+            verdict = verify_resource_state(chain_ctx, lambda i: rho, rounds=200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.ok
+        assert peak < 3_000_000
 
     @pytest.mark.parametrize("rounds", [0, -3])
     def test_needs_a_round_before_drawing(self, chain_ctx, monkeypatch, rounds):

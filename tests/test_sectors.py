@@ -1,14 +1,15 @@
 """The symmetry-block spectrum against dense Kronecker-product oracles.
 
-``HamiltonianSpec.spectrum`` solves a hub with at least three
-interchangeable leaves in hub (x) total-leaf-spin blocks, and any other H
-block by block in the cosets of the span of its terms' flip masks, each
-split by the characters of the site swaps that leave H unchanged.  These
-tests compare it with
-``np.linalg.eigh`` on the oracle matrix of the same Hamiltonian: the
-eigenvalues and their multiplicities, each eigenvector's residual and
-orthonormality, the ground state up to a phase and the first excited
-level's projector.
+``HamiltonianSpec.spectrum`` has two solvers.  A hub with at least three
+interchangeable leaves is solved in hub (x) total-leaf-spin blocks; any
+other H, block by block in the cosets of the span of its terms' flip masks
+(its flip sectors).  These tests compare it with ``np.linalg.eigh`` on the
+oracle matrix of the same Hamiltonian: the eigenvalues and their
+multiplicities, each eigenvector's residual and orthonormality, the ground
+state up to a phase and the first excited level's projector.  Specs that
+site swaps leave unchanged, which the flip sectors solve without using the
+swaps, stay among the inputs.  The sector blocks must be exactly Hermitian
+at any coefficient scale.
 """
 
 import functools
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qetkd import cli, spinops
 from qetkd.models import HamiltonianSpec, chain3, first_excited_level, star, two_site, \
@@ -83,6 +85,7 @@ class TestModelSpectra:
         assert not np.iscomplexobj(blocks)
         parity = np.array([bin(x).count("1") % 2 for x in range(2 ** spec.n_sites)])
         assert set(parity[states[0]]) == {0} and set(parity[states[1]]) == {1}
+        assert not states.flags.writeable  # the cached plan's, read by later solves
 
 
 class TestSectorShapes:
@@ -164,6 +167,54 @@ class TestStackedSolve:
             np.testing.assert_allclose(block @ vectors, vectors * values, rtol=0, atol=1e-12)
 
 
+COEFFICIENT = st.builds(lambda sign, e: sign * 10.0 ** e,
+                        st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 6.0))
+
+
+@st.composite
+def y_specs(draw):
+    """(n, terms): 1- and 2-site terms with coefficients from 1e-6 to 1e6 in
+    magnitude, one of them a lone Y, so some blocks are complex."""
+    n = draw(st.integers(2, 5))
+    terms = [term(draw(COEFFICIENT), (draw(st.integers(0, n - 1)), "Y"))]
+    for _ in range(draw(st.integers(1, 8))):
+        sites = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+        axes = draw(st.lists(st.sampled_from("XYZ"), min_size=len(sites), max_size=len(sites)))
+        terms.append(term(draw(COEFFICIENT), *zip(sites, axes)))
+    return n, terms
+
+
+def assert_exactly_hermitian(terms, n):
+    blocks, _ = assemble_sectors(terms, n)
+    assert np.array_equal(blocks, blocks.conj().swapaxes(-1, -2))
+    return blocks
+
+
+class TestHermitianBlocks:
+    """Every entry of a sector block and its mirror are summed from the same
+    terms in the same order, so the blocks are Hermitian exactly, not
+    within a tolerance, at any coefficient scale."""
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(y_specs())
+    def test_random_specs_with_y_factors(self, spec):
+        n, terms = spec
+        blocks = assert_exactly_hermitian(terms, n)
+        assert np.iscomplexobj(blocks)
+        eigendecompose(blocks)
+
+    def test_chain3_at_a_large_coupling(self):
+        spec, _ = chain3(2e6)
+        assert_exactly_hermitian(spec.terms, spec.n_sites)
+        h = oracles.chain3_matrix(2e6)
+        want = np.linalg.eigvalsh(h)
+        scale = float(np.abs(want).max())
+        evals = spec.spectrum.values
+        evecs = spec.spectrum.vectors(range(len(evals)))
+        np.testing.assert_allclose(evals, want, rtol=0, atol=1e-12 * scale)
+        assert np.linalg.norm(h @ evecs - evecs * evals, axis=0).max() <= 1e-14 * scale
+
+
 class TestNoRegisterMatrix:
     def test_builders_assemble_no_register_matrix(self, monkeypatch):
         def refuse(terms, n_sites):
@@ -219,7 +270,7 @@ def multiplicities(values, tol=1e-9):
 
 
 class TestSwapSectors:
-    """Flip sectors split by the characters of the site swaps that leave H unchanged."""
+    """Specs that site swaps leave unchanged, solved in their plain flip sectors."""
 
     @pytest.mark.parametrize("n, swaps", [(4, ((1, 2),)), (5, ((0, 3),)),
                                           (6, ((1, 4), (2, 5))), (5, ((0, 1), (2, 4)))])
@@ -227,20 +278,16 @@ class TestSwapSectors:
         rng = np.random.default_rng(900 + n + len(swaps))
         for _ in range(3):
             spec = symmetrized(n, swaps, rng)
-            plan = spec.spectrum.plan
-            assert plan.swaps == swaps
-            assert np.iscomplexobj(plan.weight)
-            assert len(plan.sizes) > 1
             assert_spectrum_matches(spec, oracles.terms_matrix(spec.terms, n))
 
     def test_swap_with_unequal_coefficients_is_not_used(self):
         # every leaf of the star has the same factors, but leaf 1's coupling
-        # differs, so of the leaf swaps only those without leaf 1 qualify
+        # differs, so the leaves are not interchangeable
         spec, _ = star(4, 1.0)
         text = spec.to_text().replace("1 0:X 1:X\n", "0.9 0:X 1:X\n")
         skew = HamiltonianSpec.from_text("star-4-skew", 5, text)
         assert skew.terms[0].coefficient == 0.9
-        assert skew.spectrum.plan.swaps == ((2, 3),)
+        assert not isinstance(skew.spectrum.plan, spinops._CollectivePlan)
         plan = star(4, 1.0)[0].spectrum.plan
         assert (plan.widths, plan.multiplicities) == ((10, 6, 2), (1, 3, 2))
         assert_spectrum_matches(skew, oracles.terms_matrix(skew.terms, 5))
@@ -251,28 +298,29 @@ class TestSwapSectors:
         terms = (term(1.0, (0, "Z")), term(1.0, (1, "Z")), term(0.5, (2, "X")),
                  term(0.3, (0, "Z"), (1, "Z")))
         spec = HamiltonianSpec("exchanging", 3, terms)
-        assert spec.spectrum.plan.swaps == ()
         assert_spectrum_matches(spec, oracles.terms_matrix(terms, 3))
 
-    def test_coefficient_patterns_keep_their_own_plans(self):
-        # with the end fields equal 0 <-> 2 leaves H unchanged, with them
-        # unequal it does not; the same factors must not share that plan
+    def test_one_plan_per_factor_tuple(self):
+        # the plan holds no coefficient: equal and unequal end fields, and
+        # any chain coupling, share one plan per tuple of factors
         factors = (((0, "X"), (1, "X")), ((1, "X"), (2, "X")),
                    ((0, "Z"),), ((1, "Z"),), ((2, "Z"),))
         specs = {c: HamiltonianSpec("fields", 3, tuple(term(v, *f) for v, f in zip(c, factors)))
                  for c in [(0.7, 0.7, 1.0, 1.0, 1.0), (0.7, 0.7, 1.3, 1.0, 1.0)]}
         for order in (list(specs), list(specs)[::-1]):
             spinops._sector_plan.cache_clear()
+            plans = []
             for c in order:
                 spec = HamiltonianSpec("fields", 3, specs[c].terms)
-                assert spec.spectrum.plan.swaps == (((0, 2),) if c[2] == 1.0 else ())
+                plans.append(spec.spectrum.plan)
                 assert_spectrum_matches(spec, oracles.terms_matrix(spec.terms, 3))
+            assert plans[0] is plans[1]
         for order in ([1.0, 0.7], [0.7, 1.0]):
             spinops._sector_plan.cache_clear()
-            for j in order:
-                assert_spectrum_matches(chain3(j)[0], oracles.chain3_matrix(j))
-        assert chain3(1.0)[0].spectrum.plan is not chain3(0.7)[0].spectrum.plan
-        assert chain3(0.7)[0].spectrum.plan is chain3(0.9)[0].spectrum.plan
+            specs = [chain3(j)[0] for j in order]
+            assert specs[0].spectrum.plan is specs[1].spectrum.plan
+            for j, spec in zip(order, specs):
+                assert_spectrum_matches(spec, oracles.chain3_matrix(j))
 
     @pytest.mark.parametrize("n_parties", range(3, 10))
     def test_star_leaf_multiplets(self, n_parties):
@@ -375,8 +423,10 @@ class TestCollectiveBlocks:
 
     @pytest.mark.parametrize("n_parties", [1, 2])
     def test_one_or_two_leaves_keep_the_sector_plan(self, n_parties):
+        # with one or two leaves the flip sectors are at most 4 wide
         plan = star(n_parties, 1.0)[0].spectrum.plan
-        assert plan.swaps == (((1, 2),) if n_parties == 2 else ((0, 1),))
+        assert not isinstance(plan, spinops._CollectivePlan)
+        assert plan.states.shape == (2, 2 ** n_parties)
 
     def test_text_copy_of_a_star_is_solved_collectively(self):
         spec, _ = star(5, 1.0)
@@ -394,17 +444,17 @@ class TestCollectiveBlocks:
 
     def test_skew_star_stays_on_the_sector_plan(self):
         # leaf 3's field differs from the others', so the leaves are not
-        # interchangeable; the swaps that leave H unchanged still qualify
+        # interchangeable, though the swaps of the other leaves leave H unchanged
         spec, _ = star(4, 1.0)
         text = spec.to_text().replace("1 3:Z\n", "1.1 3:Z\n")
         skew = HamiltonianSpec.from_text("star-4-skew-field", 5, text)
-        assert skew.spectrum.plan.swaps == ((1, 2),)
+        assert not isinstance(skew.spectrum.plan, spinops._CollectivePlan)
         assert_spectrum_matches(skew, oracles.terms_matrix(skew.terms, 5))
 
     def test_leaf_leaf_term_stays_on_the_sector_plan(self):
         spec, _ = star(4, 1.0)
         ring = HamiltonianSpec("star-4-ring", 5, spec.terms + (term(0.3, (1, "Z"), (2, "Z")),))
-        assert hasattr(ring.spectrum.plan, "swaps")
+        assert not isinstance(ring.spectrum.plan, spinops._CollectivePlan)
         assert_spectrum_matches(ring, oracles.terms_matrix(ring.terms, 5))
 
     @pytest.mark.parametrize("n, hub", [(4, 0), (5, 2), (6, 5)])
