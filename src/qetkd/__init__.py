@@ -27,14 +27,8 @@ from .protocol import (
 from .noise import (
     NoiseSpec,
     ThresholdReport,
-    apply_classical_flip,
     default_chain_coupling,
-    depolarize_run,
-    excited_mixture_run,
-    excited_superposition_run,
-    local_kraus_run,
     mix_state,
-    pauli_flip_run,
     threshold_scan,
 )
 from .adversary import (

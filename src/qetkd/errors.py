@@ -29,11 +29,11 @@ class DegenerateObjectiveError(QetkdError):
     """Feedback-axis objective vanishes; no energy can be extracted."""
 
 
-class CompletenessViolationError(QetkdError):
+class CompletenessViolationError(QetkdError, ValueError):
     """Kraus operators do not sum to the identity channel."""
 
 
-class SupportViolationError(QetkdError):
+class SupportViolationError(QetkdError, ValueError):
     """A noise operator acts on a site reserved for a protocol party."""
 
 

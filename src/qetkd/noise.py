@@ -1,6 +1,10 @@
 """Noise channels and sign-change threshold scans.
 
-Every noise family resolves to two or three fixed branch inputs with
+A ``NoiseSpec`` is the one description of a channel, and every noise
+path takes one.  It checks its own parameters when made; a Kraus channel
+is checked against the model once, where it meets one (``_kraus_output``).
+
+Every noise family resolves to one to three fixed branch inputs with
 scalar weights in p (``noise_branches``).  The protocol energies are
 linear in the input state and in the classical flip probability, so a
 family's energies at p are the same weighted sum of its branch energies,
@@ -27,13 +31,12 @@ from .errors import CompletenessViolationError, SupportViolationError
 from .models import chain3, first_excited_level
 from .protocol import (
     MeasurementBasis,
-    QetOutcome,
     ReceiverForms,
     RunContext,
     ensemble_for_state,
     local_projector,
     prepare,
-    run_ensemble_random_basis,
+    run_ensemble,
 )
 from .spinops import (
     PAULI,
@@ -63,6 +66,7 @@ class NoiseSpec:
 
     ``local_kraus`` applies its full channel and ignores ``p``: with
     amplitude-damping operators, ``p=0.0`` is full amplitude damping.
+    Its ``kraus_ops`` are kept as complex 2x2 arrays with sum K† K = 1.
     """
 
     kind: str
@@ -81,9 +85,14 @@ class NoiseSpec:
         if self.kind == "local_kraus":
             if not self.kraus_ops:
                 raise ValueError("local_kraus needs Kraus operators")
-            total = sum(k.conj().T @ k for k in self.kraus_ops)
-            if frobenius(total - np.eye(2)) > TOL.trace_one:
-                raise ValueError("Kraus operators are not complete")
+            ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
+            if any(k.shape != (2, 2) for k in ops):
+                raise SupportViolationError("Kraus operators must be single-site 2x2")
+            defect = frobenius(sum(k.conj().T @ k for k in ops) - np.eye(2))
+            if defect > TOL.trace_one:
+                raise CompletenessViolationError(
+                    f"sum K† K deviates from identity by {defect:.3e}")
+            object.__setattr__(self, "kraus_ops", ops)
 
 
 def mix_state(rho_gs: np.ndarray, sigma: np.ndarray, p: float) -> np.ndarray:
@@ -106,16 +115,15 @@ def branch_weights(coefficients, p: float) -> np.ndarray:
     return np.asarray(coefficients) @ (1.0, p, math.sqrt(p * (1.0 - p)))
 
 
-def noise_branches(ctx: RunContext, kind: str, *, site: int | None = None,
-                   alpha: float | None = None, kraus_ops=None,
+def noise_branches(ctx: RunContext, noise: NoiseSpec,
                    forms: ReceiverForms | None = None):
     """The one noise resolver: ((state, classical flip probability), ...), coefficients.
 
     Each state is a branch's marginal on the support of ``forms``
     (default ``ctx.forms``, the receiver whose support it reduces to),
-    reduced from vectors.  ``classical_flip`` is the ground state at flip
-    probability 0 and 1, the mixture families the resource state and
-    their noise state, each weighted 1 - p and p.
+    reduced from vectors; ``noise.p`` is not read.  ``classical_flip`` is
+    the ground state at flip probability 0 and 1, the mixture families
+    the resource state and their noise state, each weighted 1 - p and p.
     ``excited_superposition`` is |g>, |1> and
     |+_alpha> = (|g> + e^{i alpha} |1>) / sqrt(2), weighted 1 - p - c,
     p - c and 2c with c = sqrt(p (1 - p)).  ``local_kraus`` is its channel
@@ -123,29 +131,26 @@ def noise_branches(ctx: RunContext, kind: str, *, site: int | None = None,
     """
     forms = forms or ctx.forms
     g = forms.marginal(ctx.gs)
+    kind = noise.kind
     if kind == "classical_flip":
         return ((g, 0.0), (g, 1.0)), _AFFINE
     coefficients = _AFFINE
     if kind == "depolarize":
         states = (g, np.eye(len(g)) / len(g))
     elif kind in ("bit_flip", "phase_flip"):
-        if site is None:
-            raise ValueError(f"{kind} needs a site")
         flip = PAULI["X" if kind == "bit_flip" else "Z"]
-        states = (g, forms.marginal(sandwich(flip, site, ctx.gs)))
+        states = (g, forms.marginal(sandwich(flip, noise.site, ctx.gs)))
     elif kind == "excited_mixture":
         level = first_excited_level(ctx.spec).T
         states = (g, sum(forms.marginal(v) for v in level) / len(level))
     elif kind == "excited_superposition":
         psi_1 = first_excited_level(ctx.spec)[:, 0]
-        plus = (ctx.gs + np.exp(1j * (alpha or 0.0)) * psi_1) / math.sqrt(2.0)
+        plus = (ctx.gs + np.exp(1j * (noise.alpha or 0.0)) * psi_1) / math.sqrt(2.0)
         states = (g, forms.marginal(psi_1), forms.marginal(plus))
         coefficients = _COHERENT
-    elif kind == "local_kraus":
-        states = (_kraus_output(ctx, site, kraus_ops, forms)[0],)
+    else:  # local_kraus
+        states = (_kraus_output(ctx, noise, forms),)
         coefficients = ((1.0, 0.0, 0.0),)
-    else:
-        raise ValueError(f"unknown noise family {kind!r}")
     for s in states:
         if s is not g:
             require_density_matrix(s)
@@ -160,46 +165,12 @@ def noisy_input_state(ctx: RunContext, noise: NoiseSpec,
     ``ctx.forms``).  A family varies its states or its flip
     probabilities, never both.
     """
-    branches, coefficients = noise_branches(ctx, noise.kind, site=noise.site,
-                                            alpha=noise.alpha, kraus_ops=noise.kraus_ops,
-                                            forms=forms)
+    branches, coefficients = noise_branches(ctx, noise, forms)
     w = branch_weights(coefficients, noise.p)
     rho = branches[0][0]
     if any(s is not rho for s, _ in branches):
         rho = sum(wk * s for wk, (s, _) in zip(w, branches))
     return rho, float(np.dot(w, [f for _, f in branches]))
-
-
-def apply_classical_flip(ctx: RunContext, p: float) -> QetOutcome:
-    """Receiver acts on the wrong classical bit with probability p."""
-    return ensemble_for_state(ctx, *noisy_input_state(ctx, NoiseSpec("classical_flip", p)))
-
-
-def depolarize_run(ctx: RunContext, p: float) -> QetOutcome:
-    """Resource state mixed with the maximally mixed state on the register."""
-    return ensemble_for_state(ctx, *noisy_input_state(ctx, NoiseSpec("depolarize", p)))
-
-
-def excited_mixture_run(ctx: RunContext, p: float) -> QetOutcome:
-    """Resource state mixed with the first excited level (uniform if degenerate)."""
-    return ensemble_for_state(ctx, *noisy_input_state(ctx, NoiseSpec("excited_mixture", p)))
-
-
-def excited_superposition_run(ctx: RunContext, p: float, alpha: float = 0.0) -> QetOutcome:
-    """Coherent admixture sqrt(1-p) |gs> + e^{i alpha} sqrt(p) |1>.
-
-    A degenerate excited level gives its first eigenvector in the fixed gauge.
-    """
-    noise = NoiseSpec("excited_superposition", p, alpha=alpha)
-    return ensemble_for_state(ctx, *noisy_input_state(ctx, noise))
-
-
-def pauli_flip_run(ctx: RunContext, axis: str, site: int, p: float) -> QetOutcome:
-    """Bit-flip (X) or phase-flip (Z) error at one site with probability p."""
-    if axis not in ("X", "Z"):
-        raise ValueError(f"flip axis must be X or Z, got {axis!r}")
-    kind = "bit_flip" if axis == "X" else "phase_flip"
-    return ensemble_for_state(ctx, *noisy_input_state(ctx, NoiseSpec(kind, p, site=site)))
 
 
 @dataclass(frozen=True)
@@ -217,42 +188,33 @@ class KrausCheck:
     defects: dict[str, float] = field(default_factory=dict)
 
 
-def _kraus_output(ctx: RunContext, site: int,
-                  kraus_ops: list[np.ndarray] | tuple[np.ndarray, ...],
-                  forms: ReceiverForms) -> tuple[np.ndarray, list[np.ndarray]]:
+def _kraus_output(ctx: RunContext, noise: NoiseSpec, forms: ReceiverForms) -> np.ndarray:
     """Channel output sum_a K_a rho K_a† as its marginal on the support of
-    ``forms``, the sum of the marginals of K_a |g>; and the 2x2 operators."""
-    if site == ctx.alice.site or site == ctx.rule.site:
+    ``forms``, the sum of the marginals of K_a |g>.  The site is checked
+    against the model here only; a session folds its noise once per
+    receiver, so every receiver's site is refused."""
+    site = noise.site
+    if site in (ctx.alice.site, forms.site):
         raise SupportViolationError(f"site {site} belongs to a protocol party")
     if not 0 <= site < ctx.n_sites:
         raise ValueError(f"site {site} out of range")
-    ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
-    for k in ops:
-        if k.shape != (2, 2):
-            raise SupportViolationError("Kraus operators must be single-site 2x2")
-    defect = frobenius(sum(k.conj().T @ k for k in ops) - np.eye(2))
-    if defect > TOL.trace_one:
-        raise CompletenessViolationError(
-            f"sum K† K deviates from identity by {defect:.3e}")
-    return sum(forms.marginal(sandwich(k, site, ctx.gs)) for k in ops), ops
+    return sum(forms.marginal(sandwich(k, site, ctx.gs)) for k in noise.kraus_ops)
 
 
-def kraus_state(ctx: RunContext, site: int,
-                kraus_ops: list[np.ndarray] | tuple[np.ndarray, ...],
-                ) -> tuple[np.ndarray, KrausCheck]:
+def kraus_state(ctx: RunContext, noise: NoiseSpec) -> tuple[np.ndarray, KrausCheck]:
     """Channel output sum_a K_a rho K_a† plus the locality report.
 
-    The output is its marginal on the receiver's support (``ctx.forms``),
-    which is all ``ensemble_for_state`` reads of it.
-    ``kraus_ops`` are 2x2 matrices acting on ``site``.  Raises
-    SupportViolationError if the site belongs to the sender or receiver
-    and CompletenessViolationError if sum K† K != 1.
+    ``noise`` is a ``local_kraus`` spec.  The output is its marginal on the
+    receiver's support (``ctx.forms``), which is all ``ensemble_for_state``
+    reads of it.  Raises SupportViolationError if the site belongs to the
+    sender or receiver.
 
     The commutators live on the support S of the Kraus site, the sender
     site and the H_A and H_B terms: an operator X on S is X (x) 1 on the
     register, so its Frobenius norm there is ||X||_F 2^((n - |S|) / 2).
     """
-    sigma, ops = _kraus_output(ctx, site, kraus_ops, ctx.forms)
+    site = noise.site
+    sigma = _kraus_output(ctx, noise, ctx.forms)
 
     a_terms, b_terms = (ctx.partition.parts[label].terms
                         for label in (ctx.alice_label, ctx.bob_label))
@@ -265,7 +227,7 @@ def kraus_state(ctx: RunContext, site: int,
                   for b in (0, 1)]
     defects: dict[str, float] = {}
     worst = 0.0
-    for i, op in enumerate(ops):
+    for i, op in enumerate(noise.kraus_ops):
         k_s = site_operator(op, support.index(site), k)
         d_a = frobenius(commutator(k_s, h_alice))
         d_b = frobenius(commutator(k_s, h_bob))
@@ -275,14 +237,6 @@ def kraus_state(ctx: RunContext, site: int,
     check = KrausCheck(commutes=worst <= TOL.commutator, max_defect=worst,
                        defects=defects)
     return sigma, check
-
-
-def local_kraus_run(ctx: RunContext, site: int,
-                    kraus_ops: list[np.ndarray] | tuple[np.ndarray, ...],
-                    ) -> tuple[QetOutcome, KrausCheck]:
-    """Apply a single-site Kraus channel at a bystander site, then run."""
-    sigma, check = kraus_state(ctx, site, kraus_ops)
-    return ensemble_for_state(ctx, sigma), check
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +259,19 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
                    **family_kwargs) -> ThresholdReport:
     """Energy curves of a noise family over a grid, and where E_B changes sign.
 
-    ``noise_branches(ctx, family, **family_kwargs)`` validates each branch
-    state once, and each branch runs through ``ensemble_for_state`` once;
-    every grid row and bisection step is then a scalar, the branch
-    energies weighted by ``branch_weights`` at that p.
+    ``family_kwargs`` are the ``NoiseSpec`` fields besides the kind and p
+    (``site``, ``alpha``, ``kraus_ops``); the spec they make is checked as
+    any other.  ``noise_branches`` validates each branch state once, and
+    each branch runs through ``ensemble_for_state`` once; every grid row
+    and bisection step is then a scalar, the branch energies weighted by
+    ``branch_weights`` at that p.
     Only energies above ``TOL.sign_zero`` in magnitude carry a sign; each
     pair of consecutive such grid points with opposite signs is bisected
     to ``TOL.bisection`` in p.  An energy that merely reaches zero, like
     depolarization at p = 1, is no crossing.  ``crossing`` is the first
     crossing, None when the sign never changes.
     """
-    branches, coefficients = noise_branches(ctx, family, **family_kwargs)
+    branches, coefficients = noise_branches(ctx, NoiseSpec(family, 0.0, **family_kwargs))
     outs = [ensemble_for_state(ctx, rho, flip) for rho, flip in branches]
     table = np.array([(out.e_alice, out.e_bob) for out in outs])
 
@@ -371,13 +327,10 @@ def default_chain_coupling() -> float:
     Golden-section search to 1e-3 over J in [0.05, 5]; this is the
     operating point used for flip-noise and excited-state scans.
     """
-    def objective(j: float) -> float:
+    def objective(j: float) -> float:  # the mean of the X- and Y-basis runs
         spec, partition = chain3(j)
-        out = run_ensemble_random_basis(
-            spec, partition,
-            [(MeasurementBasis.x(0), 0.5), (MeasurementBasis.y(0), 0.5)],
-        )
-        return out.e_bob
+        return 0.5 * sum(run_ensemble(prepare(spec, partition, basis)).e_bob
+                         for basis in (MeasurementBasis.x(0), MeasurementBasis.y(0)))
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = 0.05, 5.0
@@ -393,11 +346,3 @@ def default_chain_coupling() -> float:
             d = a + inv_phi * (b - a)
             f_d = objective(d)
     return 0.5 * (a + b)
-
-
-def chain_context(coupling: float | None = None, *, bit_map: str = "identity",
-                  basis: MeasurementBasis | None = None) -> RunContext:
-    """Convenience context for the chain model at the default operating point."""
-    j = default_chain_coupling() if coupling is None else coupling
-    spec, partition = chain3(j)
-    return prepare(spec, partition, basis or MeasurementBasis.x(0), bit_map=bit_map)

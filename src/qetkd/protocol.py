@@ -176,21 +176,6 @@ def ground_state(spec: HamiltonianSpec) -> tuple[np.ndarray, float]:
     return spec.spectrum.ground.astype(complex), float(evals[0])
 
 
-def _pairing(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(paired, m) per sender axis row: whether it is X or Y, and its fixed
-    receiver axis, X -> Y and Y -> X (meaningless where not paired)."""
-    near = np.max(np.abs(n[:, None, :] - np.eye(2, 3)), axis=2) <= 1e-12  # [row, X or Y]
-    return near.any(axis=1), np.eye(3)[1 - near.argmax(axis=1)]
-
-
-def paired_feedback_axis(alice: MeasurementBasis, bob_site: int) -> MeasurementBasis:
-    """Fixed sender->receiver axis pairing: X -> Y and Y -> X."""
-    paired, m = _pairing(np.array([alice.vector]))
-    if not paired[0]:
-        raise ValueError("fixed pairing only covers the X and Y sender bases")
-    return MeasurementBasis(bob_site, tuple(m[0].tolist()))
-
-
 def feedback_axes(forms: ReceiverForms, n: np.ndarray, bob_axis: str) -> np.ndarray:
     """Receiver axis per sender axis row of ``n``: "optimal" or "paired".
 
@@ -200,8 +185,9 @@ def feedback_axes(forms: ReceiverForms, n: np.ndarray, bob_axis: str) -> np.ndar
     """
     if bob_axis not in ("paired", "optimal"):
         raise ValueError(f"unknown bob_axis {bob_axis!r}")
-    paired, m = _pairing(n)
-    fallback = ~paired if bob_axis == "paired" else np.ones(len(n), dtype=bool)
+    near = np.max(np.abs(n[:, None, :] - np.eye(2, 3)), axis=2) <= 1e-12  # [row, X or Y]
+    m = np.eye(3)[1 - near.argmax(axis=1)]  # the pairing; meaningless where not paired
+    fallback = ~near.any(axis=1) if bob_axis == "paired" else np.ones(len(n), dtype=bool)
     if fallback.any():
         m[fallback] = optimize_bob_basis(forms, n[fallback])
     return m
@@ -523,6 +509,8 @@ def run_ensemble_random_basis(spec: HamiltonianSpec, partition: Partition,
     per-basis outcomes.
     """
     weights = [w for _, w in weighted_bases]
+    if any(not 0.0 <= w <= 1.0 for w in weights):
+        raise ValueError(f"weights must lie in [0, 1], got {weights}")
     if abs(sum(weights) - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1, got {sum(weights)}")
     e_a = e_b = 0.0

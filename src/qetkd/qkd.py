@@ -19,11 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateObjectiveError,
-    SupportViolationError,
-    TooManyErasuresError,
-)
+from .errors import DegenerateObjectiveError, TooManyErasuresError
 from .models import build_model, check_model_parameters, model_sites
 from .noise import NoiseSpec, noisy_input_state
 from .protocol import (
@@ -207,9 +203,12 @@ class _TranscriptRows:
         axis, outcome, sent = cells // 4, (cells // 2) % 2, cells % 2
         energy = self.tables[receiver, axis, outcome, sent]
         decoded = _BIT_CHARS[_decode(energy, self.epsilon)].tobytes().decode()
+        # cond_energy to 1e-14 absolute, above its ~1e-16 ||H|| rounding error
+        # while ||H|| < 100; a value that rounds to zero prints unsigned
         suffix = np.empty(seen.shape, dtype=object)
         suffix[receiver, cells] = [
-            f",{n1:.12g},{n2:.12g},{n3:.12g},{s},{self.labels[j]},{e:.12g},{d}\n"
+            f",{n1:.12g},{n2:.12g},{n3:.12g},{s},{self.labels[j]},"
+            f"{round(e, 14) + 0.0:.14f},{d}\n"
             for (n1, n2, n3), s, j, e, d in zip(self.axes[axis].tolist(), sent.tolist(),
                                                 receiver.tolist(), energy.tolist(), decoded)
         ]
@@ -292,15 +291,13 @@ def _receivers(config: SessionConfig, ctx: RunContext,
     """Every receiver's forms, and the session's input state as each reads it.
 
     ``ctx`` is the first receiver's context.  A noisy input is folded once
-    per receiver, as its marginal on that receiver's own support; a Kraus
-    channel may touch no receiver's site.
+    per receiver, as its marginal on that receiver's own support, so a
+    Kraus channel at any receiver's site is refused.
     """
     forms = [ctx.forms] + [receiver_forms(ctx.spec, ctx.partition, ctx.gs, ctx.alice.site,
                                           ctx.alice_label, lab) for lab in labels[1:]]
     if config.noise is None:
         return forms, [ctx.gs] * len(forms)
-    if config.noise.kind == "local_kraus" and config.noise.site in {f.site for f in forms}:
-        raise SupportViolationError(f"site {config.noise.site} belongs to a protocol party")
     return forms, [noisy_input_state(ctx, config.noise, f)[0] for f in forms]
 
 

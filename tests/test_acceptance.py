@@ -19,18 +19,23 @@ from qetkd.errors import CompletenessViolationError, SupportViolationError
 from qetkd.models import chain3, star, two_site, two_site_partition_standard, \
     two_site_shift_constants
 from qetkd.noise import (
-    chain_context,
-    depolarize_run,
-    excited_superposition_run,
-    local_kraus_run,
-    pauli_flip_run,
+    NoiseSpec,
+    default_chain_coupling,
+    kraus_state,
+    noisy_input_state,
     threshold_scan,
 )
-from qetkd.protocol import MeasurementBasis, prepare, run_ensemble, run_rounds
+from qetkd.protocol import MeasurementBasis, ensemble_for_state, prepare, run_ensemble, \
+    run_rounds
 from qetkd.qkd import SessionConfig, run_multiparty
 from qetkd.spinops import frobenius
 
 import oracles
+
+
+def noisy_run(ctx, noise):
+    """The protocol on the input ``noise`` makes of the resource state."""
+    return ensemble_for_state(ctx, *noisy_input_state(ctx, noise))
 
 
 def verdict(n, ok, detail=""):
@@ -144,11 +149,11 @@ def test_criterion_04_sin_squared_identity(star_threshold):
 
 
 def test_criterion_05_depolarization_law():
-    ctx = chain_context(1.0)
+    ctx = prepare(*chain3(1.0), MeasurementBasis.x(0))
     clean = run_ensemble(ctx)
     worst = 0.0
     for p in np.arange(0.1, 0.91, 0.1):
-        noisy = depolarize_run(ctx, float(p))
+        noisy = noisy_run(ctx, NoiseSpec("depolarize", float(p)))
         worst = max(worst, abs(noisy.e_alice / clean.e_alice - (1 - p)))
         worst = max(worst, abs(noisy.e_bob / clean.e_bob - (1 - p)))
         assert np.sign(noisy.e_bob) == np.sign(clean.e_bob)
@@ -158,12 +163,14 @@ def test_criterion_05_depolarization_law():
 
 
 def test_criterion_06_excited_state_noise():
-    ctx = chain_context()  # operating point: coupling minimizing E_B
+    # operating point: coupling minimizing E_B
+    ctx = prepare(*chain3(default_chain_coupling()), MeasurementBasis.x(0))
     mix = threshold_scan(ctx, "excited_mixture", np.linspace(0, 1, 21))
     sup = threshold_scan(ctx, "excited_superposition", np.linspace(0, 1, 21))
-    base = excited_superposition_run(ctx, 0.1, 0.0).e_bob
+    base = noisy_run(ctx, NoiseSpec("excited_superposition", 0.1, alpha=0.0)).e_bob
     alpha_dev = max(
-        abs(excited_superposition_run(ctx, 0.1, float(a)).e_bob - base)
+        abs(noisy_run(ctx, NoiseSpec("excited_superposition", 0.1, alpha=float(a))).e_bob
+            - base)
         for a in np.arange(8) * np.pi / 4
     )
     ok = (mix.crossing is not None and 0.15 <= mix.crossing <= 0.30
@@ -175,15 +182,15 @@ def test_criterion_06_excited_state_noise():
 
 
 def test_criterion_07_flip_noise_asymmetry():
-    ctx = chain_context()
+    ctx = prepare(*chain3(default_chain_coupling()), MeasurementBasis.x(0))
     clean = run_ensemble(ctx).e_bob
     sender_drift = max(
-        abs(pauli_flip_run(ctx, "X", 0, float(p)).e_bob - clean)
+        abs(noisy_run(ctx, NoiseSpec("bit_flip", float(p), site=0)).e_bob - clean)
         for p in np.linspace(0, 1, 11)
     )
     receiver = threshold_scan(ctx, "bit_flip", np.linspace(0, 0.2, 21), site=2)
-    z_sender = abs(pauli_flip_run(ctx, "Z", 0, 0.3).e_bob - clean)
-    z_receiver = abs(pauli_flip_run(ctx, "Z", 2, 0.3).e_bob - clean)
+    z_sender = abs(noisy_run(ctx, NoiseSpec("phase_flip", 0.3, site=0)).e_bob - clean)
+    z_receiver = abs(noisy_run(ctx, NoiseSpec("phase_flip", 0.3, site=2)).e_bob - clean)
     ok = (sender_drift <= 1e-10
           and receiver.crossing is not None and receiver.crossing < 0.05
           and z_sender > 1e-4 and z_receiver > 1e-4)
@@ -194,20 +201,23 @@ def test_criterion_07_flip_noise_asymmetry():
 
 
 def test_criterion_08_local_kraus_invariance():
-    ctx = chain_context(1.0)
+    ctx = prepare(*chain3(1.0), MeasurementBasis.x(0))
     clean = run_ensemble(ctx)
     ops_ok = [np.sqrt(0.6) * np.eye(2), np.sqrt(0.4) * oracles.SX]
-    out, check = local_kraus_run(ctx, 1, ops_ok)
+    sigma, check = kraus_state(ctx, NoiseSpec("local_kraus", 0.0, site=1, kraus_ops=ops_ok))
+    out = ensemble_for_state(ctx, sigma)
     drift = max(abs(out.e_bob - clean.e_bob), abs(out.e_alice - clean.e_alice))
     ops_bad = [np.sqrt(0.6) * np.eye(2), np.sqrt(0.4) * oracles.SZ]
-    out_bad, check_bad = local_kraus_run(ctx, 1, ops_bad)
+    sigma_bad, check_bad = kraus_state(
+        ctx, NoiseSpec("local_kraus", 0.0, site=1, kraus_ops=ops_bad))
+    out_bad = ensemble_for_state(ctx, sigma_bad)
     completeness_raised = support_raised = False
     try:
-        local_kraus_run(ctx, 1, [0.3 * np.eye(2)])
+        kraus_state(ctx, NoiseSpec("local_kraus", 0.0, site=1, kraus_ops=[0.3 * np.eye(2)]))
     except CompletenessViolationError:
         completeness_raised = True
     try:
-        local_kraus_run(ctx, 0, [np.eye(2)])
+        kraus_state(ctx, NoiseSpec("local_kraus", 0.0, site=0, kraus_ops=[np.eye(2)]))
     except SupportViolationError:
         support_raised = True
     ok = (check.commutes and drift <= 1e-10

@@ -14,33 +14,33 @@ import qetkd.noise as noise
 import qetkd.qkd as qkd
 from qetkd.noise import (
     NoiseSpec,
-    apply_classical_flip,
-    chain_context,
     default_chain_coupling,
-    depolarize_run,
-    excited_mixture_run,
-    excited_superposition_run,
-    local_kraus_run,
+    kraus_state,
     mix_state,
     noisy_input_state,
-    pauli_flip_run,
     report_csv_rows,
     threshold_scan,
 )
-from qetkd.protocol import MeasurementBasis, prepare, run_ensemble
+from qetkd.protocol import MeasurementBasis, ensemble_for_state, prepare, receiver_forms, \
+    run_ensemble
 from qetkd.spinops import require_density_matrix, term
 
 import oracles
 
 
+def noisy_run(ctx, noise):
+    """The protocol on the input ``noise`` makes of the resource state."""
+    return ensemble_for_state(ctx, *noisy_input_state(ctx, noise))
+
+
 @pytest.fixture(scope="module")
 def ctx_unit():
-    return chain_context(1.0)
+    return prepare(*chain3(1.0), MeasurementBasis.x(0))
 
 
 @pytest.fixture(scope="module")
 def ctx_default():
-    return chain_context()
+    return prepare(*chain3(default_chain_coupling()), MeasurementBasis.x(0))
 
 
 @pytest.fixture(scope="module")
@@ -51,27 +51,27 @@ def star_ctx():
 
 class TestClassicalFlip:
     def test_zero_probability_is_noiseless(self, ctx_unit):
-        assert apply_classical_flip(ctx_unit, 0.0).e_bob == \
+        assert noisy_run(ctx_unit, NoiseSpec("classical_flip", 0.0)).e_bob == \
                pytest.approx(run_ensemble(ctx_unit).e_bob, abs=1e-14)
 
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.7])
     def test_linear_in_the_two_branches(self, ctx_unit, p):
         clean = run_ensemble(ctx_unit).e_bob
-        flipped = run_ensemble(chain_context(1.0, bit_map="flip")).e_bob
-        assert apply_classical_flip(ctx_unit, p).e_bob == \
+        flipped = run_ensemble(prepare(*chain3(1.0), MeasurementBasis.x(0), bit_map="flip")).e_bob
+        assert noisy_run(ctx_unit, NoiseSpec("classical_flip", p)).e_bob == \
                pytest.approx((1 - p) * clean + p * flipped, abs=1e-10)
 
     def test_half_probability_value(self, ctx_unit):
         # at p = 1/2 the cross term cancels, leaving xi sin^2(theta) >= 0
         tp = ctx_unit.theta
         expected = tp.xi * np.sin(tp.theta) ** 2
-        at_half = apply_classical_flip(ctx_unit, 0.5).e_bob
+        at_half = noisy_run(ctx_unit, NoiseSpec("classical_flip", 0.5)).e_bob
         assert at_half == pytest.approx(expected, abs=1e-10)
         assert at_half >= 0
 
     def test_sender_energy_unaffected(self, ctx_unit):
         clean = run_ensemble(ctx_unit).e_alice
-        assert apply_classical_flip(ctx_unit, 0.4).e_alice == \
+        assert noisy_run(ctx_unit, NoiseSpec("classical_flip", 0.4)).e_alice == \
                pytest.approx(clean, abs=1e-12)
 
     def test_scan_reads_the_ground_state_vector(self):
@@ -115,19 +115,19 @@ class TestDepolarize:
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.9])
     def test_exact_scaling_of_both_energies(self, ctx_unit, p):
         clean = run_ensemble(ctx_unit)
-        noisy = depolarize_run(ctx_unit, p)
+        noisy = noisy_run(ctx_unit, NoiseSpec("depolarize", p))
         assert noisy.e_bob == pytest.approx((1 - p) * clean.e_bob, abs=1e-10)
         assert noisy.e_alice == pytest.approx((1 - p) * clean.e_alice, abs=1e-10)
 
     def test_full_depolarization_kills_both(self, ctx_unit):
-        out = depolarize_run(ctx_unit, 1.0)
+        out = noisy_run(ctx_unit, NoiseSpec("depolarize", 1.0))
         assert out.e_bob == pytest.approx(0.0, abs=1e-12)
         assert out.e_alice == pytest.approx(0.0, abs=1e-12)
 
     def test_sign_never_changes(self, ctx_unit):
         clean_sign = np.sign(run_ensemble(ctx_unit).e_bob)
         for p in np.linspace(0.0, 0.99, 12):
-            assert np.sign(depolarize_run(ctx_unit, p).e_bob) == clean_sign
+            assert np.sign(noisy_run(ctx_unit, NoiseSpec("depolarize", p)).e_bob) == clean_sign
 
     def test_no_crossing_reported(self, ctx_unit):
         report = threshold_scan(ctx_unit, "depolarize", np.linspace(0, 0.99, 21))
@@ -138,9 +138,9 @@ class TestDepolarize:
 class TestExcitedStates:
     def test_zero_probability_noiseless(self, ctx_default):
         clean = run_ensemble(ctx_default).e_bob
-        assert excited_mixture_run(ctx_default, 0.0).e_bob == \
+        assert noisy_run(ctx_default, NoiseSpec("excited_mixture", 0.0)).e_bob == \
                pytest.approx(clean, abs=1e-12)
-        assert excited_superposition_run(ctx_default, 0.0).e_bob == \
+        assert noisy_run(ctx_default, NoiseSpec("excited_superposition", 0.0)).e_bob == \
                pytest.approx(clean, abs=1e-12)
 
     def test_mixture_threshold_at_operating_point(self, ctx_default):
@@ -156,17 +156,18 @@ class TestExcitedStates:
 
     def test_mixture_decomposes_convexly(self, ctx_default):
         # E(p) = (1-p) E[clean branch] + p E[excited branch], exactly
-        e0 = excited_mixture_run(ctx_default, 0.0).e_bob
-        e1 = excited_mixture_run(ctx_default, 1.0).e_bob
+        e0 = noisy_run(ctx_default, NoiseSpec("excited_mixture", 0.0)).e_bob
+        e1 = noisy_run(ctx_default, NoiseSpec("excited_mixture", 1.0)).e_bob
         for p in (0.2, 0.6):
-            assert excited_mixture_run(ctx_default, p).e_bob == \
+            assert noisy_run(ctx_default, NoiseSpec("excited_mixture", p)).e_bob == \
                    pytest.approx((1 - p) * e0 + p * e1, abs=1e-10)
 
     def test_phase_independence_recorded_bound(self, ctx_default):
         # oracle sweep found no measurable alpha dependence for this model
-        base = excited_superposition_run(ctx_default, 0.1, 0.0).e_bob
+        base = noisy_run(ctx_default, NoiseSpec("excited_superposition", 0.1, alpha=0.0)).e_bob
         worst = max(
-            abs(excited_superposition_run(ctx_default, 0.1, a).e_bob - base)
+            abs(noisy_run(ctx_default, NoiseSpec("excited_superposition", 0.1, alpha=a)).e_bob
+                - base)
             for a in np.arange(8) * np.pi / 4
         )
         assert worst <= 1e-12
@@ -174,7 +175,8 @@ class TestExcitedStates:
 
     def test_sender_energy_linear_in_mixing(self, ctx_default):
         probs = np.linspace(0.0, 0.5, 6)
-        energies = [excited_superposition_run(ctx_default, p).e_alice for p in probs]
+        energies = [noisy_run(ctx_default, NoiseSpec("excited_superposition", p)).e_alice
+                    for p in probs]
         slope = (energies[-1] - energies[0]) / (probs[-1] - probs[0])
         for p, e in zip(probs, energies):
             assert e == pytest.approx(energies[0] + slope * p, abs=1e-10)
@@ -182,15 +184,15 @@ class TestExcitedStates:
     def test_fully_excited_energy_decreases_with_coupling(self):
         values = []
         for j in (2.0, 3.0, 4.0, 5.0):
-            ctx = chain_context(j)
-            values.append(excited_mixture_run(ctx, 1.0).e_bob)
+            ctx = prepare(*chain3(j), MeasurementBasis.x(0))
+            values.append(noisy_run(ctx, NoiseSpec("excited_mixture", 1.0)).e_bob)
         assert all(v > 0 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_degenerate_excited_level_uses_uniform_mixture(self):
         # at J = 0 the first excited level is three-fold degenerate
-        ctx = chain_context(0.0)
-        out = excited_mixture_run(ctx, 1.0)
+        ctx = prepare(*chain3(0.0), MeasurementBasis.x(0))
+        out = noisy_run(ctx, NoiseSpec("excited_mixture", 1.0))
         assert np.isfinite(out.e_bob)
         spec, _ = chain3(0.0)
         evals = np.linalg.eigvalsh(oracles.terms_matrix(spec.terms, spec.n_sites))
@@ -228,7 +230,7 @@ class TestPauliFlips:
     def test_sender_site_bit_flip_invariant(self, ctx_unit):
         clean = run_ensemble(ctx_unit).e_bob
         for p in np.linspace(0.0, 1.0, 11):
-            assert pauli_flip_run(ctx_unit, "X", 0, p).e_bob == \
+            assert noisy_run(ctx_unit, NoiseSpec("bit_flip", p, site=0)).e_bob == \
                    pytest.approx(clean, abs=1e-10)
 
     def test_receiver_site_bit_flip_small_threshold(self, ctx_default):
@@ -239,7 +241,7 @@ class TestPauliFlips:
 
     def test_receiver_site_phase_flip_degrades(self, ctx_default):
         clean = run_ensemble(ctx_default).e_bob
-        drift = abs(pauli_flip_run(ctx_default, "Z", 2, 0.5).e_bob - clean)
+        drift = abs(noisy_run(ctx_default, NoiseSpec("phase_flip", 0.5, site=2)).e_bob - clean)
         assert drift > 1e-3
 
     def test_receiver_site_flip_thresholds_compared(self, ctx_default):
@@ -257,26 +259,30 @@ class TestPauliFlips:
         # Z at the sender site anti-commutes with her X projector, so the
         # noisy branch is exactly the wrong-bit branch.
         for p in (0.1, 0.3):
-            assert pauli_flip_run(ctx_unit, "Z", 0, p).e_bob == \
-                   pytest.approx(apply_classical_flip(ctx_unit, p).e_bob, abs=1e-10)
+            assert noisy_run(ctx_unit, NoiseSpec("phase_flip", p, site=0)).e_bob == \
+                   pytest.approx(noisy_run(ctx_unit, NoiseSpec("classical_flip", p)).e_bob,
+                                 abs=1e-10)
 
     def test_bad_axis_rejected(self, ctx_unit):
         with pytest.raises(ValueError):
-            pauli_flip_run(ctx_unit, "Y", 0, 0.1)
+            noisy_run(ctx_unit, NoiseSpec("y_flip", 0.1, site=0))
 
 
 class TestLocalKraus:
     def test_commuting_buffer_channel_is_invariant(self, ctx_unit):
         clean = run_ensemble(ctx_unit)
         ops = [np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * oracles.SX]
-        out, check = local_kraus_run(ctx_unit, 1, ops)
+        sigma, check = kraus_state(ctx_unit, NoiseSpec("local_kraus", 0.0, site=1, kraus_ops=ops))
+        out = ensemble_for_state(ctx_unit, sigma)
         assert check.commutes
         assert out.e_bob == pytest.approx(clean.e_bob, abs=1e-10)
         assert out.e_alice == pytest.approx(clean.e_alice, abs=1e-10)
 
     def test_identity_channel_trivially_invariant(self, ctx_unit):
         clean = run_ensemble(ctx_unit)
-        out, check = local_kraus_run(ctx_unit, 1, [np.eye(2)])
+        sigma, check = kraus_state(ctx_unit,
+                                   NoiseSpec("local_kraus", 0.0, site=1, kraus_ops=[np.eye(2)]))
+        out = ensemble_for_state(ctx_unit, sigma)
         assert check.commutes
         assert out.e_bob == pytest.approx(clean.e_bob, abs=1e-12)
 
@@ -286,7 +292,8 @@ class TestLocalKraus:
         # genuinely moves.
         clean = run_ensemble(ctx_unit).e_bob
         ops = [np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * oracles.SZ]
-        out, check = local_kraus_run(ctx_unit, 1, ops)
+        sigma, check = kraus_state(ctx_unit, NoiseSpec("local_kraus", 0.0, site=1, kraus_ops=ops))
+        out = ensemble_for_state(ctx_unit, sigma)
         assert not check.commutes
         assert check.max_defect > 1.0
         assert abs(out.e_bob - clean) > 1e-3
@@ -295,17 +302,18 @@ class TestLocalKraus:
         gamma = 0.3
         ops = [np.array([[1, 0], [0, np.sqrt(1 - gamma)]]),
                np.array([[0, np.sqrt(gamma)], [0, 0]])]
-        _, check = local_kraus_run(ctx_unit, 1, ops)
+        _, check = kraus_state(ctx_unit, NoiseSpec("local_kraus", 0.0, site=1, kraus_ops=ops))
         assert not check.commutes  # receiver part contains an X1 factor
 
     def test_completeness_violation_raises(self, ctx_unit):
         with pytest.raises(CompletenessViolationError):
-            local_kraus_run(ctx_unit, 1, [0.5 * np.eye(2)])
+            kraus_state(ctx_unit,
+                        NoiseSpec("local_kraus", 0.0, site=1, kraus_ops=[0.5 * np.eye(2)]))
 
     @pytest.mark.parametrize("site", [0, 2])
     def test_party_site_raises_support_violation(self, ctx_unit, site):
         with pytest.raises(SupportViolationError):
-            local_kraus_run(ctx_unit, site, [np.eye(2)])
+            kraus_state(ctx_unit, NoiseSpec("local_kraus", 0.0, site=site, kraus_ops=[np.eye(2)]))
 
     def test_noisy_input_skips_the_locality_check(self, ctx_unit, monkeypatch):
         # The dense commutators are the KrausCheck; a session input that
@@ -318,13 +326,12 @@ class TestLocalKraus:
 
         monkeypatch.setattr(noise, "commutator", counted)
         ops = (np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * oracles.SX)
-        rho, _ = noisy_input_state(
-            ctx_unit, NoiseSpec(kind="local_kraus", p=0.0, site=1, kraus_ops=ops))
+        spec = NoiseSpec(kind="local_kraus", p=0.0, site=1, kraus_ops=ops)
+        rho, _ = noisy_input_state(ctx_unit, spec)
         assert calls == []
-        _, check = local_kraus_run(ctx_unit, 1, ops)
+        _, check = kraus_state(ctx_unit, spec)
         assert len(calls) == 4 * len(ops) and check.commutes
-        np.testing.assert_allclose(rho, noise.kraus_state(ctx_unit, 1, ops)[0],
-                                   rtol=0, atol=0)
+        np.testing.assert_allclose(rho, kraus_state(ctx_unit, spec)[0], rtol=0, atol=0)
 
 
 DEPHASING = (np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * oracles.SZ)
@@ -377,7 +384,7 @@ class TestKrausCheckAgainstOracle:
             "wide-sender-bitflip"])
     def test_chain3_buffer_site(self, context, ops, request):
         ctx = request.getfixturevalue(context)
-        _, check = noise.kraus_state(ctx, 1, ops)
+        _, check = kraus_state(ctx, NoiseSpec("local_kraus", 0.0, site=1, kraus_ops=ops))
         want = dense_kraus_defects(ctx, 1, ops)
         assert max(want) > 0.1  # the buffer channel is not local
         np.testing.assert_allclose(list(check.defects.values()), want, rtol=0, atol=1e-12)
@@ -388,7 +395,7 @@ class TestKrausCheckAgainstOracle:
     def test_star_bystander_site(self, ops):
         spec, part = star(4, 1.0)
         ctx = prepare(spec, part, MeasurementBasis.x(0), bob_label="B1")
-        _, check = noise.kraus_state(ctx, 3, ops)
+        _, check = kraus_state(ctx, NoiseSpec("local_kraus", 0.0, site=3, kraus_ops=ops))
         want = dense_kraus_defects(ctx, 3, ops)
         assert max(want) == 0.0
         np.testing.assert_allclose(list(check.defects.values()), want, rtol=0, atol=1e-12)
@@ -408,7 +415,8 @@ class TestKrausCheckAgainstOracle:
             return a @ b - b @ a
 
         monkeypatch.setattr(noise, "commutator", recorded)
-        _, check = noise.kraus_state(ctx, site, AMPLITUDE_DAMPING)
+        _, check = kraus_state(
+            ctx, NoiseSpec("local_kraus", 0.0, site=site, kraus_ops=AMPLITUDE_DAMPING))
         assert len(shapes) == 2 * 4 * len(AMPLITUDE_DAMPING)
         assert max(max(shape) for shape in shapes) <= 2 ** len(support) < 2 ** spec.n_sites
         assert check.commutes
@@ -419,7 +427,7 @@ class TestThresholdScan:
         # classical flip crossing solves (1-p) E_id + p E_flip = 0, i.e.
         # p* = |.| / (2 (|.| + xi)); the scan must land within 1e-4
         for j in (0.8, 1.0, 2.0):
-            ctx = chain_context(j)
+            ctx = prepare(*chain3(j), MeasurementBasis.x(0))
             tp = ctx.theta
             analytic = tp.magnitude / (2 * (tp.magnitude + tp.xi))
             report = threshold_scan(ctx, "classical_flip", np.linspace(0, 1, 21))
@@ -464,7 +472,8 @@ class TestChannelValidity:
     @pytest.mark.parametrize("axis,site", [("X", 0), ("X", 2), ("Z", 0), ("Z", 2)])
     def test_flip_families_decompose_convexly(self, ctx_unit, axis, site):
         def energy(p):
-            return pauli_flip_run(ctx_unit, axis, site, p).e_bob
+            kind = {"X": "bit_flip", "Z": "phase_flip"}[axis]
+            return noisy_run(ctx_unit, NoiseSpec(kind, p, site=site)).e_bob
 
         e0, e1 = energy(0.0), energy(1.0)
         for p in (0.25, 0.5, 0.75):
@@ -490,6 +499,28 @@ class TestNoiseSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             NoiseSpec(kind="thermal", p=0.1)
+
+    def test_kraus_operator_must_be_single_site(self):
+        with pytest.raises(SupportViolationError):
+            NoiseSpec("local_kraus", 0.0, site=1, kraus_ops=(np.eye(4),))
+
+    def test_kraus_errors_are_value_errors(self):
+        with pytest.raises(CompletenessViolationError):
+            NoiseSpec("local_kraus", 0.0, site=1, kraus_ops=(0.5 * np.eye(2),))
+        assert issubclass(CompletenessViolationError, ValueError)
+        assert issubclass(SupportViolationError, ValueError)
+
+    def test_kraus_at_another_receivers_site_refused(self):
+        # star N=2: sites 1 and 2 are the receivers B1 and B2; folding a
+        # channel at site 2 for B2's support is refused, though B1's is not
+        spec, part, labels = build_model("star", 1.0, n_parties=2)
+        ctx = prepare(spec, part, MeasurementBasis.x(0), bob_label=labels[0])
+        forms_b2 = receiver_forms(spec, part, ctx.gs, ctx.alice.site, ctx.alice_label,
+                                  labels[1])
+        kraus = NoiseSpec("local_kraus", 0.0, site=2, kraus_ops=(np.eye(2),))
+        noisy_input_state(ctx, kraus)
+        with pytest.raises(SupportViolationError):
+            noisy_input_state(ctx, kraus, forms_b2)
 
 
 class TestDefaultCoupling:
@@ -554,7 +585,8 @@ class TestNoisyInputsAgainstOracle:
         want_rho = self._oracle_input(data, kind)
         assert np.allclose(rho_in, want_rho, atol=1e-12)
 
-        out = ensemble_for_state(chain_context(1.0, bit_map=bit_map), rho_in)
+        ctx = prepare(*chain3(1.0), MeasurementBasis.x(0), bit_map=bit_map)
+        out = ensemble_for_state(ctx, rho_in)
         e_a, e_b, per = oracles.protocol_energies(
             data["h_a"], data["h_b"], want_rho, data["sigma_a"], data["sigma_b"],
             data["theta"], flip=bit_map == "flip")

@@ -16,7 +16,12 @@ from qetkd.errors import DegenerateObjectiveError  # noqa: E402
 from qetkd.models import build_model, chain3, first_excited_level, two_site  # noqa: E402
 from qetkd.models import two_site_partition_alternative  # noqa: E402
 from qetkd.models import two_site_partition_standard  # noqa: E402
-from qetkd.noise import NoiseSpec, chain_context, noisy_input_state, threshold_scan  # noqa: E402
+from qetkd.noise import (  # noqa: E402
+    NoiseSpec,
+    default_chain_coupling,
+    noisy_input_state,
+    threshold_scan,
+)
 from qetkd.protocol import (  # noqa: E402
     MeasurementBasis,
     conditional_table,
@@ -38,7 +43,8 @@ PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=T
 @functools.lru_cache(maxsize=None)
 def context(model, n_parties, bit_map):
     if model == "chain3":
-        return chain_context(bit_map=bit_map)
+        return prepare(*chain3(default_chain_coupling()), MeasurementBasis.x(0),
+                       bit_map=bit_map)
     spec, partition, labels = build_model("star", 1.0, n_parties=n_parties)
     return prepare(spec, partition, MeasurementBasis.x(0), bob_label=labels[0],
                    bit_map=bit_map)

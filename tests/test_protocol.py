@@ -18,7 +18,6 @@ from qetkd.protocol import (
     ground_state,
     local_projector,
     optimize_bob_basis,
-    paired_feedback_axis,
     prepare,
     run_ensemble,
     run_ensemble_random_basis,
@@ -364,6 +363,13 @@ class TestRandomBasisEnsemble:
             run_ensemble_random_basis(
                 spec, part, [(MeasurementBasis.x(0), 0.5), (MeasurementBasis.y(0), 0.4)])
 
+    def test_weights_outside_unit_interval_rejected(self):
+        # 1.5 and -0.5 sum to one, but -0.5 is no probability
+        spec, part = chain3(1.0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            run_ensemble_random_basis(
+                spec, part, [(MeasurementBasis.x(0), 1.5), (MeasurementBasis.y(0), -0.5)])
+
     def test_coupling_sweep_has_single_interior_minimum(self):
         couplings = np.linspace(0.0, 5.0, 26)
         curve = []
@@ -397,8 +403,9 @@ class TestRandomBasisEnsemble:
         assert 0 < interior < len(curve) - 1
 
     def test_paired_axes(self):
-        assert paired_feedback_axis(MeasurementBasis.x(0), 2).vector == (0.0, 1.0, 0.0)
-        assert paired_feedback_axis(MeasurementBasis.y(0), 2).vector == (1.0, 0.0, 0.0)
+        spec, part = chain3(1.0)
+        assert prepare(spec, part, MeasurementBasis.x(0)).rule.vector == (0.0, 1.0, 0.0)
+        assert prepare(spec, part, MeasurementBasis.y(0)).rule.vector == (1.0, 0.0, 0.0)
 
 
 class TestRunRound:

@@ -216,14 +216,14 @@ TRANSCRIPTS = {
     "two-random": (dict(rounds=500, basis_policy="two-random", seed=4), None),
     "haar": (dict(rounds=100, basis_policy="haar", verify_bits=0, seed=5,
                   erasure_abort_fraction=1.0),
-             "dcfa3d44b3d41af4c67b9f69b748150f5e51824342094e3695ba04d48c371ca7"),
+             "e9d2725fff32f6bd23fcdd697edd72e99e91ba176aab2f070f6f2a7267b6e913"),
     "haar-byte-cells": (dict(rounds=40, basis_policy="haar", verify_bits=0, seed=5,
                              erasure_abort_fraction=1.0),
-                        "f8349d6d0bc449743af8c9e324ddcb51fa68c8afdbfb34af24876dd218f84d76"),
+                        "10d6c2f0edc45c42056824105489d84d3b3edcc435cefa4b4075be5f221ce096"),
     "classical-flip": (dict(rounds=1000, seed=6, noise=NoiseSpec("classical_flip", 0.02)),
                        None),
     "star3": (dict(model="star", n_parties=3, rounds=3000, seed=7),
-              "fab18bf32c0cdddc93e2489129056c51e3d8aa71288ddd59ef26214cf2d985cb"),
+              "8c2c346940d5c03a7de61dc78666e2e5adec44ce834dfb8765d0a1ad2279079d"),
     "zero-rounds": (dict(rounds=0, verify_bits=0), None),
 }
 
