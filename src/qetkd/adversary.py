@@ -85,7 +85,7 @@ class AttackReport:
 def _match_stats(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Agreement rate and its binomial standard error."""
     n = len(a)
-    rate = float(np.mean(a == b))
+    rate = np.count_nonzero(a == b) / n
     se = float(np.sqrt(max(rate * (1.0 - rate), 1e-12) / n))
     return rate, se
 
@@ -98,11 +98,13 @@ def bob_reference_state(ctx: RunContext) -> np.ndarray:
 def _rounds(ctx: RunContext, kind: str, rounds: int, seed: int):
     """The rounds every attack shares, drawn from the attack's own sub-stream.
 
-    Returns the normalized outcome odds, the key bit key_bit[b, b'] that
-    the session decode table gives for outcome b and announced bit b' (1
-    where its energy is negative), the logical bits, the sender's outcomes,
-    the announced bits and the stream, from which Eve's draws follow.
-    Every per-round array is uint8.
+    Returns the normalized outcome odds, the 2x2 key-bit table key_bit[b, b']
+    that the session decode table gives for outcome b and announced bit b'
+    (1 where its energy is negative), the logical bits, the sender's
+    outcomes, the announced bits and the stream, from which Eve's draws
+    follow.  Every per-round array is uint8.  A key is read from the table
+    by ``_key_bits``, a 4-bit mask indexed by (b << 1) | b', never by a 2-D
+    gather, which widened both bit arrays to intp.
     """
     if rounds < 1:
         raise ValueError(f"an attack needs at least one round, got {rounds}")
@@ -115,6 +117,17 @@ def _rounds(ctx: RunContext, kind: str, rounds: int, seed: int):
     announced ^= 1
     key_bit = (table.decode() < 0).view(np.uint8)
     return prob, key_bit, logical, b_alice, announced, rng
+
+
+def _key_bits(key_bit: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """key_bit[b, a] for a 2x2 bit table and uint8 bit arrays b and a.
+
+    The table is packed into a 4-bit mask, entry [b, a] at bit (b << 1) | a,
+    so the lookup is three uint8 passes; the gather widened both index
+    arrays to intp.
+    """
+    mask = np.packbits(key_bit, bitorder="little")[0]
+    return (mask >> ((b << 1) | a)) & 1
 
 
 def _joint_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -170,8 +183,8 @@ def eve_independent(ctx: RunContext, eve_basis: MeasurementBasis | None = None,
     rho_e = sum(prob[a] * ctx.rotate(a, eve_measured) for a in (0, 1))
 
     b_eve = _sample_bits(p_eve[0], rounds, rng)
-    bob_key = key_bit[b_alice, announced]
-    eve_key = key_bit[b_eve, announced]
+    bob_key = _key_bits(key_bit, b_alice, announced)
+    eve_key = _key_bits(key_bit, b_eve, announced)
     return _report(ctx, AttackScenario("independent"), rho_e, logical, bob_key,
                    eve_key, _joint_counts(b_alice, b_eve))
 
@@ -184,7 +197,7 @@ def eve_postselect(ctx: RunContext, rounds: int = 10_000, seed: int = 0) -> Atta
     -- and so is every key bit she decodes from it.
     """
     _, key_bit, logical, b_alice, announced, _ = _rounds(ctx, "postselect", rounds, seed)
-    bob_key = key_bit[b_alice, announced]
+    bob_key = _key_bits(key_bit, b_alice, announced)
     eve_key = bob_key.copy()  # post-selected on b_alice: identical conditioning
     return _report(ctx, AttackScenario("postselect"), bob_reference_state(ctx), logical,
                    bob_key, eve_key, _joint_counts(b_alice, b_alice))
@@ -208,16 +221,17 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
         rotated = [ctx.rotate(a, ctx.rho_gs) for a in (0, 1)]
         ref_b = ctx.forms.reference(ctx.gs)[1]
         energy_by_bit = np.array([ctx.forms.reference(r)[1] - ref_b for r in rotated])
-        bob_key = (energy_by_bit < 0).view(np.uint8)[announced]
+        b_eve = np.zeros(rounds, dtype=np.uint8)  # never measured; tallied as 0
+        # the receiver's key bit depends on the announced bit alone
+        bob_key = _key_bits(np.tile(energy_by_bit < 0, (2, 1)), b_eve, announced)
         ones = np.count_nonzero(announced)
         q = np.array([rounds - ones, ones]) / rounds
         rho_eb = q[0] * rotated[0] + q[1] * rotated[1]
-        b_eve = np.zeros(rounds, dtype=np.uint8)  # never measured; tallied as 0
         detection = "verification_mismatch"
     else:
         b_eve = _sample_bits(prob[0], rounds, rng)  # Eve's outcomes on the EB pair
         used_bit = b_eve if sub_case == "eve_measures_first_sends" else announced
-        bob_key = key_bit[b_eve, used_bit]
+        bob_key = _key_bits(key_bit, b_eve, used_bit)
         q = _joint_counts(b_eve, used_bit) / rounds  # q[b_eve, bit the receiver used]
         blocks = [ctx.project(be, ctx.rho_gs) for be in (0, 1)]
         weights = [float(np.trace(block).real) for block in blocks]
@@ -228,7 +242,7 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
 
     # Eve decodes from her side of the sender pair, where she is the
     # legitimate receiver of the teleported energy.
-    eve_key = key_bit[b_alice, announced]
+    eve_key = _key_bits(key_bit, b_alice, announced)
 
     compared = slice(VERIFICATION_BITS)
     if detection == "verification_mismatch" and np.all(logical[compared] == bob_key[compared]):

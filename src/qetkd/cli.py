@@ -178,6 +178,11 @@ def cmd_noise(args: argparse.Namespace) -> int:
 
 
 def cmd_session(args: argparse.Namespace) -> int:
+    if args.noise is not None and args.noise[0] == "local_kraus":
+        return _usage_error("--noise local_kraus needs Kraus operators, which the CLI "
+                            "cannot take; run the session from the library with "
+                            "SessionConfig(noise=NoiseSpec(\"local_kraus\", p, site=..., "
+                            "kraus_ops=...))")
     coupling = _default_coupling(args)
     try:
         noise = None

@@ -32,7 +32,7 @@ from .protocol import (
     receiver_forms,
     run_ensemble,
 )
-from .rng import SUBSTREAM, stream
+from .rng import DRAW_CHUNK, SUBSTREAM, fair_bits, stream, uniform_chunks
 from .spinops import require_density_matrix
 from .tolerances import TOL
 
@@ -180,10 +180,14 @@ class _TranscriptRows:
 
     ``cell[r, j]`` is (axis * 2 + outcome) * 2 + sent bit of receiver j in
     round r.  The rows after a round's number depend on (receiver, cell)
-    alone, so each pair that occurs is formatted once; the pairs that occur
-    are marked in a table over every pair, 4 * axes wide per receiver, and
-    no pass over the rounds sorts them.  The rows are rendered in chunks of
-    at most ``CHUNK_ROWS``, so no string of the whole transcript is built.
+    alone, so each pair that occurs is formatted once, as one NUL-padded
+    byte row; the pairs that occur are marked in a table over every pair,
+    4 * axes wide per receiver, and no pass over the rounds sorts them.
+    The rows are rendered in chunks of at most ``CHUNK_ROWS``, each as one
+    uint8 matrix with no per-row Python object: the round numbers' digit
+    columns (numpy division passes, NUL for a leading zero), then the byte
+    rows gathered by (receiver, cell).  Dropping the NULs leaves the chunk's
+    bytes, so no string of the whole transcript is built.
     """
 
     axes: np.ndarray      # [axis, 3] sender axes
@@ -192,9 +196,10 @@ class _TranscriptRows:
     epsilon: float
     cell: np.ndarray      # [round, receiver], uint8 while 4 * axes fits a byte
 
-    def chunks(self) -> Iterator[str]:
-        """The rows in order, round by round and receiver by receiver, at
-        most ``CHUNK_ROWS`` rows per chunk, each row ended by a newline."""
+    def chunks(self) -> Iterator[bytes]:
+        """The rows in order, round by round and receiver by receiver, as
+        ASCII bytes of at most ``CHUNK_ROWS`` rows per chunk, each row ended
+        by a newline."""
         n_labels = len(self.labels)
         seen = np.zeros((n_labels, 4 * len(self.axes)), dtype=bool)
         for j in range(n_labels):
@@ -205,21 +210,41 @@ class _TranscriptRows:
         decoded = _BIT_CHARS[_decode(energy, self.epsilon)].tobytes().decode()
         # cond_energy to 1e-14 absolute, above its ~1e-16 ||H|| rounding error
         # while ||H|| < 100; a value that rounds to zero prints unsigned
-        suffix = np.empty(seen.shape, dtype=object)
-        suffix[receiver, cells] = [
+        suffix = np.array([
             f",{n1:.12g},{n2:.12g},{n3:.12g},{s},{self.labels[j]},"
-            f"{round(e, 14) + 0.0:.14f},{d}\n"
+            f"{round(e, 14) + 0.0:.14f},{d}\n".encode()
             for (n1, n2, n3), s, j, e, d in zip(self.axes[axis].tolist(), sent.tolist(),
                                                 receiver.tolist(), energy.tolist(), decoded)
-        ]
+        ], dtype=bytes)  # fixed width, NUL-padded
+        suffix = suffix.view(np.uint8).reshape(len(suffix), suffix.itemsize)
+        slot = np.zeros(seen.shape, dtype=np.intp)  # row of suffix per (receiver, cell)
+        slot[receiver, cells] = np.arange(len(receiver))
+        rounds = len(self.cell)
         step = max(1, CHUNK_ROWS // n_labels)
-        for start in range(0, len(self.cell), step):
+        width = len(str(max(rounds - 1, 0)))  # digits of the last round number
+        matrix = np.empty((min(step, rounds), n_labels, width + suffix.shape[1]),
+                          dtype=np.uint8)
+        for start in range(0, rounds, step):
             block = self.cell[start:start + step]
-            parts = [None] * (2 * block.size)  # round number, then the rest of the row
-            numbers = np.arange(start, start + len(block)).repeat(n_labels)
-            parts[0::2] = map(str, numbers.tolist())
-            parts[1::2] = suffix[np.arange(n_labels), block].ravel().tolist()
-            yield "".join(parts)
+            rows = matrix[:len(block)]
+            rows[..., :width] = _digit_columns(start, len(block), width)[:, None]
+            rows[..., width:] = suffix[slot[np.arange(n_labels), block]]
+            yield rows.tobytes().replace(b"\0", b"")
+
+
+def _digit_columns(start: int, count: int, width: int) -> np.ndarray:
+    """The numbers start, ..., start + count - 1, below 10^width, as rows of
+    ``width`` ASCII digits, right-aligned, with NUL for each leading zero."""
+    digits = np.empty((width, count), dtype=np.uint8)
+    number = np.arange(start, start + count)
+    for k in range(width - 1, -1, -1):
+        quotient = number // 10
+        np.subtract(number, 10 * quotient, out=digits[k], casting="unsafe")
+        number = quotient
+    digits += ord("0")
+    for k in range(width - 1):  # the numbers rise, so those below 10^m come first
+        digits[k, :max(0, 10 ** (width - 1 - k) - start)] = 0
+    return digits.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,10 +258,11 @@ class SessionResult:
     @functools.cached_property
     def transcript(self) -> tuple[str, ...]:
         """One row per round and receiver: the chunks ``write_transcript``
-        writes, split at their newlines."""
+        writes, decoded and split at their newlines."""
         if self.rows is None:
             return ()
-        return tuple(row for chunk in self.rows.chunks() for row in chunk.splitlines())
+        return tuple(row for chunk in self.rows.chunks()
+                     for row in chunk.decode().splitlines())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SessionResult):
@@ -341,8 +367,7 @@ def _session_axes(config: SessionConfig, forms: list[ReceiverForms],
     if config.basis_policy == "fixed":
         choice = np.zeros(rounds, dtype=np.uint8)
     else:
-        choice = stream(config.seed, SUBSTREAM["basis"]).integers(0, 2, size=rounds)
-        choice = choice.astype(np.uint8)
+        choice = fair_bits(stream(config.seed, SUBSTREAM["basis"]), rounds)
     used = np.array([not choice.all(), choice.any()])  # choice 0 is X, 1 is Y
     axes = np.eye(2, 3)[used]
     for f in forms:
@@ -358,8 +383,9 @@ def run_session(config: SessionConfig,
     ``cheat_plan`` maps a party label to "flip": the sender transmits
     the complemented bit to that party in every round.  Every round of
     every policy reads one batched evaluation of the receivers'
-    ``ReceiverForms``, and each variate kind is one array drawn from its
-    own sub-stream (``rng.SUBSTREAM``).  A session calls ``prepare`` once.
+    ``ReceiverForms``, and each variate kind is one sequence over the rounds,
+    drawn from its own sub-stream (``rng.SUBSTREAM``).  A session calls
+    ``prepare`` once.
     """
     spec, partition, labels = build_model(config.model, config.coupling, k=config.k,
                                           h=config.h, n_parties=config.n_parties)
@@ -380,18 +406,14 @@ def run_session(config: SessionConfig,
     tables = np.array(tables)
     p0 = table.prob[:, 0]  # Tr[P_0 rho] is the same on every receiver's support
 
-    # Every per-round array is one byte wide, save the float64 draws in
-    # flight and the energies returned; the draws keep their methods and dtypes.
+    # Every per-round array is one byte wide, save the energies returned; the
+    # draws keep their methods and are taken in chunks (rng.DRAW_CHUNK).
     seed, rounds = config.seed, config.rounds
-    logical = stream(seed, SUBSTREAM["logical"]).integers(0, 2, size=rounds).astype(np.uint8)
-    draw = stream(seed, SUBSTREAM["outcome"]).random(rounds)
-    if config.basis_policy == "haar":  # one axis per round: p0 is per round
-        outcome = draw >= p0
-    else:  # one or two axes: compare per axis, with no per-round copy of p0
-        outcome = np.empty(rounds, dtype=bool)
-        for a, p in enumerate(p0):
-            np.greater_equal(draw, p, out=outcome, where=axis == a)
-    del draw
+    logical = fair_bits(stream(seed, SUBSTREAM["logical"]), rounds)
+    outcome = np.empty(rounds, dtype=bool)
+    for start, draws in uniform_chunks(stream(seed, SUBSTREAM["outcome"]), rounds):
+        stop = start + len(draws)
+        np.greater_equal(draws, p0[axis[start:stop]], out=outcome[start:stop])
     announced = np.bitwise_xor(outcome, logical, dtype=np.uint8)
     announced ^= 1
     classical_p = config.noise.p if (config.noise is not None
@@ -400,7 +422,8 @@ def run_session(config: SessionConfig,
     for j, label in enumerate(labels):
         sent[:, j] = announced ^ 1 if cheat_plan.get(label) == "flip" else announced
         if classical_p > 0.0:
-            sent[:, j] ^= stream(seed, SUBSTREAM["flip"] + j).random(rounds) < classical_p
+            for start, draws in uniform_chunks(stream(seed, SUBSTREAM["flip"] + j), rounds):
+                sent[start:start + len(draws), j] ^= draws < classical_p
 
     cell = (axis * 2 + outcome)[:, None] * 2 + sent
     alice_key = KeyBits.from_codes(logical)
@@ -477,26 +500,29 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
     errors of the trusted-model prediction.  Decode tables are cached by
     the state's content, never by object identity: a supplier may return
     fresh arrays, and a recycled id must not resurrect another state's
-    table.  A round whose bytes, shape and dtype equal the previous round's
-    reuses its table without hashing.  Rounds are tallied per table and
-    outcome, ``CHUNK_ROWS`` at a time, so beyond the draws a check keeps no
-    per-round array.
+    table.  Each round is keyed on its shape, its ``dtype`` object (which
+    tells byte orders apart; ``dtype.str`` built a new string every round)
+    and a copy of its bytes, so a state changed in place still shows.  A
+    round whose key equals the previous round's reuses its table without
+    hashing; any other is looked up by its blake2b digest.  Each round's
+    table slot goes into a preallocated intp buffer, and the draws are taken
+    and the rounds tallied per table and outcome ``rng.DRAW_CHUNK`` at a
+    time, so a check keeps no per-round array.
     """
     if rounds < 1:
         raise ValueError(f"a resource check needs at least one round, got {rounds}")
     predicted = run_ensemble(ctx).e_bob
     announced = [ctx.rule.mapped(b) for b in (0, 1)]
-    draws = stream(seed, SUBSTREAM["resource_check"]).random(rounds)
-    slots = np.empty(min(rounds, CHUNK_ROWS), dtype=np.intp)
+    slots = np.empty(min(rounds, DRAW_CHUNK), dtype=np.intp)
     counts = np.zeros(0, dtype=np.int64)  # per table and outcome
     cache: dict[tuple, int] = {}
     tables: list[np.ndarray] = []  # per distinct state: (P(b=0), decoded E for b=0, b=1)
     previous = None
-    for start in range(0, rounds, len(slots)):
-        chunk = slots[:min(len(slots), rounds - start)]
+    for start, draws in uniform_chunks(stream(seed, SUBSTREAM["resource_check"]), rounds):
+        chunk = slots[:len(draws)]
         for i in range(len(chunk)):
             rho = np.ascontiguousarray(source(start + i))
-            content = (rho.shape, rho.dtype.str, rho.tobytes())
+            content = (rho.shape, rho.dtype, rho.tobytes())
             if content != previous:  # a copy of the bytes: an in-place change still shows
                 key = content[:2] + (hashlib.blake2b(content[2]).digest(),)
                 if key not in cache:
@@ -505,7 +531,7 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
                     tables.append(np.r_[table.prob[0], table.decode()[(0, 1), announced]])
                 slot, previous = cache[key], content
             chunk[i] = slot
-        outcome = draws[start:start + len(chunk)] >= np.reshape(tables, (-1, 3))[chunk, 0]
+        outcome = draws >= np.reshape(tables, (-1, 3))[chunk, 0]
         counts = np.pad(counts, (0, 2 * len(tables) - len(counts)))
         counts += np.bincount(2 * chunk + outcome, minlength=len(counts))
     energies = np.reshape(tables, (-1, 3))[:, 1:].ravel()  # per table and outcome
@@ -524,7 +550,7 @@ def write_transcript(result: SessionResult, path) -> None:
     string of the whole file is built.
     """
     header = "round,basis_n1,basis_n2,basis_n3,announced_bit,party,cond_energy,decoded_bit"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         if result.rows is not None:
             fh.writelines(result.rows.chunks())

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from qetkd.adversary import (
     SPLIT_CASES,
     AttackScenario,
     _joint_counts,
+    _key_bits,
     bob_reference_state,
     eve_independent,
     eve_postselect,
@@ -200,6 +202,55 @@ class TestReportSerialization:
     def test_split_kv_records_sub_case(self, ctx):
         report = split_attack(ctx, "eve_measures_first_sends", rounds=500, seed=1)
         assert "sub_case=eve_measures_first_sends" in report.to_kv()
+
+
+# sha256 of to_kv() and the joint counts, chain3 at J = 1, 200,000 rounds,
+# taken when every key bit was read by the gather key_bit[b, a]
+REPORT_DIGESTS = {
+    ("independent", 0): "5a83e84584cce62e94dd70e73a641cf2dc8b17872923195468c76823f6ef4983",
+    ("independent", 1): "0d1b9677e9db023a2cb79f04e046616bb142a01beb90a5d8467ee97f0c03f91c",
+    ("postselect", 0): "83e1468c074405f710bfd4985526ead7c3ac93e2972f1797b4db53eb36fc2b53",
+    ("postselect", 1): "2f3ab353099f1f3f30beed1e32e5aa18e44dc28c1d101bc55b3245df515979e0",
+    ("eve_waits", 0): "500b63a0523605e9a641fde47387f2a50a88e246304aea9d60daa969b59597d0",
+    ("eve_waits", 1): "ebcb939b2477025fd3de1376ddf96e26a881608f881c992477a13a7ad4f3e562",
+    ("eve_measures_first_silent", 0):
+        "562f6a3f1bcfa4bba3f8c9cb4c430935b3a196338d9db4d0f72b7f10fcf65ade",
+    ("eve_measures_first_silent", 1):
+        "96d5b49d52d6b974fcd02305b645fd707679bb6edd71bff8ce060e1858406b69",
+    ("eve_measures_first_sends", 0):
+        "82777f7cda4ccb6c16b01ad0a0948bc2857a1a99f5dc70e291e9191a8a772ac9",
+    ("eve_measures_first_sends", 1):
+        "42d5047c9a22f54c5e3a22486b55c16a834f72bc024f5675bd8b021a23ecdb72",
+}
+
+
+class TestReportDigests:
+    @pytest.mark.parametrize("scenario, seed", list(REPORT_DIGESTS))
+    def test_report_is_pinned(self, ctx, scenario, seed):
+        if scenario == "independent":
+            report = eve_independent(ctx, rounds=200_000, seed=seed)
+        elif scenario == "postselect":
+            report = eve_postselect(ctx, rounds=200_000, seed=seed)
+        else:
+            report = split_attack(ctx, scenario, rounds=200_000, seed=seed)
+        text = report.to_kv() + repr(report.joint_counts.tolist())
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[scenario, seed]
+
+
+class TestKeyBits:
+    @pytest.mark.parametrize("entries", range(16))
+    def test_equals_the_gather(self, entries):
+        # every 2x2 bit table, on each (b, a) pair and on random rounds
+        key_bit = np.array([(entries >> i) & 1 for i in range(4)], dtype=np.uint8)
+        key_bit = key_bit.reshape(2, 2)
+        b = np.array([0, 0, 1, 1], dtype=np.uint8)
+        a = np.array([0, 1, 0, 1], dtype=np.uint8)
+        assert np.array_equal(_key_bits(key_bit, b, a), key_bit[b, a])
+        b, a = np.random.default_rng(entries).integers(0, 2, (2, 10_000)).astype(np.uint8)
+        for table in (key_bit, key_bit.astype(bool)):
+            bits = _key_bits(table, b, a)
+            assert bits.dtype == np.uint8
+            assert np.array_equal(bits, key_bit[b, a])
 
 
 class TestJointCounts:

@@ -195,6 +195,18 @@ class TestSession:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
+        ("--noise", "local_kraus", "0.1"),
+        ("--noise", "local_kraus", "0.0", "--noise-site", "1"),
+    ])
+    def test_local_kraus_refused_with_the_library_path(self, capsys, argv):
+        # the CLI has no way to give Kraus operators
+        code, out, err = run_cli(capsys, "session", "--model", "chain3", "--J", "1", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and 'NoiseSpec("local_kraus"' in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
         ("--model", "chain3", "--J", "0"),
         ("--model", "star", "--N", "3", "--J", "0", "--policy", "haar"),
     ])

@@ -17,6 +17,7 @@ from qetkd.qkd import (
     verify_resource_state,
     write_transcript,
 )
+from qetkd.rng import DRAW_CHUNK, fair_bits, stream, uniform_chunks
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +226,13 @@ TRANSCRIPTS = {
     "star3": (dict(model="star", n_parties=3, rounds=3000, seed=7),
               "8c2c346940d5c03a7de61dc78666e2e5adec44ce834dfb8765d0a1ad2279079d"),
     "zero-rounds": (dict(rounds=0, verify_bits=0), None),
+    # round numbers grow from 4 to 5 digits inside the second chunk
+    "fixed-10001": (dict(rounds=10_001, seed=8),
+                    "7d57880f9e1fbf1e657c0bd1fa19844d4ff049f181c71de7cd2925471b0aa249"),
+    # 3 digits to 4 inside a chunk, with each receiver's own flipped bits
+    "star3-1200-flip": (dict(model="star", n_parties=3, rounds=1200, seed=9,
+                             noise=NoiseSpec("classical_flip", 0.05)),
+                        "03ec18d94121c01b6071f9074a6a331458b2e58d7c9166b55d2dc5a5163dc20f"),
 }
 
 
@@ -244,8 +252,21 @@ class TestTranscript:
     def test_chunks_hold_at_most_chunk_rows(self):
         result = run_session(SessionConfig(model="star", n_parties=3, coupling=1.0,
                                            rounds=3000, seed=7))
-        sizes = [chunk.count("\n") for chunk in result.rows.chunks()]
+        sizes = [chunk.count(b"\n") for chunk in result.rows.chunks()]
         assert max(sizes) <= CHUNK_ROWS and sum(sizes) == 9000 and len(sizes) == 2
+
+
+class TestChunkedDraws:
+    @pytest.mark.parametrize("n", [0, 1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1,
+                                   3 * DRAW_CHUNK + 5])
+    def test_equal_the_one_array_draws(self, n):
+        # the same variates as one array of n, and the stream left where it would be
+        chunked, whole = stream(3, 1), stream(3, 1)
+        assert np.array_equal(fair_bits(chunked, n), whole.integers(0, 2, n).astype(np.uint8))
+        draws = np.concatenate([np.zeros(0)] + [d.copy() for _, d in uniform_chunks(chunked, n)])
+        assert np.array_equal(draws, whole.random(n))
+        assert chunked.integers(0, 2, 7).tolist() == whole.integers(0, 2, 7).tolist()
+        assert chunked.random() == whole.random()
 
 
 class TestRoundMemory:
@@ -414,6 +435,21 @@ class TestResourceVerification:
             chain_ctx, lambda i: (rho if i < 500 else flipped).copy(), rounds=3000, seed=4)
         assert mutated == fresh
         assert not mutated.ok
+
+    def test_byte_orders_build_two_tables(self, chain_ctx, monkeypatch):
+        # rounds are keyed on the dtype object, which tells '<c16' from '>c16'
+        # as the dtype.str key did: equal values in two byte orders are two states
+        import qetkd.qkd as qkd
+        calls = []
+        original = qkd.require_density_matrix
+        monkeypatch.setattr(qkd, "require_density_matrix",
+                            lambda state: calls.append(state.dtype.str) or original(state))
+        little = chain_ctx.rho_gs.astype("<c16")
+        big = chain_ctx.rho_gs.astype(">c16")
+        verdict = verify_resource_state(chain_ctx, lambda i: (little, big)[i % 2],
+                                        rounds=2000, seed=0)
+        assert sorted(calls) == ["<c16", ">c16"]
+        assert verdict.ok
 
     def test_round_memory(self, chain_ctx):
         # the float64 draws are 1.6 MB at 200k rounds; a tally per table and
