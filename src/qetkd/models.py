@@ -10,20 +10,23 @@ Three families are provided:
   site between sender (0) and receiver (2) so that any sender basis
   commutes with the receiver Hamiltonian.
 
-Each partition carries an additive shift per part chosen so that the
-shifted part has zero ground-state expectation: measured energies are
-then deviations from the vacuum.  The two-site shifts have closed forms
-(C1 = h^2 / sqrt(h^2 + k^2), C2 = 2 k^2 / sqrt(h^2 + k^2)); all other
-shifts are fixed numerically from the ground state, each as a trace
-against the ground state's marginal on the part's own sites.
+A partition maps each party's label to its terms of H and holds nothing
+else.  The paper shifts every part by a constant so that its ground-state
+expectation is zero; the protocol reads each energy as the difference
+Tr[rho_out H_part] - Tr[rho_in H_part], in which such a constant cancels,
+so no part carries one.  The two-site constants keep their closed form
+(``two_site_shift_constants``): C1 = -<g|H_A|g> and C1 + C2 = -<g|H_B|g>
+in the standard partition.
 
-H is solved once per spec, exactly (``spinops.solve_sectors``).  The star
+Building a model is symbolic: H is solved once per spec, exactly, on the
+first read of ``HamiltonianSpec.spectrum`` (``spinops.solve_sectors``;
+``protocol.ground_state`` is the usual first reader).  The star
 with N >= 3 leaves, whose H is unchanged by every permutation of the
 leaves, is solved in one hub (x) spin-j block per total leaf spin j, at
 most 2(N + 1) wide.  The chain, the two-site model and the star with one
 or two leaves are solved in the flip sectors of their terms, at most 4
-wide.  Building a model forms no d x d operator and keeps no d x d
-eigenvector matrix.
+wide.  The solve forms no d x d operator and keeps no d x d eigenvector
+matrix.
 """
 
 from __future__ import annotations
@@ -39,9 +42,6 @@ from .spinops import (
     PauliTerm,
     Spectrum,
     degeneracy_tolerance,
-    expectation,
-    on_support,
-    reduced_density,
     solve_sectors,
     term,
 )
@@ -67,8 +67,8 @@ class HamiltonianSpec:
 
     @functools.cached_property
     def spectrum(self) -> Spectrum:
-        """H's solve, once per object: the partition shifts, the ground state
-        and the excited levels all read it, each asking for its own levels."""
+        """H's solve, on the first read and once per object: the ground state
+        and the excited levels read it, each asking for its own levels."""
         return solve_sectors(self.terms, self.n_sites)
 
     def to_text(self) -> str:
@@ -96,31 +96,16 @@ class HamiltonianSpec:
 
 
 @dataclass(frozen=True)
-class PartitionPart:
-    terms: tuple[PauliTerm, ...]
-    shift: float
-
-
-@dataclass(frozen=True)
 class Partition:
-    """Assignment of Hamiltonian terms to parties, with zeroing shifts."""
+    """Assignment of Hamiltonian terms to parties: each label maps to its terms."""
 
-    parts: dict[str, PartitionPart]
+    parts: dict[str, tuple[PauliTerm, ...]]
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.parts)
 
     def all_terms(self) -> tuple[PauliTerm, ...]:
-        out: list[PauliTerm] = []
-        for part in self.parts.values():
-            out.extend(part.terms)
-        return tuple(out)
-
-
-def _zeroing_shift(terms: tuple[PauliTerm, ...], gs: np.ndarray) -> float:
-    """-<gs| part |gs>, as -Tr[rho_S part_S] on the part's own sites S."""
-    support = sorted({site for t in terms for site, _ in t.factors})
-    return -expectation(reduced_density(gs, support), on_support(terms, support))
+        return tuple(t for terms in self.parts.values() for t in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -139,31 +124,26 @@ def two_site(k: float, h: float) -> HamiltonianSpec:
 
 
 def two_site_shift_constants(k: float, h: float) -> tuple[float, float]:
-    """Closed-form shifts (C1, C2) that zero the two parts' ground expectations."""
+    """The paper's closed-form shifts (C1, C2): C1 = -<g|H_A|g> and C1 + C2 =
+    -<g|H_B|g> in the standard partition.  No partition carries them."""
     root = math.hypot(h, k)
     return h * h / root, 2.0 * k * k / root
 
 
 def two_site_partition_standard(k: float, h: float) -> Partition:
     """Sender holds h Z0; the interaction is folded into the receiver's part."""
-    c1, c2 = two_site_shift_constants(k, h)
     return Partition({
-        ALICE: PartitionPart((term(h, (0, "Z")),), c1),
-        BOB: PartitionPart(
-            (term(2.0 * k, (0, "X"), (1, "X")), term(h, (1, "Z"))), c1 + c2
-        ),
+        ALICE: (term(h, (0, "Z")),),
+        BOB: (term(2.0 * k, (0, "X"), (1, "X")), term(h, (1, "Z"))),
     })
 
 
 def two_site_partition_alternative(k: float, h: float) -> Partition:
     """Interaction folded into the sender's part; receiver holds only h Z1."""
-    spec = two_site(k, h)
-    gs = spec.spectrum.ground
-    a_terms = (term(2.0 * k, (0, "X"), (1, "X")), term(h, (0, "Z")))
-    b_terms = (term(h, (1, "Z")),)
+    check_model_parameters("two-site", None, k, h)
     return Partition({
-        ALICE: PartitionPart(a_terms, _zeroing_shift(a_terms, gs)),
-        BOB: PartitionPart(b_terms, _zeroing_shift(b_terms, gs)),
+        ALICE: (term(2.0 * k, (0, "X"), (1, "X")), term(h, (0, "Z"))),
+        BOB: (term(h, (1, "Z")),),
     })
 
 
@@ -185,16 +165,12 @@ def star(n_parties: int, coupling: float) -> tuple[HamiltonianSpec, Partition]:
         terms.extend(term(coupling, (0, "X"), (k, "X")) for k in range(1, n))
     terms.extend(term(1.0, (k, "Z")) for k in range(n))
     spec = HamiltonianSpec(f"star-{n_parties}", n, tuple(terms))
-    gs = spec.spectrum.ground
-    parts: dict[str, PartitionPart] = {}
-    a_terms = (term(1.0, (0, "Z")),)
-    parts[ALICE] = PartitionPart(a_terms, _zeroing_shift(a_terms, gs))
+    parts = {ALICE: (term(1.0, (0, "Z")),)}
     for k in range(1, n):
         if coupling != 0.0:
-            k_terms = (term(coupling, (0, "X"), (k, "X")), term(1.0, (k, "Z")))
+            parts[f"B{k}"] = (term(coupling, (0, "X"), (k, "X")), term(1.0, (k, "Z")))
         else:
-            k_terms = (term(1.0, (k, "Z")),)
-        parts[f"B{k}"] = PartitionPart(k_terms, _zeroing_shift(k_terms, gs))
+            parts[f"B{k}"] = (term(1.0, (k, "Z")),)
     return spec, Partition(parts)
 
 
@@ -215,20 +191,13 @@ def chain3(coupling: float) -> tuple[HamiltonianSpec, Partition]:
         terms.append(term(coupling, (1, "X"), (2, "X")))
     terms.extend(term(1.0, (k, "Z")) for k in range(3))
     spec = HamiltonianSpec("chain3", 3, tuple(terms))
-    gs = spec.spectrum.ground
-    a_terms = (term(1.0, (0, "Z")),)
     if coupling != 0.0:
         m_terms = (term(coupling, (0, "X"), (1, "X")), term(1.0, (1, "Z")))
         b_terms = (term(coupling, (1, "X"), (2, "X")), term(1.0, (2, "Z")))
     else:
         m_terms = (term(1.0, (1, "Z")),)
         b_terms = (term(1.0, (2, "Z")),)
-    parts = {
-        ALICE: PartitionPart(a_terms, _zeroing_shift(a_terms, gs)),
-        BUFFER: PartitionPart(m_terms, _zeroing_shift(m_terms, gs)),
-        BOB: PartitionPart(b_terms, _zeroing_shift(b_terms, gs)),
-    }
-    return spec, Partition(parts)
+    return spec, Partition({ALICE: (term(1.0, (0, "Z")),), BUFFER: m_terms, BOB: b_terms})
 
 
 # ---------------------------------------------------------------------------

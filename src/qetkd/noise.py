@@ -216,8 +216,7 @@ def kraus_state(ctx: RunContext, noise: NoiseSpec) -> tuple[np.ndarray, KrausChe
     site = noise.site
     sigma = _kraus_output(ctx, noise, ctx.forms)
 
-    a_terms, b_terms = (ctx.partition.parts[label].terms
-                        for label in (ctx.alice_label, ctx.bob_label))
+    a_terms, b_terms = (ctx.partition.parts[label] for label in (ctx.alice_label, ctx.bob_label))
     support = sorted({site, ctx.alice.site}.union(
         s for t in (*a_terms, *b_terms) for s, _ in t.factors))
     k = len(support)

@@ -42,9 +42,10 @@ from .errors import (
     ImaginaryResidueError,
     PartitionViolationError,
 )
-from .models import ALICE, BOB, HamiltonianSpec, Partition, PartitionPart
+from .models import ALICE, BOB, HamiltonianSpec, Partition
 from .rng import SUBSTREAM, stream
 from .spinops import (
+    PauliTerm,
     axis_operator,
     degeneracy_tolerance,
     eigendecompose,
@@ -340,8 +341,8 @@ class ReceiverForms:
                                 pre=left[..., 0].real, post=post)
 
 
-def _receiver_site(part: PartitionPart) -> int:
-    sites = {t.factors[0][0] for t in part.terms if len(t.factors) == 1}
+def _receiver_site(terms: tuple[PauliTerm, ...]) -> int:
+    sites = {t.factors[0][0] for t in terms if len(t.factors) == 1}
     if len(sites) != 1:
         raise ValueError("cannot infer the receiver site from the partition part")
     return sites.pop()
@@ -361,9 +362,8 @@ def receiver_forms(spec: HamiltonianSpec, partition: Partition, gs: np.ndarray,
         if label not in partition.parts:
             raise ValueError(f"partition has no part {label!r}; its labels are "
                              f"{', '.join(partition.labels())}")
-    a_terms = partition.parts[alice_label].terms
-    b_terms = partition.parts[bob_label].terms
-    site = _receiver_site(partition.parts[bob_label])
+    a_terms, b_terms = partition.parts[alice_label], partition.parts[bob_label]
+    site = _receiver_site(b_terms)
     local = [t for t in spec.terms if any(s == site for s, _ in t.factors)]
     support = sorted({alice_site, site}.union(
         s for t in (*a_terms, *b_terms, *local) for s, _ in t.factors))

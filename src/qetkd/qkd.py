@@ -495,9 +495,10 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
                           seed: int = 0) -> ResourceVerdict:
     """Spot-check a resource-state supplier by running rounds on its output.
 
-    ``source`` is a callable returning the density matrix for round i.
-    The empirical mean conditional energy must sit within five standard
-    errors of the trusted-model prediction.  Decode tables are cached by
+    ``source`` is a callable returning the d x d density matrix for round
+    i; a state of any other shape raises ValueError.  The empirical mean
+    conditional energy must sit within five standard errors of the
+    trusted-model prediction.  Decode tables are cached by
     the state's content, never by object identity: a supplier may return
     fresh arrays, and a recycled id must not resurrect another state's
     table.  Each round is keyed on its shape, its ``dtype`` object (which
@@ -513,6 +514,7 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
         raise ValueError(f"a resource check needs at least one round, got {rounds}")
     predicted = run_ensemble(ctx).e_bob
     announced = [ctx.rule.mapped(b) for b in (0, 1)]
+    dim = 2 ** ctx.n_sites
     slots = np.empty(min(rounds, DRAW_CHUNK), dtype=np.intp)
     counts = np.zeros(0, dtype=np.int64)  # per table and outcome
     cache: dict[tuple, int] = {}
@@ -526,6 +528,9 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
             if content != previous:  # a copy of the bytes: an in-place change still shows
                 key = content[:2] + (hashlib.blake2b(content[2]).digest(),)
                 if key not in cache:
+                    if rho.shape != (dim, dim):
+                        raise ValueError(f"round {start + i}: resource state has shape "
+                                         f"{rho.shape}, {ctx.n_sites} sites need ({dim}, {dim})")
                     table = conditional_table(ctx, require_density_matrix(rho))
                     cache[key] = len(tables)
                     tables.append(np.r_[table.prob[0], table.decode()[(0, 1), announced]])

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImaginaryResidueError
 from .tolerances import TOL
 
 MAX_SITES = 12  # the largest register tested; an attack's d x d states are 268 MB each here
@@ -511,7 +510,7 @@ def sandwich(op: np.ndarray, site: int, m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# spectra and expectations
+# spectra and marginals
 # ---------------------------------------------------------------------------
 
 def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -538,25 +537,6 @@ def degeneracy_tolerance(evals: np.ndarray) -> float:
     tolerance is scaled by the largest eigenvalue magnitude (at least 1).
     """
     return TOL.degenerate_gap * max(1.0, float(np.abs(evals).max()))
-
-
-def expectation(state: np.ndarray, a: np.ndarray) -> float:
-    """<A> in a pure state (1-d array) or density matrix (2-d array).
-
-    The imaginary residue must stay below tolerance; anything larger
-    signals a non-Hermitian observable or a corrupted state.
-    """
-    if state.ndim == 1:
-        val = complex(state.conj() @ (a @ state))
-    elif state.ndim == 2:
-        val = complex(np.einsum("ij,ji->", state, a))
-    else:
-        raise ValueError(f"state must be a vector or matrix, got ndim={state.ndim}")
-    if abs(val.imag) > TOL.imaginary_residue:
-        raise ImaginaryResidueError(
-            f"expectation has imaginary residue {val.imag:.3e}"
-        )
-    return val.real
 
 
 def reduced_density(state: np.ndarray, sites: list[int]) -> np.ndarray:

@@ -152,6 +152,13 @@ def noisy_state(family, p, gs, level=None, site=None, alpha=0.0):
     return np.outer(psi, psi.conj())
 
 
+def expectation(state, op):
+    """<op> in a state vector or a density matrix (its real part)."""
+    if state.ndim == 1:
+        return float(np.real(state.conj() @ op @ state))
+    return float(np.real(np.trace(state @ op)))
+
+
 def ground(h):
     evals, evecs = np.linalg.eigh(h)
     return evals, evecs[:, 0]

@@ -107,8 +107,11 @@ def test_criterion_03_two_site_analytics():
         worst = max(worst, abs(brute - (-2 * root)))
         c1, c2 = two_site_shift_constants(k, h)
         worst = max(worst, abs(c1 - h * h / root), abs(c2 - 2 * k * k / root))
-        worst = max(worst, abs(part.parts["A"].shift - c1))
-        worst = max(worst, abs(part.parts["B"].shift - (c1 + c2)))
+        # the paper's shifts are -<g|H_A|g> and -<g|H_B|g>
+        _, gs = oracles.ground(oracles.two_site_matrix(k, h))
+        for label, shift in (("A", c1), ("B", c1 + c2)):
+            h_part = oracles.terms_matrix(part.parts[label], 2)
+            worst = max(worst, abs(-oracles.expectation(gs, h_part) - shift))
         out = run_ensemble(prepare(spec, part, MeasurementBasis.x(0)))
         worst = max(worst, abs(out.e_alice - c1))
     ok = worst <= 1e-10

@@ -18,7 +18,7 @@ from qetkd.adversary import (
 )
 from qetkd.models import chain3
 from qetkd.protocol import MeasurementBasis, prepare, run_ensemble
-from qetkd.spinops import expectation, frobenius
+from qetkd.spinops import frobenius
 
 import oracles
 
@@ -66,9 +66,9 @@ class TestPostselect:
     def test_energies_reproduced(self, ctx):
         report = eve_postselect(ctx, rounds=1000, seed=1)
         clean = run_ensemble(ctx)
-        h_bob = oracles.terms_matrix(ctx.partition.parts[ctx.bob_label].terms, ctx.n_sites)
-        ref = expectation(ctx.rho_gs, h_bob)
-        eve_energy = expectation(report.eve_state, h_bob) - ref
+        h_bob = oracles.terms_matrix(ctx.partition.parts[ctx.bob_label], ctx.n_sites)
+        ref = oracles.expectation(ctx.rho_gs, h_bob)
+        eve_energy = oracles.expectation(report.eve_state, h_bob) - ref
         assert eve_energy == pytest.approx(clean.e_bob, abs=1e-10)
 
     def test_keys_identical(self, ctx):

@@ -17,7 +17,8 @@ from qetkd.models import (
     two_site_partition_standard,
     two_site_shift_constants,
 )
-from qetkd.spinops import commutator, expectation, pauli_on_site
+from qetkd import spinops
+from qetkd.spinops import commutator, pauli_on_site
 
 import oracles
 
@@ -31,9 +32,9 @@ def ground_vector(spec):
     return evecs[:, 0]
 
 
-def shifted_matrix(part, n_sites):
-    """A partition part's terms plus its shift, built by the independent oracles."""
-    return oracles.terms_matrix(part.terms, n_sites) + part.shift * np.eye(2 ** n_sites)
+def shifted_matrix(terms, shift, n_sites):
+    """A partition part's terms plus a constant shift, built by the independent oracles."""
+    return oracles.terms_matrix(terms, n_sites) + shift * np.eye(2 ** n_sites)
 
 
 class TestTwoSite:
@@ -63,8 +64,9 @@ class TestStandardPartition:
         assert c2 == pytest.approx(np.sqrt(2), abs=1e-12)
 
     def test_shifts_cancel_ground_energy(self):
-        part = two_site_partition_standard(1.0, 1.0)
-        total_shift = sum(p.shift for p in part.parts.values())
+        # H_A takes C1 and H_B takes C1 + C2
+        c1, c2 = two_site_shift_constants(1.0, 1.0)
+        total_shift = c1 + (c1 + c2)
         assert -2 * np.sqrt(2) + total_shift == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -74,9 +76,10 @@ class TestStandardPartition:
         spec = two_site(k, h)
         gs = ground_vector(spec)
         part = two_site_partition_standard(k, h)
-        for label in (ALICE, BOB):
-            shifted = shifted_matrix(part.parts[label], 2)
-            assert expectation(gs, shifted) == pytest.approx(0.0, abs=1e-10)
+        c1, c2 = two_site_shift_constants(k, h)
+        for label, shift in ((ALICE, c1), (BOB, c1 + c2)):
+            shifted = shifted_matrix(part.parts[label], shift, 2)
+            assert oracles.expectation(gs, shifted) == pytest.approx(0.0, abs=1e-10)
 
     def test_partition_completeness(self):
         spec = two_site(1.7, 0.6)
@@ -88,26 +91,19 @@ class TestStandardPartition:
 class TestAlternativePartition:
     def test_receiver_part_is_single_field_term(self):
         part = two_site_partition_alternative(1.0, 1.0)
-        assert len(part.parts[BOB].terms) == 1
-        assert part.parts[BOB].terms[0].factors == ((1, "Z"),)
+        assert len(part.parts[BOB]) == 1
+        assert part.parts[BOB][0].factors == ((1, "Z"),)
 
     def test_any_sender_axis_commutes_with_receiver_part(self):
         part = two_site_partition_alternative(1.0, 1.0)
-        h_bob = oracles.terms_matrix(part.parts[BOB].terms, 2)
+        h_bob = oracles.terms_matrix(part.parts[BOB], 2)
         for axis in ("X", "Y", "Z"):
             assert np.linalg.norm(commutator(pauli_on_site(axis, 0, 2), h_bob)) < 1e-14
 
-    def test_shifts_sum_to_ground_energy(self):
-        part = two_site_partition_alternative(1.0, 1.0)
-        assert sum(p.shift for p in part.parts.values()) == \
-               pytest.approx(2 * np.sqrt(2), abs=1e-10)
-
-    def test_zero_ground_expectations(self):
-        spec = two_site(0.8, 1.4)
-        gs = ground_vector(spec)
-        part = two_site_partition_alternative(0.8, 1.4)
-        for p in part.parts.values():
-            assert expectation(gs, shifted_matrix(p, 2)) == pytest.approx(0.0, abs=1e-10)
+    @pytest.mark.parametrize("k,h", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+    def test_non_positive_couplings_rejected(self, k, h):
+        with pytest.raises(ValueError, match="couplings must be positive"):
+            two_site_partition_alternative(k, h)
 
 
 class TestStar:
@@ -123,19 +119,6 @@ class TestStar:
         evals, evecs = np.linalg.eigh(oracles.terms_matrix(spec.terms, spec.n_sites))
         assert evals[0] == pytest.approx(-3.0)
         assert abs(evecs[7, 0]) == pytest.approx(1.0)  # |111>
-
-    def test_all_parts_zeroed(self):
-        spec, part = star(3, 1.0)
-        gs = ground_vector(spec)
-        for p in part.parts.values():
-            assert expectation(gs, shifted_matrix(p, 4)) == pytest.approx(0.0, abs=1e-10)
-
-    @pytest.mark.parametrize("n,j", [(1, 0.5), (2, 0.0), (2, 2.0), (4, 1.3)])
-    def test_zeroed_parts_across_sizes_and_couplings(self, n, j):
-        spec, part = star(n, j)
-        gs = ground_vector(spec)
-        for p in part.parts.values():
-            assert expectation(gs, shifted_matrix(p, n + 1)) == pytest.approx(0.0, abs=1e-10)
 
     def test_partition_completeness(self):
         spec, part = star(3, 0.7)
@@ -168,14 +151,8 @@ class TestChain3:
     def test_buffer_part_holds_middle_terms(self):
         _, part = chain3(1.0)
         assert set(part.parts) == {ALICE, BUFFER, BOB}
-        buffer_sites = {s for t in part.parts[BUFFER].terms for s, _ in t.factors}
+        buffer_sites = {s for t in part.parts[BUFFER] for s, _ in t.factors}
         assert buffer_sites == {0, 1}
-
-    def test_all_parts_zeroed(self):
-        spec, part = chain3(1.7)
-        gs = ground_vector(spec)
-        for p in part.parts.values():
-            assert expectation(gs, shifted_matrix(p, 3)) == pytest.approx(0.0, abs=1e-10)
 
     def test_partition_completeness(self):
         spec, part = chain3(2.5)
@@ -190,6 +167,20 @@ class TestChain3:
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError):
             chain3(-0.5)
+
+
+def test_builders_solve_nothing(monkeypatch):
+    # a model is its terms: H is solved on the first read of spec.spectrum
+    solves = []
+    real = spinops.eigendecompose
+    monkeypatch.setattr(spinops, "eigendecompose", lambda h: solves.append(h.shape) or real(h))
+    specs = [chain3(1.0)[0], star(11, 1.0)[0], star(2, 1.0)[0]]
+    two_site_partition_standard(1.3, 0.4)
+    two_site_partition_alternative(1.3, 0.4)
+    assert solves == []
+    assert all("spectrum" not in spec.__dict__ for spec in specs)
+    specs[0].spectrum
+    assert solves and "spectrum" in specs[0].__dict__
 
 
 class TestEnergyGap:

@@ -8,7 +8,7 @@ from qetkd.errors import (
     DegenerateGroundError,
     SupportViolationError,
 )
-from qetkd.models import HamiltonianSpec, Partition, PartitionPart, build_model, chain3, \
+from qetkd.models import HamiltonianSpec, Partition, build_model, chain3, \
     first_excited_level, star
 import qetkd.noise as noise
 import qetkd.qkd as qkd
@@ -204,14 +204,11 @@ class TestExcitedStates:
         # three identical, decoupled qubits: the first excited level is
         # exactly three-fold degenerate; at 1e6 the solver splits it by
         # up to ~1e-9, which the scale-aware rule still groups
-        from qetkd.models import HamiltonianSpec, Partition, PartitionPart
         from qetkd.spinops import term
         terms = tuple(term(scale * c, (k, a))
                       for k in range(3) for c, a in ((0.6, "X"), (0.8, "Z")))
         spec = HamiltonianSpec("free3", 3, terms)
-        partition = Partition({"A": PartitionPart(terms[0:2], 0.0),
-                               "buffer": PartitionPart(terms[2:4], 0.0),
-                               "B": PartitionPart(terms[4:6], 0.0)})
+        partition = Partition({"A": terms[0:2], "buffer": terms[2:4], "B": terms[4:6]})
         ctx = prepare(spec, partition, MeasurementBasis.x(0),
                       bob_axis=MeasurementBasis.y(2))
         columns = first_excited_level(spec)
@@ -343,7 +340,7 @@ def dense_kraus_defects(ctx, site, ops):
     """Each Kraus operator's largest commutator norm with H_A, H_B and P(b),
     from Kronecker products on the whole register."""
     n = ctx.n_sites
-    h_a, h_b = (oracles.terms_matrix(ctx.partition.parts[label].terms, n)
+    h_a, h_b = (oracles.terms_matrix(ctx.partition.parts[label], n)
                 for label in (ctx.alice_label, ctx.bob_label))
     n_sigma = sum(v * oracles.embed(axis, ctx.alice.site, n)
                   for v, axis in zip(ctx.alice.vector, "XYZ"))
@@ -362,7 +359,7 @@ def ctx_spectator():
     spec, part = chain3(1.0)
     extra = term(1.0, (3, "Z"))
     spec = HamiltonianSpec("chain3+1", 4, spec.terms + (extra,))
-    part = Partition({**part.parts, "spectator": PartitionPart((extra,), 1.0)})
+    part = Partition({**part.parts, "spectator": (extra,)})
     return prepare(spec, part, MeasurementBasis.x(0))
 
 
@@ -371,7 +368,7 @@ def ctx_wide_sender():
     """chain3 at J = 1 with the buffer terms in the sender's part, so a
     buffer X commutes with H_B and P(b) and fails only against H_A."""
     spec, part = chain3(1.0)
-    wide = PartitionPart(part.parts["A"].terms + part.parts["buffer"].terms, 0.0)
+    wide = part.parts["A"] + part.parts["buffer"]
     return prepare(spec, Partition({"A": wide, "B": part.parts["B"]}), MeasurementBasis.x(0))
 
 
@@ -407,7 +404,7 @@ class TestKrausCheckAgainstOracle:
         site = 5
         support = {site, ctx.alice.site}.union(
             s for label in (ctx.alice_label, ctx.bob_label)
-            for t in part.parts[label].terms for s, _ in t.factors)
+            for t in part.parts[label] for s, _ in t.factors)
         shapes = []
 
         def recorded(a, b):
@@ -541,12 +538,11 @@ class TestDefaultCoupling:
 
     def test_excited_pre_degenerate_with_ground_raises(self):
         # an exactly flat model has no unique first excited level
-        from qetkd.models import HamiltonianSpec, Partition, PartitionPart
         from qetkd.spinops import term
         spec = HamiltonianSpec("flat3", 3, (term(1.0, (0, "X"), (1, "X")),))
         partition = Partition({
-            "A": PartitionPart((term(1.0, (0, "X"), (1, "X")),), 0.0),
-            "B": PartitionPart((), 0.0),
+            "A": (term(1.0, (0, "X"), (1, "X")),),
+            "B": (),
         })
         with pytest.raises(DegenerateGroundError):
             prepare(spec, partition, MeasurementBasis.x(0))

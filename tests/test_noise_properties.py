@@ -29,7 +29,7 @@ from qetkd.protocol import (  # noqa: E402
     prepare,
     run_ensemble,
 )
-from qetkd.spinops import expectation, pure_density, require_density_matrix  # noqa: E402
+from qetkd.spinops import pure_density, require_density_matrix  # noqa: E402
 
 SCAN_FAMILIES = ("classical_flip", "depolarize", "bit_flip", "phase_flip",
                  "excited_mixture", "excited_superposition")
@@ -184,10 +184,10 @@ def test_conditional_table_same_for_vector_and_its_density_matrix(ctx):
 def test_conditional_pre_energies_sum_to_input_energy(ctx, data):
     # [P_b, H_B] = 0 (prepare checks it), so measuring leaves Tr[rho H_B] whole.
     rho = random_density(data.draw, 2 ** ctx.n_sites)
-    h_bob = oracles.terms_matrix(ctx.partition.parts[ctx.bob_label].terms, ctx.n_sites)
+    h_bob = oracles.terms_matrix(ctx.partition.parts[ctx.bob_label], ctx.n_sites)
     for state in (ctx.gs, rho):
         table = conditional_table(ctx, state)
-        assert table.pre.sum() == pytest.approx(expectation(state, h_bob), abs=1e-12)
+        assert table.pre.sum() == pytest.approx(oracles.expectation(state, h_bob), abs=1e-12)
 
 
 @PROPERTY
@@ -201,7 +201,7 @@ def test_partition_parts_sum_to_hamiltonian(model, coupling, field, n_parties):
     else:
         spec, partition, _ = build_model(model, coupling, n_parties=n_parties)
     n = spec.n_sites
-    total = sum(oracles.terms_matrix(part.terms, n) for part in partition.parts.values())
+    total = sum(oracles.terms_matrix(terms, n) for terms in partition.parts.values())
     np.testing.assert_allclose(total, oracles.terms_matrix(spec.terms, n), rtol=0, atol=1e-12)
 
 

@@ -23,7 +23,7 @@ from qetkd.protocol import (
     run_ensemble_random_basis,
     run_rounds,
 )
-from qetkd.spinops import expectation, term
+from qetkd.spinops import term
 
 import oracles
 
@@ -53,7 +53,7 @@ class TestGroundState:
     def test_ground_attains_minimum(self):
         spec, _ = chain3(1.0)
         gs, energy = ground_state(spec)
-        assert expectation(gs, oracles.terms_matrix(spec.terms, spec.n_sites)) == \
+        assert oracles.expectation(gs, oracles.terms_matrix(spec.terms, spec.n_sites)) == \
             pytest.approx(energy, abs=1e-10)
 
     def test_degenerate_ground_raises(self):
@@ -420,7 +420,7 @@ class TestRunRound:
         # <gs| X0 |gs> = 0 by the parity symmetry of the chain
         spec, part = chain3(1.0)
         gs, _ = ground_state(spec)
-        assert expectation(gs, oracles.embed("X", 0, 3)) == pytest.approx(0.0, abs=1e-10)
+        assert oracles.expectation(gs, oracles.embed("X", 0, 3)) == pytest.approx(0.0, abs=1e-10)
         ctx = prepare(spec, part, MeasurementBasis.x(0))
         bits, _ = run_rounds(ctx, 20_000, seed=5)
         se = 0.5 / np.sqrt(20_000)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qetkd.errors import TooManyErasuresError
-from qetkd.models import chain3
+from qetkd.models import chain3, star
 from qetkd.noise import NoiseSpec
 from qetkd.protocol import MeasurementBasis, prepare, run_ensemble
 from qetkd.qkd import (
@@ -452,9 +452,11 @@ class TestResourceVerification:
         assert verdict.ok
 
     def test_round_memory(self, chain_ctx):
-        # the float64 draws are 1.6 MB at 200k rounds; a tally per table and
-        # outcome keeps no other per-round array (a float64 energy gather
-        # and an intp slot per round peaked at 6.4 MB)
+        # the draws are taken rng.DRAW_CHUNK at a time and the rounds tallied
+        # per table and outcome, so no per-round array is kept: 0.35 MB
+        # traced at 200k rounds.  Round-long float64 draws alone are 1.6 MB,
+        # and a float64 energy gather plus an intp slot per round peaked at
+        # 6.4 MB.
         rho = chain_ctx.rho_gs
         verify_resource_state(chain_ctx, lambda i: rho, rounds=16, seed=0)  # warm caches
         tracemalloc.start()
@@ -464,7 +466,7 @@ class TestResourceVerification:
         finally:
             tracemalloc.stop()
         assert verdict.ok
-        assert peak < 3_000_000
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("rounds", [0, -3])
     def test_needs_a_round_before_drawing(self, chain_ctx, monkeypatch, rounds):
@@ -479,3 +481,17 @@ class TestResourceVerification:
     def test_invalid_candidate_rejected(self, chain_ctx):
         with pytest.raises(ValueError):
             verify_resource_state(chain_ctx, lambda i: np.eye(8), rounds=4, seed=0)
+
+    @pytest.mark.parametrize("dim", [4, 2])
+    def test_state_of_another_size_refused(self, dim):
+        # star N=2 has 3 sites; a 4 x 4 state is as wide as the receiver's
+        # support and must not be read as its marginal
+        spec, part = star(2, 1.0)
+        ctx = prepare(spec, part, MeasurementBasis.x(0), bob_label="B1")
+        wrong = np.eye(dim) / dim
+        message = rf"round 0: .*shape \({dim}, {dim}\), 3 sites need \(8, 8\)"
+        with pytest.raises(ValueError, match=message):
+            verify_resource_state(ctx, lambda i: wrong, rounds=10, seed=0)
+        with pytest.raises(ValueError, match=rf"round 9000: .*shape \({dim}, {dim}\)"):
+            verify_resource_state(ctx, lambda i: ctx.rho_gs if i < 9000 else wrong,
+                                  rounds=10_000, seed=0)

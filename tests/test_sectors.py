@@ -220,18 +220,21 @@ class TestNoRegisterMatrix:
         def refuse(terms, n_sites):
             raise AssertionError(f"d x d assemble of {n_sites} sites")
 
-        # models imports no assemble; any d x d assembly goes through spinops
+        # models imports no assemble; any d x d assembly goes through spinops.
+        # A build is symbolic, so each spec is solved too.
         monkeypatch.setattr(spinops, "assemble", refuse)
-        star(4, 1.0)
-        chain3(0.9)
+        ground_state(star(4, 1.0)[0])
+        ground_state(chain3(0.9)[0])
         two_site_partition_alternative(1.0, 0.5)
+        ground_state(two_site(1.0, 0.5))
 
     def test_star9_build_memory(self):
         # the full 1024 x 1024 complex solve and ten d x d shift assembles
-        # peaked at 50.5 MB; the sector solve needs less than half of that
+        # peaked at 50.5 MB; the sector solve needs less than half of that.
+        # A build is symbolic, so the traced region runs to the ground state.
         tracemalloc.start()
         try:
-            star(9, 1.0)
+            ground_state(star(9, 1.0)[0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -380,17 +383,19 @@ class TestSwapSectors:
     def test_solve_imports_no_scipy(self):
         # the blocks are solved by numpy's dense eigh; no sparse solver is loaded
         src = Path(__file__).resolve().parents[1] / "src"
-        code = "import sys; from qetkd.models import star; star(9, 1.0); sys.exit('scipy' in sys.modules)"
+        code = ("import sys; from qetkd.models import star; star(9, 1.0)[0].spectrum; "
+                "sys.exit('scipy' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": str(src)}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_twelve_site_build_memory(self):
         # the d x d eigenvector scatter peaked at 269 MB; the symmetry blocks
-        # of star N=11 need less than a quarter of that
+        # of star N=11 need less than a quarter of that.  A build is
+        # symbolic, so the traced region runs to the ground state.
         spinops._sector_plan.cache_clear()
         tracemalloc.start()
         try:
-            star(11, 1.0)
+            ground_state(star(11, 1.0)[0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

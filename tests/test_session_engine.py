@@ -70,7 +70,7 @@ def assert_tables_match(spec, part, label, noise, bases, bob_axes):
     size = spec.n_sites
     h = oracles.terms_matrix(spec.terms, size)
     evals, gs = oracles.ground(h)
-    h_b = oracles.terms_matrix(part.parts[label].terms, size)
+    h_b = oracles.terms_matrix(part.parts[label], size)
     rho = register_state(base, noise)
     for i, ctx in enumerate(contexts):
         sigma_a = oracle_axis(n[i], ctx.alice.site, size)
@@ -136,7 +136,7 @@ def test_closed_form_partition_defect(model, n_parties):
     n = np.vstack([np.eye(3), unit_rows(np.random.default_rng(3), 5)])
     for label in labels:
         ctx = prepare(spec, part, MeasurementBasis.x(0), bob_label=label)
-        h_bob = oracles.terms_matrix(part.parts[label].terms, spec.n_sites)
+        h_bob = oracles.terms_matrix(part.parts[label], spec.n_sites)
         want = []
         for v in n:
             sigma_a = oracle_axis(v, 0, spec.n_sites)

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from qetkd.errors import ImaginaryResidueError
+from qetkd.models import two_site, two_site_partition_standard
+from qetkd.protocol import MeasurementBasis, prepare
 from qetkd.spinops import (
     PauliTerm,
     apply_on_site,
     assemble,
     commutator,
     eigendecompose,
-    expectation,
+    on_support,
     pauli_on_site,
     pure_density,
+    reduced_density,
     require_density_matrix,
     require_hermitian,
     sandwich,
@@ -136,36 +139,51 @@ class TestEigendecompose:
             eigendecompose(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def marginal_expectation(state, terms, sites):
+    """Tr[rho_S A_S] of a sum of terms on sites S: how the library reads an expectation."""
+    return complex(np.einsum("ab,ba->", reduced_density(state, sites), on_support(terms, sites)))
+
+
 class TestExpectation:
+    """Expectations are traces against a marginal (``reduced_density`` and
+    ``on_support``); ``ReceiverForms.reference`` is one and checks the residue."""
+
     def test_ground_projector_z(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        assert expectation(rho, np.diag([1.0, -1.0]).astype(complex)) == pytest.approx(1.0)
+        rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        assert marginal_expectation(rho, (term(1.0, (0, "Z")),), [0]) == pytest.approx(1.0)
 
     def test_maximally_mixed_traceless(self):
         rho = np.eye(4, dtype=complex) / 4
-        for op in [oracles.embed("X", 0, 2), oracles.embed("Y", 1, 2),
-                   oracles.embed("X", 0, 2) @ oracles.embed("Z", 1, 2)]:
-            assert expectation(rho, op) == pytest.approx(0.0, abs=1e-12)
+        for terms, sites in [((term(1.0, (0, "X")),), [0]), ((term(1.0, (1, "Y")),), [1]),
+                             ((term(1.0, (0, "X"), (1, "Z")),), [0, 1])]:
+            assert marginal_expectation(rho, terms, sites) == pytest.approx(0.0, abs=1e-12)
 
     def test_shifted_sender_part_has_zero_ground_expectation(self):
         h = oracles.two_site_matrix(1.0, 1.0)
         _, gs = oracles.ground(h)
         c1 = 1.0 / np.sqrt(2.0)
-        shifted = oracles.embed("Z", 0, 2) + c1 * np.eye(4)
-        assert expectation(gs, shifted) == pytest.approx(0.0, abs=1e-10)
+        assert oracles.expectation(gs, oracles.embed("Z", 0, 2) + c1 * np.eye(4)) == \
+            pytest.approx(0.0, abs=1e-10)
+        assert marginal_expectation(gs, (term(1.0, (0, "Z")),), [0]) + c1 == \
+            pytest.approx(0.0, abs=1e-10)
 
     def test_imaginary_residue_raises(self):
-        rho = pure_density(np.array([1.0, 1.0j]) / np.sqrt(2))
-        non_hermitian = np.array([[0, 1], [0, 0]], dtype=complex)
+        # H_B = 2 X0 X1 + Z1, so Tr[H_B i|11><00|] = 2i
+        ctx = prepare(two_site(1.0, 1.0), two_site_partition_standard(1.0, 1.0),
+                      MeasurementBasis.x(0))
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[3, 0] = 1j
         with pytest.raises(ImaginaryResidueError):
-            expectation(rho, non_hermitian)
+            ctx.forms.reference(rho)
 
     def test_vector_and_matrix_agree(self):
         rng = np.random.default_rng(3)
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
         v /= np.linalg.norm(v)
-        a = oracles.embed("Z", 0, 2) + 0.3 * oracles.embed("X", 1, 2)
-        assert expectation(v, a) == pytest.approx(expectation(pure_density(v), a))
+        terms = (term(1.0, (0, "Z")), term(0.3, (2, "X")), term(0.7, (0, "X"), (2, "Y")))
+        want = oracles.expectation(v, oracles.terms_matrix(terms, 3))
+        for state in (v, pure_density(v)):
+            assert marginal_expectation(state, terms, [0, 2]) == pytest.approx(want, abs=1e-12)
 
 
 class TestValidators:
