@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +160,50 @@ class TestNoise:
         _, rows = read_csv(out_path)
         e_b = [float(r[4]) for r in rows]
         assert max(e_b) - min(e_b) <= 1e-10
+
+
+def _scan_cases():
+    families = ("classical", "depolarize", "bitflip", "phaseflip", "excited-mix",
+                "excited-sup")
+    models = {"chain3": ("--model", "chain3"),
+              "star6": ("--model", "star", "--N", "6", "--J", "1")}
+    cases = {f"{m}-{f}": ("--family", f, *flags) for m, flags in models.items()
+             for f in families}
+    cases["chain3-excited-sup-alpha"] = ("--family", "excited-sup", "--model", "chain3",
+                                         "--alpha", "0.7")
+    cases["chain3-bitflip-alice"] = ("--family", "bitflip", "--model", "chain3",
+                                     "--site", "alice", "--grid", "0:0.3:57")
+    return cases
+
+
+# name: SHA-256 of the CSV, stdout and exit code of a ``noise`` run.  The
+# digests pin the bytes written by a scan that evaluated its grid point by point.
+SCAN_DIGESTS = {
+    "chain3-classical": "8a8fefb26532335221e209919d7741a9c5e53a6d66da02700123896c8c88d4ac",
+    "chain3-depolarize": "3e284bbb06e49e355dbcded19605892b6c3ab18cb38294a49cd082201efa8c4f",
+    "chain3-bitflip": "517c416119aaaaa28c6e02b2a6935c603347aabbfb8ed120e0711c42dfa4f71f",
+    "chain3-phaseflip": "18355f409ce581d8f5c21b0d51cbc4f83d4a9466f4c05d1ab010cb52b700677e",
+    "chain3-excited-mix": "7b8046bf94b4592bb5b93d73acf5a314f421f5327c8e50ea227b5e27b33fa785",
+    "chain3-excited-sup": "d04a00adaf4faed5596028cb7903d2fc95af8ca0ea6731e3875946b1e6813be2",
+    "star6-classical": "22e2c6fa38c854d806a934d646c3b24af72585282e15ffbaf2ceda40cac16157",
+    "star6-depolarize": "09950209c94d0feb5d54f464ab8469acfc5b4865cb07d9acf651da071ac68e1f",
+    "star6-bitflip": "2b0d098f139349181950eabe35723298bdcb1c3aa8f0c27d5de3d549f65221f4",
+    "star6-phaseflip": "f2127156f32ae7a51a59a4f8fcf9aa587e0523d6051455e5a8b5ecc7aeff409c",
+    "star6-excited-mix": "b2fcb1a1b9326cd827b1fa685c9fc91f4b697a766b9dee317a6aa1ba526ca3b7",
+    "star6-excited-sup": "b63b67d4823038deeb72db8fe89d7919735be2d0d4837ab250c254a10d139e89",
+    "chain3-excited-sup-alpha": "6ef918401b37d372b777f00e247ffcafd9e20715fb625bdcedb2539e38ad9772",
+    "chain3-bitflip-alice": "b8330c4a000e81ace9455107b850859ad652fbe2398ac8f005335f33b160171d",
+}
+
+
+class TestScanOutputs:
+    @pytest.mark.parametrize("name", list(_scan_cases()))
+    def test_scan_bytes_pinned(self, name, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the manifest holds the --out path
+        code, out, err = run_cli(capsys, "noise", *_scan_cases()[name], "--out", "scan.csv")
+        assert err == ""
+        data = b"\0".join((Path("scan.csv").read_bytes(), out.encode(), str(code).encode()))
+        assert hashlib.sha256(data).hexdigest() == SCAN_DIGESTS[name]
 
 
 class TestSession:
