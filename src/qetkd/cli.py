@@ -163,7 +163,7 @@ def cmd_noise(args: argparse.Namespace) -> int:
         kwargs["site"] = sites[args.site]
     if family == "excited_superposition":
         kwargs["alpha"] = args.alpha
-    if np.any((args.grid < 0.0) | (args.grid > 1.0)):
+    if not np.all((args.grid >= 0.0) & (args.grid <= 1.0)):  # NaN fails both
         return _usage_error("--grid probabilities must lie in [0, 1]")
 
     report = threshold_scan(ctx, family, args.grid, **kwargs)

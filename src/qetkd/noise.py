@@ -7,10 +7,13 @@ is checked against the model once, where it meets one (``_kraus_output``).
 Every noise family resolves to one to three fixed branch inputs with
 scalar weights in p (``noise_branches``).  The protocol energies are
 linear in the input state and in the classical flip probability, so a
-family's energies at p are the same weighted sum of its branch energies,
-and a threshold scan runs the protocol once per branch.  Energies are
-referenced to the input state itself, so the reported E_A and E_B are
-the protocol-induced changes only.
+family's energies at p are the same weighted sum of its branch energies.
+A threshold scan tabulates the branches once (``ensemble_energies``,
+one conditional table per distinct input) and evaluates its whole grid
+as one array product: the scalar basis (1, p, sqrt(p (1 - p))) of every
+grid point, times the family's coefficient rows, times the branch
+table.  Energies are referenced to the input state itself, so the
+reported E_A and E_B are the protocol-induced changes only.
 
 The protocol reads an input only through its marginal on the receiver's
 support S (``ReceiverForms``), and every branch is a short ensemble of
@@ -33,7 +36,7 @@ from .protocol import (
     MeasurementBasis,
     ReceiverForms,
     RunContext,
-    ensemble_for_state,
+    ensemble_energies,
     local_projector,
     prepare,
     run_ensemble,
@@ -108,11 +111,19 @@ _AFFINE = ((1.0, -1.0, 0.0), (0.0, 1.0, 0.0))            # 1 - p, p
 _COHERENT = ((1.0, -1.0, -1.0), (0.0, 1.0, -1.0), (0.0, 0.0, 2.0))
 
 
-def branch_weights(coefficients, p: float) -> np.ndarray:
-    """A family's branch weights at probability p, from its coefficient rows."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {p}")
-    return np.asarray(coefficients) @ (1.0, p, math.sqrt(p * (1.0 - p)))
+def branch_weights(coefficients, p) -> np.ndarray:
+    """A family's branch weights at probability p, from its coefficient rows.
+
+    For an array of probabilities the weights run along the last axis, one
+    row per entry: the scalar basis (1, p, sqrt(p (1 - p))) times the
+    transposed rows, so each weight rounds as it does at a single p.
+    """
+    p = np.asarray(p, dtype=float)
+    outside = p[~((p >= 0.0) & (p <= 1.0))]  # NaN is outside too
+    if outside.size:
+        raise ValueError(f"probability must be in [0, 1], got {outside[0]}")
+    basis = np.stack((np.ones_like(p), p, np.sqrt(p * (1.0 - p))), axis=-1)
+    return basis @ np.asarray(coefficients).T
 
 
 def noise_branches(ctx: RunContext, noise: NoiseSpec,
@@ -261,35 +272,39 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
     ``family_kwargs`` are the ``NoiseSpec`` fields besides the kind and p
     (``site``, ``alpha``, ``kraus_ops``); the spec they make is checked as
     any other.  ``noise_branches`` validates each branch state once, and
-    each branch runs through ``ensemble_for_state`` once; every grid row
-    and bisection step is then a scalar, the branch energies weighted by
-    ``branch_weights`` at that p.
+    one ``ensemble_energies`` call tabulates each distinct branch input
+    once, into a (branch x (E_A, E_B)) table.  The whole grid is then one
+    product, ``branch_weights(coefficients, grid) @ table``, and each
+    bisection step is the same product at one p.  Every grid point must
+    lie in [0, 1] (ValueError otherwise, NaN included).
     Only energies above ``TOL.sign_zero`` in magnitude carry a sign; each
     pair of consecutive such grid points with opposite signs is bisected
-    to ``TOL.bisection`` in p.  An energy that merely reaches zero, like
-    depolarization at p = 1, is no crossing.  ``crossing`` is the first
-    crossing, None when the sign never changes.
+    to ``TOL.bisection`` in p, on the bracket in ascending order, so a
+    descending grid finds the same crossings.  An energy that merely
+    reaches zero, like depolarization at p = 1, is no crossing.
+    ``crossing`` is the first crossing in grid order, None when the sign
+    never changes.
     """
     branches, coefficients = noise_branches(ctx, NoiseSpec(family, 0.0, **family_kwargs))
-    outs = [ensemble_for_state(ctx, rho, flip) for rho, flip in branches]
-    table = np.array([(out.e_alice, out.e_bob) for out in outs])
-
-    def energies(p: float) -> np.ndarray:  # (E_A, E_B) at p
-        return branch_weights(coefficients, p) @ table
-
     grid = np.asarray(grid, dtype=float)
-    e_a, e_b = np.array([energies(p) for p in grid]).reshape(-1, 2).T
+    weights = branch_weights(coefficients, grid)
+    table = ensemble_energies(ctx, branches)
+    e_a, e_b = (weights @ table).T
+    rows_t = np.asarray(coefficients).T
 
     crossings: list[float] = []
     signed = np.flatnonzero(np.abs(e_b) > TOL.sign_zero)
-    for i, j in zip(signed[:-1], signed[1:]):
-        if (e_b[i] < 0) == (e_b[j] < 0):
-            continue
+    negative = e_b[signed] < 0
+    changes = np.flatnonzero(negative[:-1] != negative[1:])
+    for i, j in zip(signed[changes], signed[changes + 1]):
+        if grid[i] > grid[j]:
+            i, j = j, i
         lo, hi = float(grid[i]), float(grid[j])
         f_lo = e_b[i]
         while hi - lo > TOL.bisection:
             mid = 0.5 * (lo + hi)
-            f_mid = energies(mid)[1]
+            # the grid's product at one p inside a checked bracket
+            f_mid = ((np.array((1.0, mid, math.sqrt(mid * (1.0 - mid)))) @ rows_t) @ table)[1]
             if (f_mid < 0) == (f_lo < 0):
                 lo, f_lo = mid, f_mid
             else:
@@ -297,9 +312,9 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
         crossings.append(0.5 * (lo + hi))
     return ThresholdReport(
         family=family,
-        grid=tuple(float(p) for p in grid),
-        e_alice=tuple(float(x) for x in e_a),
-        e_bob=tuple(float(x) for x in e_b),
+        grid=tuple(grid.tolist()),
+        e_alice=tuple(e_a.tolist()),
+        e_bob=tuple(e_b.tolist()),
         crossing=crossings[0] if crossings else None,
         crossings=tuple(crossings),
     )
@@ -307,12 +322,9 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
 
 def report_csv_rows(report: ThresholdReport, coupling: float) -> list[str]:
     """Rows for the ``family,J,p,E_A,E_B`` export, 12 significant digits."""
-    rows = []
-    for p, ea, eb in zip(report.grid, report.e_alice, report.e_bob):
-        rows.append(
-            f"{report.family},{coupling:.12g},{p:.12g},{ea:.12g},{eb:.12g}"
-        )
-    return rows
+    prefix = f"{report.family},{coupling:.12g},"
+    return [f"{prefix}{p:.12g},{ea:.12g},{eb:.12g}"
+            for p, ea, eb in zip(report.grid, report.e_alice, report.e_bob)]
 
 
 # ---------------------------------------------------------------------------

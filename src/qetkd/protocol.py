@@ -468,6 +468,20 @@ def conditional_table(ctx: RunContext, state: np.ndarray) -> ConditionalTable:
     return ConditionalTable(*(f[0] for f in table))
 
 
+def _input_traces(ctx: RunContext, rho_in: np.ndarray, flips):
+    """(table, weight, reference energies, receiver traces [flip, b]) of one input.
+
+    One conditional table serves every flip probability in ``flips``.
+    """
+    rho = ctx.forms.marginal(rho_in)
+    table = conditional_table(ctx, rho)
+    weight = table.prob.sum()  # Tr rho, or ||psi||^2 for a vector
+    announced = np.array([ctx.rule.mapped(b) for b in (0, 1)])
+    f = np.asarray(flips, dtype=float)[:, None]
+    energy = (1.0 - f) * table.post[(0, 1), announced] + f * table.post[(0, 1), announced ^ 1]
+    return table, weight, ctx.forms.reference(rho) / weight, energy
+
+
 def ensemble_for_state(ctx: RunContext, rho_in: np.ndarray,
                        flip_probability: float = 0.0) -> QetOutcome:
     """Run the protocol on an arbitrary input state (density matrix or vector).
@@ -478,17 +492,29 @@ def ensemble_for_state(ctx: RunContext, rho_in: np.ndarray,
     by the input's weight, so the ensemble energies are the
     probability-weighted means of the per-outcome ones.
     """
-    rho = ctx.forms.marginal(rho_in)
-    table = conditional_table(ctx, rho)
-    weight = table.prob.sum()  # Tr rho, or ||psi||^2 for a vector
-    ref_a, ref_b = ctx.forms.reference(rho) / weight
-    announced = np.array([ctx.rule.mapped(b) for b in (0, 1)])
-    energy = (1.0 - flip_probability) * table.post[(0, 1), announced] \
-        + flip_probability * table.post[(0, 1), announced ^ 1]
+    table, weight, (ref_a, ref_b), (energy,) = _input_traces(ctx, rho_in, (flip_probability,))
     per_energy = table.per_outcome(energy, ref_b)
     per = {b: (float(table.prob[b] / weight), float(per_energy[b])) for b in (0, 1)}
     return QetOutcome(e_alice=float(table.alice.sum() / weight - ref_a),
                       e_bob=float(energy.sum() / weight - ref_b), per_outcome=per)
+
+
+def ensemble_energies(ctx: RunContext, branches) -> np.ndarray:
+    """(E_A, E_B) rows of ``ensemble_for_state`` for each (input, flip probability) branch.
+
+    Each distinct input object is tabulated once: branches that share an
+    input at several flip probabilities read one conditional table.
+    """
+    out = np.empty((len(branches), 2))
+    rows: dict[int, list[int]] = {}
+    for i, (rho_in, _) in enumerate(branches):
+        rows.setdefault(id(rho_in), []).append(i)
+    for idx in rows.values():
+        table, weight, (ref_a, ref_b), energy = _input_traces(
+            ctx, branches[idx[0]][0], [branches[i][1] for i in idx])
+        out[idx, 0] = table.alice.sum() / weight - ref_a
+        out[idx, 1] = energy.sum(axis=1) / weight - ref_b
+    return out
 
 
 def run_ensemble(ctx: RunContext) -> QetOutcome:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qetkd.cli import main, sweep_values
+from qetkd.tolerances import TOL
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +151,15 @@ class TestNoise:
         _, rows = read_csv(out_path)
         assert len(rows) == 101
         assert float(rows[-1][4]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_descending_grid_finds_the_ascending_crossing(self, capsys):
+        crossings = []
+        for grid in ("0:1:21", "1:0:21"):
+            code, out, _ = run_cli(capsys, "noise", "--family", "bitflip", "--model", "star",
+                                   "--N", "6", "--J", "1", "--grid", grid)
+            assert code == 0
+            crossings.append(float(out.splitlines()[-1].rsplit("=", 1)[1]))
+        assert crossings[1] == pytest.approx(crossings[0], abs=TOL.bisection)
 
     def test_sender_site_bitflip_flat(self, tmp_path, capsys):
         out_path = tmp_path / "flat.csv"
@@ -352,6 +362,8 @@ class TestModelParameters:
         ("noise", "--family", "phaseflip", "--model", "star", "--N", "3", "--J", "1",
          "--site", "4"),
         ("noise", "--family", "classical", "--grid", "0:2:5"),
+        ("noise", "--family", "classical", "--model", "chain3", "--J", "1",
+         "--grid", "nan:1:5"),
     ])
     def test_out_of_range_exits_2_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -24,6 +24,7 @@ from qetkd.noise import (
 from qetkd.protocol import MeasurementBasis, ensemble_for_state, prepare, receiver_forms, \
     run_ensemble
 from qetkd.spinops import require_density_matrix, term
+from qetkd.tolerances import TOL
 
 import oracles
 
@@ -448,6 +449,22 @@ class TestThresholdScan:
     def test_unknown_family_rejected(self, ctx_unit):
         with pytest.raises(ValueError):
             threshold_scan(ctx_unit, "gremlins", np.linspace(0, 1, 5))
+
+    @pytest.mark.parametrize("family, kwargs", [("classical_flip", {}),
+                                                ("bit_flip", {"site": 2})])
+    def test_descending_grid_bisects_to_the_same_crossing(self, ctx_unit, family, kwargs):
+        # the bracket (grid[i], grid[j]) of a descending grid has hi < lo
+        grid = np.linspace(0, 1, 21)
+        up = threshold_scan(ctx_unit, family, grid, **kwargs)
+        down = threshold_scan(ctx_unit, family, grid[::-1], **kwargs)
+        assert up.crossing is not None and down.crossing is not None
+        assert down.crossing == pytest.approx(up.crossing, abs=TOL.bisection)
+        assert down.e_bob == up.e_bob[::-1]
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_grid_point_outside_unit_interval_rejected(self, ctx_unit, bad):
+        with pytest.raises(ValueError, match="probability must be in"):
+            threshold_scan(ctx_unit, "classical_flip", np.array([0.0, bad, 1.0]))
 
 
 class TestChannelValidity:

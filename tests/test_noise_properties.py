@@ -3,6 +3,7 @@ conditional-energy kernel, the optimal feedback angle and the energy
 bookkeeping of a partition."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
 import qetkd.noise as noise  # noqa: E402
+import qetkd.protocol as protocol  # noqa: E402
 from qetkd.errors import DegenerateObjectiveError  # noqa: E402
 from qetkd.models import build_model, chain3, first_excited_level, two_site  # noqa: E402
 from qetkd.models import two_site_partition_alternative  # noqa: E402
@@ -25,6 +27,7 @@ from qetkd.noise import (  # noqa: E402
 from qetkd.protocol import (  # noqa: E402
     MeasurementBasis,
     conditional_table,
+    ensemble_energies,
     ensemble_for_state,
     prepare,
     run_ensemble,
@@ -87,6 +90,23 @@ def test_scan_rows_equal_direct_mixed_state_evaluation(case):
 
 @PROPERTY
 @given(scan_cases())
+def test_scan_rows_equal_the_per_point_loop(case):
+    # the reference: every branch through ensemble_for_state, then each grid
+    # point's weights times that table, one p at a time; the batched table and
+    # the grid product must round exactly as it does
+    ctx, family, kwargs, probs = case
+    branches, coefficients = noise.noise_branches(ctx, NoiseSpec(family, 0.0, **kwargs))
+    table = np.array([(out.e_alice, out.e_bob)
+                      for out in (ensemble_for_state(ctx, s, f) for s, f in branches)])
+    assert np.array_equal(ensemble_energies(ctx, branches), table)
+    rows = [np.asarray(coefficients) @ (1.0, p, math.sqrt(p * (1.0 - p))) @ table
+            for p in probs]
+    report = threshold_scan(ctx, family, np.array(probs), **kwargs)
+    assert np.array_equal(np.column_stack((report.e_alice, report.e_bob)), rows)
+
+
+@PROPERTY
+@given(scan_cases())
 def test_outcome_probabilities_sum_to_one(case):
     ctx, family, kwargs, probs = case
     for p in probs:
@@ -113,8 +133,11 @@ def test_amplitude_damping_keeps_unit_trace(model, gamma, data):
 
 @pytest.mark.parametrize("family", SCAN_FAMILIES)
 def test_scan_validates_and_evaluates_each_branch_once(monkeypatch, family):
+    # one ensemble_energies call per scan, one conditional table per distinct
+    # branch input (classical_flip's two branches share the ground state):
+    # evaluating per grid point or per bisection step breaks both counts
     ctx = context("star", 3, "identity")
-    counts = {"validate": 0, "evaluate": 0}
+    counts = {"validate": 0, "evaluate": 0, "tabulate": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -124,12 +147,17 @@ def test_scan_validates_and_evaluates_each_branch_once(monkeypatch, family):
 
     monkeypatch.setattr(noise, "require_density_matrix",
                         counted("validate", require_density_matrix))
-    monkeypatch.setattr(noise, "ensemble_for_state",
-                        counted("evaluate", ensemble_for_state))
+    monkeypatch.setattr(noise, "ensemble_energies",
+                        counted("evaluate", ensemble_energies))
+    monkeypatch.setattr(protocol, "conditional_table",
+                        counted("tabulate", conditional_table))
     kwargs = {"site": ctx.rule.site} if family in ("bit_flip", "phase_flip") else {}
-    threshold_scan(ctx, family, np.linspace(0.0, 1.0, 101), **kwargs)
+    report = threshold_scan(ctx, family, np.linspace(0.0, 1.0, 101), **kwargs)
     assert counts["validate"] <= BRANCHES[family]
-    assert counts["evaluate"] <= BRANCHES[family]
+    assert counts["evaluate"] == 1
+    assert counts["tabulate"] == (1 if family == "classical_flip" else BRANCHES[family])
+    if family == "classical_flip":
+        assert report.crossing is not None  # the bisection ran
 
 
 # ---------------------------------------------------------------------------
