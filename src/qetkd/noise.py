@@ -116,14 +116,16 @@ def branch_weights(coefficients, p) -> np.ndarray:
 
     For an array of probabilities the weights run along the last axis, one
     row per entry: the scalar basis (1, p, sqrt(p (1 - p))) times the
-    transposed rows, so each weight rounds as it does at a single p.
+    transposed rows.  Each p is its own 1 x 3 row, so numpy makes one
+    vector-matrix BLAS call per row, the call a single p makes, and every
+    weight rounds as it does at a single p.
     """
     p = np.asarray(p, dtype=float)
     outside = p[~((p >= 0.0) & (p <= 1.0))]  # NaN is outside too
     if outside.size:
         raise ValueError(f"probability must be in [0, 1], got {outside[0]}")
     basis = np.stack((np.ones_like(p), p, np.sqrt(p * (1.0 - p))), axis=-1)
-    return basis @ np.asarray(coefficients).T
+    return (basis[..., None, :] @ np.asarray(coefficients).T)[..., 0, :]
 
 
 def noise_branches(ctx: RunContext, noise: NoiseSpec,
@@ -274,9 +276,10 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
     any other.  ``noise_branches`` validates each branch state once, and
     one ``ensemble_energies`` call tabulates each distinct branch input
     once, into a (branch x (E_A, E_B)) table.  The whole grid is then one
-    product, ``branch_weights(coefficients, grid) @ table``, and each
-    bisection step is the same product at one p.  Every grid point must
-    lie in [0, 1] (ValueError otherwise, NaN included).
+    array product, ``branch_weights(coefficients, grid) @ table`` taken
+    row by row inside numpy, so each row rounds as a single p does, and
+    each bisection step is the same product at one p.  Every grid point
+    must lie in [0, 1] (ValueError otherwise, NaN included).
     Only energies above ``TOL.sign_zero`` in magnitude carry a sign; each
     pair of consecutive such grid points with opposite signs is bisected
     to ``TOL.bisection`` in p, on the bracket in ascending order, so a
@@ -289,7 +292,7 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
     grid = np.asarray(grid, dtype=float)
     weights = branch_weights(coefficients, grid)
     table = ensemble_energies(ctx, branches)
-    e_a, e_b = (weights @ table).T
+    e_a, e_b = (weights[:, None, :] @ table)[:, 0].T  # row by row, as at one p
     rows_t = np.asarray(coefficients).T
 
     crossings: list[float] = []
