@@ -506,14 +506,14 @@ def ensemble_energies(ctx: RunContext, branches) -> np.ndarray:
     input at several flip probabilities read one conditional table.
     """
     out = np.empty((len(branches), 2))
-    rows: dict[int, list[int]] = {}
+    shared: dict[int, list[int]] = {}  # input object -> its branch rows
     for i, (rho_in, _) in enumerate(branches):
-        rows.setdefault(id(rho_in), []).append(i)
-    for idx in rows.values():
+        shared.setdefault(id(rho_in), []).append(i)
+    for rows in shared.values():
         table, weight, (ref_a, ref_b), energy = _input_traces(
-            ctx, branches[idx[0]][0], [branches[i][1] for i in idx])
-        out[idx, 0] = table.alice.sum() / weight - ref_a
-        out[idx, 1] = energy.sum(axis=1) / weight - ref_b
+            ctx, branches[rows[0]][0], [branches[i][1] for i in rows])
+        out[rows, 0] = table.alice.sum() / weight - ref_a
+        out[rows, 1] = energy.sum(axis=1) / weight - ref_b
     return out
 
 
