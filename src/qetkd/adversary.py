@@ -16,6 +16,13 @@ Three adversaries against the energy-sign key protocol:
 Every attack draws its shared rounds through ``_rounds`` and decodes a
 key bit as a session does: by the sign of ``ConditionalTable.decode``,
 the energy the feedback rotation extracts from the conditional state.
+
+Every state an attack compares is sum_i w_i O_i |g><g| O_i†, each O_i a
+receiver rotation U(a) times a projector P(b) (U(a) alone when Eve
+waits), built from their 2x2 factors on the receiver's support S.  So
+``AttackReport.eve_state`` and ``bob_reference_state`` are marginals on
+S, and the trace distance between the two states is the register's,
+exact, through the Gram matrix of the vectors O_i |g> (``_gram_distance``).
 """
 
 from __future__ import annotations
@@ -24,14 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import (
-    MeasurementBasis,
-    RunContext,
-    conditional_table,
-    local_projector,
-)
+from .protocol import MeasurementBasis, RunContext, conditional_table
 from .rng import SUBSTREAM, stream
-from .spinops import sandwich, trace_distance
 from .tolerances import TOL
 
 VERIFICATION_BITS = 64  # key prefix the parties compare in a split attack
@@ -56,7 +57,7 @@ class AttackScenario:
 @dataclass(frozen=True)
 class AttackReport:
     scenario: AttackScenario
-    eve_state: np.ndarray
+    eve_state: np.ndarray  # marginal on the receiver's support S
     trace_distance_to_bob: float
     key_match_rate_alice_bob: float
     key_match_rate_eve_bob: float
@@ -90,25 +91,56 @@ def _match_stats(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return rate, se
 
 
+def _state(ctx: RunContext, rho: np.ndarray, terms: dict) -> np.ndarray:
+    """sum_i w_i O_i rho O_i† on S, for ``terms`` mapping the arguments of
+    O_i = ``ctx.round_operator(a, b, basis)`` to w_i."""
+    ops = {key: ctx.round_operator(*key) for key in terms}
+    return sum(w * ops[key] @ rho @ ops[key].conj().T for key, w in terms.items())
+
+
+def _bob_terms(ctx: RunContext) -> dict:
+    """The receiver's state: U(b) P(b), each of weight 1 (identity encoding)."""
+    return {(b, b, ctx.alice): 1.0 for b in (0, 1)}
+
+
+def _gram_distance(ctx: RunContext, rho: np.ndarray, eve_terms: dict) -> float:
+    """(1/2) ||sum_i D_i O_i |g><g| O_i†||_1 between Eve's and the receiver's states.
+
+    Over the union of their operators, D = w_Eve - w_Bob, exactly 0 where
+    the states share a term.  With V = [O_i |g>], V D V† has the nonzero
+    eigenvalues of R† D R, where G = V† V (G_ij = Tr[rho_S O_i† O_j], rho_S
+    = ``rho``) is R R† on its range: the eigenpairs above 1e-12 of the largest.
+    """
+    bob = _bob_terms(ctx)
+    keys = list(dict.fromkeys([*eve_terms, *bob]))
+    ops = np.array([ctx.round_operator(*key) for key in keys])
+    d = np.array([eve_terms.get(key, 0.0) - bob.get(key, 0.0) for key in keys])
+    values, vectors = np.linalg.eigh(np.einsum("icb,jcb->ij", ops.conj(), ops @ rho))
+    keep = values > 1e-12 * values[-1]
+    r = vectors[:, keep] * np.sqrt(values[keep])
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(r.conj().T @ (d[:, None] * r))).sum())
+
+
 def bob_reference_state(ctx: RunContext) -> np.ndarray:
-    """Receiver's exact post-feedback ensemble state (identity encoding)."""
-    return sum(ctx.rotate(b, ctx.project(b, ctx.rho_gs)) for b in (0, 1))
+    """Receiver's exact post-feedback ensemble state (identity encoding), on S."""
+    return _state(ctx, ctx.forms.marginal(ctx.gs), _bob_terms(ctx))
 
 
 def _rounds(ctx: RunContext, kind: str, rounds: int, seed: int):
     """The rounds every attack shares, drawn from the attack's own sub-stream.
 
-    Returns the normalized outcome odds, the 2x2 key-bit table key_bit[b, b']
-    that the session decode table gives for outcome b and announced bit b'
-    (1 where its energy is negative), the logical bits, the sender's
-    outcomes, the announced bits and the stream, from which Eve's draws
-    follow.  Every per-round array is uint8.  A key is read from the table
+    Returns the ground state's marginal on S, the normalized outcome odds,
+    the 2x2 key-bit table key_bit[b, b'] that the session decode table
+    gives for outcome b and announced bit b' (1 where its energy is
+    negative), the logical bits, the sender's outcomes, the announced bits
+    and the stream, from which Eve's draws follow.  Every per-round array is uint8.  A key is read from the table
     by ``_key_bits``, a 4-bit mask indexed by (b << 1) | b', never by a 2-D
     gather, which widened both bit arrays to intp.
     """
     if rounds < 1:
         raise ValueError(f"an attack needs at least one round, got {rounds}")
-    table = conditional_table(ctx, ctx.gs)
+    rho = ctx.forms.marginal(ctx.gs)
+    table = conditional_table(ctx, rho)
     prob = table.prob / table.prob.sum()
     rng = stream(seed, SUBSTREAM[f"attack_{kind}"])
     logical = rng.integers(0, 2, rounds).astype(np.uint8)
@@ -116,7 +148,7 @@ def _rounds(ctx: RunContext, kind: str, rounds: int, seed: int):
     announced = b_alice ^ logical  # send b for logical 1, b^1 for logical 0
     announced ^= 1
     key_bit = (table.decode() < 0).view(np.uint8)
-    return prob, key_bit, logical, b_alice, announced, rng
+    return rho, prob, key_bit, logical, b_alice, announced, rng
 
 
 def _key_bits(key_bit: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -142,16 +174,17 @@ def _sample_bits(p0: float, n: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(n) >= p0).view(np.uint8)
 
 
-def _report(ctx: RunContext, scenario: AttackScenario, eve_state: np.ndarray,
+def _report(ctx: RunContext, scenario: AttackScenario, rho: np.ndarray, eve_terms: dict,
             logical: np.ndarray, bob_key: np.ndarray, eve_key: np.ndarray,
             joint_counts: np.ndarray, detection: str = "none") -> AttackReport:
-    """Key agreement statistics and Eve's distance to the receiver's state."""
+    """Key agreement statistics and Eve's state ``eve_terms`` (see ``_state``),
+    with its distance to the receiver's."""
     rate_ab, se_ab = _match_stats(logical, bob_key)
     rate_eb, se_eb = _match_stats(eve_key, bob_key)
     return AttackReport(
         scenario=scenario,
-        eve_state=eve_state,
-        trace_distance_to_bob=trace_distance(eve_state, bob_reference_state(ctx)),
+        eve_state=_state(ctx, rho, eve_terms),
+        trace_distance_to_bob=_gram_distance(ctx, rho, eve_terms),
         key_match_rate_alice_bob=rate_ab,
         key_match_rate_eve_bob=rate_eb,
         detection=detection,
@@ -168,24 +201,22 @@ def eve_independent(ctx: RunContext, eve_basis: MeasurementBasis | None = None,
 
     Her measurement outcomes are independent of the sender's, so her
     reconstructed state differs from the receiver's and her decoded key
-    agrees with his only at chance level.
+    agrees with his only at chance level.  Her basis must sit on a site of
+    the receiver's support S (ValueError otherwise).
     """
     eve_basis = eve_basis or ctx.alice
-    prob, key_bit, logical, b_alice, announced, rng = _rounds(ctx, "independent",
-                                                              rounds, seed)
+    rho, prob, key_bit, logical, b_alice, announced, rng = _rounds(ctx, "independent",
+                                                                   rounds, seed)
 
     # Exact statistical state: Eve's measured ensemble, rotated by the
     # announced bit (identity encoding), weighted by the announcement odds.
-    eve_blocks = [sandwich(local_projector(eve_basis, b), eve_basis.site, ctx.rho_gs)
-                  for b in (0, 1)]
-    p_eve = [float(np.trace(block).real) for block in eve_blocks]
-    eve_measured = eve_blocks[0] + eve_blocks[1]
-    rho_e = sum(prob[a] * ctx.rotate(a, eve_measured) for a in (0, 1))
+    eve_terms = {(a, b, eve_basis): prob[a] for a in (0, 1) for b in (0, 1)}
+    p_eve0 = float(np.trace(_state(ctx, rho, {(0, 0, eve_basis): 1.0})).real)
 
-    b_eve = _sample_bits(p_eve[0], rounds, rng)
+    b_eve = _sample_bits(p_eve0, rounds, rng)
     bob_key = _key_bits(key_bit, b_alice, announced)
     eve_key = _key_bits(key_bit, b_eve, announced)
-    return _report(ctx, AttackScenario("independent"), rho_e, logical, bob_key,
+    return _report(ctx, AttackScenario("independent"), rho, eve_terms, logical, bob_key,
                    eve_key, _joint_counts(b_alice, b_eve))
 
 
@@ -196,10 +227,10 @@ def eve_postselect(ctx: RunContext, rounds: int = 10_000, seed: int = 0) -> Atta
     sender's, so the state she assembles is identical to the receiver's
     -- and so is every key bit she decodes from it.
     """
-    _, key_bit, logical, b_alice, announced, _ = _rounds(ctx, "postselect", rounds, seed)
+    rho, _, key_bit, logical, b_alice, announced, _ = _rounds(ctx, "postselect", rounds, seed)
     bob_key = _key_bits(key_bit, b_alice, announced)
     eve_key = bob_key.copy()  # post-selected on b_alice: identical conditioning
-    return _report(ctx, AttackScenario("postselect"), bob_reference_state(ctx), logical,
+    return _report(ctx, AttackScenario("postselect"), rho, _bob_terms(ctx), logical,
                    bob_key, eve_key, _joint_counts(b_alice, b_alice))
 
 
@@ -214,29 +245,27 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
     """
     if sub_case not in SPLIT_CASES:
         raise ValueError(f"unknown split sub-case {sub_case!r}")
-    prob, key_bit, logical, b_alice, announced, rng = _rounds(ctx, "split", rounds, seed)
+    rho, prob, key_bit, logical, b_alice, announced, rng = _rounds(ctx, "split", rounds, seed)
 
     if sub_case == "eve_waits":
         # Receiver rotates an unmeasured pair: no projection ever happened.
-        rotated = [ctx.rotate(a, ctx.rho_gs) for a in (0, 1)]
-        ref_b = ctx.forms.reference(ctx.gs)[1]
-        energy_by_bit = np.array([ctx.forms.reference(r)[1] - ref_b for r in rotated])
+        ref_b = ctx.forms.reference(rho)[1]
+        energy_by_bit = np.array([ctx.forms.reference(_state(ctx, rho, {(a,): 1.0}))[1]
+                                  - ref_b for a in (0, 1)])
         b_eve = np.zeros(rounds, dtype=np.uint8)  # never measured; tallied as 0
         # the receiver's key bit depends on the announced bit alone
         bob_key = _key_bits(np.tile(energy_by_bit < 0, (2, 1)), b_eve, announced)
         ones = np.count_nonzero(announced)
         q = np.array([rounds - ones, ones]) / rounds
-        rho_eb = q[0] * rotated[0] + q[1] * rotated[1]
+        eve_terms = {(a,): q[a] for a in (0, 1)}
         detection = "verification_mismatch"
     else:
         b_eve = _sample_bits(prob[0], rounds, rng)  # Eve's outcomes on the EB pair
         used_bit = b_eve if sub_case == "eve_measures_first_sends" else announced
         bob_key = _key_bits(key_bit, b_eve, used_bit)
         q = _joint_counts(b_eve, used_bit) / rounds  # q[b_eve, bit the receiver used]
-        blocks = [ctx.project(be, ctx.rho_gs) for be in (0, 1)]
-        weights = [float(np.trace(block).real) for block in blocks]
-        rho_eb = sum(q[be, a] * ctx.rotate(a, blocks[be]) / weights[be]
-                     for be in (0, 1) if weights[be] > TOL.outcome for a in (0, 1))
+        eve_terms = {(a, be, ctx.alice): q[be, a] / prob[be]
+                     for be in (0, 1) if prob[be] > TOL.outcome for a in (0, 1)}
         detection = ("double_message" if sub_case == "eve_measures_first_sends"
                      else "verification_mismatch")
 
@@ -248,7 +277,7 @@ def split_attack(ctx: RunContext, sub_case: str, rounds: int = 10_000,
     if detection == "verification_mismatch" and np.all(logical[compared] == bob_key[compared]):
         detection = "none"  # verification happened to pass
 
-    return _report(ctx, AttackScenario("split_entanglement", sub_case), rho_eb,
+    return _report(ctx, AttackScenario("split_entanglement", sub_case), rho, eve_terms,
                    logical, bob_key, eve_key, _joint_counts(b_alice, b_eve), detection)
 
 

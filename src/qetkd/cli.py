@@ -163,6 +163,10 @@ def cmd_noise(args: argparse.Namespace) -> int:
         kwargs["site"] = sites[args.site]
     if family == "excited_superposition":
         kwargs["alpha"] = args.alpha
+    try:
+        NoiseSpec(family, 0.0, **kwargs)  # refuses a non-finite alpha
+    except ValueError as exc:
+        return _usage_error(exc)
     if not np.all((args.grid >= 0.0) & (args.grid <= 1.0)):  # NaN fails both
         return _usage_error("--grid probabilities must lie in [0, 1]")
 

@@ -217,16 +217,17 @@ def check_model_parameters(model: str, coupling: float | None, k: float = 1.0,
     """Raise ModelParameterError, in one line, for parameters the named model rejects.
 
     ``coupling`` None stands for the model's default; ``two-site`` reads
-    ``k`` and ``h`` only, ``star`` also checks its party count.
+    ``k`` and ``h`` only, ``star`` also checks its party count.  NaN and
+    infinite values fail every check.
     """
     if model not in MODELS:
         raise ModelParameterError(f"unknown model {model!r}")
     if model == "two-site":
-        if k <= 0 or h <= 0:
-            raise ModelParameterError(f"couplings must be positive, got k={k}, h={h}")
+        if not (0 < k < math.inf and 0 < h < math.inf):
+            raise ModelParameterError(f"couplings must be positive and finite, got k={k}, h={h}")
         return
-    if coupling is not None and coupling < 0:
-        raise ModelParameterError(f"coupling must be non-negative, got {coupling}")
+    if coupling is not None and not 0 <= coupling < math.inf:
+        raise ModelParameterError(f"coupling must be non-negative and finite, got {coupling}")
     if model == "star" and not 1 <= n_parties <= MAX_PARTIES:
         raise ModelParameterError(f"number of parties must be in [1, {MAX_PARTIES}], got {n_parties}")
 

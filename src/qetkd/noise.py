@@ -83,6 +83,8 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.p}")
+        if self.alpha is not None and not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.kind in ("bit_flip", "phase_flip", "local_kraus") and self.site is None:
             raise ValueError(f"{self.kind} needs a site")
         if self.kind == "local_kraus":

@@ -53,7 +53,7 @@ from .spinops import (
     pure_density,
     reduced_density,
     require_unit_vector,
-    sandwich,
+    site_operator,
     site_paulis,
 )
 from .tolerances import TOL
@@ -288,6 +288,12 @@ class ReceiverForms:
             return state
         return reduced_density(state, list(self.support))
 
+    def on_site(self, op: np.ndarray, site: int) -> np.ndarray:
+        """The 2x2 ``op`` at ``site`` as a matrix on S; a site off S raises ValueError."""
+        if site not in self.support:
+            raise ValueError(f"site {site} is outside the receiver's support {self.support}")
+        return site_operator(op, self.support.index(site), len(self.support))
+
     def reference(self, state: np.ndarray) -> np.ndarray:
         """(Tr[rho H_A], Tr[rho H_B]) of a state vector or density matrix."""
         return _require_real(np.einsum("xab,ba->x", self.parts, self.marginal(state)),
@@ -389,9 +395,7 @@ class RunContext:
     """Everything one protocol configuration needs, precomputed.
 
     ``forms`` is the receiver's kernel; every trace the protocol reports
-    comes from it.  ``project`` and ``rotate`` build the 2x2 factor of a
-    sender projector or receiver rotation when called and apply it to a
-    full density matrix or state vector.
+    comes from it.
     """
 
     spec: HamiltonianSpec
@@ -413,13 +417,19 @@ class RunContext:
         """|gs><gs| as a d x d matrix, built on first read; vector paths read ``gs``."""
         return pure_density(self.gs)
 
-    def project(self, b: int, rho: np.ndarray) -> np.ndarray:
-        """P(b) rho P(b), unnormalized (P(b) psi for a state vector)."""
-        return sandwich(local_projector(self.alice, b), self.alice.site, rho)
+    def round_operator(self, announced: int, b: int | None = None,
+                       basis: MeasurementBasis | None = None) -> np.ndarray:
+        """U(announced) P(b) on the receiver's support S, from their 2x2 factors.
 
-    def rotate(self, announced: int, rho: np.ndarray) -> np.ndarray:
-        """U rho U† (U psi) for the rotation the receiver applies on an announced bit."""
-        return sandwich(self.rule.local_rotation(announced), self.rule.site, rho)
+        P(b) projects on outcome b of ``basis`` (default the sender's); with
+        b None the operator is the rotation alone.  A basis off S raises
+        ValueError.
+        """
+        op = self.forms.on_site(self.rule.local_rotation(announced), self.rule.site)
+        if b is None:
+            return op
+        basis = basis or self.alice
+        return op @ self.forms.on_site(local_projector(basis, b), basis.site)
 
 
 def prepare(spec: HamiltonianSpec, partition: Partition,
@@ -585,18 +595,17 @@ def run_rounds(ctx: RunContext, n_rounds: int, seed: int,
         return bits, table[bits]
 
     evals, evecs = eigendecompose(ctx.forms.parts[1])
-    ref = ctx.forms.reference(ctx.gs)[1]
-    weights = []
-    for b in (0, 1):
-        fed = ctx.forms.marginal(ctx.rotate(ctx.rule.mapped(b), ctx.project(b, ctx.gs)))
-        # <e_i| rho_b |e_i>, clipped: a rounded zero weight may come out below 0
-        w = np.maximum(np.einsum("ai,ab,bi->i", evecs.conj(), fed, evecs).real, 0.0)
-        weights.append(w / w.sum())
+    rho = ctx.forms.marginal(ctx.gs)
+    ref = ctx.forms.reference(rho)[1]
     energies = np.empty(n_rounds)
     for b in (0, 1):
+        op = ctx.round_operator(ctx.rule.mapped(b), b)
+        # <e_i| U P rho P U† |e_i>, clipped: a rounded zero weight may come out below 0
+        w = np.maximum(np.einsum("ai,ab,bi->i", evecs.conj(), op @ rho @ op.conj().T,
+                                 evecs).real, 0.0)
         mask = bits == b
         count = int(mask.sum())
         if count:
-            idx = rng.choice(len(evals), size=count, p=weights[b])
+            idx = rng.choice(len(evals), size=count, p=w / w.sum())
             energies[mask] = evals[idx] - ref
     return bits, energies

@@ -62,8 +62,8 @@ class SessionConfig:
             raise ValueError("rounds must be non-negative")
         if not 0 <= self.verify_bits <= self.rounds:
             raise ValueError("verification bits must fit inside the round budget")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("decode threshold must be positive")
+        if self.epsilon is not None and not 0 < self.epsilon < np.inf:  # NaN fails too
+            raise ValueError(f"decode threshold must be finite and positive, got {self.epsilon}")
         if self.epsilon is None and self.coupling == 0.0 and self.model != "two-site":
             raise ValueError("at J = 0 the receiver energy vanishes, so there is no default "
                              "decode threshold; set epsilon (--epsilon)")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .tolerances import TOL
 
-MAX_SITES = 12  # the largest register tested; an attack's d x d states are 268 MB each here
+MAX_SITES = 12  # the largest register tested; one d x d complex matrix is 268 MB here
 
 AXES = ("X", "Y", "Z")
 
@@ -564,7 +564,3 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) ||a - b||_1 for Hermitian a, b."""
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))

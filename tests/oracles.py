@@ -152,6 +152,11 @@ def noisy_state(family, p, gs, level=None, site=None, alpha=0.0):
     return np.outer(psi, psi.conj())
 
 
+def trace_distance(a, b):
+    """(1/2) ||a - b||_1 of two Hermitian matrices, from the eigenvalues of a - b."""
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
 def expectation(state, op):
     """<op> in a state vector or a density matrix (its real part)."""
     if state.ndim == 1:

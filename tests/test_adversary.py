@@ -8,6 +8,7 @@ import pytest
 from qetkd.adversary import (
     SPLIT_CASES,
     AttackScenario,
+    _gram_distance,
     _joint_counts,
     _key_bits,
     bob_reference_state,
@@ -16,8 +17,8 @@ from qetkd.adversary import (
     mutual_information_bits,
     split_attack,
 )
-from qetkd.models import chain3
-from qetkd.protocol import MeasurementBasis, prepare, run_ensemble
+from qetkd.models import chain3, star, two_site, two_site_partition_standard
+from qetkd.protocol import MeasurementBasis, local_projector, prepare, run_ensemble
 from qetkd.spinops import frobenius
 
 import oracles
@@ -275,3 +276,86 @@ class TestRoundMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def _gram_case(name):
+    if name == "two-site":
+        return prepare(two_site(1.0, 1.0), two_site_partition_standard(1.0, 1.0),
+                       MeasurementBasis.x(0))
+    if name.startswith("star"):
+        return prepare(*star(int(name[4:]), 1.0), MeasurementBasis.x(0), bob_label="B1")
+    return prepare(*chain3(float(name[7:])), MeasurementBasis.x(0))
+
+
+def _dense(ctx):
+    """(|g><g|, O) from the oracles: the register's ground state and O(a, b, basis),
+    the dense U(a) P(b) of ``RunContext.round_operator``, each 2x2 factor embedded
+    by Kronecker products."""
+    n = ctx.n_sites
+    _, g = oracles.ground(oracles.terms_matrix(ctx.spec.terms, n))
+
+    def op(a, b=None, basis=None):
+        u = oracles.embed_op(ctx.rule.local_rotation(a), ctx.rule.site, n)
+        if b is None:
+            return u
+        basis = basis or ctx.alice
+        return u @ oracles.embed_op(local_projector(basis, b), basis.site, n)
+    return np.outer(g, g.conj()), op
+
+
+class TestGramDistance:
+    """The trace distance on the whole register, from the marginal on S alone."""
+
+    @pytest.mark.parametrize("case", ["chain3 0", "chain3 0.5", "chain3 1", "chain3 2",
+                                      "two-site", "star2", "star5"])
+    @pytest.mark.parametrize("scenario", ["measured", "measured_y", "postselect",
+                                          "eve_waits"])
+    def test_random_signed_weights_match_dense_states(self, case, scenario):
+        ctx = _gram_case(case)
+        measured = [(a, b, ctx.alice) for a in (0, 1) for b in (0, 1)]
+        keys = {
+            "measured": measured,  # eve_independent and both eve_measures_first cases
+            "measured_y": [(a, b, MeasurementBasis.y(0)) for a in (0, 1) for b in (0, 1)],
+            "postselect": [(b, b, ctx.alice) for b in (0, 1)],
+            "eve_waits": [(a,) for a in (0, 1)],
+        }[scenario]
+        rho, op = _dense(ctx)
+        rng = np.random.default_rng(len(case) + 10 * len(scenario))
+        for _ in range(3):
+            weights = dict(zip(keys, rng.normal(size=len(keys))))
+            eve = sum(w * op(*k) @ rho @ op(*k).conj().T for k, w in weights.items())
+            bob = sum(op(b, b) @ rho @ op(b, b).conj().T for b in (0, 1))
+            got = _gram_distance(ctx, ctx.forms.marginal(ctx.gs), weights)
+            assert got == pytest.approx(oracles.trace_distance(eve, bob), abs=1e-12)
+
+    @pytest.fixture(scope="class")
+    def star5(self):
+        return _gram_case("star5")
+
+    def test_independent_on_the_star_matches_dense_states(self, star5):
+        rho, op = _dense(star5)
+        prob = np.array([np.trace(op(0, b) @ rho @ op(0, b).conj().T).real for b in (0, 1)])
+        prob /= prob.sum()
+        eve = sum(prob[a] * op(a, b) @ rho @ op(a, b).conj().T for a in (0, 1) for b in (0, 1))
+        bob = sum(op(b, b) @ rho @ op(b, b).conj().T for b in (0, 1))
+        report = eve_independent(star5, rounds=2000, seed=3)
+        support = list(star5.forms.support)
+        assert report.trace_distance_to_bob == pytest.approx(oracles.trace_distance(eve, bob),
+                                                              abs=1e-12)
+        assert report.trace_distance_to_bob > 0.01
+        assert np.allclose(report.eve_state, oracles.partial_trace(eve, support), atol=1e-12)
+        assert np.allclose(bob_reference_state(star5), oracles.partial_trace(bob, support),
+                           atol=1e-12)
+
+    def test_postselect_on_the_star_matches_dense_states(self, star5):
+        rho, op = _dense(star5)
+        bob = sum(op(b, b) @ rho @ op(b, b).conj().T for b in (0, 1))
+        report = eve_postselect(star5, rounds=2000, seed=3)
+        assert report.trace_distance_to_bob == 0.0
+        assert np.allclose(report.eve_state, oracles.partial_trace(bob, list(star5.forms.support)),
+                           atol=1e-12)
+
+    def test_eve_basis_off_the_support_refused(self, star5):
+        assert star5.forms.support == (0, 1)
+        with pytest.raises(ValueError, match="outside the receiver's support"):
+            eve_independent(star5, eve_basis=MeasurementBasis.x(2), rounds=10, seed=0)

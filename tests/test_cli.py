@@ -364,6 +364,17 @@ class TestModelParameters:
         ("noise", "--family", "classical", "--grid", "0:2:5"),
         ("noise", "--family", "classical", "--model", "chain3", "--J", "1",
          "--grid", "nan:1:5"),
+        ("qet", "--J", "nan"),
+        ("ground", "--J", "inf"),
+        ("noise", "--family", "classical", "--J", "inf"),
+        ("attack", "--scenario", "independent", "--J", "nan"),
+        ("session", "--J", "nan"),
+        ("qet", "--sweep-J", "0:nan:3"),
+        ("qet", "--model", "two-site", "--k", "nan"),
+        ("noise", "--family", "excited-sup", "--J", "1", "--alpha", "nan"),
+        ("noise", "--family", "excited-sup", "--J", "1", "--alpha", "inf"),
+        ("session", "--epsilon", "nan"),
+        ("session", "--epsilon", "inf"),
     ])
     def test_out_of_range_exits_2_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

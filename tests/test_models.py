@@ -9,6 +9,7 @@ from qetkd.models import (
     HamiltonianSpec,
     build_model,
     chain3,
+    check_model_parameters,
     energy_gap,
     model_sites,
     star,
@@ -18,6 +19,7 @@ from qetkd.models import (
     two_site_shift_constants,
 )
 from qetkd import spinops
+from qetkd.errors import ModelParameterError
 from qetkd.spinops import commutator, pauli_on_site
 
 import oracles
@@ -167,6 +169,17 @@ class TestChain3:
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError):
             chain3(-0.5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_parameters_rejected(bad):
+    builders = [lambda: chain3(bad), lambda: star(3, bad), lambda: two_site(bad, 1.0),
+                lambda: two_site(1.0, bad), lambda: two_site_partition_alternative(1.0, bad),
+                lambda: build_model("two-site", 1.0, k=bad)]
+    builders += [lambda m=m: check_model_parameters(m, bad) for m in ("chain3", "star")]
+    for build in builders:
+        with pytest.raises(ModelParameterError, match="and finite"):
+            build()
 
 
 def test_builders_solve_nothing(monkeypatch):

@@ -505,6 +505,11 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(kind="bit_flip", p=0.1)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            NoiseSpec("excited_superposition", 0.1, alpha=alpha)
+
     def test_kraus_completeness_enforced(self):
         with pytest.raises(ValueError):
             NoiseSpec(kind="local_kraus", p=0.0, site=1,

@@ -35,6 +35,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SessionConfig(epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_epsilon_finite(self, epsilon):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SessionConfig(epsilon=epsilon)
+
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             SessionConfig(model="heisenberg")

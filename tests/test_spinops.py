@@ -19,7 +19,6 @@ from qetkd.spinops import (
     sandwich,
     site_operator,
     term,
-    trace_distance,
 )
 
 import oracles
@@ -203,12 +202,6 @@ class TestValidators:
         require_hermitian(oracles.SY)
         with pytest.raises(ValueError):
             require_hermitian(1j * oracles.SY + oracles.SX * 0.5 + 1j * np.eye(2))
-
-    def test_trace_distance_basics(self):
-        a = np.diag([1.0, 0.0]).astype(complex)
-        b = np.diag([0.0, 1.0]).astype(complex)
-        assert trace_distance(a, b) == pytest.approx(1.0)
-        assert trace_distance(a, a) == pytest.approx(0.0)
 
     def test_commutator_of_commuting_is_zero(self):
         x0 = oracles.embed("X", 0, 2)
