@@ -81,17 +81,6 @@ class MeasurementBasis:
     def y(cls, site: int) -> "MeasurementBasis":
         return cls(site, (0.0, 1.0, 0.0))
 
-    @classmethod
-    def z(cls, site: int) -> "MeasurementBasis":
-        return cls(site, (0.0, 0.0, 1.0))
-
-    @classmethod
-    def haar_random(cls, site: int, rng: np.random.Generator) -> "MeasurementBasis":
-        """Uniform direction on the 2-sphere (normalized 3-d Gaussian)."""
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        return cls(site, tuple(float(c) for c in v))
-
 def local_projector(basis: MeasurementBasis, b: int) -> np.ndarray:
     """2x2 factor of P(b) = (1 - (-1)^b n.sigma) / 2 at the basis site."""
     if b not in (0, 1):
