@@ -24,9 +24,9 @@ first read of ``HamiltonianSpec.spectrum`` (``spinops.solve_sectors``;
 with N >= 3 leaves, whose H is unchanged by every permutation of the
 leaves, is solved in one hub (x) spin-j block per total leaf spin j, at
 most 2(N + 1) wide.  The chain, the two-site model and the star with one
-or two leaves are solved in the flip sectors of their terms, at most 4
-wide.  The solve forms no d x d operator and keeps no d x d eigenvector
-matrix.
+or two leaves, at most 3 sites, are solved as one dense block, at most 8
+wide.  The star's solve forms no d x d operator and keeps no d x d
+eigenvector matrix.
 """
 
 from __future__ import annotations
@@ -260,8 +260,8 @@ def energy_gap(spec: HamiltonianSpec) -> float:
 def first_excited_level(spec: HamiltonianSpec) -> np.ndarray:
     """The first excited level's eigenvectors, as register-basis columns.
 
-    In a degenerate level the columns, each from one block (a flip sector,
-    or one copy of a total leaf spin), are a gauge choice; their uniform
+    In a degenerate level the columns (from the dense block, or each from
+    one copy of a total leaf spin) are a gauge choice; their uniform
     mixture is not.  Raises DegenerateGroundError when the level joins the
     ground level."""
     evals = spec.spectrum.values

@@ -429,9 +429,10 @@ def run_session(config: SessionConfig,
     alice_key = KeyBits.from_codes(logical)
     parties = {}
     for j, label in enumerate(labels):
+        # decoding the table, not every round's energy, gives the same codes
+        codes = _decode(tables[j], epsilon).reshape(-1)[cell[:, j]]
         energy = tables[j].reshape(-1)[cell[:, j]]
-        parties[label] = PartyResult(label, KeyBits.from_codes(_decode(energy, epsilon)),
-                                     energy)
+        parties[label] = PartyResult(label, KeyBits.from_codes(codes), energy)
 
     worst_erasure = max(
         (p.key.erasure_fraction() for p in parties.values()), default=0.0

@@ -2,20 +2,17 @@
 
 A basis state |x> of n sites is the integer x whose most significant
 bit is site 0, matching the Kronecker order ``op_0 (x) op_1 (x) ...``.
-A Pauli product is then a signed permutation, P|x> = phase(x) |x ^ flip>,
-so Hamiltonians are assembled in O(terms * d) by scattering each term
-into the output.  Such an H never connects two basis states in different
-cosets of the GF(2) span of its terms' flip masks (its flip sectors), all
-of one size.  ``solve_sectors`` scatters H straight into its sectors, and
-``eigendecompose`` solves that stack of blocks in one batched call.  When
-the terms form a hub and at least three interchangeable leaves, H commutes
-with every permutation of the leaves, and ``solve_sectors`` solves it
-instead in one hub (x) spin-j block per total leaf spin j, 2(2j + 1) wide,
-whose eigenvectors reach the register by coupling the leaves one at a
-time.  A 2x2 operator at one site acts on a vector or matrix through a
-reshape that isolates that site's bit, at O(d) per vector and O(d^2) per
-matrix; no d x d operator product is ever formed for it, and
-``on_support`` builds a sum of terms on the few sites it touches.
+``solve_sectors`` solves H exactly.  When the terms form a hub and at
+least three interchangeable leaves, H commutes with every permutation of
+the leaves, and it is solved in one hub (x) spin-j block per total leaf
+spin j, 2(2j + 1) wide, whose eigenvectors reach the register by coupling
+the leaves one at a time.  Any other H (at most 3 sites in the models,
+or a spec built by hand) is ``assemble``d and solved as one dense block
+of at most ``DENSE_MAX_SITES`` sites.  A 2x2 operator at one site acts
+on a vector or matrix through a reshape that isolates that site's bit, at
+O(d) per vector and O(d^2) per matrix; no d x d operator product is ever
+formed for it, and ``on_support`` builds a sum of terms on the few sites
+it touches.
 
 Operators, pure states and density matrices are plain numpy arrays; the
 validators below enforce the class invariants (Hermiticity, unit norm,
@@ -33,6 +30,7 @@ import numpy as np
 from .tolerances import TOL
 
 MAX_SITES = 12  # the largest register tested; one d x d complex matrix is 268 MB here
+DENSE_MAX_SITES = 8  # H solved as one d x d block; a 12-site dense eigh took 8.9 s
 
 AXES = ("X", "Y", "Z")
 
@@ -117,27 +115,6 @@ def _require_site(site: int, n_sites: int) -> None:
         raise ValueError(f"site {site} out of range for {n_sites} sites")
 
 
-def _pauli_string(factors: tuple[tuple[int, str], ...], n_sites: int,
-                  ) -> tuple[int, np.ndarray]:
-    """(flip mask, phases) of a Pauli product: P|x> = phases[x] |x ^ flip>.
-
-    On its site's input bit x_s, X flips, Z multiplies by (-1)^x_s and
-    Y = i X Z does both with an extra factor i.
-    """
-    idx = np.arange(2 ** n_sites)
-    flip = 0
-    phases = np.ones(idx.shape, dtype=complex)
-    for site, axis in factors:
-        shift = n_sites - 1 - site
-        if axis != "Z":
-            flip |= 1 << shift
-        if axis != "X":
-            phases *= 1 - 2 * ((idx >> shift) & 1)
-        if axis == "Y":
-            phases *= 1j
-    return flip, phases
-
-
 def axis_operator(vector: np.ndarray) -> np.ndarray:
     """n . sigma as a 2x2 matrix, for a real unit 3-vector n."""
     v = np.asarray(vector, dtype=float)
@@ -167,93 +144,6 @@ def pauli_on_site(axis: str, site: int, n_sites: int) -> np.ndarray:
     return site_operator(PAULI[axis], site, n_sites)
 
 
-def assemble(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) -> np.ndarray:
-    """Coefficient-weighted sum of Pauli products; empty input gives the zero operator."""
-    blocks, states = assemble_sectors(terms, n_sites)
-    out = np.zeros((2 ** n_sites, 2 ** n_sites), dtype=complex)
-    out[states[:, :, None], states[:, None, :]] = blocks
-    return out
-
-
-def _flip_sectors(flips: list[int], n_sites: int) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    """(sector, position, (sectors, size)) of every basis state under a set of flip masks.
-
-    The flips span a GF(2) subspace F of rank r; a sector is a coset x ^ F.
-    F is put in reduced echelon form: each basis vector owns one pivot bit
-    that no other basis vector has.  Then x = rep ^ sum of the basis vectors
-    whose pivot bit x has set, where rep has every pivot bit clear, so x's
-    pivot bits give its position inside the coset and rep's other bits
-    name the coset.
-    """
-    pivots: dict[int, int] = {}  # pivot bit -> basis vector
-    for f in flips:
-        while f:
-            top = f.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = f
-                break
-            f ^= pivots[top]
-    for p in sorted(pivots, reverse=True):
-        for q in pivots:
-            if q != p and pivots[q] >> p & 1:
-                pivots[q] ^= pivots[p]
-    idx = np.arange(2 ** n_sites)
-    rep = idx.copy()
-    position = np.zeros_like(idx)
-    for i, p in enumerate(sorted(pivots)):
-        bit = (idx >> p) & 1
-        rep ^= bit * pivots[p]
-        position |= bit << i
-    sector = np.zeros_like(idx)
-    for i, b in enumerate(b for b in range(n_sites) if b not in pivots):
-        sector |= ((rep >> b) & 1) << i
-    return sector, position, (2 ** (n_sites - len(pivots)), 2 ** len(pivots))
-
-
-@dataclass(frozen=True, eq=False)
-class _SectorPlan:
-    """H's flip sectors, all but the coefficients; see ``_sector_plan``."""
-
-    states: np.ndarray      # (sectors, size): the basis states of each flip sector
-    flat: np.ndarray        # per term, then basis state x: stack index of its entry in column x
-    phases: np.ndarray      # (terms, d): each term's phase on x, real unless a Y count is odd
-
-    multiplicities = (1,)   # one stack, each block solved once
-
-    def columns(self, block_vectors, where) -> np.ndarray:
-        """Register-basis columns of the block eigenvectors at ``where``'s
-        (stack, sector, column) rows, each gathered onto its sector's states."""
-        (vectors,) = block_vectors
-        _, sector, col = np.transpose(where)
-        out = np.zeros((self.states.size, len(where)), dtype=vectors.dtype)
-        out[self.states[sector].T, np.arange(len(where))] = vectors[sector, :, col].T
-        return out
-
-
-@functools.lru_cache(maxsize=64)
-def _sector_plan(n_sites: int, factors: tuple) -> _SectorPlan:
-    """H's flip sectors, and where each term's entries land in their stack.
-
-    Term t maps |x> to phases[t, x] |x ^ flip_t>, and x ^ flip_t lies in x's
-    sector, so its entry in column x sits at row ``position[x ^ flip_t]`` of
-    block ``sector[x]``.  A Pauli product is Hermitian, so the mirror entry
-    is phases[t, x ^ flip_t] = conj(phases[t, x]); summed term by term in
-    the same order, every block is exactly Hermitian.
-    """
-    idx = np.arange(2 ** n_sites)
-    strings = [_pauli_string(f, n_sites) for f in factors]
-    sector, position, (sectors, size) = _flip_sectors([flip for flip, _ in strings], n_sites)
-    flat = np.empty((len(strings), idx.size), dtype=np.intp)
-    phases = np.empty(flat.shape, dtype=complex)
-    for t, (flip, p) in enumerate(strings):
-        flat[t] = (sector * size + position[idx ^ flip]) * size + position
-        phases[t] = p
-    states = np.empty((sectors, size), dtype=np.intp)
-    states[sector, position] = idx
-    states.flags.writeable = False  # shared by every spec of these factors
-    return _SectorPlan(states, flat.ravel(), phases if np.any(phases.imag) else phases.real)
-
-
 def _require_terms(terms, n_sites: int) -> None:
     _require_register(n_sites)
     for t in terms:
@@ -261,24 +151,14 @@ def _require_terms(terms, n_sites: int) -> None:
             raise ValueError(f"expected PauliTerms on {n_sites} sites, got {t!r}")
 
 
-def _scatter(terms, n_sites: int) -> tuple[_SectorPlan, list[np.ndarray]]:
-    """(cached plan, [its one stack of sector blocks]), in one bincount per part."""
+def assemble(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) -> np.ndarray:
+    """Coefficient-weighted sum of Pauli products as a dense d x d matrix, at
+    most ``DENSE_MAX_SITES`` sites; empty input gives the zero operator."""
     _require_terms(terms, n_sites)
-    plan = _sector_plan(n_sites, tuple(t.factors for t in terms))
-    c = np.array([t.coefficient for t in terms])[:, None]
-    sectors, size = plan.states.shape
-    data = np.bincount(plan.flat, (c * plan.phases.real).ravel(), sectors * size * size)
-    if np.iscomplexobj(plan.phases):
-        data = data + 1j * np.bincount(plan.flat, (c * plan.phases.imag).ravel(), data.size)
-    return plan, [data.reshape(sectors, size, size)]
-
-
-def assemble_sectors(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(blocks, states): H is the direct sum of ``blocks[s]`` on the basis states
-    ``states[s]`` of flip sector s, real unless a term has an odd number of Ys."""
-    plan, (blocks,) = _scatter(terms, n_sites)
-    return blocks, plan.states
+    if n_sites > DENSE_MAX_SITES:
+        raise ValueError(f"a dense H is built on at most {DENSE_MAX_SITES} sites, "
+                         f"got {n_sites}")
+    return on_support(terms, range(n_sites))
 
 
 def _hub_and_leaves(terms, n_sites: int) -> tuple[int, np.ndarray] | None:
@@ -288,8 +168,8 @@ def _hub_and_leaves(terms, n_sites: int) -> tuple[int, np.ndarray] | None:
     A term is kept as (hub axis, leaf axis, coefficient), axis 0 for no
     factor and 1, 2, 3 for X, Y, Z, so the leaves' lists compare with the
     leaf's index relabelled.  C[a, b] sums the hub terms' and one leaf's
-    coefficients per (a, b).  Three leaves at least: with fewer, the flip
-    sectors are at most 4 wide.
+    coefficients per (a, b).  Three leaves at least: with fewer, H has at
+    most 3 sites and its dense block is at most 8 wide.
     """
     for hub in range(n_sites if n_sites >= 4 else 0):
         per_leaf: dict[int, list] = {s: [] for s in range(n_sites) if s != hub}
@@ -408,14 +288,26 @@ def _collective_blocks(terms, n_sites: int) -> tuple[_CollectivePlan, list[np.nd
     return plan, stacks
 
 
+class _DensePlan:
+    """Any H that ``_collective_blocks`` does not take, as one register-wide block."""
+
+    multiplicities = (1,)   # one stack of one block, solved once
+
+    def columns(self, block_vectors, where) -> np.ndarray:
+        """The block's eigenvector columns at ``where``'s (0, 0, column) rows."""
+        (vectors,) = block_vectors
+        return vectors[0][:, where[:, 2]]
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """H's eigenvalues, ascending, with its eigenvectors kept block by block."""
+    """H's eigenvalues, ascending, with its eigenvectors kept block by block:
+    the collective hub (x) spin-j blocks, or H itself as one dense block."""
 
     values: np.ndarray
-    plan: _SectorPlan | _CollectivePlan
+    plan: _CollectivePlan | _DensePlan
     block_vectors: tuple[np.ndarray, ...]  # per stack: (blocks, m, m), as columns
-    where: np.ndarray       # (stack, sector or copy, column) of each ascending level
+    where: np.ndarray       # (stack, block copy, column) of each ascending level
 
     @functools.cached_property
     def ground(self) -> np.ndarray:
@@ -437,11 +329,13 @@ def solve_sectors(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) 
 
     A hub with at least three interchangeable leaves is solved in its hub (x)
     total-leaf-spin blocks (``_collective_blocks``), each block's levels
-    repeated once per copy of its spin.  Any other H is solved in its flip
-    sectors, all of one size: one scatter by a plan cached on the terms'
-    factors alone, so specs that differ only in coefficients share it.
+    repeated once per copy of its spin.  Any other H (chain3, the two-site
+    model, the star with one or two leaves, specs built by hand) is
+    ``assemble``d and solved as one dense block, which refuses more than
+    ``DENSE_MAX_SITES`` sites with ValueError.
     """
-    plan, stacks = _collective_blocks(terms, n_sites) or _scatter(terms, n_sites)
+    plan, stacks = (_collective_blocks(terms, n_sites)
+                    or (_DensePlan(), [assemble(terms, n_sites)[None]]))
     solved = [eigendecompose(stack) for stack in stacks]
     values = [np.repeat(v, m, axis=0) for (v, _), m in zip(solved, plan.multiplicities)]
     where = np.concatenate([np.c_[np.full(v.size, g), np.indices(v.shape).reshape(2, -1).T]
@@ -516,12 +410,12 @@ def sandwich(op: np.ndarray, site: int, m: np.ndarray) -> np.ndarray:
 def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
-    A stack of matrices along axis 0 (the blocks of one size of
-    ``solve_sectors``) is solved in one batched call, with eigenvalues
-    ascending within each block.  A matrix without imaginary part is
-    diagonalized as a real symmetric one, which returns real eigenvectors.  Degenerate clusters come back
-    in an arbitrary orthonormal gauge; callers must not rely on the gauge
-    inside a cluster.
+    A stack of matrices along axis 0 (each stack of ``solve_sectors``: one
+    collective block, or the one dense block) is solved in one batched
+    call, with eigenvalues ascending within each block.  A matrix without
+    imaginary part is diagonalized as a real symmetric one, which returns
+    real eigenvectors.  Degenerate clusters come back in an arbitrary
+    orthonormal gauge; callers must not rely on the gauge inside a cluster.
     """
     require_hermitian(h)
     if np.iscomplexobj(h) and not np.any(h.imag):

@@ -189,19 +189,19 @@ def _scan_cases():
 # name: SHA-256 of the CSV, stdout and exit code of a ``noise`` run.  The
 # digests pin the bytes written by a scan that evaluated its grid point by point.
 SCAN_DIGESTS = {
-    "chain3-classical": "8a8fefb26532335221e209919d7741a9c5e53a6d66da02700123896c8c88d4ac",
-    "chain3-depolarize": "3e284bbb06e49e355dbcded19605892b6c3ab18cb38294a49cd082201efa8c4f",
-    "chain3-bitflip": "517c416119aaaaa28c6e02b2a6935c603347aabbfb8ed120e0711c42dfa4f71f",
-    "chain3-phaseflip": "18355f409ce581d8f5c21b0d51cbc4f83d4a9466f4c05d1ab010cb52b700677e",
-    "chain3-excited-mix": "7b8046bf94b4592bb5b93d73acf5a314f421f5327c8e50ea227b5e27b33fa785",
-    "chain3-excited-sup": "d04a00adaf4faed5596028cb7903d2fc95af8ca0ea6731e3875946b1e6813be2",
+    "chain3-classical": "608131068bb8ccb81b220b41a2d65e66bca4ef3570ca24736a347e04ce63e1a5",
+    "chain3-depolarize": "11a574f3439a1d7c86de82ff39652b21d3d9a0409e4f01f6779b58834749f433",
+    "chain3-bitflip": "09ac604c51d1d647ab710706f816999141ca45957053b654cf3a57018501a366",
+    "chain3-phaseflip": "55a35e99e94981e77959f12376c0e76f6d0cb08157e0126d175a0ad9ba6636fc",
+    "chain3-excited-mix": "c34f9dab80e96ec0de04565d54dac643112aa9c3cdeeeb62e2f77a029222bfa3",
+    "chain3-excited-sup": "1bbb5bf9a8c7e41cb775a79cccf92fed6f85c82fccfa6cfbcd0d534af3c72592",
     "star6-classical": "22e2c6fa38c854d806a934d646c3b24af72585282e15ffbaf2ceda40cac16157",
     "star6-depolarize": "09950209c94d0feb5d54f464ab8469acfc5b4865cb07d9acf651da071ac68e1f",
     "star6-bitflip": "2b0d098f139349181950eabe35723298bdcb1c3aa8f0c27d5de3d549f65221f4",
     "star6-phaseflip": "f2127156f32ae7a51a59a4f8fcf9aa587e0523d6051455e5a8b5ecc7aeff409c",
     "star6-excited-mix": "b2fcb1a1b9326cd827b1fa685c9fc91f4b697a766b9dee317a6aa1ba526ca3b7",
     "star6-excited-sup": "b63b67d4823038deeb72db8fe89d7919735be2d0d4837ab250c254a10d139e89",
-    "chain3-excited-sup-alpha": "6ef918401b37d372b777f00e247ffcafd9e20715fb625bdcedb2539e38ad9772",
+    "chain3-excited-sup-alpha": "dbdd41ff24812fbcc370a2f82af56767082e563a254c13480d044e7d473291ef",
     "chain3-bitflip-alice": "b8330c4a000e81ace9455107b850859ad652fbe2398ac8f005335f33b160171d",
 }
 

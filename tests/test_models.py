@@ -240,7 +240,7 @@ class TestEnergyGap:
         energy_gap(spec)
         ground_state(spec)
         prepare(spec, part, MeasurementBasis.x(0))
-        assert solves == [(2, 4, 4)]
+        assert solves == [(1, 8, 8)]  # one dense block
 
     def test_exactly_degenerate_returns_zero(self):
         from qetkd.spinops import term

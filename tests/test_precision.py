@@ -7,6 +7,12 @@ products.  Eigenvalues must agree within 1e-14 max(1, ||H||) and the
 ground vector must overlap the 40-digit ground state to within 1e-13 of 1,
 so a change of solver is held to the precision of the value itself rather
 than to another float64 computation.
+
+``threshold_scan`` is held the same way at the chain3 scan cells nearest
+zero, where a printed ``.12g`` cell carries digits below the float64
+accuracy of the energy: each E_B is recomputed at 40 digits from the same
+float inputs (coupling, p, axes), with the ground state, the excited
+level and theta all solved at 40 digits.
 """
 
 import functools
@@ -16,7 +22,8 @@ import numpy as np
 import pytest
 
 from qetkd.models import chain3, two_site
-from qetkd.noise import default_chain_coupling
+from qetkd.noise import default_chain_coupling, threshold_scan
+from qetkd.protocol import MeasurementBasis, prepare
 
 DIGITS = 40
 PAULI = {"X": [[0, 1], [1, 0]], "Y": [[0, -1j], [1j, 0]], "Z": [[1, 0], [0, -1]]}
@@ -38,13 +45,18 @@ def mp_term(factors, n):
     return out
 
 
+def mp_sum(terms, n):
+    """A sum of Pauli terms as an exact mpmath matrix on n sites."""
+    out = mpmath.zeros(2 ** n, 2 ** n)
+    for t in terms:
+        out += mpmath.mpf(t.coefficient) * mp_term(t.factors, n)
+    return out
+
+
 def mp_solve(spec):
     """(eigenvalues ascending, ground vector) of the spec's H at 40 digits."""
     d = 2 ** spec.n_sites
-    h = mpmath.zeros(d, d)
-    for t in spec.terms:
-        h += mpmath.mpf(t.coefficient) * mp_term(t.factors, spec.n_sites)
-    values, vectors = mpmath.eighe(h)
+    values, vectors = mpmath.eighe(mp_sum(spec.terms, spec.n_sites))
     order = sorted(range(d), key=lambda i: values[i])
     return [values[i] for i in order], [vectors[r, order[0]] for r in range(d)]
 
@@ -81,3 +93,133 @@ def test_ground_vector_overlap_is_one(name):
                                   for e, g in zip(exact, spec.spectrum.ground)))
         norm = mpmath.sqrt(mpmath.fsum(abs(e) ** 2 for e in exact))
         assert abs(overlap / norm - 1) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# threshold-scan cells near zero
+# ---------------------------------------------------------------------------
+
+def mp_trace(m):
+    return mpmath.fsum(m[i, i] for i in range(m.rows))
+
+
+def mp_axis(vector, site, n):
+    """n . sigma at ``site`` for a unit 3-vector of floats or mpfs, exactly."""
+    return sum((mpmath.mpf(c) * mp_term(((site, axis),), n)
+                for c, axis in zip(vector, "XYZ") if c), mpmath.zeros(2 ** n, 2 ** n))
+
+
+def mp_level(vectors, column):
+    """One eigenvector column with its largest amplitude rotated real positive,
+    the gauge of ``Spectrum.vectors``."""
+    v = vectors.column(column)
+    top = max(range(v.rows), key=lambda r: abs(v[r]))
+    return v * (abs(v[top]) / v[top])
+
+
+class MpChain:
+    """The protocol on one model at working precision: the sender measures
+    ``n`` at site 0, the receiver rotates about ``m`` at ``bob_site`` by the
+    theta solved from the 40-digit ground state (``m`` None: the axis that
+    maximizes eta)."""
+
+    def __init__(self, spec, partition, n, m=None, bob_site=2):
+        self.n_sites = k = spec.n_sites
+        self.h = mp_sum(spec.terms, k)
+        self.h_a, self.h_b = (mp_sum(partition.parts[label], k) for label in ("A", "B"))
+        values, vectors = mpmath.eighe(self.h)
+        order = sorted(range(len(values)), key=lambda i: values[i])
+        self.ground, self.first = (mp_level(vectors, order[i]) for i in (0, 1))
+        self.one = mpmath.eye(2 ** k)
+        self.sigma = mp_axis(n, 0, k)
+        rho = self.ground * self.ground.H
+        if m is None:  # eta(m) = m . (i Tr[sigma [tau_j, H] rho])_j
+            c = [mpmath.re(1j * mp_trace(self.sigma * self.commutator(tau, rho)))
+                 for tau in (mp_term(((bob_site, axis),), k) for axis in "XYZ")]
+            norm = mpmath.sqrt(mpmath.fsum(x ** 2 for x in c))
+            m = [x / norm for x in c]
+        self.tau = mp_axis(m, bob_site, k)
+        xi = mpmath.re(mp_trace(self.tau * (self.h * self.tau - self.tau * self.h) * rho))
+        eta = mpmath.re(1j * mp_trace(self.sigma * self.commutator(self.tau, rho)))
+        self.theta = mpmath.atan2(eta, xi) / 2
+
+    def commutator(self, tau, rho):
+        """[tau, H] rho."""
+        return (tau * self.h - self.h * tau) * rho
+
+    def projector(self, b):
+        return (self.one - (-1) ** b * self.sigma) / 2
+
+    def rotation(self, sent):
+        return (mpmath.cos(self.theta) * self.one
+                - 1j * (-1) ** sent * mpmath.sin(self.theta) * self.tau)
+
+    def e_bob(self, rho, flip=0):
+        """The ensemble E_B of a unit-trace input at classical flip probability ``flip``."""
+        total = -mp_trace(rho * self.h_b)
+        for b in (0, 1):
+            post = self.projector(b) * rho * self.projector(b)
+            for sent, weight in ((b, 1 - flip), (1 - b, flip)):
+                u = self.rotation(sent)
+                total += weight * mp_trace(u * post * u.H * self.h_b)
+        return mpmath.re(total)
+
+    def decode(self, b, sent):
+        """The energy the rotation for ``sent`` extracts after outcome ``b`` on |g>."""
+        post = self.projector(b) * self.ground * self.ground.H * self.projector(b)
+        u = self.rotation(sent)
+        return mpmath.re((mp_trace(u * post * u.H * self.h_b) - mp_trace(post * self.h_b))
+                         / mp_trace(post))
+
+    def scan_e_bob(self, family, p, site=2, alpha=0.0):
+        """E_B of a threshold-scan family at probability p, from its branch states."""
+        p = mpmath.mpf(float(p))
+        g = self.ground * self.ground.H
+        if family == "classical_flip":
+            return self.e_bob(g, p)
+        if family == "excited_superposition":
+            plus = (self.ground + mpmath.expj(float(alpha)) * self.first) / mpmath.sqrt(2)
+            states = (g, self.first * self.first.H, plus * plus.H)
+            c = mpmath.sqrt(p * (1 - p))
+            return mpmath.fsum(w * self.e_bob(s) for w, s in zip((1 - p - c, p - c, 2 * c), states))
+        if family == "excited_mixture":  # the first excited level is one vector here
+            other = self.first * self.first.H
+        else:
+            flip = mp_term(((site, {"bit_flip": "X", "phase_flip": "Z"}[family]),), self.n_sites)
+            other = flip * g * flip
+        return (1 - p) * self.e_bob(g) + p * self.e_bob(other)
+
+
+# (coupling, family, p): the six chain3 cells near zero whose printed .12g
+# E_B moved by more than one unit when the solver changed summation order
+NEAR_ZERO_CELLS = [
+    (None, "classical_flip", 0.25),
+    (None, "excited_superposition", 0.23),
+    (None, "excited_mixture", 0.23),
+    (1.0, "classical_flip", 0.25),
+    (1.0, "bit_flip", 0.06),
+    (1.0, "excited_mixture", 0.11),
+]
+GRID = np.linspace(0.0, 1.0, 101)  # the CLI's default grid
+
+
+@functools.lru_cache(maxsize=None)
+def chain_at(coupling):
+    """(ctx, MpChain) of chain3 measured in X, the receiver rotating about Y."""
+    spec, partition = chain3(default_chain_coupling() if coupling is None else coupling)
+    ctx = prepare(spec, partition, MeasurementBasis.x(0))
+    assert ctx.rule.vector == (0.0, 1.0, 0.0)
+    with mpmath.workdps(DIGITS):
+        return ctx, MpChain(spec, partition, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("coupling, family, p", NEAR_ZERO_CELLS)
+def test_scan_cells_near_zero_match_forty_digits(coupling, family, p):
+    ctx, exact = chain_at(coupling)
+    kwargs = {"site": ctx.rule.site} if family == "bit_flip" else {}
+    report = threshold_scan(ctx, family, GRID, **kwargs)
+    i = int(np.flatnonzero(np.isclose(GRID, p))[0])
+    with mpmath.workdps(DIGITS):
+        want = exact.scan_e_bob(family, GRID[i], ctx.rule.site)
+        assert abs(mpmath.mpf(report.e_bob[i]) - want) <= 1e-15
+        assert abs(want) < 6e-5  # a cell far below ||H||, as named

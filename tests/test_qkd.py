@@ -222,10 +222,10 @@ TRANSCRIPTS = {
     "two-random": (dict(rounds=500, basis_policy="two-random", seed=4), None),
     "haar": (dict(rounds=100, basis_policy="haar", verify_bits=0, seed=5,
                   erasure_abort_fraction=1.0),
-             "e9d2725fff32f6bd23fcdd697edd72e99e91ba176aab2f070f6f2a7267b6e913"),
+             "f4320bb5f246552264f14fe295deb2026e262ba864ef5f79e9e1552a0a6a26df"),
     "haar-byte-cells": (dict(rounds=40, basis_policy="haar", verify_bits=0, seed=5,
                              erasure_abort_fraction=1.0),
-                        "10d6c2f0edc45c42056824105489d84d3b3edcc435cefa4b4075be5f221ce096"),
+                        "32ddbd9a8ad938c4be4930586160e1691c653cefd6745c0bfe1e67f3c1cdcb55"),
     "classical-flip": (dict(rounds=1000, seed=6, noise=NoiseSpec("classical_flip", 0.02)),
                        None),
     "star3": (dict(model="star", n_parties=3, rounds=3000, seed=7),

@@ -1,15 +1,15 @@
-"""The symmetry-block spectrum against dense Kronecker-product oracles.
+"""The block spectrum against dense Kronecker-product oracles.
 
 ``HamiltonianSpec.spectrum`` has two solvers.  A hub with at least three
 interchangeable leaves is solved in hub (x) total-leaf-spin blocks; any
-other H, block by block in the cosets of the span of its terms' flip masks
-(its flip sectors).  These tests compare it with ``np.linalg.eigh`` on the
-oracle matrix of the same Hamiltonian: the eigenvalues and their
-multiplicities, each eigenvector's residual and orthonormality, the ground
-state up to a phase and the first excited level's projector.  Specs that
-site swaps leave unchanged, which the flip sectors solve without using the
-swaps, stay among the inputs.  The sector blocks must be exactly Hermitian
-at any coefficient scale.
+other H, as one dense block of at most ``spinops.DENSE_MAX_SITES`` sites.
+These tests compare it with ``np.linalg.eigh`` on the oracle matrix of the
+same Hamiltonian: the eigenvalues and their multiplicities, each
+eigenvector's residual and orthonormality, the ground state up to a phase
+and the first excited level's projector.  Specs that site swaps leave
+unchanged stay among the inputs.  The dense H must be exactly Hermitian at
+any coefficient scale, and a larger non-collective H is refused before any
+matrix is built.
 """
 
 import functools
@@ -29,7 +29,7 @@ from qetkd.models import HamiltonianSpec, chain3, first_excited_level, star, two
     two_site_partition_alternative
 from qetkd.noise import default_chain_coupling
 from qetkd.protocol import ground_state
-from qetkd.spinops import assemble_sectors, eigendecompose, reduced_density, term
+from qetkd.spinops import assemble, eigendecompose, reduced_density, term
 
 import oracles
 
@@ -75,20 +75,19 @@ class TestModelSpectra:
     def test_two_site(self):
         assert_spectrum_matches(two_site(1.3, 0.4), oracles.two_site_matrix(1.3, 0.4))
 
-    @pytest.mark.parametrize("make", [lambda: star(5, 1.0)[0], lambda: chain3(0.7)[0],
+    @pytest.mark.parametrize("make", [lambda: star(2, 1.0)[0], lambda: chain3(0.7)[0],
                                       lambda: two_site(1.0, 1.0)])
-    def test_models_split_into_two_parity_blocks(self, make):
+    def test_small_models_are_one_real_dense_block(self, make):
         spec = make()
-        blocks, states = assemble_sectors(spec.terms, spec.n_sites)
-        half = 2 ** (spec.n_sites - 1)
-        assert blocks.shape == (2, half, half)
-        assert not np.iscomplexobj(blocks)
-        parity = np.array([bin(x).count("1") % 2 for x in range(2 ** spec.n_sites)])
-        assert set(parity[states[0]]) == {0} and set(parity[states[1]]) == {1}
-        assert not states.flags.writeable  # the cached plan's, read by later solves
+        d = 2 ** spec.n_sites
+        assert isinstance(spec.spectrum.plan, spinops._DensePlan)
+        (vectors,) = spec.spectrum.block_vectors
+        assert vectors.shape == (1, d, d) and not np.iscomplexobj(vectors)
+        np.testing.assert_array_equal(assemble(spec.terms, spec.n_sites),
+                                      oracles.terms_matrix(spec.terms, spec.n_sites))
 
 
-class TestSectorShapes:
+class TestDenseBlock:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_random_specs_with_y_factors(self, n):
         rng = np.random.default_rng(700 + n)
@@ -96,9 +95,9 @@ class TestSectorShapes:
             spec = random_spec(n, rng)
             assert_spectrum_matches(spec, oracles.terms_matrix(spec.terms, n))
 
-    def test_random_pair_flips_give_many_complex_sectors(self):
+    def test_random_pair_flips_give_one_complex_block(self):
         # X/Y products on the pairs (0,1), (2,3), (4,5) flip both sites of a
-        # pair: a rank-3 span, so 8 sectors of 8 states each
+        # pair, and an X Y term makes H complex: one 64-wide complex block
         rng = np.random.default_rng(77)
         n = 6
         for _ in range(3):
@@ -108,47 +107,55 @@ class TestSectorShapes:
             terms += [term(float(rng.normal()), (k, "Z")) for k in range(n)]
             terms.append(term(1.0, (0, "X"), (1, "Y")))
             spec = HamiltonianSpec("pairs", n, tuple(terms))
-            blocks, _ = assemble_sectors(spec.terms, n)
-            assert blocks.shape == (8, 8, 8) and np.iscomplexobj(blocks)
+            (vectors,) = spec.spectrum.block_vectors
+            assert vectors.shape == (1, 64, 64) and np.iscomplexobj(vectors)
             assert_spectrum_matches(spec, oracles.terms_matrix(spec.terms, n))
 
-    def test_odd_y_count_gives_complex_blocks(self):
+    def test_odd_y_count_gives_a_complex_block(self):
         spec = HamiltonianSpec("xy", 3, (term(0.8, (0, "X"), (1, "Y")), term(0.5, (1, "Z")),
                                          term(-0.3, (2, "Y"), (1, "X")), term(0.2, (0, "Z"))))
-        blocks, _ = assemble_sectors(spec.terms, spec.n_sites)
-        assert np.iscomplexobj(blocks) and np.any(blocks.imag)
+        assert np.any(assemble(spec.terms, spec.n_sites).imag)
+        assert np.iscomplexobj(spec.spectrum.block_vectors[0])
         assert_spectrum_matches(spec, oracles.terms_matrix(spec.terms, 3))
 
-    def test_flips_spanning_the_register_give_one_sector(self):
+    def test_transverse_ising(self):
         n = 4
         terms = tuple(term(0.6 + 0.1 * k, (k, "X")) for k in range(n)) + tuple(
             term(1.0, (k, "Z"), (k + 1, "Z")) for k in range(n - 1))
         spec = HamiltonianSpec("transverse-ising", n, terms)
-        blocks, states = assemble_sectors(spec.terms, n)
-        assert blocks.shape == (1, 2 ** n, 2 ** n)
-        assert sorted(states[0]) == list(range(2 ** n))
         assert_spectrum_matches(spec, oracles.terms_matrix(terms, n))
 
-    def test_z_only_spec_gives_one_state_per_sector(self):
+    def test_z_only_spec_gives_the_sorted_diagonal(self):
         n = 3
         terms = (term(1.0, (0, "Z")), term(0.5, (1, "Z")), term(-0.25, (2, "Z")),
                  term(0.3, (0, "Z"), (2, "Z")))
         spec = HamiltonianSpec("fields", n, terms)
-        blocks, states = assemble_sectors(terms, n)
-        assert blocks.shape == (2 ** n, 1, 1)
-        assert sorted(states[:, 0]) == list(range(2 ** n))
-        assert_spectrum_matches(spec, oracles.terms_matrix(terms, n))
+        h = oracles.terms_matrix(terms, n)
+        np.testing.assert_allclose(spec.spectrum.values, np.sort(np.diag(h).real),
+                                   rtol=0, atol=1e-15)
+        assert_spectrum_matches(spec, h)
 
-    def test_blocks_are_the_submatrices_of_h(self):
+    def test_dense_block_is_h(self):
         spec = random_spec(5, np.random.default_rng(5))
         h = oracles.terms_matrix(spec.terms, 5)
-        blocks, states = assemble_sectors(spec.terms, 5)
-        for block, sites in zip(blocks, states):
-            np.testing.assert_allclose(block, h[np.ix_(sites, sites)], rtol=0, atol=1e-14)
-        outside = np.ones(h.shape, dtype=bool)
-        for sites in states:
-            outside[np.ix_(sites, sites)] = False
-        assert not np.any(h[outside])
+        np.testing.assert_allclose(assemble(spec.terms, 5), h, rtol=0, atol=1e-14)
+        assert_spectrum_matches(spec, h)
+
+    def test_nine_sites_are_refused_before_any_matrix(self):
+        # a ring of 9 sites is no hub and leaves; its dense H would be 512 x 512
+        n = 9
+        terms = tuple(term(1.0, (k, "X"), ((k + 1) % n, "X")) for k in range(n)) + tuple(
+            term(0.5, (k, "Z")) for k in range(n))
+        spec = HamiltonianSpec("ring-9", n, terms)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"at most {spinops.DENSE_MAX_SITES} sites"):
+                spec.spectrum
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spinops.DENSE_MAX_SITES == 8
+        assert peak < 1_000_000
 
 
 class TestStackedSolve:
@@ -185,23 +192,23 @@ def y_specs(draw):
 
 
 def assert_exactly_hermitian(terms, n):
-    blocks, _ = assemble_sectors(terms, n)
-    assert np.array_equal(blocks, blocks.conj().swapaxes(-1, -2))
-    return blocks
+    h = assemble(terms, n)
+    assert np.array_equal(h, h.conj().T)
+    return h
 
 
 class TestHermitianBlocks:
-    """Every entry of a sector block and its mirror are summed from the same
-    terms in the same order, so the blocks are Hermitian exactly, not
-    within a tolerance, at any coefficient scale."""
+    """Every Pauli product has entries 0, +-1 and +-i, exactly, and an entry of
+    the dense H and its mirror sum the same terms in the same order, so H is
+    Hermitian exactly, not within a tolerance, at any coefficient scale."""
 
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
     @given(y_specs())
     def test_random_specs_with_y_factors(self, spec):
         n, terms = spec
-        blocks = assert_exactly_hermitian(terms, n)
-        assert np.iscomplexobj(blocks)
-        eigendecompose(blocks)
+        h = assert_exactly_hermitian(terms, n)
+        assert np.any(h.imag)
+        eigendecompose(h)
 
     def test_chain3_at_a_large_coupling(self):
         spec, _ = chain3(2e6)
@@ -216,21 +223,24 @@ class TestHermitianBlocks:
 
 
 class TestNoRegisterMatrix:
-    def test_builders_assemble_no_register_matrix(self, monkeypatch):
-        def refuse(terms, n_sites):
-            raise AssertionError(f"d x d assemble of {n_sites} sites")
-
+    def test_builders_assemble_only_the_dense_block(self, monkeypatch):
         # models imports no assemble; any d x d assembly goes through spinops.
-        # A build is symbolic, so each spec is solved too.
-        monkeypatch.setattr(spinops, "assemble", refuse)
+        # A build is symbolic, so each spec is solved too: the star in its
+        # collective blocks, chain3 and the two-site model as one dense H each.
+        sizes = []
+        original = spinops.assemble
+        monkeypatch.setattr(spinops, "assemble",
+                            lambda terms, n_sites: sizes.append(n_sites) or original(terms, n_sites))
         ground_state(star(4, 1.0)[0])
-        ground_state(chain3(0.9)[0])
         two_site_partition_alternative(1.0, 0.5)
+        assert sizes == []
+        ground_state(chain3(0.9)[0])
         ground_state(two_site(1.0, 0.5))
+        assert sizes == [3, 2]
 
     def test_star9_build_memory(self):
         # the full 1024 x 1024 complex solve and ten d x d shift assembles
-        # peaked at 50.5 MB; the sector solve needs less than half of that.
+        # peaked at 50.5 MB; the block solve needs less than half of that.
         # A build is symbolic, so the traced region runs to the ground state.
         tracemalloc.start()
         try:
@@ -273,7 +283,7 @@ def multiplicities(values, tol=1e-9):
 
 
 class TestSwapSectors:
-    """Specs that site swaps leave unchanged, solved in their plain flip sectors."""
+    """Specs that site swaps leave unchanged, solved without using the swaps."""
 
     @pytest.mark.parametrize("n, swaps", [(4, ((1, 2),)), (5, ((0, 3),)),
                                           (6, ((1, 4), (2, 5))), (5, ((0, 1), (2, 4)))])
@@ -290,7 +300,7 @@ class TestSwapSectors:
         text = spec.to_text().replace("1 0:X 1:X\n", "0.9 0:X 1:X\n")
         skew = HamiltonianSpec.from_text("star-4-skew", 5, text)
         assert skew.terms[0].coefficient == 0.9
-        assert not isinstance(skew.spectrum.plan, spinops._CollectivePlan)
+        assert isinstance(skew.spectrum.plan, spinops._DensePlan)
         plan = star(4, 1.0)[0].spectrum.plan
         assert (plan.widths, plan.multiplicities) == ((10, 6, 2), (1, 3, 2))
         assert_spectrum_matches(skew, oracles.terms_matrix(skew.terms, 5))
@@ -303,27 +313,19 @@ class TestSwapSectors:
         spec = HamiltonianSpec("exchanging", 3, terms)
         assert_spectrum_matches(spec, oracles.terms_matrix(terms, 3))
 
-    def test_one_plan_per_factor_tuple(self):
-        # the plan holds no coefficient: equal and unequal end fields, and
-        # any chain coupling, share one plan per tuple of factors
+    def test_specs_that_differ_in_coefficients(self):
+        # equal and unequal end fields, and any chain coupling, each solved
+        # in either order
         factors = (((0, "X"), (1, "X")), ((1, "X"), (2, "X")),
                    ((0, "Z"),), ((1, "Z"),), ((2, "Z"),))
-        specs = {c: HamiltonianSpec("fields", 3, tuple(term(v, *f) for v, f in zip(c, factors)))
-                 for c in [(0.7, 0.7, 1.0, 1.0, 1.0), (0.7, 0.7, 1.3, 1.0, 1.0)]}
-        for order in (list(specs), list(specs)[::-1]):
-            spinops._sector_plan.cache_clear()
-            plans = []
+        fields = [(0.7, 0.7, 1.0, 1.0, 1.0), (0.7, 0.7, 1.3, 1.0, 1.0)]
+        for order in (fields, fields[::-1]):
             for c in order:
-                spec = HamiltonianSpec("fields", 3, specs[c].terms)
-                plans.append(spec.spectrum.plan)
+                spec = HamiltonianSpec("fields", 3, tuple(term(v, *f) for v, f in zip(c, factors)))
                 assert_spectrum_matches(spec, oracles.terms_matrix(spec.terms, 3))
-            assert plans[0] is plans[1]
         for order in ([1.0, 0.7], [0.7, 1.0]):
-            spinops._sector_plan.cache_clear()
-            specs = [chain3(j)[0] for j in order]
-            assert specs[0].spectrum.plan is specs[1].spectrum.plan
-            for j, spec in zip(order, specs):
-                assert_spectrum_matches(spec, oracles.chain3_matrix(j))
+            for j in order:
+                assert_spectrum_matches(chain3(j)[0], oracles.chain3_matrix(j))
 
     @pytest.mark.parametrize("n_parties", range(3, 10))
     def test_star_leaf_multiplets(self, n_parties):
@@ -371,7 +373,6 @@ class TestSwapSectors:
     def test_spectrum_builds_no_register_matrix(self):
         # star N=9: one 1024 x 1024 float64 matrix would be 8.4 MB
         spec = HamiltonianSpec("star-9", 10, star(9, 1.0)[0].terms)
-        spinops._sector_plan.cache_clear()
         tracemalloc.start()
         try:
             spec.spectrum.vectors([0, 1, 2])
@@ -392,7 +393,6 @@ class TestSwapSectors:
         # the d x d eigenvector scatter peaked at 269 MB; the symmetry blocks
         # of star N=11 need less than a quarter of that.  A build is
         # symbolic, so the traced region runs to the ground state.
-        spinops._sector_plan.cache_clear()
         tracemalloc.start()
         try:
             ground_state(star(11, 1.0)[0])
@@ -427,11 +427,11 @@ class TestCollectiveBlocks:
         assert sum(w * m for w, m in zip(plan.widths, want)) == 2 ** (n_parties + 1)
 
     @pytest.mark.parametrize("n_parties", [1, 2])
-    def test_one_or_two_leaves_keep_the_sector_plan(self, n_parties):
-        # with one or two leaves the flip sectors are at most 4 wide
-        plan = star(n_parties, 1.0)[0].spectrum.plan
-        assert not isinstance(plan, spinops._CollectivePlan)
-        assert plan.states.shape == (2, 2 ** n_parties)
+    def test_one_or_two_leaves_are_one_dense_block(self, n_parties):
+        # with one or two leaves H has at most 3 sites
+        spectrum = star(n_parties, 1.0)[0].spectrum
+        assert isinstance(spectrum.plan, spinops._DensePlan)
+        assert spectrum.block_vectors[0].shape == (1, 2 ** (n_parties + 1), 2 ** (n_parties + 1))
 
     def test_text_copy_of_a_star_is_solved_collectively(self):
         spec, _ = star(5, 1.0)
@@ -447,19 +447,19 @@ class TestCollectiveBlocks:
         assert spec.spectrum.plan.hub == 2
         assert_spectrum_matches(spec, oracles.terms_matrix(spec.terms, 5))
 
-    def test_skew_star_stays_on_the_sector_plan(self):
+    def test_skew_star_is_one_dense_block(self):
         # leaf 3's field differs from the others', so the leaves are not
         # interchangeable, though the swaps of the other leaves leave H unchanged
         spec, _ = star(4, 1.0)
         text = spec.to_text().replace("1 3:Z\n", "1.1 3:Z\n")
         skew = HamiltonianSpec.from_text("star-4-skew-field", 5, text)
-        assert not isinstance(skew.spectrum.plan, spinops._CollectivePlan)
+        assert isinstance(skew.spectrum.plan, spinops._DensePlan)
         assert_spectrum_matches(skew, oracles.terms_matrix(skew.terms, 5))
 
-    def test_leaf_leaf_term_stays_on_the_sector_plan(self):
+    def test_leaf_leaf_term_is_one_dense_block(self):
         spec, _ = star(4, 1.0)
         ring = HamiltonianSpec("star-4-ring", 5, spec.terms + (term(0.3, (1, "Z"), (2, "Z")),))
-        assert not isinstance(ring.spectrum.plan, spinops._CollectivePlan)
+        assert isinstance(ring.spectrum.plan, spinops._DensePlan)
         assert_spectrum_matches(ring, oracles.terms_matrix(ring.terms, 5))
 
     @pytest.mark.parametrize("n, hub", [(4, 0), (5, 2), (6, 5)])
