@@ -16,10 +16,10 @@ table.  Energies are referenced to the input state itself, so the
 reported E_A and E_B are the protocol-induced changes only.
 
 The protocol reads an input only through its marginal on the receiver's
-support S (``ReceiverForms``), and every branch is a short ensemble of
-register vectors (|g>, P|g>, K_a|g>, the excited level's vectors) or
-the maximally mixed state.  So each branch is built as its 2^|S| x 2^|S|
-marginal, reduced vector by vector: no noise family forms a d x d state.
+support S (``ReceiverForms``), so each branch is built as its
+2^|S| x 2^|S| marginal: no noise family forms a d x d state.  A flip or
+Kraus branch is the channel on the ground marginal g alone, and at a
+site off S it is g itself.
 """
 
 from __future__ import annotations
@@ -41,15 +41,7 @@ from .protocol import (
     prepare,
     run_ensemble,
 )
-from .spinops import (
-    PAULI,
-    commutator,
-    frobenius,
-    on_support,
-    require_density_matrix,
-    sandwich,
-    site_operator,
-)
+from .spinops import PAULI, commutator, frobenius, require_density_matrix
 from .tolerances import TOL
 
 NOISE_KINDS = (
@@ -126,7 +118,8 @@ def branch_weights(coefficients, p) -> np.ndarray:
     outside = p[~((p >= 0.0) & (p <= 1.0))]  # NaN is outside too
     if outside.size:
         raise ValueError(f"probability must be in [0, 1], got {outside[0]}")
-    basis = np.stack((np.ones_like(p), p, np.sqrt(p * (1.0 - p))), axis=-1)
+    basis = np.empty(p.shape + (3,))  # filled in place: np.stack of 0-d arrays is slower
+    basis[..., 0], basis[..., 1], basis[..., 2] = 1.0, p, np.sqrt(p * (1.0 - p))
     return (basis[..., None, :] @ np.asarray(coefficients).T)[..., 0, :]
 
 
@@ -135,14 +128,16 @@ def noise_branches(ctx: RunContext, noise: NoiseSpec,
     """The one noise resolver: ((state, classical flip probability), ...), coefficients.
 
     Each state is a branch's marginal on the support of ``forms``
-    (default ``ctx.forms``, the receiver whose support it reduces to),
-    reduced from vectors; ``noise.p`` is not read.  ``classical_flip`` is
-    the ground state at flip probability 0 and 1, the mixture families
-    the resource state and their noise state, each weighted 1 - p and p.
+    (default ``ctx.forms``, the receiver whose support it reduces to);
+    ``noise.p`` is not read.  ``classical_flip`` is the ground state at
+    flip probability 0 and 1, the mixture families the resource state and
+    their noise state, each weighted 1 - p and p.
     ``excited_superposition`` is |g>, |1> and
     |+_alpha> = (|g> + e^{i alpha} |1>) / sqrt(2), weighted 1 - p - c,
     p - c and 2c with c = sqrt(p (1 - p)).  ``local_kraus`` is its channel
-    output at every p.  Every other branch state is validated once.
+    output at every p.  A flip or Kraus channel off the support leaves
+    the ground marginal g, the same object, so its branches share one
+    table.  Every branch state other than g is validated once.
     """
     forms = forms or ctx.forms
     g = forms.marginal(ctx.gs)
@@ -154,7 +149,7 @@ def noise_branches(ctx: RunContext, noise: NoiseSpec,
         states = (g, np.eye(len(g)) / len(g))
     elif kind in ("bit_flip", "phase_flip"):
         flip = PAULI["X" if kind == "bit_flip" else "Z"]
-        states = (g, forms.marginal(sandwich(flip, noise.site, ctx.gs)))
+        states = (g, _site_channel(ctx, forms, g, noise.site, (flip,)))
     elif kind == "excited_mixture":
         level = first_excited_level(ctx.spec).T
         states = (g, sum(forms.marginal(v) for v in level) / len(level))
@@ -164,7 +159,7 @@ def noise_branches(ctx: RunContext, noise: NoiseSpec,
         states = (g, forms.marginal(psi_1), forms.marginal(plus))
         coefficients = _COHERENT
     else:  # local_kraus
-        states = (_kraus_output(ctx, noise, forms),)
+        states = (_kraus_output(ctx, noise, forms, g),)
         coefficients = ((1.0, 0.0, 0.0),)
     for s in states:
         if s is not g:
@@ -203,54 +198,58 @@ class KrausCheck:
     defects: dict[str, float] = field(default_factory=dict)
 
 
-def _kraus_output(ctx: RunContext, noise: NoiseSpec, forms: ReceiverForms) -> np.ndarray:
+def _site_channel(ctx: RunContext, forms: ReceiverForms, g: np.ndarray, site: int,
+                  ops) -> np.ndarray:
+    """sum_a O_a g O_a† for the 2x2 ``ops`` at ``site``, on the support S of
+    ``forms``, from the ground marginal g alone.  A site off S returns g
+    itself: the channel is trace preserving, so tracing its site out
+    undoes it.  A site outside the register raises ValueError."""
+    if not 0 <= site < ctx.n_sites:
+        raise ValueError(f"site {site} out of range for {ctx.n_sites} sites")
+    if site not in forms.support:
+        return g
+    return sum(o @ g @ o.conj().T for o in (forms.on_site(op, site) for op in ops))
+
+
+def _kraus_output(ctx: RunContext, noise: NoiseSpec, forms: ReceiverForms,
+                  g: np.ndarray) -> np.ndarray:
     """Channel output sum_a K_a rho K_a† as its marginal on the support of
-    ``forms``, the sum of the marginals of K_a |g>.  The site is checked
+    ``forms``, from that support's ground marginal g.  The site is checked
     against the model here only; a session folds its noise once per
     receiver, so every receiver's site is refused."""
-    site = noise.site
-    if site in (ctx.alice.site, forms.site):
-        raise SupportViolationError(f"site {site} belongs to a protocol party")
-    if not 0 <= site < ctx.n_sites:
-        raise ValueError(f"site {site} out of range")
-    return sum(forms.marginal(sandwich(k, site, ctx.gs)) for k in noise.kraus_ops)
+    if noise.site in (ctx.alice.site, forms.site):
+        raise SupportViolationError(f"site {noise.site} belongs to a protocol party")
+    return _site_channel(ctx, forms, g, noise.site, noise.kraus_ops)
 
 
 def kraus_state(ctx: RunContext, noise: NoiseSpec) -> tuple[np.ndarray, KrausCheck]:
     """Channel output sum_a K_a rho K_a† plus the locality report.
 
     ``noise`` is a ``local_kraus`` spec.  The output is its marginal on the
-    receiver's support (``ctx.forms``), which is all ``ensemble_for_state``
+    receiver's support S (``ctx.forms``), which is all ``ensemble_for_state``
     reads of it.  Raises SupportViolationError if the site belongs to the
     sender or receiver.
 
-    The commutators live on the support S of the Kraus site, the sender
-    site and the H_A and H_B terms: an operator X on S is X (x) 1 on the
-    register, so its Frobenius norm there is ||X||_F 2^((n - |S|) / 2).
+    S holds the sender site and every site of the H_A and H_B terms, so a
+    Kraus site off S commutes with all of them: its defects are exactly
+    0.0 and no commutator is built.  At a site in S the commutators are
+    taken there, with H_A and H_B from ``forms.parts``: an operator X on S
+    is X (x) 1 on the register, so its Frobenius norm there is
+    ||X||_F 2^((n - |S|) / 2).
     """
-    site = noise.site
-    sigma = _kraus_output(ctx, noise, ctx.forms)
-
-    a_terms, b_terms = (ctx.partition.parts[label] for label in (ctx.alice_label, ctx.bob_label))
-    support = sorted({site, ctx.alice.site}.union(
-        s for t in (*a_terms, *b_terms) for s, _ in t.factors))
-    k = len(support)
-    scale = 2.0 ** ((ctx.n_sites - k) / 2)
-    h_alice, h_bob = on_support(a_terms, support), on_support(b_terms, support)
-    projectors = [site_operator(local_projector(ctx.alice, b), support.index(ctx.alice.site), k)
-                  for b in (0, 1)]
-    defects: dict[str, float] = {}
-    worst = 0.0
-    for i, op in enumerate(noise.kraus_ops):
-        k_s = site_operator(op, support.index(site), k)
-        d_a = frobenius(commutator(k_s, h_alice))
-        d_b = frobenius(commutator(k_s, h_bob))
-        d_p = max(frobenius(commutator(k_s, p_b)) for p_b in projectors)
-        defects[f"K{i}"] = scale * max(d_a, d_b, d_p)
-        worst = max(worst, defects[f"K{i}"])
-    check = KrausCheck(commutes=worst <= TOL.commutator, max_defect=worst,
-                       defects=defects)
-    return sigma, check
+    forms = ctx.forms
+    sigma = _kraus_output(ctx, noise, forms, forms.marginal(ctx.gs))
+    defects = {f"K{i}": 0.0 for i in range(len(noise.kraus_ops))}
+    if noise.site in forms.support:
+        scale = 2.0 ** ((ctx.n_sites - len(forms.support)) / 2)
+        others = (*forms.parts, *(forms.on_site(local_projector(ctx.alice, b), ctx.alice.site)
+                                  for b in (0, 1)))
+        for i, op in enumerate(noise.kraus_ops):
+            k_s = forms.on_site(op, noise.site)
+            defects[f"K{i}"] = scale * max(frobenius(commutator(k_s, m)) for m in others)
+    worst = max(defects.values())
+    return sigma, KrausCheck(commutes=worst <= TOL.commutator, max_defect=worst,
+                             defects=defects)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +294,6 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
     weights = branch_weights(coefficients, grid)
     table = ensemble_energies(ctx, branches)
     e_a, e_b = (weights[:, None, :] @ table)[:, 0].T  # row by row, as at one p
-    rows_t = np.asarray(coefficients).T
 
     crossings: list[float] = []
     signed = np.flatnonzero(np.abs(e_b) > TOL.sign_zero)
@@ -308,8 +306,7 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
         f_lo = e_b[i]
         while hi - lo > TOL.bisection:
             mid = 0.5 * (lo + hi)
-            # the grid's product at one p inside a checked bracket
-            f_mid = ((np.array((1.0, mid, math.sqrt(mid * (1.0 - mid)))) @ rows_t) @ table)[1]
+            f_mid = (branch_weights(coefficients, mid) @ table)[1]
             if (f_mid < 0) == (f_lo < 0):
                 lo, f_lo = mid, f_mid
             else:

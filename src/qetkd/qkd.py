@@ -380,21 +380,23 @@ def run_session(config: SessionConfig,
                 ) -> SessionResult:
     """Run one seeded session; identical configs give identical transcripts.
 
-    ``cheat_plan`` maps a party label to "flip": the sender transmits
-    the complemented bit to that party in every round.  Every round of
-    every policy reads one batched evaluation of the receivers'
-    ``ReceiverForms``, and each variate kind is one sequence over the rounds,
-    drawn from its own sub-stream (``rng.SUBSTREAM``).  A session calls
-    ``prepare`` once.
+    ``cheat_plan`` maps a party label to "flip", the only plan (any other
+    raises ValueError): the sender transmits the complemented bit to that
+    party in every round.  Every round of every policy reads one batched
+    evaluation of the receivers' ``ReceiverForms``, and each variate kind
+    is one sequence over the rounds, drawn from its own sub-stream
+    (``rng.SUBSTREAM``).  A session calls ``prepare`` once.
     """
     spec, partition, labels = build_model(config.model, config.coupling, k=config.k,
                                           h=config.h, n_parties=config.n_parties)
     ctx = prepare(spec, partition, MeasurementBasis.x(0), bob_label=labels[0])
     epsilon = config.epsilon if config.epsilon is not None else _default_epsilon(ctx)
     cheat_plan = cheat_plan or {}
-    for label in cheat_plan:
+    for label, plan in cheat_plan.items():
         if label not in labels:
             raise ValueError(f"cheat plan names unknown party {label!r}")
+        if plan != "flip":
+            raise ValueError(f"cheat plan for {label!r} must be 'flip', got {plan!r}")
 
     forms, states = _receivers(config, ctx, labels)
     axes, axis = _session_axes(config, forms)
@@ -420,7 +422,7 @@ def run_session(config: SessionConfig,
                                      and config.noise.kind == "classical_flip") else 0.0
     sent = np.empty((rounds, len(labels)), dtype=np.uint8)
     for j, label in enumerate(labels):
-        sent[:, j] = announced ^ 1 if cheat_plan.get(label) == "flip" else announced
+        sent[:, j] = announced ^ 1 if label in cheat_plan else announced
         if classical_p > 0.0:
             for start, draws in uniform_chunks(stream(seed, SUBSTREAM["flip"] + j), rounds):
                 sent[start:start + len(draws), j] ^= draws < classical_p

@@ -8,11 +8,10 @@ the leaves, and it is solved in one hub (x) spin-j block per total leaf
 spin j, 2(2j + 1) wide, whose eigenvectors reach the register by coupling
 the leaves one at a time.  Any other H (at most 3 sites in the models,
 or a spec built by hand) is ``assemble``d and solved as one dense block
-of at most ``DENSE_MAX_SITES`` sites.  A 2x2 operator at one site acts
-on a vector or matrix through a reshape that isolates that site's bit, at
-O(d) per vector and O(d^2) per matrix; no d x d operator product is ever
-formed for it, and ``on_support`` builds a sum of terms on the few sites
-it touches.
+of at most ``DENSE_MAX_SITES`` sites.  ``site_operator`` scatters a 2x2
+operator at one site in O(d), and ``on_support`` builds a sum of terms
+on the few sites it touches: the protocol and the noise channels act on
+a marginal there, never on a register-wide state.
 
 Operators, pure states and density matrices are plain numpy arrays; the
 validators below enforce the class invariants (Hermiticity, unit norm,
@@ -368,39 +367,6 @@ def on_support(terms, support: list[int] | tuple[int, ...]) -> np.ndarray:
         ops = [site_paulis(pos[s], k)[1 + AXES.index(ax)] for s, ax in t.factors]
         out += t.coefficient * functools.reduce(np.matmul, ops or [np.eye(2 ** k)])
     return out
-
-
-# ---------------------------------------------------------------------------
-# site-local application
-# ---------------------------------------------------------------------------
-
-def apply_on_site(op: np.ndarray, site: int, a: np.ndarray) -> np.ndarray:
-    """(1 (x) ... (x) op (x) ... (x) 1) @ a for the 2x2 ``op`` at ``site``.
-
-    ``a`` is a state vector or a matrix whose rows are indexed by the
-    register.  ``site`` counts bits of the flattened index from the most
-    significant one, so on a d x d matrix ``n_sites + s`` addresses the
-    column bit of site s: that computes a @ (1 (x) ... (x) op.T (x) ... (x) 1).
-    """
-    t = a.reshape(2 ** site, 2, -1)
-    out = np.empty(t.shape, dtype=np.result_type(op, a))
-    for row in (0, 1):
-        np.multiply(t[:, 0], op[row, 0], out=out[:, row])
-        out[:, row] += op[row, 1] * t[:, 1]
-    return out.reshape(a.shape)
-
-
-def sandwich(op: np.ndarray, site: int, m: np.ndarray) -> np.ndarray:
-    """A M A† for the 2x2 A = ``op`` at ``site`` and a d x d matrix M, in O(d^2).
-
-    A state vector psi (1-d) stands for |psi><psi|, so it maps to A psi, in O(d).
-    """
-    n_sites = m.shape[0].bit_length() - 1
-    _require_site(site, n_sites)
-    if m.ndim == 1:
-        return apply_on_site(op, site, m)
-    return apply_on_site(op.conj(), n_sites + site,
-                         apply_on_site(op, site, m))
 
 
 # ---------------------------------------------------------------------------

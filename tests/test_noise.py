@@ -399,13 +399,26 @@ class TestKrausCheckAgainstOracle:
         np.testing.assert_allclose(list(check.defects.values()), want, rtol=0, atol=1e-12)
         assert check.commutes
 
-    def test_star9_commutators_stay_on_the_support(self, monkeypatch):
+    def test_star9_off_support_site_builds_no_commutator(self, monkeypatch):
+        # the receiver's support S holds the sender site and every site of
+        # H_A and H_B, so a Kraus site off S commutes with all of them
         spec, part = star(9, 1.0)
         ctx = prepare(spec, part, MeasurementBasis.x(0), bob_label="B1")
-        site = 5
-        support = {site, ctx.alice.site}.union(
-            s for label in (ctx.alice_label, ctx.bob_label)
-            for t in part.parts[label] for s, _ in t.factors)
+        calls = []
+
+        def recorded(a, b):
+            calls.append(1)
+            return a @ b - b @ a
+
+        monkeypatch.setattr(noise, "commutator", recorded)
+        assert 5 not in ctx.forms.support
+        _, check = kraus_state(
+            ctx, NoiseSpec("local_kraus", 0.0, site=5, kraus_ops=AMPLITUDE_DAMPING))
+        assert calls == []
+        assert check.defects == {"K0": 0.0, "K1": 0.0}
+        assert check.max_defect == 0.0 and check.commutes
+
+    def test_commutators_stay_on_the_support(self, ctx_spectator, monkeypatch):
         shapes = []
 
         def recorded(a, b):
@@ -413,11 +426,58 @@ class TestKrausCheckAgainstOracle:
             return a @ b - b @ a
 
         monkeypatch.setattr(noise, "commutator", recorded)
-        _, check = kraus_state(
-            ctx, NoiseSpec("local_kraus", 0.0, site=site, kraus_ops=AMPLITUDE_DAMPING))
+        kraus_state(ctx_spectator,
+                    NoiseSpec("local_kraus", 0.0, site=1, kraus_ops=AMPLITUDE_DAMPING))
         assert len(shapes) == 2 * 4 * len(AMPLITUDE_DAMPING)
-        assert max(max(shape) for shape in shapes) <= 2 ** len(support) < 2 ** spec.n_sites
-        assert check.commutes
+        width = 2 ** len(ctx_spectator.forms.support)
+        assert set(shapes) == {(width, width)} and width < 2 ** ctx_spectator.n_sites
+
+
+class TestChannelsOnTheMarginal:
+    """Flip and Kraus branches are the channel on the ground marginal g."""
+
+    @pytest.fixture(scope="class")
+    def star6(self):
+        spec, part = star(6, 1.0)
+        return prepare(spec, part, MeasurementBasis.x(0), bob_label="B1")
+
+    def test_site_outside_register_refused(self, ctx_unit):
+        grid = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="site 7"):
+            threshold_scan(ctx_unit, "bit_flip", grid, site=7)
+        with pytest.raises(ValueError, match="site 7"):
+            threshold_scan(ctx_unit, "local_kraus", grid, site=7, kraus_ops=AMPLITUDE_DAMPING)
+        with pytest.raises(ValueError, match="site 7"):
+            kraus_state(ctx_unit, NoiseSpec("local_kraus", 0.0, site=7,
+                                            kraus_ops=AMPLITUDE_DAMPING))
+
+    @pytest.mark.parametrize("site", [3, 4])
+    @pytest.mark.parametrize("kind", ["bit_flip", "phase_flip"])
+    def test_bystander_flip_leaves_the_ground_marginal(self, star6, kind, site):
+        assert site not in star6.forms.support
+        (g, _), (flipped, _) = noise.noise_branches(star6, NoiseSpec(kind, 0.3, site=site))[0]
+        assert flipped is g
+        rho, _ = noisy_input_state(star6, NoiseSpec(kind, 0.3, site=site))
+        np.testing.assert_array_equal(rho, star6.forms.marginal(star6.gs))
+
+    @pytest.mark.parametrize("site", [3, 4])
+    def test_off_support_kraus_leaves_the_ground_marginal(self, star6, site):
+        spec = NoiseSpec("local_kraus", 0.0, site=site, kraus_ops=DEPHASING)
+        sigma, check = kraus_state(star6, spec)
+        np.testing.assert_array_equal(sigma, star6.forms.marginal(star6.gs))
+        assert check.defects == {"K0": 0.0, "K1": 0.0} and check.max_defect == 0.0
+        ((state, _),), _ = noise.noise_branches(star6, spec)
+        np.testing.assert_array_equal(state, sigma)
+
+    def test_flip_on_the_support_matches_the_register(self, ctx_spectator):
+        # a flip at a site of S conjugates the marginal: the dense X_1 rho X_1, reduced
+        ctx = ctx_spectator
+        x1 = oracles.embed_op(oracles.SX, 1, ctx.n_sites)
+        rho = np.outer(ctx.gs, ctx.gs.conj())
+        want = oracles.partial_trace(x1 @ rho @ x1, ctx.forms.support)
+        _, (flipped, _) = noise.noise_branches(ctx, NoiseSpec("bit_flip", 0.0, site=1))[0]
+        assert ctx.forms.support == (0, 1, 2)
+        np.testing.assert_allclose(flipped, want, rtol=0, atol=1e-15)
 
 
 class TestThresholdScan:

@@ -19,6 +19,8 @@ from qetkd.qkd import (
 )
 from qetkd.rng import DRAW_CHUNK, fair_bits, stream, uniform_chunks
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def chain_ctx():
@@ -330,6 +332,13 @@ class TestMultiparty:
         with pytest.raises(ValueError):
             run_session(config, cheat_plan={"B9": "flip"})
 
+    def test_unknown_cheat_action_rejected(self):
+        # "flip" is the only plan; any other value must not run an honest session
+        config = SessionConfig(model="star", n_parties=2, rounds=8,
+                               verify_bits=0, coupling=1.0)
+        with pytest.raises(ValueError, match="'B2'.*'flop'"):
+            run_session(config, cheat_plan={"B2": "flop"})
+
 
 class TestResourceVerification:
     def test_true_source_passes(self, chain_ctx):
@@ -343,9 +352,9 @@ class TestResourceVerification:
         # the same draws and table entries must give the same verdict exactly
         from qetkd.protocol import conditional_table
         from qetkd.rng import SUBSTREAM, stream
-        from qetkd.spinops import PAULI, sandwich
         rho = chain_ctx.rho_gs
-        flipped = sandwich(PAULI["X"], 2, rho)
+        x2 = oracles.embed_op(oracles.SX, 2, 3)
+        flipped = x2 @ rho @ x2
         states = (rho, 0.7 * rho + 0.3 * flipped, flipped)
         rng = stream(3, SUBSTREAM["resource_check"])
         energies = []
@@ -421,9 +430,9 @@ class TestResourceVerification:
         # one array changed in place between rounds is two states, as two
         # fresh arrays with the same contents are
         import qetkd.qkd as qkd
-        from qetkd.spinops import PAULI, sandwich
         rho = chain_ctx.rho_gs
-        flipped = sandwich(PAULI["X"], 2, rho)
+        x2 = oracles.embed_op(oracles.SX, 2, 3)
+        flipped = x2 @ rho @ x2
         shared = rho.copy()
 
         def mutating(i):

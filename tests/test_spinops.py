@@ -6,7 +6,6 @@ from qetkd.models import two_site, two_site_partition_standard
 from qetkd.protocol import MeasurementBasis, prepare
 from qetkd.spinops import (
     PauliTerm,
-    apply_on_site,
     assemble,
     commutator,
     eigendecompose,
@@ -16,7 +15,6 @@ from qetkd.spinops import (
     reduced_density,
     require_density_matrix,
     require_hermitian,
-    sandwich,
     site_operator,
     term,
 )
@@ -240,24 +238,16 @@ class TestMaskKernelAgainstOracle:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_site_local_matches_dense(self, n):
-        # random, non-Hermitian operators on random non-pure, non-Hermitian matrices
+        # random, non-Hermitian operators
         rng = np.random.default_rng(40 + n)
-        dim = 2 ** n
         for site in range(n):
             op = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             full = oracles.embed_op(op, site, n)
             assert np.allclose(site_operator(op, site, n), full, atol=1e-14)
-            assert np.allclose(sandwich(op, site, m), full @ m @ full.conj().T,
-                               atol=1e-12)
-            assert np.allclose(apply_on_site(op, site, m), full @ m, atol=1e-12)
-            assert np.allclose(apply_on_site(op, n + site, m), m @ full.T, atol=1e-12)
-            assert np.allclose(apply_on_site(op, site, m[:, 0]), full @ m[:, 0],
-                               atol=1e-12)
 
-    def test_sandwich_rejects_site_outside_register(self):
+    def test_site_operator_rejects_site_outside_register(self):
         with pytest.raises(ValueError):
-            sandwich(oracles.SX, 2, np.eye(4))
+            site_operator(oracles.SX, 2, 2)
 
     def test_real_hamiltonian_solved_as_real(self):
         h = oracles.chain3_matrix(1.3)
