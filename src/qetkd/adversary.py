@@ -123,7 +123,7 @@ def _gram_distance(ctx: RunContext, rho: np.ndarray, eve_terms: dict) -> float:
 
 def bob_reference_state(ctx: RunContext) -> np.ndarray:
     """Receiver's exact post-feedback ensemble state (identity encoding), on S."""
-    return _state(ctx, ctx.forms.marginal(ctx.gs), _bob_terms(ctx))
+    return _state(ctx, ctx.ground, _bob_terms(ctx))
 
 
 def _rounds(ctx: RunContext, kind: str, rounds: int, seed: int):
@@ -139,7 +139,7 @@ def _rounds(ctx: RunContext, kind: str, rounds: int, seed: int):
     """
     if rounds < 1:
         raise ValueError(f"an attack needs at least one round, got {rounds}")
-    rho = ctx.forms.marginal(ctx.gs)
+    rho = ctx.ground
     table = conditional_table(ctx, rho)
     prob = table.prob / table.prob.sum()
     rng = stream(seed, SUBSTREAM[f"attack_{kind}"])

@@ -39,7 +39,7 @@ from .noise import (
 )
 from .protocol import (
     MeasurementBasis,
-    ground_state,
+    ground_energy,
     prepare,
     run_ensemble,
     run_ensemble_random_basis,
@@ -105,7 +105,7 @@ def cmd_ground(args: argparse.Namespace) -> int:
         return 0
     spec, _, _ = build_model(args.model, _default_coupling(args), args.k, args.h,
                              args.n_parties)
-    _, energy = ground_state(spec)
+    energy = ground_energy(spec)
     gap = energy_gap(spec)
     print(f"model={spec.name} ground_energy={energy:.6f} gap={gap:.6f}")
     return 0

@@ -20,13 +20,14 @@ in the standard partition.
 
 Building a model is symbolic: H is solved once per spec, exactly, on the
 first read of ``HamiltonianSpec.spectrum`` (``spinops.solve_sectors``;
-``protocol.ground_state`` is the usual first reader).  The star
-with N >= 3 leaves, whose H is unchanged by every permutation of the
-leaves, is solved in one hub (x) spin-j block per total leaf spin j, at
-most 2(N + 1) wide.  The chain, the two-site model and the star with one
-or two leaves, at most 3 sites, are solved as one dense block, at most 8
-wide.  The star's solve forms no d x d operator and keeps no d x d
-eigenvector matrix.
+``protocol.prepare`` is the usual first reader).  The star with N >= 3
+leaves, whose H is unchanged by every permutation of the leaves, is
+solved in one hub (x) spin-j block per total leaf spin j, at most
+2(N + 1) wide, and kept as levels with multiplicities, so it runs up to
+``MAX_PARTIES`` receivers; a reader that needs a register vector refuses
+more than ``spinops.MAX_SITES`` sites.  The chain, the two-site model and
+the star with one or two leaves, at most 3 sites, are solved as one dense
+block, at most 8 wide.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .spinops import (
 ALICE = "A"
 BOB = "B"
 BUFFER = "buffer"
-MAX_PARTIES = 11  # star receivers: 12 sites, the register limit
+MAX_PARTIES = 100  # star receivers; run_multiparty's int8 vote holds N + 1 <= 127
 
 
 @dataclass(frozen=True)
@@ -160,17 +161,12 @@ def star(n_parties: int, coupling: float) -> tuple[HamiltonianSpec, Partition]:
     """
     check_model_parameters("star", coupling, n_parties=n_parties)
     n = n_parties + 1
-    terms: list[PauliTerm] = []
-    if coupling != 0.0:
-        terms.extend(term(coupling, (0, "X"), (k, "X")) for k in range(1, n))
-    terms.extend(term(1.0, (k, "Z")) for k in range(n))
-    spec = HamiltonianSpec(f"star-{n_parties}", n, tuple(terms))
-    parts = {ALICE: (term(1.0, (0, "Z")),)}
+    fields = [term(1.0, (k, "Z")) for k in range(n)]
+    bonds = [term(coupling, (0, "X"), (k, "X")) for k in range(1, n)] if coupling != 0.0 else []
+    spec = HamiltonianSpec(f"star-{n_parties}", n, tuple(bonds + fields))
+    parts = {ALICE: (fields[0],)}
     for k in range(1, n):
-        if coupling != 0.0:
-            parts[f"B{k}"] = (term(coupling, (0, "X"), (k, "X")), term(1.0, (k, "Z")))
-        else:
-            parts[f"B{k}"] = (term(1.0, (k, "Z")),)
+        parts[f"B{k}"] = (bonds[k - 1], fields[k]) if bonds else (fields[k],)
     return spec, Partition(parts)
 
 
@@ -252,21 +248,32 @@ def build_model(model: str, coupling: float, k: float = 1.0, h: float = 1.0,
 
 def energy_gap(spec: HamiltonianSpec) -> float:
     """First excitation energy; exactly 0.0 when the ground level is degenerate."""
-    evals = spec.spectrum.values
-    gap = float(evals[1] - evals[0])
-    return 0.0 if gap <= degeneracy_tolerance(evals) else gap
+    spectrum = spec.spectrum
+    gap = spectrum.gap
+    return 0.0 if gap <= degeneracy_tolerance(spectrum.levels) else gap
+
+
+def first_excited_levels(spec: HamiltonianSpec) -> np.ndarray:
+    """The first excited level as indices into ``spec.spectrum.levels``: every
+    level within the degeneracy tolerance of the lowest one above the
+    ground.  Raises DegenerateGroundError when it joins the ground level."""
+    spectrum = spec.spectrum
+    tol = degeneracy_tolerance(spectrum.levels)
+    if spectrum.gap <= tol:
+        raise DegenerateGroundError(
+            "first excited level is degenerate with the ground level")
+    return np.flatnonzero(np.abs(spectrum.levels - spectrum.levels[1]) <= tol)
 
 
 def first_excited_level(spec: HamiltonianSpec) -> np.ndarray:
-    """The first excited level's eigenvectors, as register-basis columns.
+    """The first excited level's eigenvectors (``first_excited_levels``, every
+    copy), as register-basis columns; more than ``spinops.MAX_SITES`` sites
+    raise ModelParameterError.
 
     In a degenerate level the columns (from the dense block, or each from
     one copy of a total leaf spin) are a gauge choice; their uniform
-    mixture is not.  Raises DegenerateGroundError when the level joins the
-    ground level."""
-    evals = spec.spectrum.values
-    tol = degeneracy_tolerance(evals)
-    if evals[1] - evals[0] <= tol:
-        raise DegenerateGroundError(
-            "first excited level is degenerate with the ground level")
-    return spec.spectrum.vectors(np.flatnonzero(np.abs(evals - evals[1]) <= tol))
+    mixture is not."""
+    first_excited_levels(spec)
+    values = spec.spectrum.values
+    tol = degeneracy_tolerance(values)
+    return spec.spectrum.vectors(np.flatnonzero(np.abs(values - values[1]) <= tol))

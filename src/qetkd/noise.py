@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CompletenessViolationError, SupportViolationError
-from .models import chain3, first_excited_level
+from .models import chain3, first_excited_levels
 from .protocol import (
     MeasurementBasis,
     ReceiverForms,
@@ -136,11 +136,14 @@ def noise_branches(ctx: RunContext, noise: NoiseSpec,
     |+_alpha> = (|g> + e^{i alpha} |1>) / sqrt(2), weighted 1 - p - c,
     p - c and 2c with c = sqrt(p (1 - p)).  ``local_kraus`` is its channel
     output at every p.  A flip or Kraus channel off the support leaves
-    the ground marginal g, the same object, so its branches share one
-    table.  Every branch state other than g is validated once.
+    the ground marginal g (``forms.ground``), the same object, so its
+    branches share one table.  The excited states' marginals come from
+    ``Spectrum.marginal``; |1> is the first column of the first excited
+    level.  Every branch state other than g is validated once.
     """
     forms = forms or ctx.forms
-    g = forms.marginal(ctx.gs)
+    g = forms.ground
+    spectrum = ctx.spec.spectrum
     kind = noise.kind
     if kind == "classical_flip":
         return ((g, 0.0), (g, 1.0)), _AFFINE
@@ -151,12 +154,12 @@ def noise_branches(ctx: RunContext, noise: NoiseSpec,
         flip = PAULI["X" if kind == "bit_flip" else "Z"]
         states = (g, _site_channel(ctx, forms, g, noise.site, (flip,)))
     elif kind == "excited_mixture":
-        level = first_excited_level(ctx.spec).T
-        states = (g, sum(forms.marginal(v) for v in level) / len(level))
+        states = (g, spectrum.marginal(first_excited_levels(ctx.spec), forms.support))
     elif kind == "excited_superposition":
-        psi_1 = first_excited_level(ctx.spec)[:, 0]
-        plus = (ctx.gs + np.exp(1j * (noise.alpha or 0.0)) * psi_1) / math.sqrt(2.0)
-        states = (g, forms.marginal(psi_1), forms.marginal(plus))
+        first = first_excited_levels(ctx.spec)[0]
+        phase = np.exp(1j * (noise.alpha or 0.0))
+        states = (g, spectrum.marginal([first], forms.support, (1.0,)),
+                  spectrum.marginal([0, first], forms.support, (1.0, phase)))
         coefficients = _COHERENT
     else:  # local_kraus
         states = (_kraus_output(ctx, noise, forms, g),)
@@ -238,7 +241,7 @@ def kraus_state(ctx: RunContext, noise: NoiseSpec) -> tuple[np.ndarray, KrausChe
     ||X||_F 2^((n - |S|) / 2).
     """
     forms = ctx.forms
-    sigma = _kraus_output(ctx, noise, forms, forms.marginal(ctx.gs))
+    sigma = _kraus_output(ctx, noise, forms, forms.ground)
     defects = {f"K{i}": 0.0 for i in range(len(noise.kraus_ops))}
     if noise.site in forms.support:
         scale = 2.0 ** ((ctx.n_sites - len(forms.support)) / 2)
@@ -280,7 +283,9 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
     array product, ``branch_weights(coefficients, grid) @ table`` taken
     row by row inside numpy, so each row rounds as a single p does, and
     each bisection step is the same product at one p.  Every grid point
-    must lie in [0, 1] (ValueError otherwise, NaN included).
+    must lie in [0, 1] (ValueError otherwise, NaN included); a bisection
+    step builds its 1 x 3 basis row from Python floats, which spares the
+    0-d array work of ``branch_weights`` and rounds the same.
     Only energies above ``TOL.sign_zero`` in magnitude carry a sign; each
     pair of consecutive such grid points with opposite signs is bisected
     to ``TOL.bisection`` in p, on the bracket in ascending order, so a
@@ -296,6 +301,7 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
     e_a, e_b = (weights[:, None, :] @ table)[:, 0].T  # row by row, as at one p
 
     crossings: list[float] = []
+    rows = np.asarray(coefficients).T
     signed = np.flatnonzero(np.abs(e_b) > TOL.sign_zero)
     negative = e_b[signed] < 0
     changes = np.flatnonzero(negative[:-1] != negative[1:])
@@ -306,7 +312,9 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
         f_lo = e_b[i]
         while hi - lo > TOL.bisection:
             mid = 0.5 * (lo + hi)
-            f_mid = (branch_weights(coefficients, mid) @ table)[1]
+            # branch_weights at one p, its basis row made from Python floats
+            basis = np.array([[1.0, mid, math.sqrt(mid * (1.0 - mid))]])
+            f_mid = ((basis @ rows)[0] @ table)[1]
             if (f_mid < 0) == (f_lo < 0):
                 lo, f_lo = mid, f_mid
             else:

@@ -24,7 +24,8 @@ site, U(b') on the receiver site, H_A and H_B on the sites of their
 terms, and xi and eta read only the terms of H that touch the receiver
 site.  So one kernel, ``ReceiverForms``, evaluates all of it exactly on
 the reduced state of the union S of those sites (2 or 3 sites on every
-model, at any register size); no d x d operator is built for it.
+model, at any register size); no d x d operator is built for it, and the
+ground state enters only as its marginal on S (``Spectrum.marginal``).
 """
 
 from __future__ import annotations
@@ -150,20 +151,28 @@ class QetOutcome:
 # ground state and receiver axis
 # ---------------------------------------------------------------------------
 
-def ground_state(spec: HamiltonianSpec) -> tuple[np.ndarray, float]:
-    """Unique ground state with the largest amplitude rotated real positive.
+def ground_energy(spec: HamiltonianSpec) -> float:
+    """The ground energy, read off the levels of H.
 
     Raises DegenerateGroundError when the lowest level is degenerate
     (for the chain and star families this happens in the infinite-
     coupling limit; reduce the coupling).
     """
-    evals = spec.spectrum.values
-    if evals[1] - evals[0] <= degeneracy_tolerance(evals):
+    spectrum = spec.spectrum
+    if spectrum.gap <= degeneracy_tolerance(spectrum.levels):
         raise DegenerateGroundError(
-            f"ground level of {spec.name} is degenerate "
-            f"(gap {evals[1] - evals[0]:.3e})"
-        )
-    return spec.spectrum.ground.astype(complex), float(evals[0])
+            f"ground level of {spec.name} is degenerate (gap {spectrum.gap:.3e})")
+    return float(spectrum.levels[0])
+
+
+def ground_state(spec: HamiltonianSpec) -> tuple[np.ndarray, float]:
+    """Unique ground state, as a register vector with its largest amplitude
+    rotated real positive, and its energy (``ground_energy``).  No protocol
+    path reads the vector; more than ``spinops.MAX_SITES`` sites raise
+    ModelParameterError.
+    """
+    energy = ground_energy(spec)
+    return spec.spectrum.ground.astype(complex), energy
 
 
 def feedback_axes(forms: ReceiverForms, n: np.ndarray, bob_axis: str) -> np.ndarray:
@@ -260,6 +269,7 @@ class ReceiverForms:
 
     site: int                                  # receiver site
     support: tuple[int, ...]                   # S, ascending
+    ground: np.ndarray = field(repr=False)     # the ground state's marginal on S
     sig: np.ndarray = field(repr=False)        # [i] sigma_i on S
     parts: np.ndarray = field(repr=False)      # [H_A, H_B] on S
     inner: np.ndarray = field(repr=False)      # [k, l] tau_k H_B tau_l on S
@@ -343,9 +353,10 @@ def _receiver_site(terms: tuple[PauliTerm, ...]) -> int:
     return sites.pop()
 
 
-def receiver_forms(spec: HamiltonianSpec, partition: Partition, gs: np.ndarray,
-                   alice_site: int, alice_label: str, bob_label: str) -> ReceiverForms:
-    """``ReceiverForms`` of one receiver, read off the ground state's marginal.
+def receiver_forms(spec: HamiltonianSpec, partition: Partition, alice_site: int,
+                   alice_label: str, bob_label: str) -> ReceiverForms:
+    """``ReceiverForms`` of one receiver, read off the ground state's marginal
+    on its support, ``spec.spectrum.marginal([0], S)``.
 
     C and Q need [tau_j, H] = [tau_j, H_loc], with H_loc the terms of H
     that touch the receiver site, and (H - E_0)|gs> = 0 turns xi into
@@ -367,10 +378,11 @@ def receiver_forms(spec: HamiltonianSpec, partition: Partition, gs: np.ndarray,
     sig, tau = site_paulis(support.index(alice_site), k), site_paulis(support.index(site), k)
     comm = sig[1:] @ h_b - h_b @ sig[1:]
     g = 2.0 ** (spec.n_sites - k) * np.einsum("jab,lab->jl", comm.conj(), comm).real
-    t_rho = (tau[1:] @ h_loc - h_loc @ tau[1:]) @ reduced_density(gs, support)
+    ground = spec.spectrum.marginal([0], support).astype(complex, copy=False)
+    t_rho = (tau[1:] @ h_loc - h_loc @ tau[1:]) @ ground
     c = 1j * np.einsum("iab,jba->ij", sig[1:], t_rho)  # i Tr[sigma_i [tau_j, H] rho]
     q = -np.einsum("iab,jba->ij", tau[1:], t_rho).real  # Tr[tau_i [H, tau_j] rho]
-    return ReceiverForms(site=site, support=tuple(support), sig=sig,
+    return ReceiverForms(site=site, support=tuple(support), ground=ground, sig=sig,
                          parts=np.array([h_a, h_b]), inner=tau[:, None] @ h_b @ tau[None, :],
                          c=c, q=q, g=g)
 
@@ -384,7 +396,8 @@ class RunContext:
     """Everything one protocol configuration needs, precomputed.
 
     ``forms`` is the receiver's kernel; every trace the protocol reports
-    comes from it.
+    comes from it, and the resource state is its ground marginal on S
+    (``ground``).
     """
 
     spec: HamiltonianSpec
@@ -394,16 +407,26 @@ class RunContext:
     theta: ThetaParams
     alice_label: str
     bob_label: str
-    gs: np.ndarray = field(repr=False)
     forms: ReceiverForms = field(repr=False)
 
     @property
     def n_sites(self) -> int:
         return self.spec.n_sites
 
+    @property
+    def ground(self) -> np.ndarray:
+        """The ground state's marginal on the receiver's support S."""
+        return self.forms.ground
+
+    @functools.cached_property
+    def gs(self) -> np.ndarray:
+        """The ground state's register vector (``ground_state``), built on first
+        read; more than ``spinops.MAX_SITES`` sites raise ModelParameterError."""
+        return ground_state(self.spec)[0]
+
     @functools.cached_property
     def rho_gs(self) -> np.ndarray:
-        """|gs><gs| as a d x d matrix, built on first read; vector paths read ``gs``."""
+        """|gs><gs| as a d x d matrix, built on first read."""
         return pure_density(self.gs)
 
     def round_operator(self, announced: int, b: int | None = None,
@@ -432,8 +455,8 @@ def prepare(spec: HamiltonianSpec, partition: Partition,
     ``bob_axis`` may be an explicit MeasurementBasis, "paired" (X->Y,
     Y->X, anything else falls back to the optimizer) or "optimal".
     """
-    gs, _ = ground_state(spec)
-    forms = receiver_forms(spec, partition, gs, alice.site, alice_label, bob_label)
+    ground_energy(spec)
+    forms = receiver_forms(spec, partition, alice.site, alice_label, bob_label)
     n = np.array([alice.vector], dtype=float)
     forms.require_commuting(n)
 
@@ -452,7 +475,7 @@ def prepare(spec: HamiltonianSpec, partition: Partition,
     rule = FeedbackRule(forms.site, tuple(float(c) for c in m[0]), theta, bit_map)
     return RunContext(
         spec=spec, partition=partition, alice=alice, rule=rule, theta=tp,
-        alice_label=alice_label, bob_label=bob_label, gs=gs, forms=forms,
+        alice_label=alice_label, bob_label=bob_label, forms=forms,
     )
 
 
@@ -517,8 +540,8 @@ def ensemble_energies(ctx: RunContext, branches) -> np.ndarray:
 
 
 def run_ensemble(ctx: RunContext) -> QetOutcome:
-    """Exact ensemble energies on the resource ground state (its vector)."""
-    return ensemble_for_state(ctx, ctx.gs)
+    """Exact ensemble energies on the resource ground state (its marginal on S)."""
+    return ensemble_for_state(ctx, ctx.ground)
 
 
 def run_ensemble_random_basis(spec: HamiltonianSpec, partition: Partition,
@@ -584,7 +607,7 @@ def run_rounds(ctx: RunContext, n_rounds: int, seed: int,
         return bits, table[bits]
 
     evals, evecs = eigendecompose(ctx.forms.parts[1])
-    rho = ctx.forms.marginal(ctx.gs)
+    rho = ctx.ground
     ref = ctx.forms.reference(rho)[1]
     energies = np.empty(n_rounds)
     for b in (0, 1):

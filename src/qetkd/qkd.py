@@ -33,7 +33,7 @@ from .protocol import (
     run_ensemble,
 )
 from .rng import DRAW_CHUNK, SUBSTREAM, fair_bits, stream, uniform_chunks
-from .spinops import require_density_matrix
+from .spinops import require_density_matrix, require_register
 from .tolerances import TOL
 
 POLICIES = ("fixed", "two-random", "haar")
@@ -316,14 +316,15 @@ def _receivers(config: SessionConfig, ctx: RunContext,
                labels: list[str]) -> tuple[list[ReceiverForms], list[np.ndarray]]:
     """Every receiver's forms, and the session's input state as each reads it.
 
-    ``ctx`` is the first receiver's context.  A noisy input is folded once
-    per receiver, as its marginal on that receiver's own support, so a
-    Kraus channel at any receiver's site is refused.
+    ``ctx`` is the first receiver's context.  The noiseless input is each
+    receiver's ground marginal on its own support.  A noisy input is folded
+    once per receiver, as its marginal on that support, so a Kraus channel
+    at any receiver's site is refused.
     """
-    forms = [ctx.forms] + [receiver_forms(ctx.spec, ctx.partition, ctx.gs, ctx.alice.site,
+    forms = [ctx.forms] + [receiver_forms(ctx.spec, ctx.partition, ctx.alice.site,
                                           ctx.alice_label, lab) for lab in labels[1:]]
     if config.noise is None:
-        return forms, [ctx.gs] * len(forms)
+        return forms, [f.ground for f in forms]
     return forms, [noisy_input_state(ctx, config.noise, f)[0] for f in forms]
 
 
@@ -511,10 +512,12 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
     hashing; any other is looked up by its blake2b digest.  Each round's
     table slot goes into a preallocated intp buffer, and the draws are taken
     and the rounds tallied per table and outcome ``rng.DRAW_CHUNK`` at a
-    time, so a check keeps no per-round array.
+    time, so a check keeps no per-round array.  A register of more than
+    ``spinops.MAX_SITES`` sites raises ModelParameterError.
     """
     if rounds < 1:
         raise ValueError(f"a resource check needs at least one round, got {rounds}")
+    require_register(ctx.n_sites, "verify_resource_state")
     predicted = run_ensemble(ctx).e_bob
     announced = [ctx.rule.mapped(b) for b in (0, 1)]
     dim = 2 ** ctx.n_sites

@@ -23,6 +23,8 @@ and ``uniform_chunks`` draw a kind ``DRAW_CHUNK`` rounds at a time: the
 same variates as one array over every round, with no such array.
 """
 
+from __future__ import annotations
+
 from collections.abc import Iterator
 
 import numpy as np

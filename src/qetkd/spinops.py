@@ -1,34 +1,34 @@
-"""Site-local spin-operator kernel on up to 12 qubits.
+"""Site-local spin-operator kernel.
 
 A basis state |x> of n sites is the integer x whose most significant
 bit is site 0, matching the Kronecker order ``op_0 (x) op_1 (x) ...``.
 ``solve_sectors`` solves H exactly.  When the terms form a hub and at
 least three interchangeable leaves, H commutes with every permutation of
 the leaves, and it is solved in one hub (x) spin-j block per total leaf
-spin j, 2(2j + 1) wide, whose eigenvectors reach the register by coupling
-the leaves one at a time.  Any other H (at most 3 sites in the models,
-or a spec built by hand) is ``assemble``d and solved as one dense block
-of at most ``DENSE_MAX_SITES`` sites.  ``site_operator`` scatters a 2x2
-operator at one site in O(d), and ``on_support`` builds a sum of terms
-on the few sites it touches: the protocol and the noise channels act on
-a marginal there, never on a register-wide state.
-
-Operators, pure states and density matrices are plain numpy arrays; the
-validators below enforce the class invariants (Hermiticity, unit norm,
-unit trace, positivity) wherever a value crosses a public boundary.
-Everything here is a pure function on immutable inputs.
+spin j, 2(2j + 1) wide, each kept once with its number of copies; the
+marginal of a level on the hub and one leaf is read off its block vector,
+and its register column is built only when asked for, by coupling the
+leaves one at a time, on at most ``MAX_SITES`` sites.  Any other H (at
+most 3 sites in the models, or a spec built by hand) is ``assemble``d and
+solved as one dense block of at most ``DENSE_MAX_SITES`` sites.
+``site_operator`` scatters a 2x2 operator at one site in O(d), and
+``on_support`` builds a sum of terms on the few sites it touches: the
+protocol and the noise channels act on a marginal there, never on a
+register-wide state.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ModelParameterError
 from .tolerances import TOL
 
-MAX_SITES = 12  # the largest register tested; one d x d complex matrix is 268 MB here
+MAX_SITES = 12  # the largest register vector built; one d x d complex matrix is 268 MB here
 DENSE_MAX_SITES = 8  # H solved as one d x d block; a 12-site dense eigh took 8.9 s
 
 AXES = ("X", "Y", "Z")
@@ -144,7 +144,8 @@ def pauli_on_site(axis: str, site: int, n_sites: int) -> np.ndarray:
 
 
 def _require_terms(terms, n_sites: int) -> None:
-    _require_register(n_sites)
+    if n_sites < 1:
+        raise ValueError(f"n_sites must be at least 1, got {n_sites}")
     for t in terms:
         if not isinstance(t, PauliTerm) or t.max_site() >= n_sites:
             raise ValueError(f"expected PauliTerms on {n_sites} sites, got {t!r}")
@@ -191,14 +192,44 @@ def _hub_and_leaves(terms, n_sites: int) -> tuple[int, np.ndarray] | None:
 
 
 @functools.lru_cache(maxsize=None)
-def _collective_paulis(two_j: int) -> np.ndarray:
-    """[1, 2 J_x, 2 J_y, 2 J_z] of spin j on |j, m>, m descending from j: each
-    leaf Pauli summed over the leaves, on one copy of spin j; shared, read-only."""
+def _spin_ladder(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(2m, u) of spin j on |j, m>, m descending from j: 2 J_z is diag(2m), and
+    J_+ has u on its superdiagonal, so 2 J_x = J_+ + J_- and 2 J_y = -i (J_+ - J_-).
+    O(j) numbers per spin, shared and read-only."""
     m = two_j / 2 - np.arange(two_j + 1)
-    up = np.diag(np.sqrt(two_j / 2 * (two_j / 2 + 1) - m[1:] * (m[1:] + 1)), 1)
-    ops = np.array([np.eye(two_j + 1), up + up.T, -1j * (up - up.T), np.diag(2 * m)])
-    ops.flags.writeable = False
-    return ops
+    out = 2 * m, np.sqrt(two_j / 2 * (two_j / 2 + 1) - m[1:] * (m[1:] + 1))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _collective_block(parts: np.ndarray, two_j: int) -> np.ndarray:
+    """H_j = sum_ab C[a, b] sigma_a (x) 2 J_b^(j), hub bit most significant.
+
+    Hub entry (x, y) of H_j is tridiagonal in m: ``parts[:, x, y]`` holds its
+    identity and 2 J_z coefficients and the factors of u above and below
+    the diagonal (``_hub_plan``).
+    """
+    m2, u = _spin_ladder(two_j)
+    w = two_j + 1
+    i = np.arange(w)
+    block = np.zeros((2, w, 2, w), dtype=parts.dtype)
+    block[:, i, :, i] = parts[0] + m2[:, None, None] * parts[1]
+    block[:, i[:-1], :, i[1:]] = u[:, None, None] * parts[2]
+    block[:, i[1:], :, i[:-1]] = u[:, None, None] * parts[3]
+    return block.reshape(2 * w, 2 * w)
+
+
+def _hub_operators(v: np.ndarray, two_j: int) -> np.ndarray:
+    """A_b = V (2 J_b)^T V†, b = 0..3 with 2 J_0 = 1, for the block vector V
+    (2, 2j + 1) of one copy of spin j: A_b[x, y] = <|y><x| (x) 2 J_b>.
+
+    With M = V J_+ V†, A_x = M + M† and A_y = i (M - M†); each costs O(j).
+    """
+    m2, u = _spin_ladder(two_j)
+    m = (v[:, :-1] * u) @ v[:, 1:].conj().T
+    return np.array([v @ v.conj().T, m + m.conj().T, 1j * (m - m.conj().T),
+                     (v * m2) @ v.conj().T])
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,6 +241,13 @@ def _coupling_paths(n_leaves: int, two_j: int) -> tuple[tuple[int, ...], ...]:
         return ((1,),) if two_j == 1 else ()
     return tuple(p + (two_j,) for t in (two_j - 1, two_j + 1) if t >= 0
                  for p in _coupling_paths(n_leaves - 1, t))
+
+
+def _multiplicity(n_leaves: int, two_j: int) -> int:
+    """Copies of spin j among N spin-1/2 leaves, C(N, N/2 - j) - C(N, N/2 - j - 1):
+    ``len(_coupling_paths(N, 2j))`` without listing the paths."""
+    k = (n_leaves - two_j) // 2
+    return math.comb(n_leaves, k) - (math.comb(n_leaves, k - 1) if k else 0)
 
 
 def _coupled_leaves(path: tuple[int, ...]) -> np.ndarray:
@@ -266,31 +304,53 @@ class _CollectivePlan:
             out[:, j] = np.moveaxis(v.reshape((2,) * self.n_sites), 0, self.hub).ravel()
         return out
 
+    def hub_leaf_marginal(self, a: np.ndarray, sites) -> np.ndarray:
+        """rho on ``sites`` (the hub, one leaf or both, ascending) of a state
+        unchanged by leaf permutations, from its A_b (``_hub_operators``).
 
-def _collective_blocks(terms, n_sites: int) -> tuple[_CollectivePlan, list[np.ndarray]] | None:
-    """(plan, one 1-block stack per spin j, descending) of a hub plus at least
-    three interchangeable leaves (``_hub_and_leaves``), else None.
+        <sigma_a (x) tau_b> of one leaf is <sigma_a (x) 2 J_b> / N for b >= 1
+        (Wang and Molmer, Eur. Phys. J. D 18, 385 (2002)), so rho_S is
+        (1/2) sum_b A'_b (x) tau_b with A'_0 = A_0 and A'_b = A_b / N.
+        """
+        a = np.concatenate([a[:1], a[1:] / (self.n_sites - 1)])
+        paulis = site_paulis(0, 1)
+        if len(sites) == 1:
+            return a[0] if sites[0] == self.hub else 0.5 * np.einsum(
+                "bxx,bst->st", a, paulis)
+        order = "bxy,bst->xsyt" if sites[0] == self.hub else "bxy,bst->sxty"
+        return 0.5 * np.einsum(order, a, paulis).reshape(4, 4)
+
+
+def _hub_plan(terms, n_sites: int) -> tuple[_CollectivePlan, np.ndarray] | None:
+    """(plan, parts) of a hub plus at least three interchangeable leaves
+    (``_hub_and_leaves``), else None; ``parts`` feeds ``_collective_block``.
 
     Summed over the leaves, leaf Pauli b is 2 J_b of the total leaf spin, so
     H_j = sum_ab C[a, b] sigma_a (x) 2 J_b^(j), with sigma_0 = 2 J_0 = 1.
+    With d_b = sum_a C[a, b] sigma_a, hub entry (x, y) of H_j is
+    d_0 + d_z 2m on the diagonal, (d_x - i d_y) u above it and
+    (d_x + i d_y) u below it; ``parts`` is those four 2x2 factors, real
+    unless some Y term makes them complex.
     """
-    _require_terms(terms, n_sites)
     found = _hub_and_leaves(terms, n_sites)
     if found is None:
         return None
     hub, c = found
     spins = tuple(range(n_sites - 1, -1, -2))
-    stacks = [np.einsum("ab,axy,bij->xiyj", c, site_paulis(0, 1), _collective_paulis(t)
-                        ).reshape(1, 2 * t + 2, 2 * t + 2) for t in spins]
     plan = _CollectivePlan(hub, n_sites, spins,
-                           tuple(len(_coupling_paths(n_sites - 1, t)) for t in spins))
-    return plan, stacks
+                           tuple(_multiplicity(n_sites - 1, t) for t in spins))
+    d = np.einsum("axy,ab->bxy", site_paulis(0, 1), c)
+    parts = np.array([d[0], d[3], d[1] - 1j * d[2], d[1] + 1j * d[2]])
+    return plan, parts if np.any(parts.imag) else parts.real
 
 
 class _DensePlan:
-    """Any H that ``_collective_blocks`` does not take, as one register-wide block."""
+    """Any H that ``_hub_plan`` does not take, as one register-wide block."""
 
     multiplicities = (1,)   # one stack of one block, solved once
+
+    def __init__(self, n_sites: int):
+        self.n_sites = n_sites
 
     def columns(self, block_vectors, where) -> np.ndarray:
         """The block's eigenvector columns at ``where``'s (0, 0, column) rows."""
@@ -298,15 +358,58 @@ class _DensePlan:
         return vectors[0][:, where[:, 2]]
 
 
+def require_register(n_sites: int, reader: str) -> None:
+    """Raise ModelParameterError when ``reader`` would need a state vector or
+    matrix on more than ``MAX_SITES`` sites."""
+    if n_sites > MAX_SITES:
+        raise ModelParameterError(
+            f"{reader} needs the register vector of {n_sites} sites, and register "
+            f"vectors are built on at most {MAX_SITES} sites")
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """H's eigenvalues, ascending, with its eigenvectors kept block by block:
-    the collective hub (x) spin-j blocks, or H itself as one dense block."""
+    """H's levels, ascending, with its eigenvectors kept block by block: the
+    collective hub (x) spin-j blocks, or H itself as one dense block.
 
-    values: np.ndarray
+    Each block eigenvalue is one level, which stands for one register
+    eigenvector per copy of its block (``multiplicity``).  The register
+    spectrum (``values``) and register columns (``vectors``, ``ground``)
+    are built only when read, on at most ``MAX_SITES`` sites; ``marginal``
+    serves the protocol without them.
+    """
+
+    levels: np.ndarray
     plan: _CollectivePlan | _DensePlan
     block_vectors: tuple[np.ndarray, ...]  # per stack: (blocks, m, m), as columns
-    where: np.ndarray       # (stack, block copy, column) of each ascending level
+    blocks: np.ndarray      # (stack, column) of each level
+
+    def multiplicity(self, level: int) -> int:
+        return self.plan.multiplicities[self.blocks[level, 0]]
+
+    @property
+    def gap(self) -> float:
+        """``values[1] - values[0]`` read off the levels: 0.0 when the lowest
+        level has more than one copy."""
+        return 0.0 if self.multiplicity(0) > 1 else float(self.levels[1] - self.levels[0])
+
+    @functools.cached_property
+    def _register(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, where, first): each level once per copy, ascending; the
+        (stack, block copy, column) of each value; the first value of each level."""
+        require_register(self.plan.n_sites, "the register spectrum")
+        copies = np.asarray(self.plan.multiplicities)[self.blocks[:, 0]]
+        first = np.cumsum(copies) - copies
+        values = np.repeat(self.levels, copies)
+        where = np.repeat(self.blocks[:, [0, 0, 1]], copies, axis=0)
+        where[:, 1] = np.arange(len(values)) - np.repeat(first, copies)
+        values.flags.writeable = False
+        return values, where, first
+
+    @property
+    def values(self) -> np.ndarray:
+        """H's eigenvalues, ascending, each as often as it occurs in the register."""
+        return self._register[0]
 
     @functools.cached_property
     def ground(self) -> np.ndarray:
@@ -318,32 +421,90 @@ class Spectrum:
     def vectors(self, levels) -> np.ndarray:
         """The eigenvectors of ``levels`` (indices into ``values``) as register-basis
         columns, each with its largest amplitude rotated real positive."""
-        out = self.plan.columns(self.block_vectors, self.where[levels])
+        out = self.plan.columns(self.block_vectors, self._register[1][levels])
         phase = out[np.abs(out).argmax(axis=0), np.arange(len(levels))]
         return out * (phase / np.abs(phase)).conjugate()
+
+    def _block_vector(self, level: int) -> np.ndarray:
+        """Level's block vector as (hub, leaf spin) rows, rotated as ``vectors``
+        rotates its register column: the one copy of a symmetric-block level
+        has amplitude V[x, i] / sqrt(C(N, i)) on each leaf string with i ones."""
+        g, col = self.blocks[level]
+        v = self.block_vectors[g][0, :, col].reshape(2, -1)
+        n_leaves = self.plan.n_sites - 1
+        scale = np.array([math.comb(n_leaves, i) for i in range(v.shape[1])], dtype=float)
+        phase = v.flat[np.argmax(np.abs(v) / np.sqrt(scale))]
+        return v * (phase / abs(phase)).conjugate()
+
+    def marginal(self, levels, sites, phases=None) -> np.ndarray:
+        """Reduced density matrix on ``sites`` (ascending) of the uniform mixture
+        of every eigenvector of ``levels`` (indices into ``levels``), each level
+        weighted by its multiplicity; with ``phases``, of the pure state
+        sum_l phases[l] |l> / sqrt(len(levels)), |l> the first column of level
+        l that ``vectors`` gives.
+
+        A hub-and-leaves plan reads it off the block vectors when ``sites`` are
+        the hub, one leaf or both, and the state is unchanged by permutations
+        of the leaves: a mixture over whole levels, or a pure state on levels
+        of multiplicity 1, which lie in the symmetric block j = N/2
+        (``_CollectivePlan.hub_leaf_marginal``).  Anything else reduces
+        register columns, which refuses more than ``MAX_SITES`` sites.
+        """
+        plan = self.plan
+        weights = [self.multiplicity(lv) for lv in levels]
+        if not (isinstance(plan, _CollectivePlan) and len(set(sites) - {plan.hub}) <= 1
+                and (phases is None or max(weights) == 1)):
+            return self.register_marginal(levels, sites, phases)
+        if phases is None:
+            total = sum(weights)
+            a = sum(w / total * _hub_operators(self.block_vectors[g][0, :, col].reshape(2, -1),
+                                               plan.spins[g])
+                    for w, (g, col) in zip(weights, self.blocks[levels]))
+        else:
+            v = sum(p * self._block_vector(lv) for p, lv in zip(phases, levels))
+            a = _hub_operators(v / math.sqrt(len(levels)), plan.spins[0])
+        return plan.hub_leaf_marginal(a, sites)
+
+    def register_marginal(self, levels, sites, phases=None) -> np.ndarray:
+        """``marginal`` by reducing register columns: it takes any plan and any
+        ``sites``, and refuses more than ``MAX_SITES`` sites."""
+        start = self._register[2][levels]
+        if phases is not None:
+            columns = self.vectors(start)
+            state = sum(p * v for p, v in zip(phases, columns.T)) / math.sqrt(len(levels))
+            return reduced_density(state, list(sites))
+        columns = self.vectors(np.concatenate(
+            [np.arange(s, s + self.multiplicity(lv)) for s, lv in zip(start, levels)]))
+        return sum(reduced_density(v, list(sites)) for v in columns.T) / columns.shape[1]
 
 
 def solve_sectors(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) -> Spectrum:
     """H solved exactly, every block in full, and one ``eigendecompose`` per stack.
 
     A hub with at least three interchangeable leaves is solved in its hub (x)
-    total-leaf-spin blocks (``_collective_blocks``), each block's levels
-    repeated once per copy of its spin.  Any other H (chain3, the two-site
-    model, the star with one or two leaves, specs built by hand) is
-    ``assemble``d and solved as one dense block, which refuses more than
-    ``DENSE_MAX_SITES`` sites with ValueError.
+    total-leaf-spin blocks (``_hub_plan``), built and solved one at a time,
+    each block's levels kept once with the number of copies of its spin.
+    Any other H (chain3, the two-site model, the star with one or two
+    leaves, specs built by hand) is ``assemble``d and solved as one dense
+    block, which refuses more than ``DENSE_MAX_SITES`` sites with ValueError.
     """
-    plan, stacks = (_collective_blocks(terms, n_sites)
-                    or (_DensePlan(), [assemble(terms, n_sites)[None]]))
+    _require_terms(terms, n_sites)
+    found = _hub_plan(terms, n_sites)
+    if found is None:
+        plan, stacks = _DensePlan(n_sites), [assemble(terms, n_sites)[None]]
+    else:
+        plan, parts = found
+        stacks = (_collective_block(parts, t)[None] for t in plan.spins)
     solved = [eigendecompose(stack) for stack in stacks]
-    values = [np.repeat(v, m, axis=0) for (v, _), m in zip(solved, plan.multiplicities)]
-    where = np.concatenate([np.c_[np.full(v.size, g), np.indices(v.shape).reshape(2, -1).T]
-                            for g, v in enumerate(values)])
-    values = np.concatenate([v.ravel() for v in values])
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    values.flags.writeable = False
-    return Spectrum(values, plan, tuple(v for _, v in solved), where[order])
+    widths = [v.shape[1] for v, _ in solved]
+    levels = np.concatenate([v[0] for v, _ in solved])
+    order = np.argsort(levels, kind="stable")
+    blocks = np.empty((len(levels), 2), dtype=np.intp)
+    blocks[:, 0] = np.repeat(np.arange(len(widths)), widths)
+    blocks[:, 1] = np.arange(len(levels)) - np.repeat(np.cumsum(widths) - widths, widths)
+    levels = levels[order]
+    levels.flags.writeable = False
+    return Spectrum(levels, plan, tuple(v for _, v in solved), blocks[order])
 
 
 @functools.lru_cache(maxsize=None)

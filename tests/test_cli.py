@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qetkd import cli
 from qetkd.cli import main, sweep_values
 from qetkd.tolerances import TOL
 
@@ -187,7 +188,10 @@ def _scan_cases():
 
 
 # name: SHA-256 of the CSV, stdout and exit code of a ``noise`` run.  The
-# digests pin the bytes written by a scan that evaluated its grid point by point.
+# digests pin the bytes written by a scan that evaluated its grid point by point;
+# the two star6 excited digests, those of marginals read off the block vectors
+# (three cells each moved by one unit in their last digit, none away from its
+# 40-digit value by more than that; tests/test_precision.py holds them).
 SCAN_DIGESTS = {
     "chain3-classical": "608131068bb8ccb81b220b41a2d65e66bca4ef3570ca24736a347e04ce63e1a5",
     "chain3-depolarize": "11a574f3439a1d7c86de82ff39652b21d3d9a0409e4f01f6779b58834749f433",
@@ -199,14 +203,44 @@ SCAN_DIGESTS = {
     "star6-depolarize": "09950209c94d0feb5d54f464ab8469acfc5b4865cb07d9acf651da071ac68e1f",
     "star6-bitflip": "2b0d098f139349181950eabe35723298bdcb1c3aa8f0c27d5de3d549f65221f4",
     "star6-phaseflip": "f2127156f32ae7a51a59a4f8fcf9aa587e0523d6051455e5a8b5ecc7aeff409c",
-    "star6-excited-mix": "b2fcb1a1b9326cd827b1fa685c9fc91f4b697a766b9dee317a6aa1ba526ca3b7",
-    "star6-excited-sup": "b63b67d4823038deeb72db8fe89d7919735be2d0d4837ab250c254a10d139e89",
+    "star6-excited-mix": "f60d13eacdd41053834b0d12ce911b2c9322226c9a00ea09326ea076275a0fe2",
+    "star6-excited-sup": "a569284e7ede9e728ae928431ba02cdba0fb43bc90c596117e224ce96a2992ae",
     "chain3-excited-sup-alpha": "dbdd41ff24812fbcc370a2f82af56767082e563a254c13480d044e7d473291ef",
     "chain3-bitflip-alice": "b8330c4a000e81ace9455107b850859ad652fbe2398ac8f005335f33b160171d",
 }
 
 
+# name: the crossings of the scan, as float.hex, bisected with branch_weights
+# at one p per step, before the step built its basis row from Python floats.
+SCAN_CROSSINGS = {
+    "chain3-classical": ("0x1.001eb851eb852p-2",),
+    "chain3-depolarize": (),
+    "chain3-bitflip": ("0x1.29eb851eb851fp-5",),
+    "chain3-phaseflip": (),
+    "chain3-excited-mix": ("0x1.d55c28f5c28f6p-3",),
+    "chain3-excited-sup": ("0x1.d55c28f5c28f6p-3",),
+    "star6-classical": ("0x1.00eb851eb851ep-2",),
+    "star6-depolarize": (),
+    "star6-bitflip": ("0x1.cbd70a3d70a3dp-5",),
+    "star6-phaseflip": (),
+    "star6-excited-mix": ("0x1.5f66666666666p-2",),
+    "star6-excited-sup": ("0x1.5f66666666666p-2",),
+    "chain3-excited-sup-alpha": ("0x1.d55c28f5c28f6p-3",),
+    "chain3-bitflip-alice": (),
+}
+
+
 class TestScanOutputs:
+    @pytest.mark.parametrize("name", list(_scan_cases()))
+    def test_scan_crossings_keep_their_bits(self, name, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        reports = []
+        scan = cli.threshold_scan
+        monkeypatch.setattr(cli, "threshold_scan",
+                            lambda *a, **kw: reports.append(scan(*a, **kw)) or reports[-1])
+        assert run_cli(capsys, "noise", *_scan_cases()[name], "--out", "scan.csv")[0] == 0
+        assert tuple(p.hex() for p in reports[0].crossings) == SCAN_CROSSINGS[name]
+
     @pytest.mark.parametrize("name", list(_scan_cases()))
     def test_scan_bytes_pinned(self, name, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the manifest holds the --out path
@@ -349,7 +383,7 @@ class TestModelParameters:
         ("ground", "--model", "two-site", "--k", "-1"),
         ("qet", "--J", "-1"),
         ("qet", "--sweep-J", "1:-1:3"),
-        ("qet", "--model", "star", "--N", "20"),
+        ("qet", "--model", "star", "--N", "101"),
         ("noise", "--family", "classical", "--J", "-1"),
         ("session", "--J", "-1"),
         ("attack", "--scenario", "independent", "--J", "-1"),

@@ -127,7 +127,7 @@ class TestStar:
         assert sorted((t.coefficient, t.factors) for t in part.all_terms()) == \
                sorted((t.coefficient, t.factors) for t in spec.terms)
 
-    @pytest.mark.parametrize("n", [0, 12])
+    @pytest.mark.parametrize("n", [0, 101])  # MAX_PARTIES is 100
     def test_party_count_bounds(self, n):
         with pytest.raises(ValueError):
             star(n, 1.0)

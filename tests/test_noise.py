@@ -458,13 +458,13 @@ class TestChannelsOnTheMarginal:
         (g, _), (flipped, _) = noise.noise_branches(star6, NoiseSpec(kind, 0.3, site=site))[0]
         assert flipped is g
         rho, _ = noisy_input_state(star6, NoiseSpec(kind, 0.3, site=site))
-        np.testing.assert_array_equal(rho, star6.forms.marginal(star6.gs))
+        np.testing.assert_array_equal(rho, star6.ground)
 
     @pytest.mark.parametrize("site", [3, 4])
     def test_off_support_kraus_leaves_the_ground_marginal(self, star6, site):
         spec = NoiseSpec("local_kraus", 0.0, site=site, kraus_ops=DEPHASING)
         sigma, check = kraus_state(star6, spec)
-        np.testing.assert_array_equal(sigma, star6.forms.marginal(star6.gs))
+        np.testing.assert_array_equal(sigma, star6.ground)
         assert check.defects == {"K0": 0.0, "K1": 0.0} and check.max_defect == 0.0
         ((state, _),), _ = noise.noise_branches(star6, spec)
         np.testing.assert_array_equal(state, sigma)
@@ -594,8 +594,7 @@ class TestNoiseSpec:
         # channel at site 2 for B2's support is refused, though B1's is not
         spec, part, labels = build_model("star", 1.0, n_parties=2)
         ctx = prepare(spec, part, MeasurementBasis.x(0), bob_label=labels[0])
-        forms_b2 = receiver_forms(spec, part, ctx.gs, ctx.alice.site, ctx.alice_label,
-                                  labels[1])
+        forms_b2 = receiver_forms(spec, part, ctx.alice.site, ctx.alice_label, labels[1])
         kraus = NoiseSpec("local_kraus", 0.0, site=2, kraus_ops=(np.eye(2),))
         noisy_input_state(ctx, kraus)
         with pytest.raises(SupportViolationError):

@@ -12,16 +12,19 @@ than to another float64 computation.
 zero, where a printed ``.12g`` cell carries digits below the float64
 accuracy of the energy: each E_B is recomputed at 40 digits from the same
 float inputs (coupling, p, axes), with the ground state, the excited
-level and theta all solved at 40 digits.
+level and theta all solved at 40 digits.  The star6 scan cells that moved
+when the star's marginals came to be read off its block vectors are held
+the same way, with the 40-digit states solved in the hub (x) Dicke block.
 """
 
 import functools
+import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from qetkd.models import chain3, two_site
+from qetkd.models import chain3, star, two_site
 from qetkd.noise import default_chain_coupling, threshold_scan
 from qetkd.protocol import MeasurementBasis, prepare
 
@@ -223,3 +226,111 @@ def test_scan_cells_near_zero_match_forty_digits(coupling, family, p):
         want = exact.scan_e_bob(family, GRID[i], ctx.rule.site)
         assert abs(mpmath.mpf(report.e_bob[i]) - want) <= 1e-15
         assert abs(want) < 6e-5  # a cell far below ||H||, as named
+
+
+# ---------------------------------------------------------------------------
+# star cells read off the block marginal
+# ---------------------------------------------------------------------------
+
+def mp_kron(a, b):
+    return mpmath.matrix([[a[i // 2, k // 2] * b[i % 2, k % 2] for k in range(4)]
+                          for i in range(4)])
+
+
+class MpStar:
+    """star(N, J) at working precision in the hub (x) Dicke block, where its
+    ground and first excited states lie, with the protocol of receiver B1:
+    the sender measures X at the hub, the receiver rotates about Y.
+
+    sum_k Z_k |D^n> = (N - 2n) |D^n> and sum_k X_k |D^n> = sqrt((n + 1)(N - n))
+    |D^(n+1)> + sqrt(n (N - n + 1)) |D^(n-1)>.  A state's marginal on (hub,
+    leaf 1) splits leaf 1 off each Dicke state, |D_N^n> = sqrt(C(N-1, n) /
+    C(N, n)) |0>|D_(N-1)^n> + sqrt(C(N-1, n-1) / C(N, n)) |1>|D_(N-1)^(n-1)>;
+    every operator of the round acts on that pair.
+    """
+
+    def __init__(self, n, j):
+        self.n = n
+        j = mpmath.mpf(j)
+        d = n + 1
+        h = mpmath.zeros(2 * d, 2 * d)
+        for s in (0, 1):
+            for k in range(d):
+                h[s * d + k, s * d + k] = (1 - 2 * s) + (n - 2 * k)
+                if k < n:
+                    h[(1 - s) * d + k + 1, s * d + k] = h[s * d + k, (1 - s) * d + k + 1] = \
+                        j * mpmath.sqrt((k + 1) * (n - k))
+        values, vectors = mpmath.eighe(h)
+        order = sorted(range(2 * d), key=lambda i: values[i])
+        self.ground, self.first = (self.level(vectors, order[i]) for i in (0, 1))
+        x, y, z = (mpmath.matrix(PAULI[a]) for a in "XYZ")
+        one = mpmath.eye(2)
+        self.h_b = j * mp_kron(x, x) + mp_kron(one, z)
+        self.sigma, self.tau = mp_kron(x, one), mp_kron(one, y)
+        rho = self.marginal(self.ground)
+        comm = self.tau * self.h_b - self.h_b * self.tau
+        xi = -mpmath.re(mp_trace(self.tau * comm * rho))
+        eta = mpmath.re(1j * mp_trace(self.sigma * comm * rho))
+        self.theta = mpmath.atan2(eta, xi) / 2
+
+    def level(self, vectors, column):
+        """A block eigenvector with its largest register amplitude, a[s, n] /
+        sqrt(C(N, n)), rotated real positive: the gauge of ``Spectrum.vectors``."""
+        v = vectors.column(column)
+        top = max(range(v.rows),
+                  key=lambda r: abs(v[r]) / mpmath.sqrt(math.comb(self.n, r % (self.n + 1))))
+        return v * (abs(v[top]) / v[top])
+
+    def marginal(self, a):
+        n, d = self.n, self.n + 1
+        c = [[a[s * d + r + b] * mpmath.sqrt(mpmath.mpf(math.comb(n - 1, r)) / math.comb(n, r + b))
+              for r in range(n)] for s in (0, 1) for b in (0, 1)]
+        return mpmath.matrix([[mpmath.fsum(u * mpmath.conj(v) for u, v in zip(c[i], c[k]))
+                               for k in range(4)] for i in range(4)])
+
+    def e_bob(self, rho):
+        one = mpmath.eye(4)
+        total = -mp_trace(rho * self.h_b)
+        for b in (0, 1):
+            p = (one - (-1) ** b * self.sigma) / 2
+            u = mpmath.cos(self.theta) * one - 1j * (-1) ** b * mpmath.sin(self.theta) * self.tau
+            total += mp_trace(u * p * rho * p * u.H * self.h_b)
+        return mpmath.re(total)
+
+    def scan_e_bob(self, family, p):
+        p = mpmath.mpf(float(p))
+        g, first = self.marginal(self.ground), self.marginal(self.first)
+        if family == "excited_mixture":  # the first excited level is one vector here
+            return (1 - p) * self.e_bob(g) + p * self.e_bob(first)
+        plus = self.marginal((self.ground + self.first) / mpmath.sqrt(2))
+        c = mpmath.sqrt(p * (1 - p))
+        return mpmath.fsum(w * self.e_bob(s) for w, s in zip((1 - p - c, p - c, 2 * c),
+                                                             (g, first, plus)))
+
+
+# (family, p): the star6 cells, J = 1, whose printed .12g E_B moved by one unit
+# when the marginals came to be read off the block vectors
+STAR6_MOVED_CELLS = [
+    ("excited_mixture", 0.32), ("excited_mixture", 0.64), ("excited_mixture", 0.86),
+    ("excited_superposition", 0.33), ("excited_superposition", 0.34),
+    ("excited_superposition", 0.38),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def star6():
+    spec, partition = star(6, 1.0)
+    ctx = prepare(spec, partition, MeasurementBasis.x(0), bob_label="B1")
+    assert ctx.rule.vector == (0.0, 1.0, 0.0)
+    with mpmath.workdps(DIGITS):
+        return ctx, MpStar(6, 1.0)
+
+
+@pytest.mark.parametrize("family, p", STAR6_MOVED_CELLS)
+def test_star6_cells_match_forty_digits(family, p):
+    ctx, exact = star6()
+    report = threshold_scan(ctx, family, GRID)
+    i = int(np.flatnonzero(np.isclose(GRID, p))[0])
+    with mpmath.workdps(DIGITS):
+        want = exact.scan_e_bob(family, GRID[i])
+        assert abs(mpmath.mpf(report.e_bob[i]) - want) <= 1e-15

@@ -82,7 +82,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"coupling": -1.0},
         {"model": "star", "n_parties": 0},
-        {"model": "star", "n_parties": 12},
+        {"model": "star", "n_parties": 101},
     ])
     def test_model_parameters_in_range(self, kwargs):
         with pytest.raises(ValueError):
