@@ -44,7 +44,7 @@ from .protocol import (
     run_ensemble,
     run_ensemble_random_basis,
 )
-from .qkd import SessionConfig, run_session, write_transcript
+from .qkd import SessionConfig, _write_in_place, run_session, write_transcript
 from .rng import STREAM_LAYOUT
 from .spinops import frobenius
 
@@ -74,8 +74,7 @@ def _json_value(value):
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write_in_place(out, (text.encode(),))
     else:
         sys.stdout.write(text)
 

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+import itertools
+import os
+import stat
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -316,13 +319,24 @@ def _receivers(config: SessionConfig, ctx: RunContext,
                labels: list[str]) -> tuple[list[ReceiverForms], list[np.ndarray]]:
     """Every receiver's forms, and the session's input state as each reads it.
 
-    ``ctx`` is the first receiver's context.  The noiseless input is each
-    receiver's ground marginal on its own support.  A noisy input is folded
-    once per receiver, as its marginal on that support, so a Kraus channel
-    at any receiver's site is refused.
+    ``ctx`` is the first receiver's context.  On the collective star (N >= 3)
+    every leaf's forms are leaf 1's but for ``site`` and ``support`` (hub,
+    leaf), so leaf 1's are made read-only and relabelled; the dense star's
+    marginals may differ in the last bit, so it builds each receiver's own.
+    The noiseless input is each receiver's ground marginal on its own
+    support.  A noisy input is folded once per receiver, as its marginal on
+    that support, so a Kraus channel at any receiver's site is refused.
     """
-    forms = [ctx.forms] + [receiver_forms(ctx.spec, ctx.partition, ctx.alice.site,
-                                          ctx.alice_label, lab) for lab in labels[1:]]
+    if config.model == "star" and config.n_parties >= 3:
+        first = ctx.forms
+        for array in (first.ground, first.parts, first.inner, first.c, first.q, first.g):
+            array.flags.writeable = False
+        hub = ctx.alice.site
+        forms = [first] + [replace(first, site=leaf, support=(hub, leaf))
+                           for leaf in range(2, len(labels) + 1)]
+    else:
+        forms = [ctx.forms] + [receiver_forms(ctx.spec, ctx.partition, ctx.alice.site,
+                                              ctx.alice_label, lab) for lab in labels[1:]]
     if config.noise is None:
         return forms, [f.ground for f in forms]
     return forms, [noisy_input_state(ctx, config.noise, f)[0] for f in forms]
@@ -505,11 +519,12 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
     trusted-model prediction.  Decode tables are cached by
     the state's content, never by object identity: a supplier may return
     fresh arrays, and a recycled id must not resurrect another state's
-    table.  Each round is keyed on its shape, its ``dtype`` object (which
-    tells byte orders apart; ``dtype.str`` built a new string every round)
-    and a copy of its bytes, so a state changed in place still shows.  A
-    round whose key equals the previous round's reuses its table without
-    hashing; any other is looked up by its blake2b digest.  Each round's
+    table.  Each round's bytes (``tobytes``, a copy, so a state changed in
+    place still shows), shape and ``dtype`` object (which tells byte orders
+    apart) are compared with the previous round's, the dtype by identity
+    first; only a state that is not an ndarray is converted to one.  A round
+    equal to the previous one reuses its table without hashing; any other is
+    looked up by (shape, dtype, blake2b digest of its bytes).  Each round's
     table slot goes into a preallocated intp buffer, and the draws are taken
     and the rounds tallied per table and outcome ``rng.DRAW_CHUNK`` at a
     time, so a check keeps no per-round array.  A register of more than
@@ -525,22 +540,26 @@ def verify_resource_state(ctx: RunContext, source, rounds: int = 2000,
     counts = np.zeros(0, dtype=np.int64)  # per table and outcome
     cache: dict[tuple, int] = {}
     tables: list[np.ndarray] = []  # per distinct state: (P(b=0), decoded E for b=0, b=1)
-    previous = None
+    data = shape = dtype = None  # the previous round's
     for start, draws in uniform_chunks(stream(seed, SUBSTREAM["resource_check"]), rounds):
         chunk = slots[:len(draws)]
         for i in range(len(chunk)):
-            rho = np.ascontiguousarray(source(start + i))
-            content = (rho.shape, rho.dtype, rho.tobytes())
-            if content != previous:  # a copy of the bytes: an in-place change still shows
-                key = content[:2] + (hashlib.blake2b(content[2]).digest(),)
+            rho = source(start + i)
+            if not isinstance(rho, np.ndarray):
+                rho = np.ascontiguousarray(rho)
+            content = rho.tobytes()
+            if content != data or rho.shape != shape \
+                    or (rho.dtype is not dtype and rho.dtype != dtype):
+                key = (rho.shape, rho.dtype, hashlib.blake2b(content).digest())
                 if key not in cache:
                     if rho.shape != (dim, dim):
                         raise ValueError(f"round {start + i}: resource state has shape "
                                          f"{rho.shape}, {ctx.n_sites} sites need ({dim}, {dim})")
-                    table = conditional_table(ctx, require_density_matrix(rho))
+                    rho = require_density_matrix(np.ascontiguousarray(rho))
+                    table = conditional_table(ctx, rho)
                     cache[key] = len(tables)
                     tables.append(np.r_[table.prob[0], table.decode()[(0, 1), announced]])
-                slot, previous = cache[key], content
+                slot, data, shape, dtype = cache[key], content, rho.shape, rho.dtype
             chunk[i] = slot
         outcome = draws >= np.reshape(tables, (-1, 3))[chunk, 0]
         counts = np.pad(counts, (0, 2 * len(tables) - len(counts)))
@@ -557,11 +576,31 @@ def write_transcript(result: SessionResult, path) -> None:
     """Line-oriented transcript: round,basis,announced bit,party,energy,decoded.
 
     The rows are written as ``_TranscriptRows.chunks`` renders them, at
-    most ``CHUNK_ROWS`` at a time; neither the ``transcript`` tuple nor a
-    string of the whole file is built.
+    most ``CHUNK_ROWS`` at a time, and written in place
+    (``_write_in_place``); neither the ``transcript`` tuple nor a string of
+    the whole file is built.
     """
-    header = "round,basis_n1,basis_n2,basis_n3,announced_bit,party,cond_energy,decoded_bit"
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        if result.rows is not None:
-            fh.writelines(result.rows.chunks())
+    header = b"round,basis_n1,basis_n2,basis_n3,announced_bit,party,cond_energy,decoded_bit\n"
+    rows = () if result.rows is None else result.rows.chunks()
+    _write_in_place(path, itertools.chain((header,), rows))
+
+
+def _write_in_place(path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``path``, leaving the bytes ``open(path, "wb")``
+    would, without truncating an existing file to zero first.
+
+    ``os.O_WRONLY | os.O_CREAT`` is "wb" without ``O_TRUNC``: a new file gets
+    mode 0o666 less the umask, and an existing file keeps its mode.  The
+    bytes overwrite the old ones from the start, and a regular file longer
+    than what was written is then cut to that length; a pipe, FIFO or
+    character device (``--out /dev/stdout``) cannot be truncated and is not.
+    On ext4 a truncate to zero makes the close start writeback of the
+    file's blocks (``auto_da_alloc``); a rewrite in place does not.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        size = sum(map(fh.write, chunks))
+        fh.flush()
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > size:
+            os.ftruncate(fd, size)

@@ -519,15 +519,29 @@ def on_support(terms, support: list[int] | tuple[int, ...]) -> np.ndarray:
     """Sum of Pauli terms as a 2^k x 2^k matrix on the k ascending sites ``support``.
 
     Every factor's site must be in ``support``; the first of them is the
-    most significant bit, as in ``reduced_density``.
+    most significant bit, as in ``reduced_density``.  A Pauli string has one
+    entry per column: column x holds i^(number of Y) (-1)^(Z and Y bits of
+    x) in row x XOR (X and Y bits), exactly 0, +-1 or +-i as the product of
+    its site Paulis, so no register-sized matrix is built or kept per site.
+    Each entry sums its terms in order, starting from 0.
     """
-    pos = {s: i for i, s in enumerate(support)}
-    k = len(support)
-    out = np.zeros((2 ** k, 2 ** k), dtype=complex)
+    bit = {s: len(support) - 1 - i for i, s in enumerate(support)}
+    dim = 2 ** len(support)
+    out = [0j] * (dim * dim)
     for t in terms:
-        ops = [site_paulis(pos[s], k)[1 + AXES.index(ax)] for s, ax in t.factors]
-        out += t.coefficient * functools.reduce(np.matmul, ops or [np.eye(2 ** k)])
-    return out
+        flip = sign = n_y = 0
+        for s, ax in t.factors:
+            flip |= (ax != "Z") << bit[s]
+            sign |= (ax != "X") << bit[s]
+            n_y += ax == "Y"
+        phase = t.coefficient * _Y_PHASES[n_y % 4]
+        value = (phase, -phase)  # by the parity of x & sign
+        for x in range(dim):
+            out[(x ^ flip) * dim + x] += value[(x & sign).bit_count() & 1]
+    return np.array(out).reshape(dim, dim)
+
+
+_Y_PHASES = (1.0, 1j, -1.0, -1j)  # i^(number of Y factors)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -452,3 +455,78 @@ class TestManifest:
         manifest_line = out_path.read_text().splitlines()[0]
         payload = json.loads(manifest_line[len("# manifest: "):])
         assert payload["grid"] == np.linspace(0.0, 1.0, 2001).tolist()
+
+
+class TestOutputsRewrittenInPlace:
+    """A CSV is written over the old bytes and cut to its length, never
+    truncated to zero first; what is left is what a fresh write leaves."""
+
+    LONG = ("qet", "--model", "star", "--N", "3", "--J", "1", "--sweep-J", "0:1:9")
+    SHORT = LONG[:-1] + ("0:1:3",)
+
+    def test_long_short_long_equal_fresh_writes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the manifest holds the --out path
+        fresh = {}
+        for argv in (self.LONG, self.SHORT):
+            assert run_cli(capsys, *argv, "--out", "f.csv")[0] == 0
+            fresh[argv] = Path("f.csv").read_bytes()
+            Path("f.csv").unlink()
+        assert len(fresh[self.SHORT]) < len(fresh[self.LONG])
+        for argv in (self.LONG, self.SHORT, self.LONG):
+            assert run_cli(capsys, *argv, "--out", "f.csv")[0] == 0
+            assert Path("f.csv").read_bytes() == fresh[argv]
+
+    def test_out_to_a_pipe(self):
+        # /dev/stdout on a pipe cannot be truncated; the bytes are pinned
+        # from the writer that opened the path with "w"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run([sys.executable, "-m", "qetkd.cli", *self.LONG,
+                              "--out", "/dev/stdout"], env=env, capture_output=True)
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert hashlib.sha256(run.stdout).hexdigest() == \
+            "8d91a91730e7726ee5a251c0dd652e1b6a6de7307a3c893a90f18a2861010e3c"
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        old = os.umask(0o027)
+        try:
+            assert run_cli(capsys, *self.SHORT, "--out", str(path))[0] == 0
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+    def test_existing_file_keeps_its_mode(self, tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"x" * 10_000)
+        path.chmod(0o604)
+        assert run_cli(capsys, *self.SHORT, "--out", str(path))[0] == 0
+        assert path.stat().st_mode & 0o777 == 0o604
+        assert path.read_bytes().startswith(b"# manifest: ")
+        assert len(path.read_bytes()) < 10_000
+
+    @pytest.mark.parametrize("target", ["read-only", "directory"])
+    def test_unwritable_target_fails_as_open_w_does(self, target, tmp_path, capsys):
+        # a read-only file refuses a writer unless the process may override
+        # file modes (root may); either way the CLI does what open(path, "w") does
+        paths = [tmp_path / "a", tmp_path / "b"]
+        for path in paths:
+            if target == "directory":
+                path.mkdir()
+            else:
+                path.write_bytes(b"old contents")
+                path.chmod(0o444)
+        expected = _os_error(lambda: open(paths[0], "w").close())
+        assert _os_error(lambda: main([*self.SHORT, "--out", str(paths[1])])) == expected
+        if target == "read-only" and expected is not None:
+            assert paths[1].read_bytes() == b"old contents"
+        capsys.readouterr()
+
+
+def _os_error(write):
+    """(type, errno) of the OSError ``write()`` raises, or None."""
+    try:
+        write()
+    except OSError as exc:
+        return type(exc), exc.errno
+    return None

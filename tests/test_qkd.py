@@ -1,13 +1,15 @@
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import qetkd.qkd as qkd
 from qetkd.errors import TooManyErasuresError
-from qetkd.models import chain3, star
-from qetkd.noise import NoiseSpec
-from qetkd.protocol import MeasurementBasis, prepare, run_ensemble
+from qetkd.models import ALICE, build_model, chain3, star
+from qetkd.noise import NoiseSpec, noisy_input_state
+from qetkd.protocol import MeasurementBasis, prepare, receiver_forms, run_ensemble
 from qetkd.qkd import (
     CHUNK_ROWS,
     KeyBits,
@@ -262,6 +264,35 @@ class TestTranscript:
         sizes = [chunk.count(b"\n") for chunk in result.rows.chunks()]
         assert max(sizes) <= CHUNK_ROWS and sum(sizes) == 9000 and len(sizes) == 2
 
+    def test_rewrite_long_short_long_equals_fresh_writes(self, tmp_path):
+        # written over the old bytes and cut to length, never truncated to zero
+        results = {n: run_session(SessionConfig(coupling=1.0, rounds=n, seed=2))
+                   for n in (1000, 100)}
+        path = tmp_path / "t.csv"
+        fresh = {}
+        for n, result in results.items():
+            write_transcript(result, path)
+            fresh[n] = path.read_bytes()
+            path.unlink()
+        for n in (1000, 100, 1000):
+            write_transcript(results[n], path)
+            assert path.read_bytes() == fresh[n]
+
+    def test_file_modes(self, tmp_path):
+        # a new file gets 0o666 less the umask, as open(path, "w") gives it;
+        # an existing file keeps its mode
+        result = run_session(SessionConfig(coupling=1.0, rounds=100, seed=2))
+        path = tmp_path / "t.csv"
+        old = os.umask(0o077)
+        try:
+            write_transcript(result, path)
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o600
+        path.chmod(0o640)
+        write_transcript(result, path)
+        assert path.stat().st_mode & 0o777 == 0o640
+
 
 class TestChunkedDraws:
     @pytest.mark.parametrize("n", [0, 1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1,
@@ -338,6 +369,60 @@ class TestMultiparty:
                                verify_bits=0, coupling=1.0)
         with pytest.raises(ValueError, match="'B2'.*'flop'"):
             run_session(config, cheat_plan={"B2": "flop"})
+
+
+FORM_ARRAYS = ("ground", "sig", "parts", "inner", "c", "q", "g")
+
+
+def _own_receivers(config, ctx, labels):
+    """Every receiver's forms built by ``receiver_forms``, one by one."""
+    forms = [receiver_forms(ctx.spec, ctx.partition, ctx.alice.site, ctx.alice_label, lab)
+             for lab in labels]
+    if config.noise is None:
+        return forms, [f.ground for f in forms]
+    return forms, [noisy_input_state(ctx, config.noise, f)[0] for f in forms]
+
+
+class TestStarReceiversRelabelled:
+    """On the collective star every leaf's forms are leaf 1's, relabelled."""
+
+    @pytest.mark.parametrize("n", [*range(3, 12), 100])
+    def test_equal_each_receivers_own_forms(self, n):
+        coupling = 0.2 if n == 100 else 1.0
+        config = SessionConfig(model="star", n_parties=n, coupling=coupling)
+        spec, part, labels = build_model("star", coupling, n_parties=n)
+        ctx = prepare(spec, part, MeasurementBasis.x(0), bob_label=labels[0])
+        forms, states = qkd._receivers(config, ctx, labels)
+        for f, state, label in zip(forms, states, labels):
+            own = receiver_forms(spec, part, 0, ALICE, label)
+            assert (f.site, f.support) == (own.site, own.support)
+            for name in FORM_ARRAYS:
+                a, b = getattr(f, name), getattr(own, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                assert not a.flags.writeable  # shared by every receiver
+            assert state is f.ground
+
+    @pytest.mark.parametrize("fields", [
+        dict(n_parties=5),
+        dict(n_parties=4, noise=NoiseSpec("bit_flip", 0.1, site=2)),
+        dict(n_parties=6, noise=NoiseSpec("bit_flip", 0.05, site=0)),
+    ])
+    def test_sessions_equal_the_per_receiver_build(self, fields, monkeypatch):
+        config = SessionConfig(model="star", coupling=1.0, rounds=2000, seed=3,
+                               erasure_abort_fraction=1.0, **fields)
+        runs = []
+        for build in (qkd._receivers, _own_receivers):
+            monkeypatch.setattr(qkd, "_receivers", build)
+            runs.append((run_session(config), run_multiparty(config, {"B2": "flip"})))
+        (relabelled, (cheated, verdict)), (own, (own_cheated, own_verdict)) = runs
+        assert verdict == own_verdict
+        for a, b in ((relabelled, own), (cheated, own_cheated)):
+            assert a == b
+            assert b"".join(a.rows.chunks()) == b"".join(b.rows.chunks())
+            for label in a.parties:
+                assert a.parties[label].key == b.parties[label].key
+                assert a.parties[label].energy_array.tobytes() \
+                    == b.parties[label].energy_array.tobytes()
 
 
 class TestResourceVerification:

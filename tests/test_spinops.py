@@ -1,10 +1,15 @@
+import gc
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qetkd.errors import ImaginaryResidueError
-from qetkd.models import two_site, two_site_partition_standard
+from qetkd.models import chain3, star, two_site, two_site_partition_standard
 from qetkd.protocol import MeasurementBasis, prepare
 from qetkd.spinops import (
+    AXES,
     PauliTerm,
     assemble,
     commutator,
@@ -16,6 +21,7 @@ from qetkd.spinops import (
     require_density_matrix,
     require_hermitian,
     site_operator,
+    site_paulis,
     term,
 )
 
@@ -255,3 +261,59 @@ class TestMaskKernelAgainstOracle:
         assert not np.iscomplexobj(evecs)
         assert np.allclose(evals, np.linalg.eigvalsh(h), atol=1e-12)
         assert np.allclose(h @ evecs, evecs * evals, atol=1e-12)
+
+
+def _random_terms(seed, n_sites=8, count=40):
+    """A constant and ``count`` Pauli strings of 1 to 4 factors, random coefficients."""
+    rng = np.random.default_rng(seed)
+    terms = [term(float(rng.normal()))]
+    for _ in range(count):
+        sites = sorted(rng.choice(n_sites, size=int(rng.integers(1, 5)), replace=False).tolist())
+        terms.append(term(float(rng.normal()),
+                          *((int(s), AXES[int(rng.integers(3))]) for s in sites)))
+    return terms
+
+
+# name: (terms, sites, SHA-256 of the bytes of assemble(terms, sites)), pinned
+# from the assembly that multiplied cached register-sized site Paulis
+DENSE_H = {
+    "chain3": (chain3(1.0)[0].terms, 3,
+               "36e0835cd94c04700dbc76a4e60d8830e9e53a43bed04289aa30a6eae28a056f"),
+    "two-site": (two_site(1.0, 1.0).terms, 2,
+                 "beca304cbdb254290cfd29eefa85b1578e0af274ebc6509306db4a96990a7cf1"),
+    "star1": (star(1, 0.7)[0].terms, 2,
+              "77cb83261a591ae38488e84d3005e837cb95e71ab70941edb63fa8622150a522"),
+    "star2": (star(2, 0.7)[0].terms, 3,
+              "400074fa93ab1440d9122f9c90cbe06444e4e7b675275af1fbe12c668618a036"),
+    "random8": (_random_terms(5), 8,
+                "a4eccf946e76b1d25c276908af76e078084f3f108264f9dc4417473ab1ed741c"),
+}
+
+
+class TestDenseAssembly:
+    """Each Pauli string is scattered as one signed permutation, with no
+    cached register-sized site operators."""
+
+    @pytest.mark.parametrize("name", list(DENSE_H))
+    def test_keeps_its_bits(self, name):
+        terms, n_sites, digest = DENSE_H[name]
+        h = assemble(list(terms), n_sites)
+        assert hashlib.sha256(h.tobytes()).hexdigest() == digest
+        # the Kronecker oracle's entries are the same exact products, summed in order
+        assert h.tobytes() == oracles.terms_matrix(terms, n_sites).tobytes()
+
+    def test_dropped_assembly_keeps_nothing(self):
+        # the cached site Paulis of one 8-site assembly kept 33.6 MB
+        terms, n_sites, _ = DENSE_H["random8"]
+        assemble([term(1.0, (0, "X"))], 1)  # warm what any call loads
+        site_paulis.cache_clear()  # so that an earlier test's entries cannot hide new ones
+        gc.collect()
+        tracemalloc.start()
+        try:
+            h = assemble(list(terms), n_sites)
+            del h
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert left < 2e6
