@@ -25,9 +25,10 @@ leaves, whose H is unchanged by every permutation of the leaves, is
 solved in one hub (x) spin-j block per total leaf spin j, at most
 2(N + 1) wide, and kept as levels with multiplicities, so it runs up to
 ``MAX_PARTIES`` receivers; a reader that needs a register vector refuses
-more than ``spinops.MAX_SITES`` sites.  The chain, the two-site model and
-the star with one or two leaves, at most 3 sites, are solved as one dense
-block, at most 8 wide.
+more than ``spinops.MAX_SITES`` sites.  ``first_excited_levels`` gives
+indices into the levels, which ``Spectrum.marginal`` and ``vectors`` take.
+The chain, the two-site model and the star with one or two leaves, at
+most 3 sites, are solved as one dense block, at most 8 wide.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .spinops import (
 ALICE = "A"
 BOB = "B"
 BUFFER = "buffer"
-MAX_PARTIES = 100  # star receivers; run_multiparty's int8 vote holds N + 1 <= 127
+MAX_PARTIES = 100  # star receivers; the largest star that is timed and traced
 
 
 @dataclass(frozen=True)
@@ -72,29 +73,6 @@ class HamiltonianSpec:
         and the excited levels read it, each asking for its own levels."""
         return solve_sectors(self.terms, self.n_sites)
 
-    def to_text(self) -> str:
-        """One term per line: ``coeff site:axis [site:axis]``."""
-        lines = []
-        for t in self.terms:
-            factors = " ".join(f"{site}:{axis}" for site, axis in t.factors)
-            lines.append(f"{t.coefficient:.12g} {factors}".rstrip())
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(name: str, n_sites: int, text: str) -> "HamiltonianSpec":
-        terms = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            coeff, *factors = line.split()
-            parsed = []
-            for f in factors:
-                site, axis = f.split(":")
-                parsed.append((int(site), axis))
-            terms.append(PauliTerm(float(coeff), tuple(parsed)))
-        return HamiltonianSpec(name, n_sites, tuple(terms))
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -104,9 +82,6 @@ class Partition:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.parts)
-
-    def all_terms(self) -> tuple[PauliTerm, ...]:
-        return tuple(t for terms in self.parts.values() for t in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +238,3 @@ def first_excited_levels(spec: HamiltonianSpec) -> np.ndarray:
         raise DegenerateGroundError(
             "first excited level is degenerate with the ground level")
     return np.flatnonzero(np.abs(spectrum.levels - spectrum.levels[1]) <= tol)
-
-
-def first_excited_level(spec: HamiltonianSpec) -> np.ndarray:
-    """The first excited level's eigenvectors (``first_excited_levels``, every
-    copy), as register-basis columns; more than ``spinops.MAX_SITES`` sites
-    raise ModelParameterError.
-
-    In a degenerate level the columns (from the dense block, or each from
-    one copy of a total leaf spin) are a gauge choice; their uniform
-    mixture is not."""
-    first_excited_levels(spec)
-    values = spec.spectrum.values
-    tol = degeneracy_tolerance(values)
-    return spec.spectrum.vectors(np.flatnonzero(np.abs(values - values[1]) <= tol))

@@ -487,14 +487,15 @@ def run_multiparty(config: SessionConfig,
 
     labels = list(result.parties)
     rounds = len(result.alice_key)
-    # int8 votes: +1 for a non-negative energy, -1 otherwise
+    # int8 votes: +1 for a non-negative energy, -1 otherwise, summed in the
+    # default integer, so no count of parties wraps the total
     signs = np.array([result.parties[lab].energy_array >= 0 for lab in labels])
     signs = 2 * signs.view(np.int8) - 1
     # The sender's claimed bit votes too: logical 1 promises negative
     # energy.  With two receivers this breaks the tie; a round without a
     # majority blames nobody.
     claim = 1 - 2 * (result.alice_key.codes == 1).view(np.int8)
-    total = signs.sum(axis=0, dtype=np.int8) + claim
+    total = signs.sum(axis=0) + claim
     dissent = np.count_nonzero((signs != np.sign(total)) & (total != 0), axis=1)
     fractions = {lab: int(dissent[j]) / rounds if rounds else 0.0
                  for j, lab in enumerate(labels)}

@@ -7,10 +7,11 @@ least three interchangeable leaves, H commutes with every permutation of
 the leaves, and it is solved in one hub (x) spin-j block per total leaf
 spin j, 2(2j + 1) wide, each kept once with its number of copies; the
 marginal of a level on the hub and one leaf is read off its block vector,
-and its register column is built only when asked for, by coupling the
-leaves one at a time, on at most ``MAX_SITES`` sites.  Any other H (at
-most 3 sites in the models, or a spec built by hand) is ``assemble``d and
-solved as one dense block of at most ``DENSE_MAX_SITES`` sites.
+and the register column of a level of one copy (the symmetric block j =
+N/2) is its block vector spread over the leaf strings, built on at most
+``MAX_SITES`` sites when asked for.  Any other H (at most 3 sites in the
+models, or a spec built by hand) is ``assemble``d and solved as one dense
+block of at most ``DENSE_MAX_SITES`` sites.
 ``site_operator`` scatters a 2x2 operator at one site in O(d), and
 ``on_support`` builds a sum of terms on the few sites it touches: the
 protocol and the noise channels act on a marginal there, never on a
@@ -232,45 +233,17 @@ def _hub_operators(v: np.ndarray, two_j: int) -> np.ndarray:
                      (v * m2) @ v.conj().T])
 
 
-@functools.lru_cache(maxsize=None)
-def _coupling_paths(n_leaves: int, two_j: int) -> tuple[tuple[int, ...], ...]:
-    """Every way to reach spin j by adding the leaves one at a time: the
-    doubled spins 1 = 2j_1, 2j_2, ..., 2j_N = 2j, each step +-1 and none
-    below 0.  There is one path per copy of spin j in the leaves."""
-    if n_leaves == 1:
-        return ((1,),) if two_j == 1 else ()
-    return tuple(p + (two_j,) for t in (two_j - 1, two_j + 1) if t >= 0
-                 for p in _coupling_paths(n_leaves - 1, t))
-
-
 def _multiplicity(n_leaves: int, two_j: int) -> int:
-    """Copies of spin j among N spin-1/2 leaves, C(N, N/2 - j) - C(N, N/2 - j - 1):
-    ``len(_coupling_paths(N, 2j))`` without listing the paths."""
+    """Copies of spin j among N spin-1/2 leaves, C(N, N/2 - j) - C(N, N/2 - j - 1)."""
     k = (n_leaves - two_j) // 2
     return math.comb(n_leaves, k) - (math.comb(n_leaves, k - 1) if k else 0)
 
 
-def _coupled_leaves(path: tuple[int, ...]) -> np.ndarray:
-    """(2^N, 2j + 1): the path's |j, m>, m descending, as columns on the
-    leaves' register, the first leaf most significant.
-
-    Each step couples spin j (doubled t) and the next leaf's spin 1/2 to
-    spin j +- 1/2 with the Condon-Shortley Clebsch-Gordan coefficients;
-    the leaf's bit 0 is its m = +1/2.
-    """
-    out = np.eye(2)
-    for t, u in zip(path, path[1:]):
-        m2 = u - 2 * np.arange(u + 1)  # 2m of each new column
-        grow = np.sqrt((t + 1 + m2) / (2 * t + 2)), np.sqrt((t + 1 - m2) / (2 * t + 2))
-        new = np.zeros((len(out), 2, u + 1))
-        if u > t:
-            new[:, 0, :-1] = out * grow[0][:-1]
-            new[:, 1, 1:] = out * grow[1][1:]
-        else:
-            new[:, 0] = out[:, 1:] * -grow[1]
-            new[:, 1] = out[:, :-1] * grow[0]
-        out = new.reshape(-1, u + 1)
-    return out
+def _dicke_norms(n_leaves: int) -> np.ndarray:
+    """sqrt(C(N, i)), i = 0..N: the one copy of a symmetric-block (j = N/2)
+    level with block vector V has amplitude V[x, i] / sqrt(C(N, i)) on each
+    leaf string with i ones, hub bit x (leaf bit 0 is m = +1/2)."""
+    return np.sqrt(np.array([math.comb(n_leaves, i) for i in range(n_leaves + 1)], dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +252,7 @@ class _CollectivePlan:
 
     Block j (doubled ``spins[g]``) is 2(2j + 1) wide, with the hub's bit
     most significant, and stands for ``multiplicities[g]`` copies of
-    itself, one per coupling path of the leaves.
+    itself; the symmetric block j = N/2, of one copy, comes first.
     """
 
     hub: int
@@ -287,22 +260,20 @@ class _CollectivePlan:
     spins: tuple[int, ...]
     multiplicities: tuple[int, ...]
 
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return tuple(2 * t + 2 for t in self.spins)
-
-    def columns(self, block_vectors, where) -> np.ndarray:
-        """Register-basis columns of the block eigenvectors at ``where``'s
-        (spin block, copy, column) rows."""
-        out = np.zeros((2 ** self.n_sites, len(where)), dtype=np.result_type(*block_vectors))
-        leaves: dict[tuple[int, int], np.ndarray] = {}
-        for j, (g, copy, col) in enumerate(where):
-            if (g, copy) not in leaves:
-                path = _coupling_paths(self.n_sites - 1, self.spins[g])[copy]
-                leaves[g, copy] = _coupled_leaves(path)
-            v = block_vectors[g][0, :, col].reshape(2, -1) @ leaves[g, copy].T
-            out[:, j] = np.moveaxis(v.reshape((2,) * self.n_sites), 0, self.hub).ravel()
-        return out
+    def columns(self, block_vectors, blocks) -> np.ndarray:
+        """Register-basis columns of the block eigenvectors at ``blocks``'
+        (stack, column) rows, each a level of the symmetric block j = N/2
+        spread over the leaf strings (``_dicke_norms``).  A level with
+        several copies (j < N/2) has no canonical column: ValueError."""
+        if any(self.multiplicities[g] > 1 for g in blocks[:, 0]):
+            raise ValueError("a level with several copies has no canonical register vector; "
+                             "Spectrum.marginal reads the mixture over its copies")
+        n_leaves, k = self.n_sites - 1, len(blocks)
+        ones = np.array([s.bit_count() for s in range(2 ** n_leaves)])
+        v = block_vectors[0][0][:, blocks[:, 1]].reshape(2, n_leaves + 1, k)
+        v = (v / _dicke_norms(n_leaves)[:, None])[:, ones]
+        v = np.moveaxis(v.reshape((2,) * self.n_sites + (k,)), 0, self.hub)
+        return v.reshape(2 ** self.n_sites, k)
 
     def hub_leaf_marginal(self, a: np.ndarray, sites) -> np.ndarray:
         """rho on ``sites`` (the hub, one leaf or both, ascending) of a state
@@ -352,10 +323,10 @@ class _DensePlan:
     def __init__(self, n_sites: int):
         self.n_sites = n_sites
 
-    def columns(self, block_vectors, where) -> np.ndarray:
-        """The block's eigenvector columns at ``where``'s (0, 0, column) rows."""
+    def columns(self, block_vectors, blocks) -> np.ndarray:
+        """The block's eigenvector columns at ``blocks``' (0, column) rows."""
         (vectors,) = block_vectors
-        return vectors[0][:, where[:, 2]]
+        return vectors[0][:, blocks[:, 1]]
 
 
 def require_register(n_sites: int, reader: str) -> None:
@@ -374,9 +345,9 @@ class Spectrum:
 
     Each block eigenvalue is one level, which stands for one register
     eigenvector per copy of its block (``multiplicity``).  The register
-    spectrum (``values``) and register columns (``vectors``, ``ground``)
-    are built only when read, on at most ``MAX_SITES`` sites; ``marginal``
-    serves the protocol without them.
+    spectrum (``values``) and the register columns of levels of one copy
+    (``vectors``, ``ground``) are built only when read, on at most
+    ``MAX_SITES`` sites; ``marginal`` serves the protocol without them.
     """
 
     levels: np.ndarray
@@ -394,22 +365,12 @@ class Spectrum:
         return 0.0 if self.multiplicity(0) > 1 else float(self.levels[1] - self.levels[0])
 
     @functools.cached_property
-    def _register(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(values, where, first): each level once per copy, ascending; the
-        (stack, block copy, column) of each value; the first value of each level."""
-        require_register(self.plan.n_sites, "the register spectrum")
-        copies = np.asarray(self.plan.multiplicities)[self.blocks[:, 0]]
-        first = np.cumsum(copies) - copies
-        values = np.repeat(self.levels, copies)
-        where = np.repeat(self.blocks[:, [0, 0, 1]], copies, axis=0)
-        where[:, 1] = np.arange(len(values)) - np.repeat(first, copies)
-        values.flags.writeable = False
-        return values, where, first
-
-    @property
     def values(self) -> np.ndarray:
-        """H's eigenvalues, ascending, each as often as it occurs in the register."""
-        return self._register[0]
+        """H's eigenvalues, ascending, each once per copy; read-only."""
+        require_register(self.plan.n_sites, "the register spectrum")
+        values = np.repeat(self.levels, np.asarray(self.plan.multiplicities)[self.blocks[:, 0]])
+        values.flags.writeable = False
+        return values
 
     @functools.cached_property
     def ground(self) -> np.ndarray:
@@ -419,36 +380,36 @@ class Spectrum:
         return v
 
     def vectors(self, levels) -> np.ndarray:
-        """The eigenvectors of ``levels`` (indices into ``values``) as register-basis
-        columns, each with its largest amplitude rotated real positive."""
-        out = self.plan.columns(self.block_vectors, self._register[1][levels])
+        """The eigenvectors of ``levels`` (indices into ``levels``, each of one
+        copy) as register-basis columns, each with its largest amplitude
+        rotated real positive; more than ``MAX_SITES`` sites raise first."""
+        require_register(self.plan.n_sites, "a register eigenvector")
+        out = self.plan.columns(self.block_vectors, self.blocks[levels])
         phase = out[np.abs(out).argmax(axis=0), np.arange(len(levels))]
         return out * (phase / np.abs(phase)).conjugate()
 
     def _block_vector(self, level: int) -> np.ndarray:
         """Level's block vector as (hub, leaf spin) rows, rotated as ``vectors``
-        rotates its register column: the one copy of a symmetric-block level
-        has amplitude V[x, i] / sqrt(C(N, i)) on each leaf string with i ones."""
+        rotates its register column (``_dicke_norms``)."""
         g, col = self.blocks[level]
         v = self.block_vectors[g][0, :, col].reshape(2, -1)
-        n_leaves = self.plan.n_sites - 1
-        scale = np.array([math.comb(n_leaves, i) for i in range(v.shape[1])], dtype=float)
-        phase = v.flat[np.argmax(np.abs(v) / np.sqrt(scale))]
+        phase = v.flat[np.argmax(np.abs(v) / _dicke_norms(v.shape[1] - 1))]
         return v * (phase / abs(phase)).conjugate()
 
     def marginal(self, levels, sites, phases=None) -> np.ndarray:
         """Reduced density matrix on ``sites`` (ascending) of the uniform mixture
         of every eigenvector of ``levels`` (indices into ``levels``), each level
         weighted by its multiplicity; with ``phases``, of the pure state
-        sum_l phases[l] |l> / sqrt(len(levels)), |l> the first column of level
-        l that ``vectors`` gives.
+        sum_l phases[l] |l> / sqrt(len(levels)), |l> the column of level l
+        that ``vectors`` gives.
 
         A hub-and-leaves plan reads it off the block vectors when ``sites`` are
         the hub, one leaf or both, and the state is unchanged by permutations
         of the leaves: a mixture over whole levels, or a pure state on levels
         of multiplicity 1, which lie in the symmetric block j = N/2
         (``_CollectivePlan.hub_leaf_marginal``).  Anything else reduces
-        register columns, which refuses more than ``MAX_SITES`` sites.
+        register columns (``register_marginal``), which refuses more than
+        ``MAX_SITES`` sites and a level with several copies.
         """
         plan = self.plan
         weights = [self.multiplicity(lv) for lv in levels]
@@ -466,16 +427,13 @@ class Spectrum:
         return plan.hub_leaf_marginal(a, sites)
 
     def register_marginal(self, levels, sites, phases=None) -> np.ndarray:
-        """``marginal`` by reducing register columns: it takes any plan and any
-        ``sites``, and refuses more than ``MAX_SITES`` sites."""
-        start = self._register[2][levels]
+        """``marginal`` by reducing the ``vectors`` of ``levels``: any plan and
+        ``sites``, at most ``MAX_SITES`` sites, and levels of one copy."""
+        columns = self.vectors(levels)
         if phases is not None:
-            columns = self.vectors(start)
             state = sum(p * v for p, v in zip(phases, columns.T)) / math.sqrt(len(levels))
             return reduced_density(state, list(sites))
-        columns = self.vectors(np.concatenate(
-            [np.arange(s, s + self.multiplicity(lv)) for s, lv in zip(start, levels)]))
-        return sum(reduced_density(v, list(sites)) for v in columns.T) / columns.shape[1]
+        return sum(reduced_density(v, list(sites)) for v in columns.T) / len(levels)
 
 
 def solve_sectors(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) -> Spectrum:
@@ -496,12 +454,12 @@ def solve_sectors(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) 
         plan, parts = found
         stacks = (_collective_block(parts, t)[None] for t in plan.spins)
     solved = [eigendecompose(stack) for stack in stacks]
-    widths = [v.shape[1] for v, _ in solved]
+    sizes = [v.shape[1] for v, _ in solved]
     levels = np.concatenate([v[0] for v, _ in solved])
     order = np.argsort(levels, kind="stable")
     blocks = np.empty((len(levels), 2), dtype=np.intp)
-    blocks[:, 0] = np.repeat(np.arange(len(widths)), widths)
-    blocks[:, 1] = np.arange(len(levels)) - np.repeat(np.cumsum(widths) - widths, widths)
+    blocks[:, 0] = np.repeat(np.arange(len(sizes)), sizes)
+    blocks[:, 1] = np.arange(len(levels)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     levels = levels[order]
     levels.flags.writeable = False
     return Spectrum(levels, plan, tuple(v for _, v in solved), blocks[order])

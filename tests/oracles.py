@@ -101,6 +101,21 @@ def star_hub_leaf_marginal(n_parties, j):
     return b @ b.T
 
 
+def coupling_path_count(n_leaves, two_j):
+    """Copies of spin j among N spin-1/2 leaves, counted as paths: the doubled
+    spins 1 = 2j_1, 2j_2, ..., 2j_N = 2j of the leaves added one at a time,
+    each step +-1 and none below 0, tallied step by step."""
+    counts = {1: 1}
+    for _ in range(n_leaves - 1):
+        step = {}
+        for t, c in counts.items():
+            for u in (t - 1, t + 1):
+                if u >= 0:
+                    step[u] = step.get(u, 0) + c
+        counts = step
+    return counts.get(two_j, 0)
+
+
 def star_marginal_energies(n_parties, j):
     """(E_A, E_B) of the X-basis star protocol for receiver 1, from the hub-leaf marginal.
 

@@ -22,14 +22,14 @@ import numpy as np
 import pytest
 
 import oracles
-from qetkd import cli
+from qetkd import cli, models
 from qetkd.adversary import SPLIT_CASES, eve_independent, eve_postselect, split_attack
 from qetkd.errors import ModelParameterError
-from qetkd.models import MAX_PARTIES, first_excited_level, first_excited_levels, star
+from qetkd.models import MAX_PARTIES, first_excited_levels, star
 from qetkd.noise import NoiseSpec, threshold_scan
 from qetkd.protocol import MeasurementBasis, ground_state, prepare, run_ensemble
 from qetkd.qkd import SessionConfig, run_multiparty, run_session, verify_resource_state
-from qetkd.spinops import MAX_SITES, Spectrum, _coupling_paths, reduced_density
+from qetkd.spinops import MAX_SITES, Spectrum, reduced_density
 
 TIGHT = 1e-12
 SIZES = range(3, 12)
@@ -53,7 +53,7 @@ class TestLevels:
     @pytest.mark.parametrize("n", SIZES)
     def test_multiplicities_count_the_coupling_paths(self, n):
         plan = star(n, 1.0)[0].spectrum.plan
-        assert plan.multiplicities == tuple(len(_coupling_paths(n, t)) for t in plan.spins)
+        assert plan.multiplicities == tuple(oracles.coupling_path_count(n, t) for t in plan.spins)
 
     @pytest.mark.parametrize("n", [3, 8, 11])
     def test_levels_expand_to_the_register_spectrum(self, n):
@@ -61,7 +61,19 @@ class TestLevels:
         copies = [spectrum.multiplicity(i) for i in range(len(spectrum.levels))]
         assert sum(copies) == 2 ** (n + 1) == len(spectrum.values)
         np.testing.assert_array_equal(np.repeat(spectrum.levels, copies), spectrum.values)
-        assert len(spectrum.levels) == sum(spectrum.plan.widths)
+        assert len(spectrum.levels) == sum(2 * t + 2 for t in spectrum.plan.spins)
+
+    def test_a_level_with_several_copies_has_no_vector(self):
+        # its vector is a gauge choice at any N; only the mixture over its
+        # copies is served
+        spectrum = star(4, 1.0)[0].spectrum
+        several = next(i for i in range(len(spectrum.levels)) if spectrum.multiplicity(i) > 1)
+        for read in (lambda: spectrum.vectors([0, several]),
+                     lambda: spectrum.register_marginal([several], [0, 1]),
+                     lambda: spectrum.marginal([several], [0, 1], (1.0,))):
+            with pytest.raises(ValueError, match="several copies"):
+                read()
+        assert np.trace(spectrum.marginal([several], [0, 1])).real == pytest.approx(1.0, abs=TIGHT)
 
 
 class TestMarginals:
@@ -81,7 +93,7 @@ class TestMarginals:
         for j in couplings(n):
             spec = star(n, j)[0]
             spectrum, levels = spec.spectrum, first_excited_levels(spec)
-            columns = first_excited_level(spec)
+            columns = spectrum.vectors(levels)
             mixture = sum(reduced_density(v, [0, 1]) for v in columns.T) / columns.shape[1]
             np.testing.assert_allclose(spectrum.marginal(levels, [0, 1]), mixture,
                                        rtol=0, atol=TIGHT)
@@ -92,6 +104,23 @@ class TestMarginals:
                 np.testing.assert_allclose(
                     spectrum.marginal([0, levels[0]], [0, n], (1.0, phase)),
                     reduced_density(plus, [0, n]), rtol=0, atol=TIGHT)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_levels_with_several_copies_against_the_oracle(self, n):
+        # the mixture over the copies of a j < N/2 level is the dense cluster
+        # projector / m; at J = 0.7 each cluster holds one level's copies alone
+        spectrum = star(n, 0.7)[0].spectrum
+        w, v = np.linalg.eigh(oracles.star_matrix(n, 0.7).real)  # H is real
+        several = [lv for lv in range(len(spectrum.levels)) if spectrum.multiplicity(lv) > 1]
+        assert len(several) == sum(2 * t + 2 for t in spectrum.plan.spins[1:])
+        for lv in several:
+            cluster = v[:, np.abs(w - spectrum.levels[lv]) <= 1e-9 * np.abs(w).max()]
+            assert cluster.shape[1] == spectrum.multiplicity(lv)
+            projector = cluster @ cluster.conj().T / cluster.shape[1]
+            for sites in ([0, 1], [0, n], [0], [n]):
+                np.testing.assert_allclose(spectrum.marginal([lv], sites),
+                                           oracles.partial_trace(projector, sites),
+                                           rtol=0, atol=TIGHT)
 
     def test_beyond_the_register_against_the_oracle(self):
         spectrum = star(100, 0.2)[0].spectrum
@@ -209,7 +238,8 @@ class TestBeyondTheRegister:
         ctx = star_ctx(MAX_SITES, 2.0 / math.sqrt(MAX_SITES))  # 13 sites
         spec = ctx.spec
         readers = [lambda: ground_state(spec), lambda: ctx.gs, lambda: ctx.rho_gs,
-                   lambda: first_excited_level(spec), lambda: spec.spectrum.values,
+                   lambda: spec.spectrum.vectors(first_excited_levels(spec)),
+                   lambda: spec.spectrum.values,
                    lambda: verify_resource_state(ctx, lambda i: None),
                    lambda: spec.spectrum.marginal([0], [1, 2])]  # two leaves
         for read in readers:
@@ -236,12 +266,16 @@ class TestBeyondTheRegister:
         assert f"[1, {MAX_PARTIES}]" in capsys.readouterr().err
 
 
-def test_vote_cannot_wrap():
-    # run_multiparty sums N int8 signs and the sender's claim in int8; N + 1
-    # above 127 wraps, and every honest party would dissent
-    assert MAX_PARTIES + 1 <= 127, (
-        "models.MAX_PARTIES lets run_multiparty's int8 vote wrap: widen the vote "
-        "(ROADMAP M step 1) before the cap passes 126")
+def test_vote_cannot_wrap(monkeypatch):
+    # 127 receivers and the sender's claim are 128 votes: an int8 sum of a
+    # unanimous round wraps to -128, and an honest session named B1 with
+    # dissent 0.39.  The cap is raised for this test alone.
+    monkeypatch.setattr(models, "MAX_PARTIES", 127)
+    config = SessionConfig(model="star", n_parties=127, coupling=2.0 / math.sqrt(127),
+                           rounds=64)
+    _, verdict = run_multiparty(config)
+    assert verdict.cheater is None
+    assert set(verdict.dissent_fraction.values()) == {0.0}
 
 
 def test_cli_import_loads_no_numpy_random():

@@ -9,7 +9,7 @@ from qetkd.errors import (
     SupportViolationError,
 )
 from qetkd.models import HamiltonianSpec, Partition, build_model, chain3, \
-    first_excited_level, star
+    first_excited_levels, star
 import qetkd.noise as noise
 import qetkd.qkd as qkd
 from qetkd.noise import (
@@ -212,7 +212,7 @@ class TestExcitedStates:
         partition = Partition({"A": terms[0:2], "buffer": terms[2:4], "B": terms[4:6]})
         ctx = prepare(spec, partition, MeasurementBasis.x(0),
                       bob_axis=MeasurementBasis.y(2))
-        columns = first_excited_level(spec)
+        columns = spec.spectrum.vectors(first_excited_levels(spec))
         rho = columns @ columns.conj().T / columns.shape[1]
         h = sum(scale * (0.6 * oracles.embed("X", k, 3) + 0.8 * oracles.embed("Z", k, 3))
                 for k in range(3))

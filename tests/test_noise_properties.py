@@ -15,7 +15,7 @@ import oracles  # noqa: E402
 import qetkd.noise as noise  # noqa: E402
 import qetkd.protocol as protocol  # noqa: E402
 from qetkd.errors import DegenerateObjectiveError  # noqa: E402
-from qetkd.models import build_model, chain3, first_excited_level, two_site  # noqa: E402
+from qetkd.models import build_model, chain3, first_excited_levels, two_site  # noqa: E402
 from qetkd.models import two_site_partition_alternative  # noqa: E402
 from qetkd.models import two_site_partition_standard  # noqa: E402
 from qetkd.noise import (  # noqa: E402
@@ -70,7 +70,8 @@ def scan_cases(draw):
 
 def mixed_input(ctx, family, p, site=None, alpha=0.0):
     """The family's input at p built as one matrix, without the branch resolver."""
-    level = first_excited_level(ctx.spec) if family.startswith("excited") else None
+    level = None if not family.startswith("excited") else \
+        ctx.spec.spectrum.vectors(first_excited_levels(ctx.spec))
     rho = oracles.noisy_state(family, p, ctx.gs, level, site, alpha)
     return rho, p if family == "classical_flip" else 0.0
 

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qetkd import cli, spinops
-from qetkd.models import HamiltonianSpec, chain3, first_excited_level, star, two_site, \
+from qetkd.models import HamiltonianSpec, chain3, first_excited_levels, star, two_site, \
     two_site_partition_alternative
 from qetkd.noise import default_chain_coupling
 from qetkd.protocol import ground_state
@@ -35,15 +35,19 @@ import oracles
 
 
 def assert_spectrum_matches(spec, h):
-    """spec.spectrum against the dense oracle matrix h of the same Hamiltonian."""
-    evals = spec.spectrum.values
-    evecs = spec.spectrum.vectors(range(len(evals)))
+    """spec.spectrum against the dense oracle matrix h of the same Hamiltonian:
+    every eigenvalue with its multiplicity, and the residual and
+    orthonormality of every level of one copy (on a dense spec, every level;
+    a level with several copies has no canonical vector)."""
+    spectrum = spec.spectrum
     want = np.linalg.eigvalsh(h)
     scale = max(1.0, float(np.abs(want).max()))
-    np.testing.assert_allclose(evals, want, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(spectrum.values, want, rtol=0, atol=1e-12 * scale)
+    single = [i for i in range(len(spectrum.levels)) if spectrum.multiplicity(i) == 1]
+    evals, evecs = spectrum.levels[single], spectrum.vectors(single)
     residual = np.linalg.norm(h @ evecs - evecs * evals, axis=0)
     assert residual.max() <= 1e-10
-    np.testing.assert_allclose(evecs.conj().T @ evecs, np.eye(len(h)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(evecs.conj().T @ evecs, np.eye(len(single)), rtol=0, atol=1e-12)
     if want[1] - want[0] > 1e-8 * scale:
         overlap = abs(np.vdot(np.linalg.eigh(h)[1][:, 0], evecs[:, 0]))
         assert overlap == pytest.approx(1.0, abs=1e-12)
@@ -297,12 +301,12 @@ class TestSwapSectors:
         # every leaf of the star has the same factors, but leaf 1's coupling
         # differs, so the leaves are not interchangeable
         spec, _ = star(4, 1.0)
-        text = spec.to_text().replace("1 0:X 1:X\n", "0.9 0:X 1:X\n")
-        skew = HamiltonianSpec.from_text("star-4-skew", 5, text)
+        skew = HamiltonianSpec("star-4-skew", 5, (term(0.9, (0, "X"), (1, "X")),) + spec.terms[1:])
         assert skew.terms[0].coefficient == 0.9
         assert isinstance(skew.spectrum.plan, spinops._DensePlan)
-        plan = star(4, 1.0)[0].spectrum.plan
-        assert (plan.widths, plan.multiplicities) == ((10, 6, 2), (1, 3, 2))
+        spectrum = star(4, 1.0)[0].spectrum
+        widths = tuple(v.shape[-1] for v in spectrum.block_vectors)
+        assert (widths, spectrum.plan.multiplicities) == ((10, 6, 2), (1, 3, 2))
         assert_spectrum_matches(skew, oracles.terms_matrix(skew.terms, 5))
 
     def test_swap_that_exchanges_flip_sectors_is_skipped(self):
@@ -351,7 +355,7 @@ class TestSwapSectors:
         h = oracles.terms_matrix(spec.terms, spec.n_sites) if h is None else h()
         w, v = np.linalg.eigh(h)
         cluster = np.abs(w - w[1]) <= 1e-9 * max(1.0, np.abs(w).max())
-        level = first_excited_level(spec)
+        level = spec.spectrum.vectors(first_excited_levels(spec))
         mixture, first = level @ level.conj().T / level.shape[1], level[:, 0]
         want = v[:, cluster] @ v[:, cluster].conj().T / cluster.sum()
         np.testing.assert_allclose(mixture, want, rtol=0, atol=1e-12)
@@ -417,14 +421,15 @@ class TestCollectiveBlocks:
 
     @pytest.mark.parametrize("n_parties", range(3, 12))
     def test_star_blocks_and_multiplicities(self, n_parties):
-        plan = star(n_parties, 1.0)[0].spectrum.plan
+        spectrum = star(n_parties, 1.0)[0].spectrum
         spins = range(n_parties, -1, -2)  # 2j
         want = [math.comb(n_parties, (n_parties - t) // 2)
                 - (math.comb(n_parties, (n_parties - t) // 2 - 1) if t < n_parties else 0)
                 for t in spins]
-        assert plan.widths == tuple(2 * t + 2 for t in spins)
-        assert plan.multiplicities == tuple(want)
-        assert sum(w * m for w, m in zip(plan.widths, want)) == 2 ** (n_parties + 1)
+        widths = tuple(v.shape[-1] for v in spectrum.block_vectors)
+        assert widths == tuple(2 * t + 2 for t in spins)
+        assert spectrum.plan.multiplicities == tuple(want)
+        assert sum(w * m for w, m in zip(widths, want)) == 2 ** (n_parties + 1)
 
     @pytest.mark.parametrize("n_parties", [1, 2])
     def test_one_or_two_leaves_are_one_dense_block(self, n_parties):
@@ -433,10 +438,11 @@ class TestCollectiveBlocks:
         assert isinstance(spectrum.plan, spinops._DensePlan)
         assert spectrum.block_vectors[0].shape == (1, 2 ** (n_parties + 1), 2 ** (n_parties + 1))
 
-    def test_text_copy_of_a_star_is_solved_collectively(self):
+    def test_copy_of_a_star_is_solved_collectively(self):
+        # the star's terms, listed in reverse in a spec built by hand
         spec, _ = star(5, 1.0)
-        copy = HamiltonianSpec.from_text("star-5-text", 6, spec.to_text())
-        assert copy.spectrum.plan.widths == (12, 8, 4)
+        copy = HamiltonianSpec("star-5-copy", 6, spec.terms[::-1])
+        assert tuple(v.shape[-1] for v in copy.spectrum.block_vectors) == (12, 8, 4)
         np.testing.assert_array_equal(copy.spectrum.values, spec.spectrum.values)
         assert_spectrum_matches(copy, oracles.star_matrix(5, 1.0))
 
@@ -451,8 +457,8 @@ class TestCollectiveBlocks:
         # leaf 3's field differs from the others', so the leaves are not
         # interchangeable, though the swaps of the other leaves leave H unchanged
         spec, _ = star(4, 1.0)
-        text = spec.to_text().replace("1 3:Z\n", "1.1 3:Z\n")
-        skew = HamiltonianSpec.from_text("star-4-skew-field", 5, text)
+        skew = HamiltonianSpec("star-4-skew-field", 5, tuple(
+            term(1.1, (3, "Z")) if t.factors == ((3, "Z"),) else t for t in spec.terms))
         assert isinstance(skew.spectrum.plan, spinops._DensePlan)
         assert_spectrum_matches(skew, oracles.terms_matrix(skew.terms, 5))
 

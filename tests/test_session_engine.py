@@ -14,7 +14,7 @@ import pytest
 import oracles
 import qetkd.qkd as qkd
 from qetkd.errors import DegenerateObjectiveError, SupportViolationError
-from qetkd.models import build_model, chain3, first_excited_level
+from qetkd.models import build_model, chain3, first_excited_levels
 from qetkd.noise import NoiseSpec, noisy_input_state
 from qetkd.protocol import MeasurementBasis, conditional_table, optimize_bob_basis, prepare
 from qetkd.qkd import SessionConfig, run_session
@@ -47,7 +47,8 @@ def register_state(ctx, noise):
     """The input as one d x d matrix, mixed densely from the ground and excited vectors."""
     if noise is None:
         return np.outer(ctx.gs, ctx.gs.conj())
-    level = first_excited_level(ctx.spec) if noise.kind.startswith("excited") else None
+    level = None if not noise.kind.startswith("excited") else \
+        ctx.spec.spectrum.vectors(first_excited_levels(ctx.spec))
     return oracles.noisy_state(noise.kind, noise.p, ctx.gs, level, noise.site,
                                noise.alpha or 0.0)
 
