@@ -4,13 +4,15 @@ Subcommands: ground, qet, noise, session, attack.  Every CSV starts
 with a ``# manifest:`` comment carrying the exact invocation, so
 re-running the manifest reproduces the file byte for byte.
 
-Exit codes: 0 success, 2 usage error, 3 degenerate ground level,
+Exit codes: 0 success, 2 usage error or an output file (``--out``,
+``--transcript``) that cannot be written, 3 degenerate ground level,
 4 protocol abort.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -71,10 +73,24 @@ def _json_value(value):
     return value.tolist() if isinstance(value, np.ndarray) else str(value)
 
 
+class _OutputError(Exception):
+    """An output file could not be written; the message names it."""
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError of writing ``path`` into an ``_OutputError`` naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out:
-        _write_in_place(out, (text.encode(),))
+        with _writing(out):
+            _write_in_place(out, (text.encode(),))
     else:
         sys.stdout.write(text)
 
@@ -206,7 +222,8 @@ def cmd_session(args: argparse.Namespace) -> int:
         return _usage_error(exc)
     result = run_session(config)
     if args.transcript:
-        write_transcript(result, args.transcript)
+        with _writing(args.transcript):
+            write_transcript(result, args.transcript)
     for label, party in result.parties.items():
         rate = result.alice_key.match_rate(party.key)
         print(f"party={label} match_rate={rate:.6f} "
@@ -324,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     except (TooManyErasuresError, PartitionViolationError) as exc:
         print(f"protocol abort: {exc}", file=sys.stderr)
         return 4
+    except _OutputError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -44,6 +44,7 @@ from .spinops import (
     PauliTerm,
     Spectrum,
     degeneracy_tolerance,
+    max_site,
     solve_sectors,
     term,
 )
@@ -63,9 +64,9 @@ class HamiltonianSpec:
     terms: tuple[PauliTerm, ...]
 
     def __post_init__(self):
-        for t in self.terms:
-            if t.max_site() >= self.n_sites:
-                raise ValueError(f"term {t} does not fit {self.n_sites} sites")
+        if max_site(self.terms) >= self.n_sites:
+            bad = next(t for t in self.terms if max_site([t]) >= self.n_sites)
+            raise ValueError(f"term {bad} does not fit {self.n_sites} sites")
 
     @functools.cached_property
     def spectrum(self) -> Spectrum:

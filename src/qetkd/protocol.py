@@ -184,12 +184,18 @@ def feedback_axes(forms: ReceiverForms, n: np.ndarray, bob_axis: str) -> np.ndar
     """
     if bob_axis not in ("paired", "optimal"):
         raise ValueError(f"unknown bob_axis {bob_axis!r}")
-    near = np.max(np.abs(n[:, None, :] - np.eye(2, 3)), axis=2) <= 1e-12  # [row, X or Y]
-    m = np.eye(3)[1 - near.argmax(axis=1)]  # the pairing; meaningless where not paired
-    fallback = ~near.any(axis=1) if bob_axis == "paired" else np.ones(len(n), dtype=bool)
+    if bob_axis == "optimal":
+        return optimize_bob_basis(forms, n)
+    near = np.abs(n[:, None, :] - _UNIT[:2]).max(axis=2) <= 1e-12  # [row, X or Y]
+    m = _UNIT[1 - near.argmax(axis=1)]  # the pairing; meaningless where not paired
+    fallback = ~near.any(axis=1)
     if fallback.any():
         m[fallback] = optimize_bob_basis(forms, n[fallback])
     return m
+
+
+_UNIT = np.eye(3)  # the X, Y and Z axes
+_UNIT.flags.writeable = False
 
 
 def optimize_bob_basis(forms: ReceiverForms, n: np.ndarray) -> np.ndarray:
@@ -241,7 +247,7 @@ _SIGNS = np.array([1.0, -1.0])  # (-1)^b
 
 
 def _require_real(values: np.ndarray, what: str) -> np.ndarray:
-    residue = float(np.max(np.abs(values.imag), initial=0.0))
+    residue = float(np.abs(values.imag).max(initial=0.0))
     if residue > TOL.imaginary_residue:
         raise ImaginaryResidueError(f"{what} has imaginary residue {residue:.3e}")
     return values.real
@@ -304,7 +310,7 @@ class ReceiverForms:
 
     def require_commuting(self, n: np.ndarray) -> None:
         """Raise PartitionViolationError unless every P(b) commutes with H_B."""
-        defect = float(np.max(self.defect(n), initial=0.0))
+        defect = float(self.defect(n).max(initial=0.0))
         if defect > TOL.commutator:
             raise PartitionViolationError(defect)
 
@@ -315,7 +321,7 @@ class ReceiverForms:
     def theta(self, n: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(xi, eta, theta) per row, theta on the principal branch."""
         xi = np.einsum("xi,ij,xj->x", m, self.q, m)
-        if np.any(xi < -TOL.psd):
+        if (xi < -TOL.psd).any():
             raise ValueError(f"xi = {xi.min():.3e} is negative; shifted Hamiltonian not PSD")
         eta = _require_real(np.einsum("xj,ji,xi->x", n, self.c, m), "eta")
         return xi, eta, 0.5 * np.arctan2(eta, xi)
@@ -370,11 +376,12 @@ def receiver_forms(spec: HamiltonianSpec, partition: Partition, alice_site: int,
                              f"{', '.join(partition.labels())}")
     a_terms, b_terms = partition.parts[alice_label], partition.parts[bob_label]
     site = _receiver_site(b_terms)
-    local = [t for t in spec.terms if any(s == site for s, _ in t.factors)]
-    support = sorted({alice_site, site}.union(
-        s for t in (*a_terms, *b_terms, *local) for s, _ in t.factors))
+    local = tuple(t for t in spec.terms for s, _ in t.factors if s == site)  # no site repeats
+    support = sorted({alice_site, site, *(s for t in (*a_terms, *b_terms, *local)
+                                           for s, _ in t.factors)})
     k = len(support)
-    h_a, h_b, h_loc = (on_support(terms, support) for terms in (a_terms, b_terms, local))
+    h_a, h_b = on_support(a_terms, support), on_support(b_terms, support)
+    h_loc = h_b if local == b_terms else on_support(local, support)  # the star's, chain3's
     sig, tau = site_paulis(support.index(alice_site), k), site_paulis(support.index(site), k)
     comm = sig[1:] @ h_b - h_b @ sig[1:]
     g = 2.0 ** (spec.n_sites - k) * np.einsum("jab,lab->jl", comm.conj(), comm).real
@@ -491,16 +498,18 @@ def conditional_table(ctx: RunContext, state: np.ndarray) -> ConditionalTable:
 
 
 def _input_traces(ctx: RunContext, rho_in: np.ndarray, flips):
-    """(table, weight, reference energies, receiver traces [flip, b]) of one input.
+    """(table, weight, reference energies, receiver traces [..., b]) of one input.
 
-    One conditional table serves every flip probability in ``flips``.
+    ``flips`` is one flip probability, or a column of them [flip, 1]: one
+    conditional table serves them all.
     """
     rho = ctx.forms.marginal(rho_in)
     table = conditional_table(ctx, rho)
     weight = table.prob.sum()  # Tr rho, or ||psi||^2 for a vector
-    announced = np.array([ctx.rule.mapped(b) for b in (0, 1)])
-    f = np.asarray(flips, dtype=float)[:, None]
-    energy = (1.0 - f) * table.post[(0, 1), announced] + f * table.post[(0, 1), announced ^ 1]
+    kept, crossed = table.post.diagonal(), table.post[:, ::-1].diagonal()  # [b]: b' = b, b ^ 1
+    if ctx.rule.mapped(0):
+        kept, crossed = crossed, kept
+    energy = (1.0 - flips) * kept + flips * crossed
     return table, weight, ctx.forms.reference(rho) / weight, energy
 
 
@@ -514,7 +523,7 @@ def ensemble_for_state(ctx: RunContext, rho_in: np.ndarray,
     by the input's weight, so the ensemble energies are the
     probability-weighted means of the per-outcome ones.
     """
-    table, weight, (ref_a, ref_b), (energy,) = _input_traces(ctx, rho_in, (flip_probability,))
+    table, weight, (ref_a, ref_b), energy = _input_traces(ctx, rho_in, float(flip_probability))
     per_energy = table.per_outcome(energy, ref_b)
     per = {b: (float(table.prob[b] / weight), float(per_energy[b])) for b in (0, 1)}
     return QetOutcome(e_alice=float(table.alice.sum() / weight - ref_a),
@@ -533,7 +542,7 @@ def ensemble_energies(ctx: RunContext, branches) -> np.ndarray:
         shared.setdefault(id(rho_in), []).append(i)
     for rows in shared.values():
         table, weight, (ref_a, ref_b), energy = _input_traces(
-            ctx, branches[rows[0]][0], [branches[i][1] for i in rows])
+            ctx, branches[rows[0]][0], np.array([[branches[i][1]] for i in rows], dtype=float))
         out[rows, 0] = table.alice.sum() / weight - ref_a
         out[rows, 1] = energy.sum(axis=1) / weight - ref_b
     return out

@@ -5,10 +5,14 @@ bit is site 0, matching the Kronecker order ``op_0 (x) op_1 (x) ...``.
 ``solve_sectors`` solves H exactly.  When the terms form a hub and at
 least three interchangeable leaves, H commutes with every permutation of
 the leaves, and it is solved in one hub (x) spin-j block per total leaf
-spin j, 2(2j + 1) wide, each kept once with its number of copies; the
-marginal of a level on the hub and one leaf is read off its block vector,
-and the register column of a level of one copy (the symmetric block j =
-N/2) is its block vector spread over the leaf strings, built on at most
+spin j, 2(2j + 1) wide, each kept once with its number of copies.  Only
+four 2x2 hub parts depend on the couplings; where they go in each block,
+and with which 2m and u factors, depends on the register size alone and is
+built once per size (``_collective_layout``), and Hermiticity is checked
+once, on the parts (``_require_hermitian_parts``).  The marginal of a
+level on the hub and one leaf is read off its block vector, and the
+register column of a level of one copy (the symmetric block j = N/2) is
+its block vector spread over the leaf strings, built on at most
 ``MAX_SITES`` sites when asked for.  Any other H (at most 3 sites in the
 models, or a spec built by hand) is ``assemble``d and solved as one dense
 block of at most ``DENSE_MAX_SITES`` sites.
@@ -96,13 +100,15 @@ class PauliTerm:
             if site < 0:
                 raise ValueError(f"negative site index {site}")
 
-    def max_site(self) -> int:
-        return max((site for site, _ in self.factors), default=-1)
-
 
 def term(coefficient: float, *factors: tuple[int, str]) -> PauliTerm:
     """Shorthand constructor: term(2.0, (0, "X"), (1, "X"))."""
     return PauliTerm(float(coefficient), tuple(factors))
+
+
+def max_site(terms) -> int:
+    """The largest site that any of ``terms`` acts on; -1 for none."""
+    return max((site for t in terms for site, _ in t.factors), default=-1)
 
 
 def _require_register(n_sites: int) -> None:
@@ -147,9 +153,9 @@ def pauli_on_site(axis: str, site: int, n_sites: int) -> np.ndarray:
 def _require_terms(terms, n_sites: int) -> None:
     if n_sites < 1:
         raise ValueError(f"n_sites must be at least 1, got {n_sites}")
-    for t in terms:
-        if not isinstance(t, PauliTerm) or t.max_site() >= n_sites:
-            raise ValueError(f"expected PauliTerms on {n_sites} sites, got {t!r}")
+    if not all(isinstance(t, PauliTerm) for t in terms) or max_site(terms) >= n_sites:
+        bad = next(t for t in terms if not isinstance(t, PauliTerm) or max_site([t]) >= n_sites)
+        raise ValueError(f"expected PauliTerms on {n_sites} sites, got {bad!r}")
 
 
 def assemble(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) -> np.ndarray:
@@ -173,23 +179,38 @@ def _hub_and_leaves(terms, n_sites: int) -> tuple[int, np.ndarray] | None:
     most 3 sites and its dense block is at most 8 wide.
     """
     for hub in range(n_sites if n_sites >= 4 else 0):
-        per_leaf: dict[int, list] = {s: [] for s in range(n_sites) if s != hub}
-        hub_terms = []
-        for t in terms:
-            leaves = [s for s, _ in t.factors if s != hub]
-            if len(leaves) > 1:
-                break
-            axis = {s == hub: 1 + AXES.index(ax) for s, ax in t.factors}
-            form = (axis.get(True, 0), axis.get(False, 0), t.coefficient)
-            (per_leaf[leaves[0]] if leaves else hub_terms).append(form)
-        else:
-            first, *rest = (sorted(v) for v in per_leaf.values())
-            if all(r == first for r in rest):
-                c = np.zeros((4, 4))
-                for a, b, coefficient in hub_terms + first:
-                    c[a, b] += coefficient
-                return hub, c
+        forms = _leaf_forms(terms, hub, n_sites)
+        if forms is None:
+            continue
+        hub_terms = forms.pop(hub)
+        first, *rest = (sorted(v) for v in forms.values())
+        if all(r == first for r in rest):
+            c = np.zeros((4, 4))
+            for a, b, coefficient in hub_terms + first:
+                c[a, b] += coefficient
+            return hub, c
     return None
+
+
+_AXIS_CODE = {axis: 1 + i for i, axis in enumerate(AXES)}
+
+
+def _leaf_forms(terms, hub: int, n_sites: int) -> dict[int, list] | None:
+    """Per site, the (hub axis, leaf axis, coefficient) forms of the terms on
+    it and the hub, the hub's own terms under the hub; None when a term acts
+    on two sites besides the hub."""
+    forms: dict[int, list] = {s: [] for s in range(n_sites)}
+    for t in terms:
+        hub_axis, leaf, leaf_axis = 0, hub, 0
+        for site, axis in t.factors:
+            if site == hub:
+                hub_axis = _AXIS_CODE[axis]
+            elif leaf != hub:
+                return None
+            else:
+                leaf, leaf_axis = site, _AXIS_CODE[axis]
+        forms[leaf].append((hub_axis, leaf_axis, t.coefficient))
+    return forms
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,23 +225,6 @@ def _spin_ladder(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _collective_block(parts: np.ndarray, two_j: int) -> np.ndarray:
-    """H_j = sum_ab C[a, b] sigma_a (x) 2 J_b^(j), hub bit most significant.
-
-    Hub entry (x, y) of H_j is tridiagonal in m: ``parts[:, x, y]`` holds its
-    identity and 2 J_z coefficients and the factors of u above and below
-    the diagonal (``_hub_plan``).
-    """
-    m2, u = _spin_ladder(two_j)
-    w = two_j + 1
-    i = np.arange(w)
-    block = np.zeros((2, w, 2, w), dtype=parts.dtype)
-    block[:, i, :, i] = parts[0] + m2[:, None, None] * parts[1]
-    block[:, i[:-1], :, i[1:]] = u[:, None, None] * parts[2]
-    block[:, i[1:], :, i[:-1]] = u[:, None, None] * parts[3]
-    return block.reshape(2 * w, 2 * w)
-
-
 def _hub_operators(v: np.ndarray, two_j: int) -> np.ndarray:
     """A_b = V (2 J_b)^T V†, b = 0..3 with 2 J_0 = 1, for the block vector V
     (2, 2j + 1) of one copy of spin j: A_b[x, y] = <|y><x| (x) 2 J_b>.
@@ -228,9 +232,10 @@ def _hub_operators(v: np.ndarray, two_j: int) -> np.ndarray:
     With M = V J_+ V†, A_x = M + M† and A_y = i (M - M†); each costs O(j).
     """
     m2, u = _spin_ladder(two_j)
-    m = (v[:, :-1] * u) @ v[:, 1:].conj().T
-    return np.array([v @ v.conj().T, m + m.conj().T, 1j * (m - m.conj().T),
-                     (v * m2) @ v.conj().T])
+    vh = v.conj().T
+    m = (v[:, :-1] * u) @ vh[1:]
+    mh = m.conj().T
+    return np.array([v @ vh, m + mh, 1j * (m - mh), (v * m2) @ vh])
 
 
 def _multiplicity(n_leaves: int, two_j: int) -> int:
@@ -247,12 +252,110 @@ def _dicke_norms(n_leaves: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _CollectivePlan:
-    """H of a hub and N interchangeable leaves in hub (x) total-leaf-spin blocks.
+class _CollectiveLayout:
+    """The hub (x) total-leaf-spin blocks of a register, all of them that does
+    not depend on the couplings (``_collective_layout``).
 
-    Block j (doubled ``spins[g]``) is 2(2j + 1) wide, with the hub's bit
-    most significant, and stands for ``multiplicities[g]`` copies of
-    itself; the symmetric block j = N/2, of one copy, comes first.
+    Block g (doubled spin ``spins[g]``, w = ``spins[g]`` + 1 values of m,
+    descending) is 2w wide with the hub's bit most significant, and stands
+    for ``multiplicities[g]`` copies of itself; the symmetric block j = N/2,
+    of one copy, comes first.  Its hub entry (x, y) is tridiagonal in m
+    (``_hub_plan``): parts[0] + 2m parts[1] on the diagonal, u parts[2]
+    above it and u parts[3] below it.  ``m2`` and ``u`` hold 2m and u of
+    every block, block after block, so three products give the entries of
+    every block at once (``solve``).  ``fills[g]`` is block g's width, the
+    flat indices of its entries among those products, and where they go in
+    the flattened block.  ``rows`` is the (stack, column) of every block
+    eigenvalue in the order ``solve`` returns them.
+    """
+
+    spins: tuple[int, ...]
+    multiplicities: tuple[int, ...]
+    m2: np.ndarray
+    u: np.ndarray
+    fills: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    rows: np.ndarray
+
+    def solve(self, parts: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """(eigenvalues, block after block, ascending in each; per block its
+        eigenvectors as a (1, 2w, 2w) stack) of H_j = sum_ab C[a, b] sigma_a
+        (x) 2 J_b^(j) for the hub parts of ``_hub_plan``.
+
+        The blocks are filled and solved one at a time, so only one of them
+        is held beside the eigenvectors.  Hermiticity is checked once, on
+        the parts (``_require_hermitian_parts``).  Real parts make every
+        block real; complex ones leave a block real when its own entries
+        are (the j = 0 block, one m wide, sees parts[0] alone), which is
+        then solved as a real symmetric matrix, as ``eigendecompose`` does.
+        """
+        _require_hermitian_parts(parts, self.spins[0])
+        products = np.concatenate([parts[0] + self.m2[:, None, None] * parts[1],
+                                   self.u[:, None, None] * parts[2],
+                                   self.u[:, None, None] * parts[3]]).ravel()
+        complex_parts = np.iscomplexobj(parts)
+        solved = []
+        for width, source, target in self.fills:
+            values = products[source]
+            if complex_parts and not np.any(values.imag):
+                values = values.real
+            block = np.zeros((1, width, width), dtype=values.dtype)
+            block.reshape(-1)[target] = values
+            solved.append(np.linalg.eigh(block))
+        return np.concatenate([w[0] for w, _ in solved]), tuple(v for _, v in solved)
+
+
+def _require_hermitian_parts(parts: np.ndarray, n_leaves: int) -> None:
+    """Raise ValueError unless every collective block is Hermitian within tolerance.
+
+    The mirror of the entry u parts[2][x, y] above the diagonal is u
+    parts[3][y, x] below it, so parts[3] = parts[2]† exactly makes those
+    pairs exact conjugates; on the diagonal, hub entries (x, y) and (y, x)
+    of row m differ from conjugates by at most the defect of parts[0] plus
+    |2m| <= N times that of parts[1].  So this one check of the parts holds
+    every block's ``require_hermitian`` check.
+    """
+    defect = np.abs(parts[:2] - parts[:2].conj().swapaxes(1, 2)).max(axis=(1, 2))
+    if defect[0] + n_leaves * defect[1] > TOL.hermitian or np.any(parts[3] != parts[2].conj().T):
+        raise ValueError("matrix is not Hermitian within tolerance")
+
+
+@functools.lru_cache(maxsize=None)
+def _collective_layout(n_sites: int) -> _CollectiveLayout:
+    """The ``_CollectiveLayout`` of a hub and ``n_sites`` - 1 leaves, built once
+    per register size and shared, read-only: it depends on nothing else."""
+    spins = tuple(range(n_sites - 1, -1, -2))
+    ladders = [_spin_ladder(t) for t in spins]
+    m2 = np.concatenate([m for m, _ in ladders])
+    u = np.concatenate([v for _, v in ladders])
+    hub = np.arange(4)  # 2x + y of hub entry (x, y), as the products order them
+    x, y = np.divmod(hub, 2)
+    fills, diagonal, upper = [], 0, len(m2)  # the first product row of block g's bands
+    for t in spins:
+        w = t + 1
+        k, j = np.arange(w)[:, None], np.arange(w - 1)[:, None]
+        bands = ((diagonal + k, k, k),  # (product row, m row, m column) of each entry
+                 (upper + j, j, j + 1),
+                 (upper + len(u) + j, j + 1, j))
+        source = np.concatenate([(4 * r + hub).ravel() for r, _, _ in bands])
+        target = np.concatenate([(((x * w + i) * 2 + y) * w + c).ravel() for _, i, c in bands])
+        for a in (source, target):
+            a.flags.writeable = False
+        fills.append((2 * w, source, target))
+        diagonal, upper = diagonal + w, upper + w - 1
+    rows = np.array([(g, c) for g, t in enumerate(spins) for c in range(2 * t + 2)],
+                    dtype=np.intp)
+    for a in (m2, u, rows):
+        a.flags.writeable = False
+    return _CollectiveLayout(spins, tuple(_multiplicity(n_sites - 1, t) for t in spins),
+                             m2, u, tuple(fills), rows)
+
+
+@dataclass(frozen=True, eq=False)
+class _CollectivePlan:
+    """H of a hub and N interchangeable leaves in hub (x) total-leaf-spin
+    blocks, whose ``spins`` and ``multiplicities`` its ``_CollectiveLayout``
+    holds: block g is 2(``spins[g]`` + 1) wide and stands for
+    ``multiplicities[g]`` copies of itself.
     """
 
     hub: int
@@ -294,7 +397,7 @@ class _CollectivePlan:
 
 def _hub_plan(terms, n_sites: int) -> tuple[_CollectivePlan, np.ndarray] | None:
     """(plan, parts) of a hub plus at least three interchangeable leaves
-    (``_hub_and_leaves``), else None; ``parts`` feeds ``_collective_block``.
+    (``_hub_and_leaves``), else None; ``parts`` feeds ``_CollectiveLayout.solve``.
 
     Summed over the leaves, leaf Pauli b is 2 J_b of the total leaf spin, so
     H_j = sum_ab C[a, b] sigma_a (x) 2 J_b^(j), with sigma_0 = 2 J_0 = 1.
@@ -307,9 +410,8 @@ def _hub_plan(terms, n_sites: int) -> tuple[_CollectivePlan, np.ndarray] | None:
     if found is None:
         return None
     hub, c = found
-    spins = tuple(range(n_sites - 1, -1, -2))
-    plan = _CollectivePlan(hub, n_sites, spins,
-                           tuple(_multiplicity(n_sites - 1, t) for t in spins))
+    layout = _collective_layout(n_sites)
+    plan = _CollectivePlan(hub, n_sites, layout.spins, layout.multiplicities)
     d = np.einsum("axy,ab->bxy", site_paulis(0, 1), c)
     parts = np.array([d[0], d[3], d[1] - 1j * d[2], d[1] + 1j * d[2]])
     return plan, parts if np.any(parts.imag) else parts.real
@@ -345,9 +447,9 @@ class Spectrum:
 
     Each block eigenvalue is one level, which stands for one register
     eigenvector per copy of its block (``multiplicity``).  The register
-    spectrum (``values``) and the register columns of levels of one copy
-    (``vectors``, ``ground``) are built only when read, on at most
-    ``MAX_SITES`` sites; ``marginal`` serves the protocol without them.
+    columns of levels of one copy (``vectors``, ``ground``) are built only
+    when read, on at most ``MAX_SITES`` sites; ``marginal`` serves the
+    protocol without them.
     """
 
     levels: np.ndarray
@@ -360,17 +462,9 @@ class Spectrum:
 
     @property
     def gap(self) -> float:
-        """``values[1] - values[0]`` read off the levels: 0.0 when the lowest
-        level has more than one copy."""
+        """The gap between H's two lowest eigenvalues, counted once per copy,
+        read off the levels: 0.0 when the lowest level has more than one copy."""
         return 0.0 if self.multiplicity(0) > 1 else float(self.levels[1] - self.levels[0])
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        """H's eigenvalues, ascending, each once per copy; read-only."""
-        require_register(self.plan.n_sites, "the register spectrum")
-        values = np.repeat(self.levels, np.asarray(self.plan.multiplicities)[self.blocks[:, 0]])
-        values.flags.writeable = False
-        return values
 
     @functools.cached_property
     def ground(self) -> np.ndarray:
@@ -437,32 +531,32 @@ class Spectrum:
 
 
 def solve_sectors(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) -> Spectrum:
-    """H solved exactly, every block in full, and one ``eigendecompose`` per stack.
+    """H solved exactly, every block in full.
 
     A hub with at least three interchangeable leaves is solved in its hub (x)
-    total-leaf-spin blocks (``_hub_plan``), built and solved one at a time,
+    total-leaf-spin blocks (``_hub_plan``, ``_CollectiveLayout.solve``),
     each block's levels kept once with the number of copies of its spin.
     Any other H (chain3, the two-site model, the star with one or two
-    leaves, specs built by hand) is ``assemble``d and solved as one dense
-    block, which refuses more than ``DENSE_MAX_SITES`` sites with ValueError.
+    leaves, specs built by hand) is ``assemble``d, which refuses more than
+    ``DENSE_MAX_SITES`` sites with ValueError, and solved as one dense block
+    by ``eigendecompose``.
     """
     _require_terms(terms, n_sites)
     found = _hub_plan(terms, n_sites)
     if found is None:
-        plan, stacks = _DensePlan(n_sites), [assemble(terms, n_sites)[None]]
+        plan = _DensePlan(n_sites)
+        values, vectors = eigendecompose(assemble(terms, n_sites)[None])
+        levels, block_vectors = values[0], (vectors,)
+        blocks = np.zeros((len(levels), 2), dtype=np.intp)
+        blocks[:, 1] = np.arange(len(levels))  # eigh returns them ascending
     else:
         plan, parts = found
-        stacks = (_collective_block(parts, t)[None] for t in plan.spins)
-    solved = [eigendecompose(stack) for stack in stacks]
-    sizes = [v.shape[1] for v, _ in solved]
-    levels = np.concatenate([v[0] for v, _ in solved])
-    order = np.argsort(levels, kind="stable")
-    blocks = np.empty((len(levels), 2), dtype=np.intp)
-    blocks[:, 0] = np.repeat(np.arange(len(sizes)), sizes)
-    blocks[:, 1] = np.arange(len(levels)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    levels = levels[order]
+        layout = _collective_layout(n_sites)
+        values, block_vectors = layout.solve(parts)
+        order = np.argsort(values, kind="stable")
+        levels, blocks = values[order], layout.rows[order]
     levels.flags.writeable = False
-    return Spectrum(levels, plan, tuple(v for _, v in solved), blocks[order])
+    return Spectrum(levels, plan, block_vectors, blocks)
 
 
 @functools.lru_cache(maxsize=None)

@@ -101,6 +101,44 @@ def star_hub_leaf_marginal(n_parties, j):
     return b @ b.T
 
 
+def spin_operators(two_j):
+    """(J_x, J_y, J_z) of one spin j on |j, m>, m = j, j - 1, ..., -j, from
+    J_z |j, m> = m |j, m> and J_+ |j, m> = sqrt(j (j + 1) - m (m + 1)) |j, m + 1>."""
+    j = two_j / 2
+    m = j - np.arange(two_j + 1)
+    raise_ = np.zeros((two_j + 1, two_j + 1))
+    for i in range(1, two_j + 1):  # |m_i> goes to |m_i + 1> = |m_(i-1)>
+        raise_[i - 1, i] = np.sqrt(j * (j + 1) - m[i] * (m[i] + 1))
+    lower = raise_.T
+    return (raise_ + lower) / 2, (raise_ - lower) / 2j, np.diag(m)
+
+
+def hub_coefficients(terms, hub):
+    """C[a, b] of terms that each act on the hub, on one leaf, or on both:
+    the summed coefficient of hub Pauli a times leaf Pauli b, with index 0
+    for no factor and 1, 2, 3 for X, Y, Z.  Pass the hub's terms and the
+    terms of one leaf."""
+    c = np.zeros((4, 4))
+    for t in terms:
+        a = b = 0
+        for site, axis in t.factors:
+            if site == hub:
+                a = "XYZ".index(axis) + 1
+            else:
+                b = "XYZ".index(axis) + 1
+        c[a, b] += t.coefficient
+    return c
+
+
+def collective_block(c, two_j):
+    """H_j = sum_ab C[a, b] sigma_a (x) 2 J_b of a hub and interchangeable
+    leaves on hub (x) total leaf spin j, hub most significant, with sigma_0
+    and 2 J_0 the identity: summed over the leaves, leaf Pauli b is 2 J_b."""
+    spin = (np.eye(two_j + 1), *(2 * op for op in spin_operators(two_j)))
+    hub = (ID2, SX, SY, SZ)
+    return sum(c[a, b] * np.kron(hub[a], spin[b]) for a in range(4) for b in range(4))
+
+
 def coupling_path_count(n_leaves, two_j):
     """Copies of spin j among N spin-1/2 leaves, counted as paths: the doubled
     spins 1 = 2j_1, 2j_2, ..., 2j_N = 2j of the leaves added one at a time,

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -505,28 +506,39 @@ class TestOutputsRewrittenInPlace:
         assert path.read_bytes().startswith(b"# manifest: ")
         assert len(path.read_bytes()) < 10_000
 
-    @pytest.mark.parametrize("target", ["read-only", "directory"])
+    @pytest.mark.parametrize("target", ["read-only", "directory", "missing-parent"])
     def test_unwritable_target_fails_as_open_w_does(self, target, tmp_path, capsys):
-        # a read-only file refuses a writer unless the process may override
-        # file modes (root may); either way the CLI does what open(path, "w") does
+        # where open(path, "w") fails, the CLI exits 2 with one stderr line
+        # naming the path and the error; a read-only file refuses a writer
+        # unless the process may override file modes (root may)
         paths = [tmp_path / "a", tmp_path / "b"]
         for path in paths:
             if target == "directory":
                 path.mkdir()
-            else:
+            elif target == "read-only":
                 path.write_bytes(b"old contents")
                 path.chmod(0o444)
-        expected = _os_error(lambda: open(paths[0], "w").close())
-        assert _os_error(lambda: main([*self.SHORT, "--out", str(paths[1])])) == expected
-        if target == "read-only" and expected is not None:
+        if target == "missing-parent":
+            paths = [path / "f.csv" for path in paths]
+        expected = _os_errno(lambda: open(paths[0], "w").close())
+        code, _, err = run_cli(capsys, *self.SHORT, "--out", str(paths[1]))
+        if expected is None:
+            assert (code, err) == (0, "")
+            return
+        assert (code, err) == (2, f"cannot write {paths[1]}: {os.strerror(expected)}\n")
+        if target == "read-only":
             assert paths[1].read_bytes() == b"old contents"
-        capsys.readouterr()
+
+    def test_unwritable_transcript_exits_2(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "session", "--model", "chain3", "--rounds", "100",
+                               "--transcript", str(tmp_path))
+        assert (code, err) == (2, f"cannot write {tmp_path}: {os.strerror(errno.EISDIR)}\n")
 
 
-def _os_error(write):
-    """(type, errno) of the OSError ``write()`` raises, or None."""
+def _os_errno(write):
+    """The errno of the OSError ``write()`` raises, or None."""
     try:
         write()
     except OSError as exc:
-        return type(exc), exc.errno
+        return exc.errno
     return None

@@ -34,6 +34,13 @@ from qetkd.spinops import assemble, eigendecompose, reduced_density, term
 import oracles
 
 
+def register_values(spectrum):
+    """H's eigenvalues, ascending, each once per copy: the levels, each
+    repeated by its multiplicity."""
+    levels = spectrum.levels
+    return np.repeat(levels, [spectrum.multiplicity(i) for i in range(len(levels))])
+
+
 def assert_spectrum_matches(spec, h):
     """spec.spectrum against the dense oracle matrix h of the same Hamiltonian:
     every eigenvalue with its multiplicity, and the residual and
@@ -42,7 +49,8 @@ def assert_spectrum_matches(spec, h):
     spectrum = spec.spectrum
     want = np.linalg.eigvalsh(h)
     scale = max(1.0, float(np.abs(want).max()))
-    np.testing.assert_allclose(spectrum.values, want, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(register_values(spectrum), want, rtol=0,
+                               atol=1e-12 * scale)
     single = [i for i in range(len(spectrum.levels)) if spectrum.multiplicity(i) == 1]
     evals, evecs = spectrum.levels[single], spectrum.vectors(single)
     residual = np.linalg.norm(h @ evecs - evecs * evals, axis=0)
@@ -135,7 +143,7 @@ class TestDenseBlock:
                  term(0.3, (0, "Z"), (2, "Z")))
         spec = HamiltonianSpec("fields", n, terms)
         h = oracles.terms_matrix(terms, n)
-        np.testing.assert_allclose(spec.spectrum.values, np.sort(np.diag(h).real),
+        np.testing.assert_allclose(register_values(spec.spectrum), np.sort(np.diag(h).real),
                                    rtol=0, atol=1e-15)
         assert_spectrum_matches(spec, h)
 
@@ -220,7 +228,7 @@ class TestHermitianBlocks:
         h = oracles.chain3_matrix(2e6)
         want = np.linalg.eigvalsh(h)
         scale = float(np.abs(want).max())
-        evals = spec.spectrum.values
+        evals = register_values(spec.spectrum)
         evecs = spec.spectrum.vectors(range(len(evals)))
         np.testing.assert_allclose(evals, want, rtol=0, atol=1e-12 * scale)
         assert np.linalg.norm(h @ evecs - evecs * evals, axis=0).max() <= 1e-14 * scale
@@ -335,7 +343,7 @@ class TestSwapSectors:
     def test_star_leaf_multiplets(self, n_parties):
         spec, _ = star(n_parties, 1.0)
         want = star_oracle(n_parties)[1]
-        got = spec.spectrum.values
+        got = register_values(spec.spectrum)
         assert multiplicities(got) == multiplicities(want)
         assert n_parties - 1 in multiplicities(got)
         if n_parties == 9:
@@ -443,7 +451,8 @@ class TestCollectiveBlocks:
         spec, _ = star(5, 1.0)
         copy = HamiltonianSpec("star-5-copy", 6, spec.terms[::-1])
         assert tuple(v.shape[-1] for v in copy.spectrum.block_vectors) == (12, 8, 4)
-        np.testing.assert_array_equal(copy.spectrum.values, spec.spectrum.values)
+        np.testing.assert_array_equal(register_values(copy.spectrum),
+                                      register_values(spec.spectrum))
         assert_spectrum_matches(copy, oracles.star_matrix(5, 1.0))
 
     def test_relabelled_hub(self):
@@ -514,11 +523,37 @@ class TestCollectiveOracle:
         np.testing.assert_allclose(oracles.star_marginal_energies(n_parties, 1.0), (e_a, e_b),
                                    rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("make", [
+        *(lambda n=n: star(n, 2 / math.sqrt(n))[0] for n in (12, 20, 57, 100)),
+        lambda: hub_spec(7, 3, lambda k: [term(0.8, (3, "X"), (k, "X")), term(1.0, (k, "Z")),
+                                          term(0.4, (3, "Y"), (k, "Z"))],
+                         [term(1.0, (3, "Z"))]),
+        lambda: hub_spec(7, 0, lambda k: [term(0.6, (0, "X"), (k, "X")), term(1.0, (k, "Z"))],
+                         [term(1.0, (0, "Z")), term(0.5, (0, "X"))]),
+    ], ids=["star12", "star20", "star57", "star100", "y-hub6", "x-field-hub6"])
+    def test_every_block_against_the_oracle(self, make):
+        # each block's levels against the oracle block built from its own
+        # J_z and J_+-, and each block's multiplicity against the path count
+        spec = make()
+        spectrum, hub = spec.spectrum, spec.spectrum.plan.hub
+        leaf = 1 if hub == 0 else 0
+        c = oracles.hub_coefficients([t for t in spec.terms
+                                      if {s for s, _ in t.factors} <= {hub, leaf}], hub)
+        n_leaves = spec.n_sites - 1
+        want = [np.linalg.eigvalsh(oracles.collective_block(c, t)) for t in spectrum.plan.spins]
+        scale = max(1.0, max(float(np.abs(w).max()) for w in want))
+        for g, t in enumerate(spectrum.plan.spins):
+            got = np.flatnonzero(spectrum.blocks[:, 0] == g)
+            np.testing.assert_allclose(spectrum.levels[got], want[g], rtol=0, atol=1e-12 * scale)
+            assert {spectrum.multiplicity(i) for i in got} == \
+                {oracles.coupling_path_count(n_leaves, t)}
+        assert len(spectrum.levels) == sum(len(w) for w in want)
+
     @pytest.mark.parametrize("n_parties", [10, 11])
     def test_library_beyond_the_dense_oracle(self, n_parties, tmp_path):
         spec, _ = star(n_parties, 1.0)
         e0, _ = oracles.star_dicke_ground(n_parties, 1.0)
-        assert spec.spectrum.values[0] == pytest.approx(e0, abs=1e-12)
+        assert spec.spectrum.levels[0] == pytest.approx(e0, abs=1e-12)
         np.testing.assert_allclose(reduced_density(spec.spectrum.ground, [0, 1]),
                                    oracles.star_hub_leaf_marginal(n_parties, 1.0),
                                    rtol=0, atol=1e-12)
