@@ -20,15 +20,16 @@ in the standard partition.
 
 Building a model is symbolic: H is solved once per spec, exactly, on the
 first read of ``HamiltonianSpec.spectrum`` (``spinops.solve_sectors``;
-``protocol.prepare`` is the usual first reader).  The star with N >= 3
-leaves, whose H is unchanged by every permutation of the leaves, is
-solved in one hub (x) spin-j block per total leaf spin j, at most
-2(N + 1) wide, and kept as levels with multiplicities, so it runs up to
-``MAX_PARTIES`` receivers; a reader that needs a register vector refuses
-more than ``spinops.MAX_SITES`` sites.  ``first_excited_levels`` gives
-indices into the levels, which ``Spectrum.marginal`` and ``vectors`` take.
-The chain, the two-site model and the star with one or two leaves, at
-most 3 sites, are solved as one dense block, at most 8 wide.
+``protocol.prepare`` is the usual first reader), by the one plan its terms
+pick; ``PauliTerm`` refuses a coefficient that is not finite and real.
+The star with N >= 3 leaves, whose H is unchanged by every permutation of
+the leaves, is solved in one hub (x) spin-j block per total leaf spin j,
+at most 2(N + 1) wide, and kept as levels with multiplicities, so it runs
+up to ``MAX_PARTIES`` receivers; a reader that needs a register vector
+refuses more than ``spinops.MAX_SITES`` sites.  ``first_excited_levels``
+gives indices into the levels, which ``Spectrum.marginal`` and ``vectors``
+take.  The chain, the two-site model and the star with one or two leaves,
+at most 3 sites, are solved as one dense block, at most 8 wide.
 """
 
 from __future__ import annotations

@@ -172,7 +172,7 @@ def ground_state(spec: HamiltonianSpec) -> tuple[np.ndarray, float]:
     ModelParameterError.
     """
     energy = ground_energy(spec)
-    return spec.spectrum.ground.astype(complex), energy
+    return spec.spectrum.vectors([0])[:, 0].astype(complex), energy
 
 
 def feedback_axes(forms: ReceiverForms, n: np.ndarray, bob_axis: str) -> np.ndarray:
@@ -360,9 +360,10 @@ def _receiver_site(terms: tuple[PauliTerm, ...]) -> int:
 
 
 def receiver_forms(spec: HamiltonianSpec, partition: Partition, alice_site: int,
-                   alice_label: str, bob_label: str) -> ReceiverForms:
-    """``ReceiverForms`` of one receiver, read off the ground state's marginal
-    on its support, ``spec.spectrum.marginal([0], S)``.
+                   bob_label: str) -> ReceiverForms:
+    """``ReceiverForms`` of the receiver ``bob_label`` against the sender part
+    ``ALICE``, read off the ground state's marginal on its support,
+    ``spec.spectrum.marginal([0], S)``.
 
     C and Q need [tau_j, H] = [tau_j, H_loc], with H_loc the terms of H
     that touch the receiver site, and (H - E_0)|gs> = 0 turns xi into
@@ -370,11 +371,11 @@ def receiver_forms(spec: HamiltonianSpec, partition: Partition, alice_site: int,
     """
     if not 0 <= alice_site < spec.n_sites:
         raise ValueError(f"site {alice_site} out of range for {spec.n_sites} sites")
-    for label in (alice_label, bob_label):
+    for label in (ALICE, bob_label):
         if label not in partition.parts:
             raise ValueError(f"partition has no part {label!r}; its labels are "
                              f"{', '.join(partition.labels())}")
-    a_terms, b_terms = partition.parts[alice_label], partition.parts[bob_label]
+    a_terms, b_terms = partition.parts[ALICE], partition.parts[bob_label]
     site = _receiver_site(b_terms)
     local = tuple(t for t in spec.terms for s, _ in t.factors if s == site)  # no site repeats
     support = sorted({alice_site, site, *(s for t in (*a_terms, *b_terms, *local)
@@ -412,7 +413,6 @@ class RunContext:
     alice: MeasurementBasis
     rule: FeedbackRule
     theta: ThetaParams
-    alice_label: str
     bob_label: str
     forms: ReceiverForms = field(repr=False)
 
@@ -453,17 +453,16 @@ class RunContext:
 
 def prepare(spec: HamiltonianSpec, partition: Partition,
             alice: MeasurementBasis, *,
-            alice_label: str = ALICE, bob_label: str = BOB,
+            bob_label: str = BOB,
             bob_axis: MeasurementBasis | str = "paired",
-            bit_map: str = "identity",
-            theta_override: float | None = None) -> RunContext:
+            bit_map: str = "identity") -> RunContext:
     """Build the receiver's forms, validate commutation, resolve the axis and angle.
 
     ``bob_axis`` may be an explicit MeasurementBasis, "paired" (X->Y,
     Y->X, anything else falls back to the optimizer) or "optimal".
     """
     ground_energy(spec)
-    forms = receiver_forms(spec, partition, alice.site, alice_label, bob_label)
+    forms = receiver_forms(spec, partition, alice.site, bob_label)
     n = np.array([alice.vector], dtype=float)
     forms.require_commuting(n)
 
@@ -478,11 +477,10 @@ def prepare(spec: HamiltonianSpec, partition: Partition,
         m = feedback_axes(forms, n, bob_axis)
 
     tp = ThetaParams(*(float(v[0]) for v in forms.theta(n, m)))
-    theta = tp.theta if theta_override is None else float(theta_override)
-    rule = FeedbackRule(forms.site, tuple(float(c) for c in m[0]), theta, bit_map)
+    rule = FeedbackRule(forms.site, tuple(float(c) for c in m[0]), tp.theta, bit_map)
     return RunContext(
         spec=spec, partition=partition, alice=alice, rule=rule, theta=tp,
-        alice_label=alice_label, bob_label=bob_label, forms=forms,
+        bob_label=bob_label, forms=forms,
     )
 
 
@@ -557,7 +555,6 @@ def run_ensemble_random_basis(spec: HamiltonianSpec, partition: Partition,
                               weighted_bases: list[tuple[MeasurementBasis, float]],
                               *, bob_axis: MeasurementBasis | str = "paired",
                               bit_map: str = "identity",
-                              alice_label: str = ALICE,
                               bob_label: str = BOB) -> QetOutcome:
     """Weight-averaged outcome over a set of sender bases.
 
@@ -577,7 +574,7 @@ def run_ensemble_random_basis(spec: HamiltonianSpec, partition: Partition,
         if w == 0.0:
             continue
         ctx = prepare(spec, partition, basis, bob_axis=bob_axis, bit_map=bit_map,
-                      alice_label=alice_label, bob_label=bob_label)
+                      bob_label=bob_label)
         out = run_ensemble(ctx)
         e_a += w * out.e_alice
         e_b += w * out.e_bob

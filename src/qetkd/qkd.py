@@ -335,8 +335,8 @@ def _receivers(config: SessionConfig, ctx: RunContext,
         forms = [first] + [replace(first, site=leaf, support=(hub, leaf))
                            for leaf in range(2, len(labels) + 1)]
     else:
-        forms = [ctx.forms] + [receiver_forms(ctx.spec, ctx.partition, ctx.alice.site,
-                                              ctx.alice_label, lab) for lab in labels[1:]]
+        forms = [ctx.forms] + [receiver_forms(ctx.spec, ctx.partition, ctx.alice.site, lab)
+                               for lab in labels[1:]]
     if config.noise is None:
         return forms, [f.ground for f in forms]
     return forms, [noisy_input_state(ctx, config.noise, f)[0] for f in forms]

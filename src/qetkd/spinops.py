@@ -2,20 +2,23 @@
 
 A basis state |x> of n sites is the integer x whose most significant
 bit is site 0, matching the Kronecker order ``op_0 (x) op_1 (x) ...``.
-``solve_sectors`` solves H exactly.  When the terms form a hub and at
-least three interchangeable leaves, H commutes with every permutation of
-the leaves, and it is solved in one hub (x) spin-j block per total leaf
-spin j, 2(2j + 1) wide, each kept once with its number of copies.  Only
-four 2x2 hub parts depend on the couplings; where they go in each block,
-and with which 2m and u factors, depends on the register size alone and is
-built once per size (``_collective_layout``), and Hermiticity is checked
-once, on the parts (``_require_hermitian_parts``).  The marginal of a
+A ``PauliTerm``'s coefficient is a finite real number, checked where the
+term is made, so every H built here is Hermitian by construction.
+``solve_sectors`` solves H exactly through one plan, whose ``solve``
+returns the levels ascending and one plain (w, w) eigenvector matrix per
+block.  When the terms form a hub and at least three interchangeable
+leaves, H commutes with every permutation of the leaves, and it is solved
+in one hub (x) spin-j block per total leaf spin j, 2(2j + 1) wide, each
+kept once with its number of copies (``_CollectivePlan``).  Only four 2x2
+hub parts depend on the couplings; where they go in each block, and with
+which 2m and u factors, depends on the register size and the hub alone
+and is built once per pair (``_collective_plan``).  The marginal of a
 level on the hub and one leaf is read off its block vector, and the
 register column of a level of one copy (the symmetric block j = N/2) is
 its block vector spread over the leaf strings, built on at most
 ``MAX_SITES`` sites when asked for.  Any other H (at most 3 sites in the
 models, or a spec built by hand) is ``assemble``d and solved as one dense
-block of at most ``DENSE_MAX_SITES`` sites.
+block of at most ``DENSE_MAX_SITES`` sites (``_DensePlan``).
 ``site_operator`` scatters a 2x2 operator at one site in O(d), and
 ``on_support`` builds a sum of terms on the few sites it touches: the
 protocol and the noise channels act on a marginal there, never on a
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +54,10 @@ PAULI = {
 # ---------------------------------------------------------------------------
 
 def require_hermitian(a: np.ndarray) -> np.ndarray:
-    """A square matrix, or a stack of them along axis 0, each Hermitian within tolerance."""
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if np.max(np.abs(a - a.conj().swapaxes(-1, -2))) > TOL.hermitian:
+    """A square matrix, Hermitian within tolerance."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if np.max(np.abs(a - a.conj().T)) > TOL.hermitian:
         raise ValueError("matrix is not Hermitian within tolerance")
     return a
 
@@ -91,6 +95,8 @@ class PauliTerm:
     factors: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
+        if not isinstance(self.coefficient, numbers.Real) or not math.isfinite(self.coefficient):
+            raise ValueError(f"{self} needs a finite real coefficient")
         sites = [site for site, _ in self.factors]
         if len(set(sites)) != len(sites):
             raise ValueError(f"repeated site in term factors {self.factors}")
@@ -111,11 +117,6 @@ def max_site(terms) -> int:
     return max((site for t in terms for site, _ in t.factors), default=-1)
 
 
-def _require_register(n_sites: int) -> None:
-    if not 1 <= n_sites <= MAX_SITES:
-        raise ValueError(f"n_sites must be in [1, {MAX_SITES}], got {n_sites}")
-
-
 def _require_site(site: int, n_sites: int) -> None:
     if not 0 <= site < n_sites:
         raise ValueError(f"site {site} out of range for {n_sites} sites")
@@ -130,7 +131,7 @@ def axis_operator(vector: np.ndarray) -> np.ndarray:
 
 def site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     """The 2x2 ``op`` at ``site`` as a dense d x d matrix, scattered in O(d)."""
-    _require_register(n_sites)
+    require_register(n_sites, "site_operator")
     _require_site(site, n_sites)
     dim = 2 ** n_sites
     idx = np.arange(dim)
@@ -252,9 +253,10 @@ def _dicke_norms(n_leaves: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _CollectiveLayout:
-    """The hub (x) total-leaf-spin blocks of a register, all of them that does
-    not depend on the couplings (``_collective_layout``).
+class _CollectivePlan:
+    """H of ``hub`` and N = ``n_sites`` - 1 interchangeable leaves in hub (x)
+    total-leaf-spin blocks, all of it that does not depend on the couplings
+    (``_collective_plan``).
 
     Block g (doubled spin ``spins[g]``, w = ``spins[g]`` + 1 values of m,
     descending) is 2w wide with the hub's bit most significant, and stands
@@ -265,10 +267,12 @@ class _CollectiveLayout:
     every block, block after block, so three products give the entries of
     every block at once (``solve``).  ``fills[g]`` is block g's width, the
     flat indices of its entries among those products, and where they go in
-    the flattened block.  ``rows`` is the (stack, column) of every block
-    eigenvalue in the order ``solve`` returns them.
+    the flattened block.  ``rows`` is the (block, column) of every block
+    eigenvalue in the order the blocks are solved.
     """
 
+    hub: int
+    n_sites: int
     spins: tuple[int, ...]
     multiplicities: tuple[int, ...]
     m2: np.ndarray
@@ -276,19 +280,18 @@ class _CollectiveLayout:
     fills: tuple[tuple[int, np.ndarray, np.ndarray], ...]
     rows: np.ndarray
 
-    def solve(self, parts: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """(eigenvalues, block after block, ascending in each; per block its
-        eigenvectors as a (1, 2w, 2w) stack) of H_j = sum_ab C[a, b] sigma_a
-        (x) 2 J_b^(j) for the hub parts of ``_hub_plan``.
+    def solve(self, parts: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+        """(levels, ascending; per block its (2w, 2w) eigenvectors; the (block,
+        column) row of each level) of H_j = sum_ab C[a, b] sigma_a (x)
+        2 J_b^(j) for the hub parts of ``_hub_plan``.
 
         The blocks are filled and solved one at a time, so only one of them
-        is held beside the eigenvectors.  Hermiticity is checked once, on
-        the parts (``_require_hermitian_parts``).  Real parts make every
+        is held beside the eigenvectors.  The parts come from a real C, so
+        every block is Hermitian by construction.  Real parts make every
         block real; complex ones leave a block real when its own entries
         are (the j = 0 block, one m wide, sees parts[0] alone), which is
         then solved as a real symmetric matrix, as ``eigendecompose`` does.
         """
-        _require_hermitian_parts(parts, self.spins[0])
         products = np.concatenate([parts[0] + self.m2[:, None, None] * parts[1],
                                    self.u[:, None, None] * parts[2],
                                    self.u[:, None, None] * parts[3]]).ravel()
@@ -298,74 +301,17 @@ class _CollectiveLayout:
             values = products[source]
             if complex_parts and not np.any(values.imag):
                 values = values.real
-            block = np.zeros((1, width, width), dtype=values.dtype)
+            block = np.zeros((width, width), dtype=values.dtype)
             block.reshape(-1)[target] = values
             solved.append(np.linalg.eigh(block))
-        return np.concatenate([w[0] for w, _ in solved]), tuple(v for _, v in solved)
-
-
-def _require_hermitian_parts(parts: np.ndarray, n_leaves: int) -> None:
-    """Raise ValueError unless every collective block is Hermitian within tolerance.
-
-    The mirror of the entry u parts[2][x, y] above the diagonal is u
-    parts[3][y, x] below it, so parts[3] = parts[2]† exactly makes those
-    pairs exact conjugates; on the diagonal, hub entries (x, y) and (y, x)
-    of row m differ from conjugates by at most the defect of parts[0] plus
-    |2m| <= N times that of parts[1].  So this one check of the parts holds
-    every block's ``require_hermitian`` check.
-    """
-    defect = np.abs(parts[:2] - parts[:2].conj().swapaxes(1, 2)).max(axis=(1, 2))
-    if defect[0] + n_leaves * defect[1] > TOL.hermitian or np.any(parts[3] != parts[2].conj().T):
-        raise ValueError("matrix is not Hermitian within tolerance")
-
-
-@functools.lru_cache(maxsize=None)
-def _collective_layout(n_sites: int) -> _CollectiveLayout:
-    """The ``_CollectiveLayout`` of a hub and ``n_sites`` - 1 leaves, built once
-    per register size and shared, read-only: it depends on nothing else."""
-    spins = tuple(range(n_sites - 1, -1, -2))
-    ladders = [_spin_ladder(t) for t in spins]
-    m2 = np.concatenate([m for m, _ in ladders])
-    u = np.concatenate([v for _, v in ladders])
-    hub = np.arange(4)  # 2x + y of hub entry (x, y), as the products order them
-    x, y = np.divmod(hub, 2)
-    fills, diagonal, upper = [], 0, len(m2)  # the first product row of block g's bands
-    for t in spins:
-        w = t + 1
-        k, j = np.arange(w)[:, None], np.arange(w - 1)[:, None]
-        bands = ((diagonal + k, k, k),  # (product row, m row, m column) of each entry
-                 (upper + j, j, j + 1),
-                 (upper + len(u) + j, j + 1, j))
-        source = np.concatenate([(4 * r + hub).ravel() for r, _, _ in bands])
-        target = np.concatenate([(((x * w + i) * 2 + y) * w + c).ravel() for _, i, c in bands])
-        for a in (source, target):
-            a.flags.writeable = False
-        fills.append((2 * w, source, target))
-        diagonal, upper = diagonal + w, upper + w - 1
-    rows = np.array([(g, c) for g, t in enumerate(spins) for c in range(2 * t + 2)],
-                    dtype=np.intp)
-    for a in (m2, u, rows):
-        a.flags.writeable = False
-    return _CollectiveLayout(spins, tuple(_multiplicity(n_sites - 1, t) for t in spins),
-                             m2, u, tuple(fills), rows)
-
-
-@dataclass(frozen=True, eq=False)
-class _CollectivePlan:
-    """H of a hub and N interchangeable leaves in hub (x) total-leaf-spin
-    blocks, whose ``spins`` and ``multiplicities`` its ``_CollectiveLayout``
-    holds: block g is 2(``spins[g]`` + 1) wide and stands for
-    ``multiplicities[g]`` copies of itself.
-    """
-
-    hub: int
-    n_sites: int
-    spins: tuple[int, ...]
-    multiplicities: tuple[int, ...]
+        del products  # freed before the sort, which would otherwise hold it too
+        values = np.concatenate([w for w, _ in solved])
+        order = np.argsort(values, kind="stable")
+        return values[order], tuple(v for _, v in solved), self.rows[order]
 
     def columns(self, block_vectors, blocks) -> np.ndarray:
         """Register-basis columns of the block eigenvectors at ``blocks``'
-        (stack, column) rows, each a level of the symmetric block j = N/2
+        (block, column) rows, each a level of the symmetric block j = N/2
         spread over the leaf strings (``_dicke_norms``).  A level with
         several copies (j < N/2) has no canonical column: ValueError."""
         if any(self.multiplicities[g] > 1 for g in blocks[:, 0]):
@@ -373,7 +319,7 @@ class _CollectivePlan:
                              "Spectrum.marginal reads the mixture over its copies")
         n_leaves, k = self.n_sites - 1, len(blocks)
         ones = np.array([s.bit_count() for s in range(2 ** n_leaves)])
-        v = block_vectors[0][0][:, blocks[:, 1]].reshape(2, n_leaves + 1, k)
+        v = block_vectors[0][:, blocks[:, 1]].reshape(2, n_leaves + 1, k)
         v = (v / _dicke_norms(n_leaves)[:, None])[:, ones]
         v = np.moveaxis(v.reshape((2,) * self.n_sites + (k,)), 0, self.hub)
         return v.reshape(2 ** self.n_sites, k)
@@ -395,49 +341,87 @@ class _CollectivePlan:
         return 0.5 * np.einsum(order, a, paulis).reshape(4, 4)
 
 
+@functools.lru_cache(maxsize=None)
+def _collective_plan(n_sites: int, hub: int) -> _CollectivePlan:
+    """The ``_CollectivePlan`` of ``hub`` and ``n_sites`` - 1 leaves, built once
+    per register size and hub and shared, read-only: it depends on nothing else."""
+    spins = tuple(range(n_sites - 1, -1, -2))
+    ladders = [_spin_ladder(t) for t in spins]
+    m2 = np.concatenate([m for m, _ in ladders])
+    u = np.concatenate([v for _, v in ladders])
+    entry = np.arange(4)  # 2x + y of hub entry (x, y), as the products order them
+    x, y = np.divmod(entry, 2)
+    fills, diagonal, upper = [], 0, len(m2)  # the first product row of block g's bands
+    for t in spins:
+        w = t + 1
+        k, j = np.arange(w)[:, None], np.arange(w - 1)[:, None]
+        bands = ((diagonal + k, k, k),  # (product row, m row, m column) of each entry
+                 (upper + j, j, j + 1),
+                 (upper + len(u) + j, j + 1, j))
+        source = np.concatenate([(4 * r + entry).ravel() for r, _, _ in bands])
+        target = np.concatenate([(((x * w + i) * 2 + y) * w + c).ravel() for _, i, c in bands])
+        for a in (source, target):
+            a.flags.writeable = False
+        fills.append((2 * w, source, target))
+        diagonal, upper = diagonal + w, upper + w - 1
+    rows = np.array([(g, c) for g, t in enumerate(spins) for c in range(2 * t + 2)],
+                    dtype=np.intp)
+    for a in (m2, u, rows):
+        a.flags.writeable = False
+    return _CollectivePlan(hub, n_sites, spins,
+                           tuple(_multiplicity(n_sites - 1, t) for t in spins),
+                           m2, u, tuple(fills), rows)
+
+
 def _hub_plan(terms, n_sites: int) -> tuple[_CollectivePlan, np.ndarray] | None:
     """(plan, parts) of a hub plus at least three interchangeable leaves
-    (``_hub_and_leaves``), else None; ``parts`` feeds ``_CollectiveLayout.solve``.
+    (``_hub_and_leaves``), else None; ``parts`` feeds ``_CollectivePlan.solve``.
 
     Summed over the leaves, leaf Pauli b is 2 J_b of the total leaf spin, so
     H_j = sum_ab C[a, b] sigma_a (x) 2 J_b^(j), with sigma_0 = 2 J_0 = 1.
     With d_b = sum_a C[a, b] sigma_a, hub entry (x, y) of H_j is
     d_0 + d_z 2m on the diagonal, (d_x - i d_y) u above it and
     (d_x + i d_y) u below it; ``parts`` is those four 2x2 factors, real
-    unless some Y term makes them complex.
+    unless some Y term makes them complex.  C is real (``PauliTerm``), so
+    parts[0] and parts[1] are Hermitian and parts[3] is parts[2]† exactly.
     """
     found = _hub_and_leaves(terms, n_sites)
     if found is None:
         return None
     hub, c = found
-    layout = _collective_layout(n_sites)
-    plan = _CollectivePlan(hub, n_sites, layout.spins, layout.multiplicities)
     d = np.einsum("axy,ab->bxy", site_paulis(0, 1), c)
     parts = np.array([d[0], d[3], d[1] - 1j * d[2], d[1] + 1j * d[2]])
-    return plan, parts if np.any(parts.imag) else parts.real
+    return _collective_plan(n_sites, hub), parts if np.any(parts.imag) else parts.real
 
 
+@dataclass(frozen=True, eq=False)
 class _DensePlan:
     """Any H that ``_hub_plan`` does not take, as one register-wide block."""
 
-    multiplicities = (1,)   # one stack of one block, solved once
+    n_sites: int
+    multiplicities = (1,)   # one block, solved once
 
-    def __init__(self, n_sites: int):
-        self.n_sites = n_sites
+    def solve(self, terms) -> tuple[np.ndarray, tuple[np.ndarray], np.ndarray]:
+        """H ``assemble``d and solved by ``eigendecompose``, which returns the
+        levels ascending: (levels, (eigenvectors,), the (0, column) rows)."""
+        levels, vectors = eigendecompose(assemble(terms, self.n_sites))
+        blocks = np.zeros((len(levels), 2), dtype=np.intp)
+        blocks[:, 1] = np.arange(len(levels))
+        return levels, (vectors,), blocks
 
     def columns(self, block_vectors, blocks) -> np.ndarray:
         """The block's eigenvector columns at ``blocks``' (0, column) rows."""
         (vectors,) = block_vectors
-        return vectors[0][:, blocks[:, 1]]
+        return vectors[:, blocks[:, 1]]
 
 
 def require_register(n_sites: int, reader: str) -> None:
-    """Raise ModelParameterError when ``reader`` would need a state vector or
-    matrix on more than ``MAX_SITES`` sites."""
-    if n_sites > MAX_SITES:
+    """Raise ModelParameterError (a ValueError) when ``reader`` would need a
+    state vector or matrix on fewer than 1 or more than ``MAX_SITES`` sites."""
+    if not 1 <= n_sites <= MAX_SITES:
         raise ModelParameterError(
-            f"{reader} needs the register vector of {n_sites} sites, and register "
-            f"vectors are built on at most {MAX_SITES} sites")
+            f"{reader} needs the register of {n_sites} sites, and registers are "
+            f"built on at least 1 and at most {MAX_SITES} sites")
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,15 +431,15 @@ class Spectrum:
 
     Each block eigenvalue is one level, which stands for one register
     eigenvector per copy of its block (``multiplicity``).  The register
-    columns of levels of one copy (``vectors``, ``ground``) are built only
-    when read, on at most ``MAX_SITES`` sites; ``marginal`` serves the
-    protocol without them.
+    columns of levels of one copy (``vectors``) are built only when read,
+    on at most ``MAX_SITES`` sites; ``marginal`` serves the protocol
+    without them.
     """
 
     levels: np.ndarray
     plan: _CollectivePlan | _DensePlan
-    block_vectors: tuple[np.ndarray, ...]  # per stack: (blocks, m, m), as columns
-    blocks: np.ndarray      # (stack, column) of each level
+    block_vectors: tuple[np.ndarray, ...]  # per block: (w, w), as columns
+    blocks: np.ndarray      # (block, column) of each level
 
     def multiplicity(self, level: int) -> int:
         return self.plan.multiplicities[self.blocks[level, 0]]
@@ -465,13 +449,6 @@ class Spectrum:
         """The gap between H's two lowest eigenvalues, counted once per copy,
         read off the levels: 0.0 when the lowest level has more than one copy."""
         return 0.0 if self.multiplicity(0) > 1 else float(self.levels[1] - self.levels[0])
-
-    @functools.cached_property
-    def ground(self) -> np.ndarray:
-        """``vectors([0])[:, 0]``, built once; read-only."""
-        v = self.vectors([0])[:, 0]
-        v.flags.writeable = False
-        return v
 
     def vectors(self, levels) -> np.ndarray:
         """The eigenvectors of ``levels`` (indices into ``levels``, each of one
@@ -486,7 +463,7 @@ class Spectrum:
         """Level's block vector as (hub, leaf spin) rows, rotated as ``vectors``
         rotates its register column (``_dicke_norms``)."""
         g, col = self.blocks[level]
-        v = self.block_vectors[g][0, :, col].reshape(2, -1)
+        v = self.block_vectors[g][:, col].reshape(2, -1)
         phase = v.flat[np.argmax(np.abs(v) / _dicke_norms(v.shape[1] - 1))]
         return v * (phase / abs(phase)).conjugate()
 
@@ -512,7 +489,7 @@ class Spectrum:
             return self.register_marginal(levels, sites, phases)
         if phases is None:
             total = sum(weights)
-            a = sum(w / total * _hub_operators(self.block_vectors[g][0, :, col].reshape(2, -1),
+            a = sum(w / total * _hub_operators(self.block_vectors[g][:, col].reshape(2, -1),
                                                plan.spins[g])
                     for w, (g, col) in zip(weights, self.blocks[levels]))
         else:
@@ -531,30 +508,19 @@ class Spectrum:
 
 
 def solve_sectors(terms: list[PauliTerm] | tuple[PauliTerm, ...], n_sites: int) -> Spectrum:
-    """H solved exactly, every block in full.
+    """H solved exactly, every block in full, by its plan.
 
     A hub with at least three interchangeable leaves is solved in its hub (x)
-    total-leaf-spin blocks (``_hub_plan``, ``_CollectiveLayout.solve``),
+    total-leaf-spin blocks (``_hub_plan``, ``_CollectivePlan.solve``),
     each block's levels kept once with the number of copies of its spin.
     Any other H (chain3, the two-site model, the star with one or two
     leaves, specs built by hand) is ``assemble``d, which refuses more than
     ``DENSE_MAX_SITES`` sites with ValueError, and solved as one dense block
-    by ``eigendecompose``.
+    by ``eigendecompose`` (``_DensePlan.solve``).
     """
     _require_terms(terms, n_sites)
-    found = _hub_plan(terms, n_sites)
-    if found is None:
-        plan = _DensePlan(n_sites)
-        values, vectors = eigendecompose(assemble(terms, n_sites)[None])
-        levels, block_vectors = values[0], (vectors,)
-        blocks = np.zeros((len(levels), 2), dtype=np.intp)
-        blocks[:, 1] = np.arange(len(levels))  # eigh returns them ascending
-    else:
-        plan, parts = found
-        layout = _collective_layout(n_sites)
-        values, block_vectors = layout.solve(parts)
-        order = np.argsort(values, kind="stable")
-        levels, blocks = values[order], layout.rows[order]
+    plan, inputs = _hub_plan(terms, n_sites) or (_DensePlan(n_sites), terms)
+    levels, block_vectors, blocks = plan.solve(inputs)
     levels.flags.writeable = False
     return Spectrum(levels, plan, block_vectors, blocks)
 
@@ -603,9 +569,7 @@ _Y_PHASES = (1.0, 1j, -1.0, -1j)  # i^(number of Y factors)
 def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
-    A stack of matrices along axis 0 (each stack of ``solve_sectors``: one
-    collective block, or the one dense block) is solved in one batched
-    call, with eigenvalues ascending within each block.  A matrix without
+    A matrix without
     imaginary part is diagonalized as a real symmetric one, which returns
     real eigenvectors.  Degenerate clusters come back in an arbitrary
     orthonormal gauge; callers must not rely on the gauge inside a cluster.

@@ -82,7 +82,7 @@ class TestMarginals:
             spectrum = star(n, j)[0].spectrum
             for sites in ([0, 1], [0, n], [0], [n]):
                 np.testing.assert_allclose(spectrum.marginal([0], sites),
-                                           reduced_density(spectrum.ground, sites),
+                                           reduced_density(spectrum.vectors([0])[:, 0], sites),
                                            rtol=0, atol=TIGHT)
             np.testing.assert_allclose(spectrum.marginal([0], [0, 2]),
                                        oracles.star_hub_leaf_marginal(n, j), rtol=0, atol=TIGHT)
@@ -99,7 +99,7 @@ class TestMarginals:
             # the transition marginal <g| . |1> enters through |g> + e^{i a} |1>
             for alpha in (0.0, 0.7):
                 phase = np.exp(1j * alpha)
-                plus = (spectrum.ground + phase * columns[:, 0]) / math.sqrt(2.0)
+                plus = (spectrum.vectors([0])[:, 0] + phase * columns[:, 0]) / math.sqrt(2.0)
                 np.testing.assert_allclose(
                     spectrum.marginal([0, levels[0]], [0, n], (1.0, phase)),
                     reduced_density(plus, [0, n]), rtol=0, atol=TIGHT)

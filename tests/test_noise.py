@@ -8,7 +8,7 @@ from qetkd.errors import (
     DegenerateGroundError,
     SupportViolationError,
 )
-from qetkd.models import HamiltonianSpec, Partition, build_model, chain3, \
+from qetkd.models import ALICE, HamiltonianSpec, Partition, build_model, chain3, \
     first_excited_levels, star
 import qetkd.noise as noise
 import qetkd.qkd as qkd
@@ -342,7 +342,7 @@ def dense_kraus_defects(ctx, site, ops):
     from Kronecker products on the whole register."""
     n = ctx.n_sites
     h_a, h_b = (oracles.terms_matrix(ctx.partition.parts[label], n)
-                for label in (ctx.alice_label, ctx.bob_label))
+                for label in (ALICE, ctx.bob_label))
     n_sigma = sum(v * oracles.embed(axis, ctx.alice.site, n)
                   for v, axis in zip(ctx.alice.vector, "XYZ"))
     projectors = [0.5 * (np.eye(2 ** n) - (-1.0) ** b * n_sigma) for b in (0, 1)]
@@ -594,7 +594,7 @@ class TestNoiseSpec:
         # channel at site 2 for B2's support is refused, though B1's is not
         spec, part, labels = build_model("star", 1.0, n_parties=2)
         ctx = prepare(spec, part, MeasurementBasis.x(0), bob_label=labels[0])
-        forms_b2 = receiver_forms(spec, part, ctx.alice.site, ctx.alice_label, labels[1])
+        forms_b2 = receiver_forms(spec, part, ctx.alice.site, labels[1])
         kraus = NoiseSpec("local_kraus", 0.0, site=2, kraus_ops=(np.eye(2),))
         noisy_input_state(ctx, kraus)
         with pytest.raises(SupportViolationError):

@@ -4,6 +4,7 @@ bookkeeping of a partition."""
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,5 +282,5 @@ def test_optimal_angle_is_a_minimum(coupling, axis, delta):
         assume(False)
     best = run_ensemble(ctx).e_bob
     for shifted in (ctx.rule.theta + delta, ctx.rule.theta - delta):
-        other = prepare(spec, part, basis, bob_axis="optimal", theta_override=shifted)
+        other = replace(ctx, rule=replace(ctx.rule, theta=shifted))
         assert best <= run_ensemble(other).e_bob + 1e-12

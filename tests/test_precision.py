@@ -95,7 +95,7 @@ def test_ground_vector_overlap_is_one(name):
     spec, _, exact = solved(name)
     with mpmath.workdps(DIGITS):
         overlap = abs(mpmath.fsum(mpmath.conj(e) * mpmath.mpc(complex(g))
-                                  for e, g in zip(exact, spec.spectrum.ground)))
+                                  for e, g in zip(exact, spec.spectrum.vectors([0])[:, 0])))
         norm = mpmath.sqrt(mpmath.fsum(abs(e) ** 2 for e in exact))
         assert abs(overlap / norm - 1) <= 1e-13
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ class TestValidatePartition:
         with pytest.raises(ValueError, match=r"no part 'B'; its labels are A, B1, B2, B3$"):
             prepare(*star(3, 1.0), MeasurementBasis.x(0))
         with pytest.raises(ValueError, match="no part 'Z'"):
-            prepare(*chain3(1.0), MeasurementBasis.x(0), alice_label="Z")
+            prepare(*chain3(1.0), MeasurementBasis.x(0), bob_label="Z")
 
     def test_chain_any_sender_axis_ok(self):
         spec, part = chain3(1.0)
@@ -212,7 +213,8 @@ class TestRunEnsemble:
 
     def test_zero_angle_gives_zero_receiver_energy(self):
         spec, part = chain3(1.0)
-        ctx = prepare(spec, part, MeasurementBasis.x(0), theta_override=0.0)
+        ctx = prepare(spec, part, MeasurementBasis.x(0))
+        ctx = replace(ctx, rule=replace(ctx.rule, theta=0.0))
         assert run_ensemble(ctx).e_bob == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("j", [0.5, 1.0, 2.0])
@@ -266,8 +268,7 @@ class TestRunEnsemble:
         base = run_ensemble(prepare(spec, part, MeasurementBasis.x(0))).e_bob
         for delta in (-0.01, 0.01):
             ctx = prepare(spec, part, MeasurementBasis.x(0))
-            shifted = prepare(spec, part, MeasurementBasis.x(0),
-                              theta_override=ctx.theta.theta + delta)
+            shifted = replace(ctx, rule=replace(ctx.rule, theta=ctx.theta.theta + delta))
             assert run_ensemble(shifted).e_bob >= base - 1e-12
 
     def test_flip_rule_positive_and_closed_form(self):
@@ -295,12 +296,13 @@ class TestRunEnsemble:
         std = two_site_partition_standard(1.0, 1.0)
         theta = prepare(spec, std, MeasurementBasis.x(0)).theta.theta
         straightforward = prepare(spec, alt, MeasurementBasis.x(0),
-                                  bob_axis=MeasurementBasis.y(1),
-                                  theta_override=theta)
+                                  bob_axis=MeasurementBasis.y(1))
+        straightforward = replace(straightforward,
+                                  rule=replace(straightforward.rule, theta=theta))
         assert run_ensemble(straightforward).e_bob > 0
         flipped = prepare(spec, alt, MeasurementBasis.x(0),
-                          bob_axis=MeasurementBasis.y(1),
-                          theta_override=theta, bit_map="flip")
+                          bob_axis=MeasurementBasis.y(1), bit_map="flip")
+        flipped = replace(flipped, rule=replace(flipped.rule, theta=theta))
         assert run_ensemble(flipped).e_bob < 0
 
     def test_sender_energy_positive_even_for_flip(self):
@@ -316,8 +318,8 @@ class TestRunEnsemble:
         ident = run_ensemble(prepare(spec, part, MeasurementBasis.x(0)))
         flip = run_ensemble(prepare(spec, part, MeasurementBasis.x(0),
                                     bit_map="flip"))
-        still = run_ensemble(prepare(spec, part, MeasurementBasis.x(0),
-                                     theta_override=0.0))
+        ctx = prepare(spec, part, MeasurementBasis.x(0))
+        still = run_ensemble(replace(ctx, rule=replace(ctx.rule, theta=0.0)))
         assert ident.e_alice == pytest.approx(flip.e_alice, abs=1e-12)
         assert ident.e_alice == pytest.approx(still.e_alice, abs=1e-12)
 

@@ -7,7 +7,7 @@ import pytest
 
 import qetkd.qkd as qkd
 from qetkd.errors import TooManyErasuresError
-from qetkd.models import ALICE, build_model, chain3, star
+from qetkd.models import build_model, chain3, star
 from qetkd.noise import NoiseSpec, noisy_input_state
 from qetkd.protocol import MeasurementBasis, prepare, receiver_forms, run_ensemble
 from qetkd.qkd import (
@@ -376,8 +376,7 @@ FORM_ARRAYS = ("ground", "sig", "parts", "inner", "c", "q", "g")
 
 def _own_receivers(config, ctx, labels):
     """Every receiver's forms built by ``receiver_forms``, one by one."""
-    forms = [receiver_forms(ctx.spec, ctx.partition, ctx.alice.site, ctx.alice_label, lab)
-             for lab in labels]
+    forms = [receiver_forms(ctx.spec, ctx.partition, ctx.alice.site, lab) for lab in labels]
     if config.noise is None:
         return forms, [f.ground for f in forms]
     return forms, [noisy_input_state(ctx, config.noise, f)[0] for f in forms]
@@ -394,7 +393,7 @@ class TestStarReceiversRelabelled:
         ctx = prepare(spec, part, MeasurementBasis.x(0), bob_label=labels[0])
         forms, states = qkd._receivers(config, ctx, labels)
         for f, state, label in zip(forms, states, labels):
-            own = receiver_forms(spec, part, 0, ALICE, label)
+            own = receiver_forms(spec, part, 0, label)
             assert (f.site, f.support) == (own.site, own.support)
             for name in FORM_ARRAYS:
                 a, b = getattr(f, name), getattr(own, name)

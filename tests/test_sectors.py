@@ -7,9 +7,10 @@ These tests compare it with ``np.linalg.eigh`` on the oracle matrix of the
 same Hamiltonian: the eigenvalues and their multiplicities, each
 eigenvector's residual and orthonormality, the ground state up to a phase
 and the first excited level's projector.  Specs that site swaps leave
-unchanged stay among the inputs.  The dense H must be exactly Hermitian at
-any coefficient scale, and a larger non-collective H is refused before any
-matrix is built.
+unchanged stay among the inputs.  The dense H and the collective hub parts
+must be exactly Hermitian at any coefficient scale, a coefficient that is
+not finite and real is refused where its term is made, and a larger
+non-collective H is refused before any matrix is built.
 """
 
 import functools
@@ -18,6 +19,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from qetkd.models import HamiltonianSpec, chain3, first_excited_levels, star, tw
     two_site_partition_alternative
 from qetkd.noise import default_chain_coupling
 from qetkd.protocol import ground_state
-from qetkd.spinops import assemble, eigendecompose, reduced_density, term
+from qetkd.spinops import PauliTerm, assemble, eigendecompose, reduced_density, term
 
 import oracles
 
@@ -94,7 +96,7 @@ class TestModelSpectra:
         d = 2 ** spec.n_sites
         assert isinstance(spec.spectrum.plan, spinops._DensePlan)
         (vectors,) = spec.spectrum.block_vectors
-        assert vectors.shape == (1, d, d) and not np.iscomplexobj(vectors)
+        assert vectors.shape == (d, d) and not np.iscomplexobj(vectors)
         np.testing.assert_array_equal(assemble(spec.terms, spec.n_sites),
                                       oracles.terms_matrix(spec.terms, spec.n_sites))
 
@@ -120,7 +122,7 @@ class TestDenseBlock:
             terms.append(term(1.0, (0, "X"), (1, "Y")))
             spec = HamiltonianSpec("pairs", n, tuple(terms))
             (vectors,) = spec.spectrum.block_vectors
-            assert vectors.shape == (1, 64, 64) and np.iscomplexobj(vectors)
+            assert vectors.shape == (64, 64) and np.iscomplexobj(vectors)
             assert_spectrum_matches(spec, oracles.terms_matrix(spec.terms, n))
 
     def test_odd_y_count_gives_a_complex_block(self):
@@ -170,20 +172,17 @@ class TestDenseBlock:
         assert peak < 1_000_000
 
 
-class TestStackedSolve:
-    def test_hermiticity_is_checked_per_block(self):
-        stack = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+class TestOneMatrixSolve:
+    def test_non_hermitian_and_non_square_matrices_are_refused(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            eigendecompose(stack)
+            eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="square"):
-            eigendecompose(np.zeros((2, 2, 3)))
+            eigendecompose(np.zeros((2, 3)))
 
-    def test_blocks_solved_independently(self):
+    def test_a_stack_of_matrices_is_refused(self):
         stack = np.array([oracles.two_site_matrix(1.0, 0.5), oracles.chain3_matrix(0.0)[:4, :4]])
-        evals, evecs = eigendecompose(stack)
-        for block, values, vectors in zip(stack, evals, evecs):
-            np.testing.assert_allclose(values, np.linalg.eigvalsh(block), rtol=0, atol=1e-12)
-            np.testing.assert_allclose(block @ vectors, vectors * values, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 4, 4\)"):
+            eigendecompose(stack)
 
 
 COEFFICIENT = st.builds(lambda sign, e: sign * 10.0 ** e,
@@ -201,6 +200,26 @@ def y_specs(draw):
         axes = draw(st.lists(st.sampled_from("XYZ"), min_size=len(sites), max_size=len(sites)))
         terms.append(term(draw(COEFFICIENT), *zip(sites, axes)))
     return n, terms
+
+
+@st.composite
+def real_hub_specs(draw):
+    """A hub and 3 to 6 interchangeable leaves.  Each leaf carries the same
+    (hub factor or none, leaf factor) terms, some repeated, and the hub its
+    own fields, with coefficients from 1e-6 to 1e6 in magnitude; the hub
+    has an X field and every leaf an X Y bond, so C is real and the hub
+    parts are complex."""
+    n = draw(st.integers(4, 7))
+    hub = draw(st.integers(0, n - 1))
+    forms = [("X", "Y", draw(COEFFICIENT))] + draw(st.lists(
+        st.tuples(st.sampled_from([None, "X", "Y", "Z"]), st.sampled_from("XYZ"), COEFFICIENT),
+        max_size=8))
+    fields = ["X"] + draw(st.lists(st.sampled_from("XYZ"), max_size=3))
+    hub_terms = [term(draw(COEFFICIENT), (hub, axis)) for axis in fields]
+
+    def leaf(k):
+        return [term(c, *([(hub, a)] if a else []), (k, b)) for a, b, c in forms]
+    return hub_spec(n, hub, leaf, hub_terms)
 
 
 def assert_exactly_hermitian(terms, n):
@@ -222,6 +241,17 @@ class TestHermitianBlocks:
         assert np.any(h.imag)
         eigendecompose(h)
 
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(real_hub_specs())
+    def test_hub_parts_of_a_real_coupling_matrix(self, spec):
+        # the collective solve checks no Hermiticity: a real C must give
+        # Hermitian parts[0] and parts[1], and parts[3] = parts[2]†, exactly
+        _, parts = spinops._hub_plan(spec.terms, spec.n_sites)
+        assert np.iscomplexobj(parts)
+        for part in parts[:2]:
+            assert np.array_equal(part, part.conj().T)
+        assert np.array_equal(parts[3], parts[2].conj().T)
+
     def test_chain3_at_a_large_coupling(self):
         spec, _ = chain3(2e6)
         assert_exactly_hermitian(spec.terms, spec.n_sites)
@@ -232,6 +262,28 @@ class TestHermitianBlocks:
         evecs = spec.spectrum.vectors(range(len(evals)))
         np.testing.assert_allclose(evals, want, rtol=0, atol=1e-12 * scale)
         assert np.linalg.norm(h @ evecs - evecs * evals, axis=0).max() <= 1e-14 * scale
+
+
+class TestCoefficients:
+    """A term's coefficient is a finite real number, refused where the term is
+    made, so neither solve path sees a complex, NaN or infinite one."""
+
+    @pytest.mark.parametrize("n_parties", [2, 4, 9])
+    @pytest.mark.parametrize("bad", [1j, np.complex128(1.0), math.nan, math.inf, -math.inf])
+    def test_a_hand_built_bond_is_refused(self, n_parties, bad):
+        # star(2) is solved as one dense block, star(4) and star(9) collectively
+        spec, _ = star(n_parties, 1.0)
+        assert isinstance(spec.spectrum.plan, spinops._DensePlan) == (n_parties == 2)
+        bond = spec.terms[0]
+        with pytest.raises(ValueError, match=r"^PauliTerm\(coefficient=.* finite real coefficient"):
+            replace(bond, coefficient=bad)
+        with pytest.raises(ValueError, match="finite real coefficient"):
+            PauliTerm(bad, bond.factors)
+
+    def test_term_refuses_nan_and_infinity(self):
+        for bad in (math.nan, math.inf, np.float64(-math.inf)):
+            with pytest.raises(ValueError, match="finite real coefficient"):
+                term(bad, (0, "X"))
 
 
 class TestNoRegisterMatrix:
@@ -444,7 +496,7 @@ class TestCollectiveBlocks:
         # with one or two leaves H has at most 3 sites
         spectrum = star(n_parties, 1.0)[0].spectrum
         assert isinstance(spectrum.plan, spinops._DensePlan)
-        assert spectrum.block_vectors[0].shape == (1, 2 ** (n_parties + 1), 2 ** (n_parties + 1))
+        assert spectrum.block_vectors[0].shape == (2 ** (n_parties + 1), 2 ** (n_parties + 1))
 
     def test_copy_of_a_star_is_solved_collectively(self):
         # the star's terms, listed in reverse in a spec built by hand
@@ -488,7 +540,7 @@ class TestCollectiveBlocks:
         spec = hub_spec(n, hub, leaf, [term(0.3, (hub, "Z")), term(-0.7, (hub, "X")),
                                        term(0.2, (hub, "Y")), term(0.25)])
         assert spec.spectrum.plan.hub == hub
-        assert np.iscomplexobj(spec.spectrum.ground)
+        assert np.iscomplexobj(spec.spectrum.vectors([0]))
         assert_spectrum_matches(spec, oracles.terms_matrix(spec.terms, n))
 
     @pytest.mark.parametrize("coupling", [0.0, 0.45, 2.0])
@@ -554,7 +606,7 @@ class TestCollectiveOracle:
         spec, _ = star(n_parties, 1.0)
         e0, _ = oracles.star_dicke_ground(n_parties, 1.0)
         assert spec.spectrum.levels[0] == pytest.approx(e0, abs=1e-12)
-        np.testing.assert_allclose(reduced_density(spec.spectrum.ground, [0, 1]),
+        np.testing.assert_allclose(reduced_density(spec.spectrum.vectors([0])[:, 0], [0, 1]),
                                    oracles.star_hub_leaf_marginal(n_parties, 1.0),
                                    rtol=0, atol=1e-12)
         out = tmp_path / "qet.csv"
