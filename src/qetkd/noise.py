@@ -38,8 +38,7 @@ from .protocol import (
     RunContext,
     ensemble_energies,
     local_projector,
-    prepare,
-    run_ensemble,
+    run_ensemble_random_basis,
 )
 from .spinops import PAULI, commutator, frobenius, require_density_matrix
 from .tolerances import TOL
@@ -281,16 +280,14 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
     one ``ensemble_energies`` call tabulates each distinct branch input
     once, into a (branch x (E_A, E_B)) table.  The whole grid is then one
     array product, ``branch_weights(coefficients, grid) @ table`` taken
-    row by row inside numpy, so each row rounds as a single p does, and
-    each bisection step is the same product at one p.  Every grid point
-    must lie in [0, 1] (ValueError otherwise, NaN included); a bisection
-    step builds its 1 x 3 basis row from Python floats, which spares the
-    0-d array work of ``branch_weights`` and rounds the same.
+    row by row inside numpy, so each row rounds as a single p does.  Every
+    grid point must lie in [0, 1] (ValueError otherwise, NaN included).
     Only energies above ``TOL.sign_zero`` in magnitude carry a sign; each
-    pair of consecutive such grid points with opposite signs is bisected
-    to ``TOL.bisection`` in p, on the bracket in ascending order, so a
-    descending grid finds the same crossings.  An energy that merely
-    reaches zero, like depolarization at p = 1, is no crossing.
+    pair of consecutive such grid points with opposite signs brackets one
+    crossing: the root there of E_B(p) = a + b p + c sqrt(p (1 - p)), with
+    (a, b, c) the coefficient rows times the table's E_B column (``_root``),
+    so it depends on the family, not on the grid or its order.  An energy
+    that merely reaches zero, like depolarization at p = 1, is no crossing.
     ``crossing`` is the first crossing in grid order, None when the sign
     never changes.
     """
@@ -300,26 +297,12 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
     table = ensemble_energies(ctx, branches)
     e_a, e_b = (weights[:, None, :] @ table)[:, 0].T  # row by row, as at one p
 
-    crossings: list[float] = []
-    rows = np.asarray(coefficients).T
+    a, b, c = (np.asarray(coefficients).T @ table[:, 1]).tolist()
     signed = np.flatnonzero(np.abs(e_b) > TOL.sign_zero)
     negative = e_b[signed] < 0
     changes = np.flatnonzero(negative[:-1] != negative[1:])
-    for i, j in zip(signed[changes], signed[changes + 1]):
-        if grid[i] > grid[j]:
-            i, j = j, i
-        lo, hi = float(grid[i]), float(grid[j])
-        f_lo = e_b[i]
-        while hi - lo > TOL.bisection:
-            mid = 0.5 * (lo + hi)
-            # branch_weights at one p, its basis row made from Python floats
-            basis = np.array([[1.0, mid, math.sqrt(mid * (1.0 - mid))]])
-            f_mid = ((basis @ rows)[0] @ table)[1]
-            if (f_mid < 0) == (f_lo < 0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        crossings.append(0.5 * (lo + hi))
+    crossings = [_root(a, b, c, *sorted((float(grid[i]), float(grid[j]))))
+                 for i, j in zip(signed[changes], signed[changes + 1])]
     return ThresholdReport(
         family=family,
         grid=tuple(grid.tolist()),
@@ -328,6 +311,22 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
         crossing=crossings[0] if crossings else None,
         crossings=tuple(crossings),
     )
+
+
+def _root(a: float, b: float, c: float, lo: float, hi: float) -> float:
+    """The p in [lo, hi] where a + b p + c sqrt(p (1 - p)) vanishes: -a / b
+    when c == 0 (every affine family), else the root of the squared form
+    (b^2 + c^2) p^2 + (2ab - c^2) p + a^2 = 0, clamped to [lo, hi], where the
+    unsquared form is smaller, so a c of rounding size still lands on it.
+    The two roots are q / (b^2 + c^2) and a^2 / q, so neither loses digits
+    to cancellation (a root near p = 0 with a large c would)."""
+    if c == 0.0:
+        return -a / b
+    linear = 2.0 * a * b - c * c
+    spread = abs(c) * math.sqrt(max(c * c - 4.0 * a * (a + b), 0.0))
+    q = -0.5 * (linear + math.copysign(spread, linear))
+    return min((min(max(p, lo), hi) for p in (q / (b * b + c * c), a * a / q)),
+               key=lambda p: abs(a + b * p + c * math.sqrt(p * (1.0 - p))))
 
 
 def report_csv_rows(report: ThresholdReport, coupling: float) -> list[str]:
@@ -348,10 +347,9 @@ def default_chain_coupling() -> float:
     Golden-section search to 1e-3 over J in [0.05, 5]; this is the
     operating point used for flip-noise and excited-state scans.
     """
-    def objective(j: float) -> float:  # the mean of the X- and Y-basis runs
-        spec, partition = chain3(j)
-        return 0.5 * sum(run_ensemble(prepare(spec, partition, basis)).e_bob
-                         for basis in (MeasurementBasis.x(0), MeasurementBasis.y(0)))
+    def objective(j: float) -> float:
+        halves = [(MeasurementBasis.x(0), 0.5), (MeasurementBasis.y(0), 0.5)]
+        return run_ensemble_random_basis(*chain3(j), halves).e_bob
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = 0.05, 5.0

@@ -97,6 +97,7 @@ class PauliTerm:
     def __post_init__(self):
         if not isinstance(self.coefficient, numbers.Real) or not math.isfinite(self.coefficient):
             raise ValueError(f"{self} needs a finite real coefficient")
+        object.__setattr__(self, "coefficient", float(self.coefficient))
         sites = [site for site, _ in self.factors]
         if len(set(sites)) != len(sites):
             raise ValueError(f"repeated site in term factors {self.factors}")
@@ -109,7 +110,7 @@ class PauliTerm:
 
 def term(coefficient: float, *factors: tuple[int, str]) -> PauliTerm:
     """Shorthand constructor: term(2.0, (0, "X"), (1, "X"))."""
-    return PauliTerm(float(coefficient), tuple(factors))
+    return PauliTerm(coefficient, tuple(factors))
 
 
 def max_site(terms) -> int:

@@ -20,7 +20,7 @@ class Tolerances:
     sign_zero: float = 1e-12        # |E| at or below this carries no sign in scans
     outcome: float = 1e-14          # an outcome this unlikely has no conditional state
     objective: float = 1e-12        # feedback-axis optimizer coefficient norm
-    bisection: float = 1e-4         # threshold location in p
+    bisection: float = 1e-4         # perfbench's noise-scan p* check; scans solve p* exactly
 
 
 TOL = Tolerances()

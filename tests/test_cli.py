@@ -11,7 +11,6 @@ import pytest
 
 from qetkd import cli
 from qetkd.cli import main, sweep_values
-from qetkd.tolerances import TOL
 
 
 def run_cli(capsys, *argv):
@@ -164,7 +163,7 @@ class TestNoise:
                                    "--N", "6", "--J", "1", "--grid", grid)
             assert code == 0
             crossings.append(float(out.splitlines()[-1].rsplit("=", 1)[1]))
-        assert crossings[1] == pytest.approx(crossings[0], abs=TOL.bisection)
+        assert crossings[1] == crossings[0]
 
     def test_sender_site_bitflip_flat(self, tmp_path, capsys):
         out_path = tmp_path / "flat.csv"
@@ -195,7 +194,8 @@ def _scan_cases():
 # digests pin the bytes written by a scan that evaluated its grid point by point;
 # the two star6 excited digests, those of marginals read off the block vectors
 # (three cells each moved by one unit in their last digit, none away from its
-# 40-digit value by more than that; tests/test_precision.py holds them).
+# 40-digit value by more than that; tests/test_precision.py holds them), and
+# of the p* = 0.3431 that the exact crossing 0.34312840 prints.
 SCAN_DIGESTS = {
     "chain3-classical": "608131068bb8ccb81b220b41a2d65e66bca4ef3570ca24736a347e04ce63e1a5",
     "chain3-depolarize": "11a574f3439a1d7c86de82ff39652b21d3d9a0409e4f01f6779b58834749f433",
@@ -207,29 +207,30 @@ SCAN_DIGESTS = {
     "star6-depolarize": "09950209c94d0feb5d54f464ab8469acfc5b4865cb07d9acf651da071ac68e1f",
     "star6-bitflip": "2b0d098f139349181950eabe35723298bdcb1c3aa8f0c27d5de3d549f65221f4",
     "star6-phaseflip": "f2127156f32ae7a51a59a4f8fcf9aa587e0523d6051455e5a8b5ecc7aeff409c",
-    "star6-excited-mix": "f60d13eacdd41053834b0d12ce911b2c9322226c9a00ea09326ea076275a0fe2",
-    "star6-excited-sup": "a569284e7ede9e728ae928431ba02cdba0fb43bc90c596117e224ce96a2992ae",
+    "star6-excited-mix": "07465f4d3808ab06cb14e8fdc76785bbec22c51cd7c18e06e90c45fbb540f70a",
+    "star6-excited-sup": "68de4f37c75f258ebf3d76c73cb221ddc3da2e87cf8099788e89889e93d21b30",
     "chain3-excited-sup-alpha": "dbdd41ff24812fbcc370a2f82af56767082e563a254c13480d044e7d473291ef",
     "chain3-bitflip-alice": "b8330c4a000e81ace9455107b850859ad652fbe2398ac8f005335f33b160171d",
 }
 
 
-# name: the crossings of the scan, as float.hex, bisected with branch_weights
-# at one p per step, before the step built its basis row from Python floats.
+# name: the crossings of the scan, as float.hex: each the exact root of the
+# family's E_B = a + b p + c sqrt(p (1 - p)) in its bracket, so the same bits
+# on any grid that brackets it.
 SCAN_CROSSINGS = {
-    "chain3-classical": ("0x1.001eb851eb852p-2",),
+    "chain3-classical": ("0x1.00269a5a1cde1p-2",),
     "chain3-depolarize": (),
-    "chain3-bitflip": ("0x1.29eb851eb851fp-5",),
+    "chain3-bitflip": ("0x1.2a16bc7823f15p-5",),
     "chain3-phaseflip": (),
-    "chain3-excited-mix": ("0x1.d55c28f5c28f6p-3",),
-    "chain3-excited-sup": ("0x1.d55c28f5c28f6p-3",),
-    "star6-classical": ("0x1.00eb851eb851ep-2",),
+    "chain3-excited-mix": ("0x1.d54e4057c4c84p-3",),
+    "chain3-excited-sup": ("0x1.d54e4057c4e54p-3",),
+    "star6-classical": ("0x1.00e1490f8503bp-2",),
     "star6-depolarize": (),
-    "star6-bitflip": ("0x1.cbd70a3d70a3dp-5",),
+    "star6-bitflip": ("0x1.cba7366b2ca3fp-5",),
     "star6-phaseflip": (),
-    "star6-excited-mix": ("0x1.5f66666666666p-2",),
-    "star6-excited-sup": ("0x1.5f66666666666p-2",),
-    "chain3-excited-sup-alpha": ("0x1.d55c28f5c28f6p-3",),
+    "star6-excited-mix": ("0x1.5f5d0d4a54983p-2",),
+    "star6-excited-sup": ("0x1.5f5d0d4a54a4fp-2",),
+    "chain3-excited-sup-alpha": ("0x1.d54e4057c4ab4p-3",),
     "chain3-bitflip-alice": (),
 }
 
@@ -237,13 +238,17 @@ SCAN_CROSSINGS = {
 class TestScanOutputs:
     @pytest.mark.parametrize("name", list(_scan_cases()))
     def test_scan_crossings_keep_their_bits(self, name, tmp_path, capsys, monkeypatch):
+        # the same bits on the CLI's grid, reversed, and on coarser and finer grids
         monkeypatch.chdir(tmp_path)
-        reports = []
+        calls = []
         scan = cli.threshold_scan
         monkeypatch.setattr(cli, "threshold_scan",
-                            lambda *a, **kw: reports.append(scan(*a, **kw)) or reports[-1])
+                            lambda *a, **kw: calls.append((a, kw)) or scan(*a, **kw))
         assert run_cli(capsys, "noise", *_scan_cases()[name], "--out", "scan.csv")[0] == 0
-        assert tuple(p.hex() for p in reports[0].crossings) == SCAN_CROSSINGS[name]
+        (ctx, family, grid), kwargs = calls[0]
+        for g in (grid, grid[::-1], np.linspace(0, 1, 21), np.linspace(0, 1, 1001)):
+            report = scan(ctx, family, g, **kwargs)
+            assert tuple(p.hex() for p in report.crossings) == SCAN_CROSSINGS[name]
 
     @pytest.mark.parametrize("name", list(_scan_cases()))
     def test_scan_bytes_pinned(self, name, tmp_path, capsys, monkeypatch):

@@ -162,7 +162,7 @@ class TestPipelines:
         for block, register in zip(*both_paths(request, run)):
             np.testing.assert_allclose(block.e_alice, register.e_alice, rtol=0, atol=TIGHT)
             np.testing.assert_allclose(block.e_bob, register.e_bob, rtol=0, atol=TIGHT)
-            assert block.crossings == pytest.approx(register.crossings, abs=2 * 1e-4)
+            assert block.crossings == pytest.approx(register.crossings, abs=TIGHT)
 
     @pytest.mark.parametrize("n", [3, 7, 11])
     @pytest.mark.parametrize("noise", [None, NoiseSpec("bit_flip", 0.2, site=1),

@@ -481,15 +481,16 @@ class TestChannelsOnTheMarginal:
 
 
 class TestThresholdScan:
-    def test_bisection_matches_analytic_crossing(self):
+    def test_classical_crossing_matches_closed_form(self):
         # classical flip crossing solves (1-p) E_id + p E_flip = 0, i.e.
-        # p* = |.| / (2 (|.| + xi)); the scan must land within 1e-4
-        for j in (0.8, 1.0, 2.0):
-            ctx = prepare(*chain3(j), MeasurementBasis.x(0))
+        # p* = |.| / (2 (|.| + xi)); the scan must land on it to rounding
+        contexts = [prepare(*chain3(j), MeasurementBasis.x(0)) for j in (0.8, 1.0, 2.0)]
+        contexts.append(prepare(*star(2, 1.0), MeasurementBasis.x(0), bob_label="B1"))
+        for ctx in contexts:
             tp = ctx.theta
             analytic = tp.magnitude / (2 * (tp.magnitude + tp.xi))
             report = threshold_scan(ctx, "classical_flip", np.linspace(0, 1, 21))
-            assert report.crossing == pytest.approx(analytic, abs=1e-4)
+            assert report.crossing == pytest.approx(analytic, abs=1e-12)
 
     def test_curve_lengths_match_grid(self, ctx_unit):
         grid = np.linspace(0, 1, 11)
@@ -512,13 +513,13 @@ class TestThresholdScan:
 
     @pytest.mark.parametrize("family, kwargs", [("classical_flip", {}),
                                                 ("bit_flip", {"site": 2})])
-    def test_descending_grid_bisects_to_the_same_crossing(self, ctx_unit, family, kwargs):
+    def test_descending_grid_finds_the_same_crossing(self, ctx_unit, family, kwargs):
         # the bracket (grid[i], grid[j]) of a descending grid has hi < lo
         grid = np.linspace(0, 1, 21)
         up = threshold_scan(ctx_unit, family, grid, **kwargs)
         down = threshold_scan(ctx_unit, family, grid[::-1], **kwargs)
         assert up.crossing is not None and down.crossing is not None
-        assert down.crossing == pytest.approx(up.crossing, abs=TOL.bisection)
+        assert down.crossing == up.crossing
         assert down.e_bob == up.e_bob[::-1]
 
     @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])

@@ -137,7 +137,7 @@ def test_amplitude_damping_keeps_unit_trace(model, gamma, data):
 def test_scan_validates_and_evaluates_each_branch_once(monkeypatch, family):
     # one ensemble_energies call per scan, one conditional table per distinct
     # branch input (classical_flip's two branches share the ground state):
-    # evaluating per grid point or per bisection step breaks both counts
+    # evaluating per grid point breaks both counts
     ctx = context("star", 3, "identity")
     counts = {"validate": 0, "evaluate": 0, "tabulate": 0}
 
@@ -159,7 +159,44 @@ def test_scan_validates_and_evaluates_each_branch_once(monkeypatch, family):
     assert counts["evaluate"] == 1
     assert counts["tabulate"] == (1 if family == "classical_flip" else BRANCHES[family])
     if family == "classical_flip":
-        assert report.crossing is not None  # the bisection ran
+        assert report.crossing is not None  # the crossing was solved
+
+
+def scan_energy(a, b, c, p):
+    """E_B(p) = a + b p + c sqrt(p (1 - p)), the form every family's E_B takes."""
+    return a + b * p + c * math.sqrt(p * (1.0 - p))
+
+
+coefficients = st.floats(-10.0, 10.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
+
+
+@st.composite
+def brackets(draw):
+    """(a, b, c, lo, hi, root) with E_B vanishing at root in [lo, hi].  c is 0
+    (every affine family), of rounding size (the superposition family at
+    alpha = 0 on the star) or of the size of a and b."""
+    b = draw(coefficients)
+    c = draw(st.one_of(st.just(0.0), coefficients,
+                       st.floats(-1e-15, 1e-15).filter(lambda x: abs(x) >= 1e-17)))
+    root = draw(st.floats(0.0, 1.0))
+    a = -scan_energy(0.0, b, c, root)
+    return a, b, c, draw(st.floats(0.0, root)), draw(st.floats(root, 1.0)), root
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(brackets())
+def test_root_vanishes_in_its_bracket(case):
+    # threshold_scan solves only brackets whose ends carry opposite signs
+    a, b, c, lo, hi, root = case
+    scale = max(abs(a), abs(b), abs(c))
+    ends = [scan_energy(a, b, c, p) for p in (lo, hi)]
+    assume(min(map(abs, ends)) > 1e-12 * scale and (ends[0] < 0) != (ends[1] < 0))
+    p = noise._root(a, b, c, lo, hi)
+    assert lo <= p <= hi
+    if abs(scan_energy(a, b, c, p)) > 1e-12 * scale:
+        # within 1e-9 of p = 1 the slope c / (2 sqrt(1 - p)) times the spacing
+        # of doubles there exceeds the bound, so p is held to the root instead
+        assert 1.0 - root < 1e-9 and abs(p - root) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ than to another float64 computation.
 zero, where a printed ``.12g`` cell carries digits below the float64
 accuracy of the energy: each E_B is recomputed at 40 digits from the same
 float inputs (coupling, p, axes), with the ground state, the excited
-level and theta all solved at 40 digits.  The star6 scan cells that moved
-when the star's marginals came to be read off its block vectors are held
-the same way, with the 40-digit states solved in the hub (x) Dicke block.
+level and theta all solved at 40 digits; the chain3 crossings must lie
+within 1e-12 of the roots of that 40-digit E_B.  The star6 scan cells
+that moved when the star's marginals came to be read off its block
+vectors are held the same way, with the 40-digit states solved in the
+hub (x) Dicke block.
 """
 
 import functools
@@ -178,7 +180,7 @@ class MpChain:
 
     def scan_e_bob(self, family, p, site=2, alpha=0.0):
         """E_B of a threshold-scan family at probability p, from its branch states."""
-        p = mpmath.mpf(float(p))
+        p = mpmath.mpf(p)
         g = self.ground * self.ground.H
         if family == "classical_flip":
             return self.e_bob(g, p)
@@ -228,6 +230,19 @@ def test_scan_cells_near_zero_match_forty_digits(coupling, family, p):
         want = exact.scan_e_bob(family, GRID[i], ctx.rule.site)
         assert abs(mpmath.mpf(report.e_bob[i]) - want) <= 1e-15
         assert abs(want) < 6e-5  # a cell far below ||H||, as named
+
+
+@pytest.mark.parametrize("family", ["classical_flip", "bit_flip", "excited_mixture",
+                                    "excited_superposition"])
+def test_chain3_crossings_match_forty_digit_roots(family):
+    # each crossing is the exact root of the float64 E_B; the 40-digit E_B of
+    # the same inputs vanishes within 1e-12 of it
+    ctx, exact = chain_at(None)
+    kwargs = {"site": ctx.rule.site} if family == "bit_flip" else {}
+    (crossing,) = threshold_scan(ctx, family, GRID, **kwargs).crossings
+    with mpmath.workdps(DIGITS):
+        root = mpmath.findroot(lambda p: exact.scan_e_bob(family, p, ctx.rule.site), crossing)
+        assert abs(root - crossing) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

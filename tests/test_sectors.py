@@ -285,6 +285,17 @@ class TestCoefficients:
             with pytest.raises(ValueError, match="finite real coefficient"):
                 term(bad, (0, "X"))
 
+    @pytest.mark.parametrize("bad", [1j, "1.5"])
+    def test_term_checks_the_coefficient_before_coercing_it(self, bad):
+        # term hands its coefficient to PauliTerm unchanged, so a complex or a
+        # string one meets the same check, with the ValueError naming the term
+        with pytest.raises(ValueError, match=r"^PauliTerm\(coefficient=.* finite real coefficient"):
+            term(bad, (0, "X"))
+
+    def test_a_real_coefficient_is_stored_as_float(self):
+        assert type(term(2, (0, "X")).coefficient) is float
+        assert type(PauliTerm(np.float64(0.5), ((0, "Z"),)).coefficient) is float
+
 
 class TestNoRegisterMatrix:
     def test_builders_assemble_only_the_dense_block(self, monkeypatch):
