@@ -38,7 +38,8 @@ from .protocol import (
     RunContext,
     ensemble_energies,
     local_projector,
-    run_ensemble_random_basis,
+    prepare,
+    run_ensemble,
 )
 from .spinops import PAULI, commutator, frobenius, require_density_matrix
 from .tolerances import TOL
@@ -282,14 +283,13 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
     array product, ``branch_weights(coefficients, grid) @ table`` taken
     row by row inside numpy, so each row rounds as a single p does.  Every
     grid point must lie in [0, 1] (ValueError otherwise, NaN included).
-    Only energies above ``TOL.sign_zero`` in magnitude carry a sign; each
-    pair of consecutive such grid points with opposite signs brackets one
-    crossing: the root there of E_B(p) = a + b p + c sqrt(p (1 - p)), with
-    (a, b, c) the coefficient rows times the table's E_B column (``_root``),
-    so it depends on the family, not on the grid or its order.  An energy
-    that merely reaches zero, like depolarization at p = 1, is no crossing.
-    ``crossing`` is the first crossing in grid order, None when the sign
-    never changes.
+    Only energies above ``TOL.sign_zero`` in magnitude carry a sign, so an
+    energy that merely reaches zero, like depolarization at p = 1, is no
+    crossing; each pair of consecutive such grid points with opposite signs
+    brackets one crossing, the root there of the family's E_B(p) =
+    a + b p + c sqrt(p (1 - p)) (``_root``), which depends on the family,
+    not on the grid or its order.  ``crossing`` is the first crossing in
+    grid order, None when the sign never changes.
     """
     branches, coefficients = noise_branches(ctx, NoiseSpec(family, 0.0, **family_kwargs))
     grid = np.asarray(grid, dtype=float)
@@ -315,11 +315,10 @@ def threshold_scan(ctx: RunContext, family: str, grid: np.ndarray,
 
 def _root(a: float, b: float, c: float, lo: float, hi: float) -> float:
     """The p in [lo, hi] where a + b p + c sqrt(p (1 - p)) vanishes: -a / b
-    when c == 0 (every affine family), else the root of the squared form
-    (b^2 + c^2) p^2 + (2ab - c^2) p + a^2 = 0, clamped to [lo, hi], where the
-    unsquared form is smaller, so a c of rounding size still lands on it.
-    The two roots are q / (b^2 + c^2) and a^2 / q, so neither loses digits
-    to cancellation (a root near p = 0 with a large c would)."""
+    when c == 0 (every affine family), else a root q / (b^2 + c^2) or a^2 / q
+    (free of cancellation) of the squared form (b^2 + c^2) p^2 + (2ab - c^2) p
+    + a^2 = 0, clamped to [lo, hi]: the one where the unsquared form is
+    smaller, so a c of rounding size still lands on the root."""
     if c == 0.0:
         return -a / b
     linear = 2.0 * a * b - c * c
@@ -347,9 +346,10 @@ def default_chain_coupling() -> float:
     Golden-section search to 1e-3 over J in [0.05, 5]; this is the
     operating point used for flip-noise and excited-state scans.
     """
-    def objective(j: float) -> float:
-        halves = [(MeasurementBasis.x(0), 0.5), (MeasurementBasis.y(0), 0.5)]
-        return run_ensemble_random_basis(*chain3(j), halves).e_bob
+    def objective(j: float) -> float:  # the mean of the X- and Y-basis runs
+        spec, partition = chain3(j)
+        return 0.5 * sum(run_ensemble(prepare(spec, partition, basis)).e_bob
+                         for basis in (MeasurementBasis.x(0), MeasurementBasis.y(0)))
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = 0.05, 5.0
